@@ -6,7 +6,7 @@
 //	benchkit                 # everything (several minutes)
 //	benchkit -exp fig6       # one experiment: table2 table3 fig6 fig7 fig8
 //	                         # fig9 ablations topk batch startup obs dist
-//	                         # overload columnar ingest
+//	                         # overload columnar
 //	benchkit -exp topk,batch # comma-separated experiment list
 //	benchkit -queries 3      # queries averaged per data point
 //	benchkit -quick          # smaller k sweep and fewer datasets
@@ -15,8 +15,7 @@
 //
 // -json writes the shard-plane, gather chunk-size, batch amortization,
 // snapshot startup, instrumentation overhead, distributed
-// scatter-gather, overload, columnar layout, and ingest sweeps as one
-// document;
+// scatter-gather, overload, and columnar layout sweeps as one document;
 // it implies every serving-sweep experiment so the written schema is
 // always complete. -drift regenerates the same
 // sweeps and fails when the committed document's schema (key paths, row
@@ -38,7 +37,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment, or comma-separated list: all, table2, table3, fig6, fig7, fig8, fig9, ablations, topk, batch, startup, obs, dist, overload, columnar, ingest")
+		exp       = flag.String("exp", "all", "experiment, or comma-separated list: all, table2, table3, fig6, fig7, fig8, fig9, ablations, topk, batch, startup, obs, dist, overload, columnar")
 		queries   = flag.Int("queries", 5, "queries per data point")
 		quick     = flag.Bool("quick", false, "reduced sweeps for a fast pass")
 		jsonPath  = flag.String("json", "", "write the topk+batch+startup+obs sweeps as one JSON document to this path (implies all four experiments; see make bench-json)")
@@ -58,7 +57,7 @@ func main() {
 		ks = []int{10, 100}
 		gdSets, gsSets = bench.GD[:3], bench.GS[:3]
 	}
-	known := []string{"all", "table2", "table3", "fig6", "fig7", "fig8", "fig9", "ablations", "topk", "batch", "startup", "obs", "dist", "overload", "columnar", "ingest"}
+	known := []string{"all", "table2", "table3", "fig6", "fig7", "fig8", "fig9", "ablations", "topk", "batch", "startup", "obs", "dist", "overload", "columnar"}
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {
 		name = strings.TrimSpace(name)
@@ -82,7 +81,6 @@ func main() {
 		selected["dist"] = true
 		selected["overload"] = true
 		selected["columnar"] = true
-		selected["ingest"] = true
 	}
 	want := func(name string) bool { return selected["all"] || selected[name] }
 	t0 := time.Now()
@@ -225,17 +223,6 @@ func main() {
 		bench.ColumnarTable(colRows).Fprint(os.Stdout)
 		if rep != nil {
 			rep.ColumnarSweep = colRows
-		}
-	}
-	if want("ingest") {
-		ingestRows, err := runIngestSweep(*topkOps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchkit: ingest sweep: %v\n", err)
-			os.Exit(1)
-		}
-		bench.IngestTable(ingestRows).Fprint(os.Stdout)
-		if rep != nil {
-			rep.IngestSweep = ingestRows
 		}
 	}
 	if rep != nil {

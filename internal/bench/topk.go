@@ -216,47 +216,6 @@ type TopKReport struct {
 	DistSweep     []*DistRow     `json:"dist_sweep"`
 	OverloadSweep []*OverloadRow `json:"overload_sweep"`
 	ColumnarSweep []*ColumnarRow `json:"columnar_sweep"`
-	IngestSweep   []*IngestRow   `json:"ingest_sweep"`
-}
-
-// IngestRow is one configuration of the write-path sweep in
-// BENCH_topk.json: edge batches ingested through the live engine (WAL
-// append + fsync + incremental closure + publish) under one fsync
-// policy and batch size, plus the cost of draining the resulting
-// overlay into a compacted generation. The sweep itself lives in
-// cmd/benchkit (it exercises the public ktpm.Live API, which this
-// package cannot import: the root package's benchmarks import
-// internal/bench).
-type IngestRow struct {
-	Name       string `json:"name"` // e.g. "fsync=always/batch=16"
-	Fsync      string `json:"fsync"`
-	BatchEdges int    `json:"batch_edges"`
-	Batches    int    `json:"batches"`
-	// NsPerBatch is the wall time per acknowledged batch — WAL-durable
-	// and query-visible; EdgesPerSec is the resulting write throughput.
-	NsPerBatch  float64 `json:"ns_per_batch"`
-	EdgesPerSec float64 `json:"edges_per_sec"`
-	// CompactMS is one explicit compaction of the overlay the sweep's
-	// writes accumulated: snapshot write + open + swap + WAL truncate.
-	CompactMS float64 `json:"compact_ms"`
-	// OverlayEntries is the overlay size the compaction drained.
-	OverlayEntries int `json:"overlay_entries"`
-}
-
-// IngestTable renders a write-path sweep in the benchkit text format.
-func IngestTable(rows []*IngestRow) *Table {
-	t := &Table{
-		Title:  "Ingest sweep (WAL fsync + incremental closure, per acked batch)",
-		Header: []string{"config", "us/batch", "edges/s", "compact ms", "overlay"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Name,
-			fmt.Sprintf("%.1f", r.NsPerBatch/1e3),
-			fmt.Sprintf("%.0f", r.EdgesPerSec),
-			fmt.Sprintf("%.2f", r.CompactMS),
-			fmt.Sprintf("%d", r.OverlayEntries))
-	}
-	return t
 }
 
 // ObsRow is one configuration of the instrumentation-overhead sweep in

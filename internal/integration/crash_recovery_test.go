@@ -132,10 +132,25 @@ func TestCrashRecovery(t *testing.T) {
 		return ir.LSN, true
 	}
 
+	// compactions reads the victim's completed-compaction count.
+	compactions := func(addr string) uint64 {
+		var st struct {
+			Ingest struct {
+				Compaction struct {
+					Count uint64 `json:"count"`
+				} `json:"compaction"`
+			} `json:"ingest"`
+		}
+		getJSON(t, addr, "/stats", &st)
+		return st.Ingest.Compaction.Count
+	}
+
 	// Three kill rounds: no compaction, then a tiny threshold so the
 	// compactor races the kill, then no compaction again over the
-	// recovered generation.
-	for round, threshold := range []string{"-1", "400", "-1"} {
+	// recovered generation. The overlay holds only the closure pairs a
+	// batch changed — a few dozen per edge on this graph — so the tiny
+	// threshold is tens of entries, crossed every batch or two.
+	for round, threshold := range []string{"-1", "40", "-1"} {
 		cmd, addr := startVictim(threshold)
 		// Pick the kill delay before the ingest goroutine starts sharing
 		// rng — rand.Rand is not safe for concurrent use.
@@ -167,14 +182,28 @@ func TestCrashRecovery(t *testing.T) {
 				acks = append(acks, ack{lsn: lsn, batch: b})
 			}
 		}()
+		var compacted uint64
+		if threshold != "-1" {
+			// The kill must land among generation swaps, so the clock starts
+			// at the round's first completed compaction.
+			for deadline := time.Now().Add(10 * time.Second); compacted == 0; compacted = compactions(addr) {
+				if time.Now().After(deadline) {
+					t.Fatalf("round %d: no compaction completed at -compact-threshold %s", round, threshold)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
 		time.Sleep(killAfter)
+		if threshold != "-1" {
+			compacted = compactions(addr)
+		}
 		if err := cmd.Process.Kill(); err != nil { // SIGKILL: no drain, no flush
 			t.Fatal(err)
 		}
 		close(stop)
 		<-done
 		cmd.Wait()
-		t.Logf("round %d: killed after %d acked batches (threshold %s)", round, len(acks), threshold)
+		t.Logf("round %d: killed after %d acked batches and %d compactions (threshold %s)", round, len(acks), compacted, threshold)
 	}
 
 	// Recovery: the restarted daemon must report a durable LSN covering

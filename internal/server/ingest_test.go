@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ktpm"
+	"ktpm/internal/obs"
 )
 
 // newLiveTestServer wraps the Figure 1 fixture in the live (writable)
@@ -187,11 +188,17 @@ func TestIngestStatsAndMetrics(t *testing.T) {
 	if st.Ingest.WAL.Appends != 1 || st.Ingest.Overlay.PendingBatches != 1 {
 		t.Fatalf("wal/overlay stats = %+v / %+v", st.Ingest.WAL, st.Ingest.Overlay)
 	}
+	if sg := st.Ingest.StageNS; sg.WALAppend <= 0 || sg.ClosureDelta <= 0 || sg.Merge <= 0 || sg.Publish <= 0 {
+		t.Fatalf("an acked batch left a write-path stage untimed: %+v", sg)
+	}
 
 	req = httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	body := rec.Body.String()
+	for _, err := range obs.LintExposition(strings.NewReader(body)) {
+		t.Errorf("live /metrics lint: %v", err)
+	}
 	for _, want := range []string{
 		"ktpmd_ingest_batches_total 1",
 		"ktpmd_ingest_edges_total 1",
@@ -201,6 +208,8 @@ func TestIngestStatsAndMetrics(t *testing.T) {
 		"ktpmd_overlay_pending_batches 1",
 		"ktpmd_compaction_total 0",
 		`ktpmd_wal_info{fsync="always"} 1`,
+		`ktpmd_ingest_stage_seconds_total{stage="wal_append"} `,
+		`ktpmd_ingest_stage_seconds_total{stage="compact_swap"} 0`,
 		`ktpmd_cost_ewma_seconds{endpoint="ingest"}`,
 	} {
 		if !strings.Contains(body, want) {

@@ -131,6 +131,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("ktpmd_ingest_rejected_total", "Ingest batches refused by validation.", int64(st.RejectedBatches))
 		gauge("ktpmd_ingest_epoch", "Serving-state publishes: one per acked batch plus one per compaction swap.", float64(st.Epoch))
 		gauge("ktpmd_ingest_last_lsn", "Newest acknowledged log sequence number.", float64(st.LastLSN))
+		fmt.Fprintf(&b, "# HELP ktpmd_ingest_stage_seconds_total Wall time the write path has spent per stage: wal_append, closure_delta, merge, publish per acked batch; compact_write, compact_reopen, compact_swap per compaction.\n# TYPE ktpmd_ingest_stage_seconds_total counter\n")
+		for _, sg := range []struct {
+			name string
+			ns   int64
+		}{
+			{"wal_append", st.StageNS.WALAppend}, {"closure_delta", st.StageNS.ClosureDelta},
+			{"merge", st.StageNS.Merge}, {"publish", st.StageNS.Publish},
+			{"compact_write", st.StageNS.CompactWrite}, {"compact_reopen", st.StageNS.CompactReopen},
+			{"compact_swap", st.StageNS.CompactSwap},
+		} {
+			fmt.Fprintf(&b, "ktpmd_ingest_stage_seconds_total{stage=%q} %g\n", sg.name, float64(sg.ns)/1e9)
+		}
 
 		fmt.Fprintf(&b, "# HELP ktpmd_wal_info Write-ahead log configuration (value is always 1).\n# TYPE ktpmd_wal_info gauge\nktpmd_wal_info{fsync=%q} 1\n", st.WAL.FsyncPolicy)
 		counter("ktpmd_wal_appends_total", "Records appended to the write-ahead log.", st.WAL.Appends)

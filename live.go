@@ -45,7 +45,9 @@ type WALStats = wal.Stats
 // compaction.
 type OverlayStats struct {
 	// Entries is the number of (from, to) closure pairs the overlay
-	// holds; compaction triggers when it crosses the threshold.
+	// holds: a small superset of the pairs whose distance the acked edges
+	// changed since the last compaction (an edge that shortens nothing
+	// adds none). Compaction triggers when it crosses the threshold.
 	Entries int `json:"entries"`
 	// Tables is the number of label-pair tables the overlay touches.
 	Tables int `json:"tables"`
@@ -80,6 +82,30 @@ type CompactionStats struct {
 	LastErr string `json:"last_err,omitempty"`
 }
 
+// IngestStageNanos is the cumulative wall time, in nanoseconds, the
+// write path has spent per stage this process: the four stages of an
+// acked batch, in order and under the ingest mutex, then the three of a
+// compaction.
+type IngestStageNanos struct {
+	// WALAppend is writing and (per the fsync policy) syncing the batch's
+	// log record: the durability floor of an ack.
+	WALAppend int64 `json:"wal_append"`
+	// ClosureDelta is the per-edge searches and their overlay inserts.
+	ClosureDelta int64 `json:"closure_delta"`
+	// Merge is re-merging the tables the batch dirtied.
+	Merge int64 `json:"merge"`
+	// Publish is building the epoch's Database and swapping it in.
+	Publish int64 `json:"publish"`
+	// CompactWrite is writing and fsyncing generation files.
+	CompactWrite int64 `json:"compact_write"`
+	// CompactReopen is opening the written generation for serving.
+	CompactReopen int64 `json:"compact_reopen"`
+	// CompactSwap is the time a compaction holds the ingest mutex:
+	// replaying batches acked meanwhile, CURRENT, and its publish (which
+	// Merge and Publish count too).
+	CompactSwap int64 `json:"compact_swap"`
+}
+
 // IngestStats is the write path's health snapshot.
 type IngestStats struct {
 	// Epoch counts atomic publishes of a new serving state (one per
@@ -95,6 +121,8 @@ type IngestStats struct {
 	RejectedBatches uint64 `json:"rejected_batches"`
 	// LastLSN is the newest acknowledged log sequence number.
 	LastLSN uint64 `json:"last_lsn"`
+	// StageNS is where the write path's time went, stage by stage.
+	StageNS IngestStageNanos `json:"stage_ns"`
 	// WAL, Overlay, and Compaction break down the pipeline stages.
 	WAL        WALStats        `json:"wal"`
 	Overlay    OverlayStats    `json:"overlay"`
@@ -112,9 +140,10 @@ type LiveConfig struct {
 	// 100ms; a crash may lose the tail of acked-but-unsynced batches),
 	// or "never" (fsync only at rotation and close).
 	Fsync string
-	// CompactThreshold is the overlay entry count that triggers a
-	// background compaction; 0 means 100000, negative disables
-	// compaction entirely (the WAL grows unboundedly).
+	// CompactThreshold is the overlay entry count (changed closure
+	// pairs, see OverlayStats.Entries) that triggers a background
+	// compaction; 0 means 100000, negative disables compaction entirely
+	// (the WAL grows unboundedly).
 	CompactThreshold int
 	// SnapshotFormat is the on-disk layout of compacted generations.
 	SnapshotFormat SnapshotFormat
@@ -167,6 +196,8 @@ type Live struct {
 	baseSnap    *closure.Snapshot // non-nil once a generation is serving
 	combined    *graph.Graph
 	delta       *closure.Delta
+	merged      *closure.MergedSource // base ∪ delta as of the last publish
+	stages      IngestStageNanos
 	pending     []pendingBatch
 	watermark   uint64
 	gen         int
@@ -301,7 +332,9 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 
 	// Replay every record past the generation watermark into the
 	// overlay — these are acked writes the last compaction had not yet
-	// absorbed when the process stopped.
+	// absorbed when the process stopped. The publish below merges what
+	// they dirtied, by the same call an acked batch goes through.
+	l.merged = closure.NewMergedSource(l.combined, l.baseClosure, l.delta)
 	replayed := 0
 	err = l.wal.Replay(l.watermark+1, func(lsn uint64, payload []byte) error {
 		edges, err := decodeIngestRecord(payload)
@@ -380,16 +413,16 @@ func decodeIngestRecord(p []byte) ([]graph.Edge, error) {
 // the current base + overlay. Callers hold l.mu (or are in OpenLive
 // before the Live escapes).
 func (l *Live) publishLocked() {
-	var src closure.TableSource
-	columnar := false
-	if l.delta.Entries() == 0 {
-		src = l.baseClosure
-		if l.baseSnap != nil {
-			columnar = l.baseSnap.Version() >= 2
-		}
-	} else {
-		src = closure.NewMergedSource(l.combined, l.baseClosure, l.delta)
+	t0 := time.Now()
+	src := l.baseClosure
+	columnar := l.baseSnap != nil && l.baseSnap.Version() >= 2
+	if l.delta.EdgesApplied() > 0 {
+		// Re-merges the tables dirtied since the last publish and shares
+		// the rest with the outgoing epoch, which readers still on it keep.
+		l.merged = l.merged.Advance(l.combined, l.delta)
+		src, columnar = l.merged, false
 	}
+	t1 := time.Now()
 	db := &Database{
 		g:   l.combined,
 		c:   src,
@@ -412,6 +445,8 @@ func (l *Live) publishLocked() {
 	}
 	l.cur.Store(db)
 	l.epoch.Add(1)
+	l.stages.Merge += int64(t1.Sub(t0))
+	l.stages.Publish += int64(time.Since(t1))
 }
 
 // Ingest validates, journals, applies, and publishes one batch of new
@@ -421,16 +456,15 @@ func (l *Live) publishLocked() {
 // "always") and the next query epoch includes it. Batches are applied
 // serially in LSN order; queries are never blocked.
 //
-// Cost: the closure delta is incremental, but each acked batch also
-// copies the combined graph (CombineGraph) and re-materializes every
-// overlay-touched table (NewMergedSource) while holding the ingest
-// mutex — O(V + E + overlay entries) per batch, independent of batch
-// size. Ingest throughput therefore scales with batch size, not call
-// rate: amortize by batching hundreds-to-thousands of edges per call
-// (up to maxIngestBatch) rather than one edge at a time, and keep
-// -compact-threshold finite so the overlay term stays bounded. Making
-// the graph representation appendable would remove the O(V+E) term;
-// see the write-path section of docs/ARCHITECTURE.md.
+// Cost: a batch pays for what it changes. Each edge runs four
+// shortest-path searches over the combined graph and adds the affected
+// sources × affected targets it finds to the overlay (nothing, for an
+// edge that shortens no path); the publish then re-merges only the
+// label-pair tables those candidates dirtied and shares the rest with
+// the previous epoch. The one term independent of the batch is
+// CombineGraph's O(V + E) copy, well under a millisecond at the sizes
+// measured. Small batches are therefore fine: the floor of an ack is the
+// WAL fsync. See the write-path section of docs/ARCHITECTURE.md.
 func (l *Live) Ingest(edges []IngestEdge) (lsn uint64, err error) {
 	if len(edges) == 0 {
 		l.rejected.Add(1)
@@ -474,12 +508,16 @@ func (l *Live) Ingest(edges []IngestEdge) (lsn uint64, err error) {
 	// Durability point: the WAL append (fsynced per policy) happens
 	// before any in-memory state changes, so a crash after this line
 	// replays the batch and a crash before it never acked anything.
+	t0 := time.Now()
 	lsn, err = l.wal.Append(encodeIngestRecord(ge))
+	t1 := time.Now()
+	l.stages.WALAppend += int64(t1.Sub(t0))
 	if err != nil {
 		return 0, fmt.Errorf("ktpm: ingest journal: %w", err)
 	}
 	l.combined = g2
 	l.delta.AddEdges(g2, ge)
+	l.stages.ClosureDelta += int64(time.Since(t1))
 	l.pending = append(l.pending, pendingBatch{lsn: lsn, edges: ge})
 	l.publishLocked()
 	l.acked.Add(1)
@@ -541,7 +579,7 @@ func (l *Live) compact() error {
 	t0 := time.Now()
 
 	l.mu.Lock()
-	if l.closedFlag || l.delta.Entries() == 0 {
+	if l.closedFlag || l.delta.EdgesApplied() == 0 {
 		l.mu.Unlock()
 		return nil
 	}
@@ -562,11 +600,13 @@ func (l *Live) compact() error {
 	if err != nil {
 		return fmt.Errorf("writing %s: %w", name, err)
 	}
+	t1 := time.Now()
 	snap, err := closure.OpenSnapshotFile(path, closure.SnapMode(l.mode))
 	if err != nil {
 		os.Remove(path)
 		return fmt.Errorf("reopening %s: %w", name, err)
 	}
+	t2 := time.Now()
 
 	l.mu.Lock()
 	if l.closedFlag {
@@ -574,11 +614,19 @@ func (l *Live) compact() error {
 		snap.Close()
 		return nil
 	}
+	t3 := time.Now()
+	l.stages.CompactWrite += int64(t1.Sub(t0))
+	l.stages.CompactReopen += int64(t2.Sub(t1))
+	unlock := func() {
+		l.stages.CompactSwap += int64(time.Since(t3))
+		l.mu.Unlock()
+	}
 	// Rebuild the overlay from batches acked while the generation was
 	// being written: replaying them over the generation's graph yields
-	// exactly the post-watermark delta.
+	// exactly the post-watermark delta, which the publish below merges.
 	delta := closure.NewDelta()
 	combined := snap.Graph()
+	merged := closure.NewMergedSource(combined, snap, delta)
 	var kept []pendingBatch
 	for _, pb := range l.pending {
 		if pb.lsn <= w {
@@ -588,7 +636,7 @@ func (l *Live) compact() error {
 		if err != nil {
 			// Impossible for batches that passed Ingest validation; bail
 			// without swapping anything.
-			l.mu.Unlock()
+			unlock()
 			snap.Close()
 			return fmt.Errorf("replaying pending batch lsn %d: %w", pb.lsn, err)
 		}
@@ -598,7 +646,7 @@ func (l *Live) compact() error {
 	}
 	oldSnap, oldGenFile := l.baseSnap, l.genFile
 	l.baseClosure, l.baseSnap = snap, snap
-	l.combined, l.delta, l.pending = combined, delta, kept
+	l.combined, l.delta, l.merged, l.pending = combined, delta, merged, kept
 	l.gen, l.genFile, l.watermark = gen, name, w
 
 	// CURRENT must be durable before the WAL below the watermark can
@@ -616,7 +664,7 @@ func (l *Live) compact() error {
 		if oldSnap != nil {
 			l.retired = append(l.retired, oldSnap)
 		}
-		l.mu.Unlock()
+		unlock()
 		return fmt.Errorf("writing CURRENT: %w", err)
 	}
 	l.publishLocked()
@@ -625,7 +673,7 @@ func (l *Live) compact() error {
 		// generation; it is closed at Live.Close, not here.
 		l.retired = append(l.retired, oldSnap)
 	}
-	l.mu.Unlock()
+	unlock()
 
 	if err := l.wal.TruncateBefore(w + 1); err != nil {
 		return fmt.Errorf("truncating wal below %d: %w", w+1, err)
@@ -657,8 +705,8 @@ func (l *Live) maybeCompactPostSwap() {
 }
 
 // Compact forces a synchronous compaction, regardless of threshold.
-// A no-op (nil) when the overlay is empty or a background compaction
-// is already running.
+// A no-op (nil) when no edge has been acked since the current
+// generation or a background compaction is already running.
 func (l *Live) Compact() error { return l.compact() }
 
 // Current returns the serving database for the newest published epoch.
@@ -679,6 +727,7 @@ func (l *Live) IngestStats() IngestStats {
 		AckedBatches:    l.acked.Load(),
 		AckedEdges:      l.ackedEdges.Load(),
 		RejectedBatches: l.rejected.Load(),
+		StageNS:         l.stages,
 		WAL:             l.wal.Stats(),
 		Overlay: OverlayStats{
 			Entries:        l.delta.Entries(),

@@ -7,6 +7,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"ktpm/internal/closure"
+	"ktpm/internal/gen"
+	"ktpm/internal/graph"
 )
 
 // liveBase generates a reproducible base graph as raw parts, so tests
@@ -375,5 +379,163 @@ func TestLiveConcurrentQueryIngest(t *testing.T) {
 	assertLiveMatchesReference(t, "after concurrent traffic", live, buildLiveDB(t, labels, all))
 	if err := live.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// copyTables deep-copies every table of a source, keyed by label pair.
+func copyTables(src closure.TableSource) map[[2]int32][]closure.Entry {
+	out := make(map[[2]int32][]closure.Entry)
+	src.Tables(func(alpha, beta int32, entries []closure.Entry) bool {
+		out[[2]int32{alpha, beta}] = append([]closure.Entry(nil), entries...)
+		return true
+	})
+	return out
+}
+
+// TestLiveIncrementalPublish pins the incremental merge end to end:
+// after every batch the published source equals, table for table, a
+// one-shot merge of the accumulated overlay and a from-scratch closure
+// of the combined graph; and the source published at one epoch is
+// bit-for-bit unchanged — and keeps answering the same — while readers
+// query it and later epochs land on top of it (run under -race).
+func TestLiveIncrementalPublish(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	labels, baseEdges := liveBase(rng, 60)
+	live, err := OpenLive(buildLiveDB(t, labels, baseEdges), LiveConfig{Dir: t.TempDir(), Fsync: "never", CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	check := func(tag string) {
+		t.Helper()
+		got := copyTables(live.Current().c)
+		if want := copyTables(closure.NewMergedSource(live.combined, live.baseClosure, live.delta)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: published tables differ from a one-shot merge of the overlay", tag)
+		}
+		if want := copyTables(closure.Compute(live.combined, closure.Options{})); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: published tables differ from a from-scratch closure", tag)
+		}
+	}
+	for batch := 0; batch < 4; batch++ {
+		if _, err := live.Ingest(liveNewEdges(rng, 60, 3)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("batch %d", batch))
+	}
+
+	// Epoch E: remember its tables and its answers, then read it from four
+	// goroutines while eight more batches are published over it.
+	old := live.Current()
+	oldTables := copyTables(old.c)
+	type probe struct {
+		q    *Query
+		want []Match
+	}
+	var probes []probe
+	for _, qs := range liveQueries {
+		q, err := old.ParseQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := old.TopK(q, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes = append(probes, probe{q, want})
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p := probes[i%len(probes)]
+				got, err := old.TopK(p.q, 25)
+				if err != nil || !reflect.DeepEqual(got, p.want) {
+					t.Errorf("epoch E answered differently once later epochs landed (err %v)", err)
+					return
+				}
+			}
+		}(w)
+	}
+	for batch := 0; batch < 8; batch++ {
+		if _, err := live.Ingest(liveNewEdges(rng, 60, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if !reflect.DeepEqual(copyTables(old.c), oldTables) {
+		t.Fatal("a published epoch's tables changed after later epochs landed")
+	}
+	check("after 12 batches")
+}
+
+// TestLiveIngestCostGuard is the count-based (no wall clock) guard on
+// what a batch costs, on the benchmark's write workload — an 800-node
+// power-law graph taking back held-out edges four at a time with
+// compaction off: a publish re-materializes no more tables than its
+// batch dirtied, and the overlay stays under 2500 entries per acked
+// edge (the cross-product delta held ~5200).
+func TestLiveIngestCostGuard(t *testing.T) {
+	full := gen.PowerLaw(gen.PowerLawConfig{Nodes: 800, AvgOutDegree: 5, Labels: 150, Window: 50, Communities: 10, Seed: 21})
+	var edges []graph.Edge
+	full.Edges(func(e graph.Edge) bool {
+		edges = append(edges, e)
+		return true
+	})
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	held, kept := edges[:48], edges[48:]
+	gb := NewGraphBuilder()
+	for v := int32(0); v < int32(full.NumNodes()); v++ {
+		gb.AddNode(full.LabelName(v))
+	}
+	for _, e := range kept {
+		gb.AddWeightedEdge(e.From, e.To, e.Weight)
+	}
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := BuildDatabase(g, DatabaseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenLive(db, LiveConfig{Dir: t.TempDir(), Fsync: "never", CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	for i := 0; i+4 <= len(held); i += 4 {
+		batch := make([]IngestEdge, 4)
+		for j, e := range held[i : i+4] {
+			batch[j] = IngestEdge{From: e.From, To: e.To, Weight: e.Weight}
+		}
+		if _, err := live.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		// What this batch alone dirties: a fresh overlay fed the same edges
+		// over the same combined graph.
+		alone := closure.NewDelta()
+		alone.AddEdges(live.combined, held[i:i+4])
+		if got := live.merged.TablesRemerged(); got > alone.TablesTouched() {
+			t.Fatalf("batch %d: publish re-materialized %d tables, the batch dirtied %d", i/4, got, alone.TablesTouched())
+		}
+	}
+	st := live.IngestStats()
+	if st.AckedEdges != 48 || st.Compaction.Count != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if per := float64(st.Overlay.Entries) / float64(st.AckedEdges); per >= 2500 {
+		t.Fatalf("overlay holds %.0f entries per acked edge (%d / %d), want < 2500", per, st.Overlay.Entries, st.AckedEdges)
+	} else {
+		t.Logf("overlay: %.0f entries per acked edge over %d tables", per, st.Overlay.Tables)
 	}
 }
