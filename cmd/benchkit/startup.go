@@ -15,7 +15,7 @@ import (
 
 // runStartupSweep measures the snapshot plane's startup economics: at
 // each graph size, how long acquiring a servable database takes —
-// building from the raw graph versus opening a prepared KTPMSNAP1
+// building from the raw graph versus opening a prepared KTPMSNAP2
 // snapshot eagerly, lazily, or via mmap — and what the first query then
 // costs on the fresh database. Lazy and mmap open in O(directory) time;
 // their first query pays the deferred table faults once. It lives here

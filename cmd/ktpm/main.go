@@ -3,7 +3,7 @@
 // Usage:
 //
 //	ktpm -graph g.txt -query "a(b,c(d))" -k 20 [-algo topk-en] [-count]
-//	ktpm -graph g.txt -save-snapshot g.snap -snapshot-format v2
+//	ktpm -graph g.txt -save-snapshot g.snap [-snapshot-format v1]
 //	ktpm -verify-snapshot g.snap
 //
 // The graph file uses the library text format ("n <id> <label>" and
@@ -33,7 +33,7 @@ func main() {
 		snapMode  = flag.String("snapshot-mode", "mmap", "snapshot table backing: eager, lazy, or mmap")
 		savePath  = flag.String("save", "", "write the prepared KTPMTC1 database stream here")
 		saveSnap  = flag.String("save-snapshot", "", "write a snapshot here (openable eagerly, lazily, or via mmap; see -snapshot-format)")
-		snapFmt   = flag.String("snapshot-format", "v1", "snapshot layout for -save-snapshot: v1 (row-major KTPMSNAP1) or v2 (columnar KTPMSNAP2)")
+		snapFmt   = flag.String("snapshot-format", "v2", "snapshot layout for -save-snapshot: v2 (KTPMSNAP2 columns, what the store reads natively) or v1 (row-major KTPMSNAP1)")
 		queryStr  = flag.String("query", "", "query tree, e.g. \"a(b,c(d))\"")
 		k         = flag.Int("k", 10, "number of matches to return")
 		algoName  = flag.String("algo", "topk-en", "algorithm: topk-en, topk, dp-b, dp-p")

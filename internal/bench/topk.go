@@ -18,13 +18,12 @@ import (
 
 // TopKRow is one configuration of the sharded top-k benchmark as recorded
 // in BENCH_topk.json: timing, allocation, and simulated-I/O accounting for
-// one (shard count, plane sharing) point of the sweep. TablesRead is the
-// headline number — flat across shard counts under the shared derived
-// plane, linear under detached (per-shard) planes.
+// one shard count of the sweep. TablesRead is the headline number — flat
+// across shard counts, because every shard reads the one derived plane.
 type TopKRow struct {
 	Name        string  `json:"name"`
 	Shards      int     `json:"shards"`
-	Sharing     string  `json:"sharing"` // "shared", "detached", or "single"
+	Sharing     string  `json:"sharing"` // "shared", or "single" for the unsharded baseline
 	Ops         int     `json:"ops"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -69,7 +68,7 @@ type BatchRow struct {
 // BENCH_topk.json: how long opening a database takes — and how much the
 // first query then pays — per acquisition mode at a given graph size.
 // Mode "build" is BuildDatabase from the raw graph (closure computed at
-// startup); "eager", "lazy", and "mmap" open a prepared KTPMSNAP1
+// startup); "eager", "lazy", and "mmap" open a prepared KTPMSNAP2
 // snapshot (ktpm.OpenSnapshot). Lazy and mmap open in O(directory) time,
 // which is the headline: open_ms collapses while first_query_ms pays a
 // modest fault-in premium once.
@@ -83,89 +82,8 @@ type StartupRow struct {
 	// FirstQueryMS is the mean wall time of the first TopK on the fresh
 	// database — where lazy modes pay their deferred table faults.
 	FirstQueryMS float64 `json:"first_query_ms"`
-	// SnapshotBytes is the KTPMSNAP1 file size (0 for "build" rows).
+	// SnapshotBytes is the snapshot file size (0 for "build" rows).
 	SnapshotBytes int64 `json:"snapshot_bytes"`
-}
-
-// ColumnarRow is one point of the layout sweep in BENCH_topk.json:
-// canonical top-k latency at a given graph size for the row-major store
-// with the legacy full-rescore enumerator (the pre-columnar baseline,
-// CandidateBlock < 0) versus the columnar (SoA) store with the block
-// enumerator at a given candidate block size. Speedup is the same-size
-// row-major row's ns_per_op over this row's — the n=2000 columnar rows
-// are where the ≥2x target is checked.
-type ColumnarRow struct {
-	Name   string `json:"name"` // "n=N/row-major" or "n=N/columnar/block=B"
-	Nodes  int    `json:"nodes"`
-	Layout string `json:"layout"` // "row-major" or "columnar"
-	// Block is the enumerator's candidate block size; 0 on row-major
-	// rows, which run the legacy per-candidate re-scoring pass.
-	Block   int     `json:"block"`
-	Ops     int     `json:"ops"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// Speedup is row-major ns_per_op / this row's ns_per_op at the same
-	// graph size (1 on the row-major rows by construction).
-	Speedup float64 `json:"speedup"`
-}
-
-// ColumnarTable renders a columnar layout sweep in the benchkit text
-// format.
-func ColumnarTable(rows []*ColumnarRow) *Table {
-	t := &Table{
-		Title:  "Columnar layout sweep (k=1500, row-major baseline vs SoA block kernels)",
-		Header: []string{"config", "ms/op", "speedup"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Name, fmt.Sprintf("%.1f", r.NsPerOp/1e6), fmt.Sprintf("%.2fx", r.Speedup))
-	}
-	return t
-}
-
-// RunColumnarSweep measures the tentpole optimization against its own
-// baseline: at each graph size n in {500, 1000, 2000} (the n=2000 graph
-// is exactly TopKGraph), the row-major store driven by the legacy
-// full-rescore enumerator, then the columnar store driven by the block
-// enumerator at candidate block sizes {16, 64, 256}. Same canonical
-// TopK contract and k=1500 as the shard sweep; results are identical
-// across every configuration (pinned by the snapshot v2 property
-// tests), so the sweep prices layout and kernel shape alone. ops is the
-// iteration count per configuration (0 means 5).
-func RunColumnarSweep(ops int) ([]*ColumnarRow, error) {
-	if ops <= 0 {
-		ops = 5
-	}
-	const k = 1500
-	var rows []*ColumnarRow
-	for _, n := range []int{500, 1000, 2000} {
-		g := StartupGraph(n)
-		c := closure.Compute(g, closure.Options{})
-		qs, err := gen.QuerySet(g, 4, 10, true, 12345)
-		if err != nil {
-			return nil, err
-		}
-		run := func(st *store.Store, opt lazy.Options) float64 {
-			t0 := time.Now()
-			for i := 0; i < ops; i++ {
-				lazy.TopKCanonical(st, qs[i%len(qs)], k, opt)
-			}
-			return float64(time.Since(t0).Nanoseconds()) / float64(ops)
-		}
-		base := run(store.New(c, 0), lazy.Options{CandidateBlock: -1})
-		rows = append(rows, &ColumnarRow{
-			Name: fmt.Sprintf("n=%d/row-major", n), Nodes: n,
-			Layout: "row-major", Ops: ops, NsPerOp: base, Speedup: 1,
-		})
-		col := store.NewFromConfig(c, store.Config{Columnar: true})
-		for _, block := range []int{16, 64, 256} {
-			ns := run(col, lazy.Options{CandidateBlock: block})
-			rows = append(rows, &ColumnarRow{
-				Name: fmt.Sprintf("n=%d/columnar/block=%d", n, block), Nodes: n,
-				Layout: "columnar", Block: block, Ops: ops,
-				NsPerOp: ns, Speedup: base / ns,
-			})
-		}
-	}
-	return rows, nil
 }
 
 // StartupGraph builds the startup sweep's workload graph at the given
@@ -215,7 +133,6 @@ type TopKReport struct {
 	ObsSweep      []*ObsRow      `json:"obs_sweep"`
 	DistSweep     []*DistRow     `json:"dist_sweep"`
 	OverloadSweep []*OverloadRow `json:"overload_sweep"`
-	ColumnarSweep []*ColumnarRow `json:"columnar_sweep"`
 }
 
 // ObsRow is one configuration of the instrumentation-overhead sweep in
@@ -277,22 +194,16 @@ func TopKWorkload() (*graph.Graph, *closure.Closure, []*query.Tree, error) {
 }
 
 // runTopKConfig measures one sweep point on a fresh store (fresh derived
-// plane, so TablesRead counts this configuration's own derives).
-func runTopKConfig(c *closure.Closure, qs []*query.Tree, k, ops, shards int, sharing string) (*TopKRow, error) {
+// plane, so TablesRead counts this configuration's own derives). shards 0
+// is the unsharded baseline.
+func runTopKConfig(c *closure.Closure, qs []*query.Tree, k, ops, shards int) (*TopKRow, error) {
 	st := store.New(c, 0)
 	var db *shard.DB
-	var err error
-	switch sharing {
-	case "shared":
-		db, err = shard.New(st, shards, shard.LabelBalanced{})
-	case "detached":
-		db, err = shard.NewDetached(st, shards, shard.LabelBalanced{})
-	case "single":
-	default:
-		return nil, fmt.Errorf("bench: unknown sharing mode %q", sharing)
-	}
-	if err != nil {
-		return nil, err
+	if shards > 0 {
+		var err error
+		if db, err = shard.New(st, shards, shard.LabelBalanced{}); err != nil {
+			return nil, err
+		}
 	}
 
 	var ms0, ms1 runtime.MemStats
@@ -317,13 +228,13 @@ func runTopKConfig(c *closure.Closure, qs []*query.Tree, k, ops, shards int, sha
 	if db != nil {
 		cnt = db.Counters()
 	}
-	name := "single"
+	name, sharing := "single", "single"
 	if db != nil {
-		name = fmt.Sprintf("shards=%d/%s", shards, sharing)
+		name, sharing = fmt.Sprintf("shards=%d/shared", shards), "shared"
 	}
 	return &TopKRow{
 		Name:        name,
-		Shards:      shards,
+		Shards:      max(shards, 1),
 		Sharing:     sharing,
 		Ops:         ops,
 		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
@@ -335,10 +246,9 @@ func runTopKConfig(c *closure.Closure, qs []*query.Tree, k, ops, shards int, sha
 	}, nil
 }
 
-// RunTopKSweep runs the shard-count × plane-sharing sweep behind
-// BENCH_topk.json: the unsharded baseline, then {1,2,4,8} shards with the
-// shared derived plane and with detached per-shard planes. ops is the
-// iteration count per configuration (0 means 5).
+// RunTopKSweep runs the shard-count sweep behind BENCH_topk.json: the
+// unsharded baseline, then {1,2,4,8} shards over the shared derived
+// plane. ops is the iteration count per configuration (0 means 5).
 func RunTopKSweep(ops int) (*TopKReport, error) {
 	if ops <= 0 {
 		ops = 5
@@ -354,19 +264,12 @@ func RunTopKSweep(ops int) (*TopKReport, error) {
 	rep.Workload.K = k
 	rep.Workload.Ops = ops
 
-	row, err := runTopKConfig(c, qs, k, ops, 1, "single")
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = append(rep.Rows, row)
-	for _, sharing := range []string{"shared", "detached"} {
-		for _, n := range []int{1, 2, 4, 8} {
-			row, err := runTopKConfig(c, qs, k, ops, n, sharing)
-			if err != nil {
-				return nil, err
-			}
-			rep.Rows = append(rep.Rows, row)
+	for _, n := range []int{0, 1, 2, 4, 8} {
+		row, err := runTopKConfig(c, qs, k, ops, n)
+		if err != nil {
+			return nil, err
 		}
+		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
 }

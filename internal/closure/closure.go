@@ -90,8 +90,6 @@ type Closure struct {
 	// dist is a per-source map used by Distance; nil until the closure is
 	// built with distance lookup enabled.
 	dist []map[int32]int32
-	// colsCache lazily transposes tables into column views (cols.go).
-	colsCache
 }
 
 // Options configures closure construction.

@@ -1,7 +1,5 @@
 package closure
 
-import "sync"
-
 // Cols is a structure-of-arrays view of one label-pair table: lane i of the
 // view is the entry {From[i], To[i], Dist[i]}, and lanes appear in the same
 // canonical (To, Dist, From) order Table returns. The three slices always
@@ -53,72 +51,37 @@ func EntriesToCols(entries []Entry) Cols {
 	return c
 }
 
-// ColumnSource is a TableSource that can additionally serve tables as
-// column views. The store's columnar layout prefers this path: a Snapshot
-// opened on a KTPMSNAP2 file serves real on-disk columns (zero-copy under
-// mmap), while row-major sources transpose on demand. TableCols returns
-// the L^α_β table as columns in canonical (To, Dist, From) lane order; the
-// zero Cols means the table is empty or absent.
+// ColumnSource is a TableSource whose stored form is column views: a
+// Snapshot over a KTPMSNAP2 file, which serves its on-disk columns
+// (zero-copy under mmap). TableCols returns the L^α_β table as columns
+// in canonical (To, Dist, From) lane order; the zero Cols means the table
+// is empty or absent. ColsNative is false on a Snapshot over a row-major
+// file, where the columns would be a transpose of Table.
 type ColumnSource interface {
 	TableSource
 	TableCols(alpha, beta int32) Cols
+	ColsNative() bool
 }
-
-var _ ColumnSource = (*Closure)(nil)
-
-// TableCols returns the L^α_β table as a column view, transposing from the
-// row-major table on first use and caching the result. Safe for concurrent
-// use.
-func (c *Closure) TableCols(alpha, beta int32) Cols {
-	k := pairKey{alpha, beta}
-	c.colsMu.Lock()
-	defer c.colsMu.Unlock()
-	if cols, ok := c.cols[k]; ok {
-		return cols
-	}
-	cols := EntriesToCols(c.tables[k])
-	if c.cols == nil {
-		c.cols = make(map[pairKey]Cols)
-	}
-	c.cols[k] = cols
-	return cols
-}
-
-// nativeColumnar is the optional marker a ColumnSource implements when
-// column views are its primary representation (no row-major detour).
-type nativeColumnar interface{ ColsNative() bool }
 
 // NativeCols returns src as a ColumnSource when column views are its
-// native representation — a Snapshot over a KTPMSNAP2 file. Iteration
-// helpers use it to walk the layout that is already resident: on such a
-// source Table() would materialize and cache a row-major copy of every
-// table touched, while TableCols is (under mmap) a zero-copy view.
+// native representation. Iteration helpers use it to walk the layout
+// that is already resident: on such a source Table() would materialize
+// and cache a row-major copy of every table touched, while TableCols is
+// (under mmap) a zero-copy view.
 func NativeCols(src TableSource) (ColumnSource, bool) {
 	cs, ok := src.(ColumnSource)
-	if !ok {
-		return nil, false
-	}
-	n, ok := src.(nativeColumnar)
-	if !ok || !n.ColsNative() {
-		return nil, false
-	}
-	return cs, true
+	return cs, ok && cs.ColsNative()
 }
 
-// TableColsOf serves src's L^α_β table as columns: directly when src
-// implements ColumnSource, otherwise by transposing the row-major table.
-// The transpose fallback allocates per call, so hot paths should carve
-// once and keep the result (the store layout does).
-func TableColsOf(src TableSource, alpha, beta int32) Cols {
-	if cs, ok := src.(ColumnSource); ok {
-		return cs.TableCols(alpha, beta)
+// TableColsOf serves src's L^α_β table as columns: the source's own
+// views when they are native (shared is true: they alias the source's
+// storage, a mapping under mmap, and must not be modified or outlive
+// it), otherwise a fresh transpose of the row-major table that the
+// caller owns. The transpose allocates per call and is not retained, so
+// callers carve once and keep the result (the store layout does).
+func TableColsOf(src TableSource, alpha, beta int32) (cols Cols, shared bool) {
+	if cs, ok := NativeCols(src); ok {
+		return cs.TableCols(alpha, beta), true
 	}
-	return EntriesToCols(src.Table(alpha, beta))
-}
-
-// colsCache is embedded in Closure via fields below; kept in this file so
-// the row-major core stays column-agnostic.
-type colsCache struct {
-	colsMu sync.Mutex
-	cols   map[pairKey]Cols
+	return EntriesToCols(src.Table(alpha, beta)), false
 }

@@ -56,7 +56,7 @@ import (
 // so every column starts 16-byte aligned and an mmap of the file serves
 // zero-copy []int32 views per column (colsSpan computes the offsets; lane
 // i across the three columns is entry i, in the same canonical (To, Dist,
-// From) order as v1). Columnar payloads are what make the store's
+// From) order as v1). Column payloads are what make the store's
 // threshold scans, inList carving, and D/E derivation tight per-column
 // passes; v1 files keep opening unchanged, and readers pick the layout by
 // magic alone.
@@ -157,9 +157,9 @@ type Snapshot struct {
 	// decoded heap copy. On a v2 file it is a row-major materialization of
 	// the columns, built on demand for TableSource compatibility.
 	tabs []atomic.Pointer[[]Entry]
-	// cols[i] is the published column view of dir[i]. On a v2 file this is
-	// the faulted on-disk layout (zero-copy per column under mmap); on a v1
-	// file it is a cached transpose of the row-major table.
+	// cols[i] is the published column view of dir[i] on a v2 file: the
+	// faulted on-disk layout (zero-copy per column under mmap). Unused on
+	// a v1 file.
 	cols []atomic.Pointer[Cols]
 	mu   sync.Mutex // serializes faults; reads stay lock-free
 
@@ -597,7 +597,8 @@ func (s *Snapshot) load(i int) ([]Entry, error) {
 // over the mapping (column starts are snapTableAlign-aligned by
 // construction, so the reinterpretation is always aligned); in lazy mode
 // the three columns are read and decoded in one ReadAt. On a v1 file the
-// row-major table is faulted first and transposed once. Validation runs
+// row-major table is faulted and transposed per call, uncached (the store
+// carves v1 tables from Table and keeps its own columns). Validation runs
 // per column (validateCols) before the view is published.
 func (s *Snapshot) loadCols(i int) (Cols, error) {
 	if p := s.cols[i].Load(); p != nil {
@@ -605,17 +606,7 @@ func (s *Snapshot) loadCols(i int) (Cols, error) {
 	}
 	if s.version != snapVersion2 {
 		entries, err := s.load(i)
-		if err != nil {
-			return Cols{}, err
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if p := s.cols[i].Load(); p != nil {
-			return *p, nil
-		}
-		c := EntriesToCols(entries)
-		s.cols[i].Store(&c)
-		return c, nil
+		return EntriesToCols(entries), err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -734,7 +725,7 @@ func (s *Snapshot) Table(alpha, beta int32) []Entry {
 
 // TableCols returns the L^α_β table as a column view, faulting it on
 // first use. On a v2 snapshot in mmap mode the columns are zero-copy
-// views over the mapping; on a v1 snapshot they are a cached transpose.
+// views over the mapping; on a v1 snapshot they are a fresh transpose.
 func (s *Snapshot) TableCols(alpha, beta int32) Cols {
 	i := s.find(alpha, beta)
 	if i < 0 {
@@ -777,12 +768,8 @@ func (s *Snapshot) ComputeStats() Stats {
 // the platform cannot map or reinterpret the file in place.
 func (s *Snapshot) Mode() SnapMode { return s.mode }
 
-// Version returns the on-disk format version: 1 for row-major KTPMSNAP1,
-// 2 for columnar KTPMSNAP2.
-func (s *Snapshot) Version() int { return int(s.version) }
-
-// Format returns the CLI/stats spelling of the on-disk format ("v1",
-// "v2").
+// Format returns the CLI/stats spelling of the on-disk format: "v1" for
+// row-major KTPMSNAP1, "v2" for KTPMSNAP2 columns.
 func (s *Snapshot) Format() string { return fmt.Sprintf("v%d", s.version) }
 
 // ColsNative reports whether column views are the snapshot's primary

@@ -15,8 +15,12 @@ import (
 // WriteFileAtomic writes a file crash-atomically: the content is
 // streamed into a unique *.tmp sibling, fsynced, closed, renamed over
 // path, and the parent directory is fsynced so the rename itself is
-// durable. On any error the temp file is removed and path is untouched
-// (an existing file at path survives intact).
+// durable. On an error up to and including the rename, the temp file is
+// removed and path is untouched (an existing file at path survives
+// intact). The one exception is the final directory fsync: by then the
+// rename has happened, so a failure there returns an error with the new
+// content already visible at path — only its durability across a crash
+// is unknown.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")

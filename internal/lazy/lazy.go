@@ -61,25 +61,14 @@ const (
 	EdgeAwareBound
 )
 
-// DefaultCandidateBlock is the pending-pool block size when
-// Options.CandidateBlock is zero: the unit in which parked candidates are
-// refreshed and threshold-scanned per recheck pass.
-const DefaultCandidateBlock = 64
+// candBlock is the pending-pool block size: the unit in which parked
+// candidates are refreshed and threshold-scanned per recheck pass. Top-k
+// time was flat across {16, 64, 256} when it was last a knob.
+const candBlock = 64
 
 // Options configures the enumerator.
 type Options struct {
 	Bound Bound
-	// CandidateBlock sets the block size of the pending-candidate pool:
-	// parked candidates keep their scores cached in a contiguous column,
-	// invalidated by the governing child list's version counter, and each
-	// recheck pass processes the pool in blocks of this size — a refresh
-	// of the dirty lanes followed by a tight threshold scan of the score
-	// column against the Qg top. 0 means DefaultCandidateBlock. A
-	// negative value disables the caching entirely and re-scores every
-	// candidate on every pass — the pre-columnar behavior, kept so the
-	// benchmark sweep can measure the block enumerator against its own
-	// baseline. Results are identical in every mode.
-	CandidateBlock int
 	// RootFilter, when non-nil, restricts enumeration to matches whose
 	// root position binds a data node the filter accepts; candidates for
 	// non-root positions are unaffected. Because every match binds the
@@ -171,13 +160,11 @@ type Enumerator struct {
 	// computed. ChildList.Version changes exactly on Insert — the only
 	// mutation that can change a candidate's score — so a recheck pass
 	// re-evaluates only lanes whose version moved and answers the rest
-	// from the contiguous score column. candBlock tiles the pass;
-	// negative means legacy per-candidate re-scoring (no caching).
+	// from the contiguous score column, candBlock lanes at a time.
 	pending   []*candidate
 	pendScore []int64
 	pendVer   []uint32
 	pendList  []*heap.ChildList
-	candBlock int
 
 	// Slab allocators for the enumeration hot path: laNodes, their child
 	// lists and initChild arrays, matches, and match node buffers are
@@ -320,10 +307,6 @@ func New(s *store.Store, q *query.Tree, opt Options) *Enumerator {
 		qg:          heap.NewIndexed(64),
 		rootList:    heap.NewEmptyChildList(),
 		queue:       &heap.Min{},
-	}
-	e.candBlock = opt.CandidateBlock
-	if e.candBlock == 0 {
-		e.candBlock = DefaultCandidateBlock
 	}
 	e.inSubtree = make([]bool, nT)
 	for u := int32(0); u < nT; u++ {
@@ -556,49 +539,28 @@ func (e *Enumerator) expandTop() {
 		if nd.blocksAll {
 			return
 		}
-		if nd.lh.Columnar() {
-			// Columnar block kernel: dist[] is sorted within the list, so
-			// the e_v update is the block's tail lane, and the child-edge
-			// scan walks the from[]/dist[]/direct[] columns directly.
-			bc, last := nd.lh.BlockCols(nd.nextBlock)
-			nd.nextBlock++
-			if last {
-				nd.blocksAll = true
+		// Block kernel: dist[] is sorted within the list, so the e_v update
+		// is the block's tail lane, and the child-edge scan walks the
+		// from[]/dist[]/direct[] columns directly.
+		bc, last := nd.lh.BlockCols(nd.nextBlock)
+		nd.nextBlock++
+		if last {
+			nd.blocksAll = true
+		}
+		if n := len(bc.Dist); n > 0 {
+			if d := int64(bc.Dist[n-1]); d > nd.ev {
+				nd.ev = d
 			}
-			if n := len(bc.Dist); n > 0 {
-				if d := int64(bc.Dist[n-1]); d > nd.ev {
-					nd.ev = d
-				}
+		}
+		for i := range bc.From {
+			if childOnly && !bc.Direct[i] {
+				continue
 			}
-			for i := range bc.From {
-				if childOnly && !bc.Direct[i] {
-					continue
-				}
-				p := e.getNode(pu, bc.From[i])
-				if p.initChild[pos] == nd.gid {
-					continue // E-table seed already inserted this edge
-				}
-				e.insertEntry(p, pos, heap.Entry{Key: nd.bsBar + int64(bc.Dist[i]), Node: nd.gid})
+			p := e.getNode(pu, bc.From[i])
+			if p.initChild[pos] == nd.gid {
+				continue // E-table seed already inserted this edge
 			}
-		} else {
-			blk, last := nd.lh.Block(nd.nextBlock)
-			nd.nextBlock++
-			if last {
-				nd.blocksAll = true
-			}
-			for _, edge := range blk {
-				if int64(edge.Dist) > nd.ev {
-					nd.ev = int64(edge.Dist)
-				}
-				if childOnly && !edge.Direct {
-					continue
-				}
-				p := e.getNode(pu, edge.From)
-				if p.initChild[pos] == nd.gid {
-					continue // E-table seed already inserted this edge
-				}
-				e.insertEntry(p, pos, heap.Entry{Key: nd.bsBar + int64(edge.Dist), Node: nd.gid})
-			}
+			e.insertEntry(p, pos, heap.Entry{Key: nd.bsBar + int64(bc.Dist[i]), Node: nd.gid})
 		}
 		if nd.blocksAll {
 			return
@@ -673,8 +635,7 @@ func (e *Enumerator) park(c *candidate) {
 // the global queue and compacts the survivors in place. The scan
 // touches one int64 per candidate, so a pass
 // over a large pool with few dirty lanes is a near-pure sequential read
-// — this is where the block enumerator earns its speedup, since the
-// legacy path (candBlock < 0) pays two Kth calls per candidate per pass.
+// rather than two Kth calls per candidate.
 func (e *Enumerator) recheckPending() {
 	qgTop := infScore
 	qgEmpty := e.qg.Len() == 0
@@ -682,21 +643,13 @@ func (e *Enumerator) recheckPending() {
 		qgTop = e.qg.PeekKey()
 	}
 	n := len(e.pending)
-	legacy := e.candBlock < 0
-	step := e.candBlock
-	if legacy || step > n {
-		step = n
-	}
 	kept := 0
-	for lo := 0; lo < n; lo += step {
-		hi := lo + step
-		if hi > n {
-			hi = n
-		}
-		// Refresh the block's stale lanes (all of them in legacy mode).
+	for lo := 0; lo < n; lo += candBlock {
+		hi := min(lo+candBlock, n)
+		// Refresh the block's stale lanes.
 		for i := lo; i < hi; i++ {
 			l := e.pendList[i]
-			if v := l.Version(); legacy || e.pendVer[i] != v {
+			if v := l.Version(); e.pendVer[i] != v {
 				e.pendScore[i] = e.candScoreList(e.pending[i], l)
 				e.pendVer[i] = v
 			}

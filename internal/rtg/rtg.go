@@ -249,7 +249,7 @@ func sortInt32s(a []int32) {
 
 func forEachClosureEntry(c closure.TableSource, alpha, beta int32, fn func(closure.Entry)) {
 	if cs, ok := closure.NativeCols(c); ok {
-		// Columnar source (v2 snapshot): walk the column views directly.
+		// Native column source (v2 snapshot): walk the column views directly.
 		// Table() on such a source would materialize and cache a row-major
 		// copy of every table touched; the lane loop reassembles entries
 		// from columns that are already resident (zero-copy under mmap).

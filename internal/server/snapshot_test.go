@@ -11,8 +11,8 @@ import (
 	"ktpm"
 )
 
-// snapshotBackend reopens the standard test database from a KTPMSNAP1
-// snapshot in the given mode.
+// snapshotBackend reopens the standard test database from a snapshot
+// (the default written format) in the given mode.
 func snapshotBackend(t testing.TB, mode ktpm.SnapshotMode) *ktpm.Database {
 	t.Helper()
 	db := testDatabase(t)

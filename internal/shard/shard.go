@@ -118,18 +118,6 @@ type DB struct {
 // summary tables and wildcard merges are derived once process-wide no
 // matter the shard count, while I/O counters stay per shard.
 func New(base *store.Store, n int, p Partitioner) (*DB, error) {
-	return build(base, n, p, (*store.Store).Replica)
-}
-
-// NewDetached is New with every shard on a private derived-data plane:
-// each shard re-derives the tables it touches, the pre-plane behavior.
-// Kept for benchmarks quantifying the shared plane; production callers
-// want New.
-func NewDetached(base *store.Store, n int, p Partitioner) (*DB, error) {
-	return build(base, n, p, (*store.Store).PrivateReplica)
-}
-
-func build(base *store.Store, n int, p Partitioner, replica func(*store.Store) *store.Store) (*DB, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count %d, want >= 1", n)
 	}
@@ -153,7 +141,7 @@ func build(base *store.Store, n int, p Partitioner, replica func(*store.Store) *
 		d.sizes[s]++
 	}
 	for i := 0; i < n; i++ {
-		d.stores[i] = replica(base)
+		d.stores[i] = base.Replica()
 	}
 	d.chunk.Store(DefaultChunkSize)
 	return d, nil

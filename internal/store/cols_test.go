@@ -1,7 +1,12 @@
 package store
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"ktpm/internal/closure"
@@ -63,77 +68,216 @@ func drainList(s *Store, alpha, v int32) []InEdge {
 	}
 }
 
-// TestColumnarMatchesRowMajor is the layout-identity property test: the
-// columnar store must serve every list (per-label and wildcard-merged,
-// block by block), every block-column view, and every derived D/E
-// summary identically to the row-major layout over the same closure.
-func TestColumnarMatchesRowMajor(t *testing.T) {
-	g := gen.ErdosRenyi(48, 180, 5, 9)
-	c := closureOf(t, g)
-	for _, blockSize := range []int{1, 3, DefaultBlockSize} {
-		row := New(c, blockSize)
-		col := NewFromConfig(c, Config{BlockSize: blockSize, Columnar: true})
-		col.MaterializeAll()
-		if row.Columnar() || !col.Columnar() {
-			t.Fatalf("Columnar() = %v/%v, want false/true", row.Columnar(), col.Columnar())
-		}
-		alphas := []int32{label.Wildcard}
+// refList computes L^alpha_v independently of the store: the (alpha,
+// l(v)) table rows with To == v, flagged direct when the graph has that
+// edge at that weight, sorted by (Dist, From); the wildcard concatenates
+// every source label's rows before sorting.
+func refList(src closure.TableSource, alpha, v int32) []InEdge {
+	g := src.Graph()
+	alphas := []int32{alpha}
+	if alpha == label.Wildcard {
+		alphas = alphas[:0]
 		for a := int32(0); int(a) < g.NumLabels(); a++ {
 			alphas = append(alphas, a)
 		}
-		for _, alpha := range alphas {
-			for v := int32(0); int(v) < g.NumNodes(); v++ {
-				want := drainList(row, alpha, v)
-				got := drainList(col, alpha, v)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("bs=%d list (%d,%d): columnar %v, want %v", blockSize, alpha, v, got, want)
+	}
+	var out []InEdge
+	for _, a := range alphas {
+		for _, e := range src.Table(a, g.Label(v)) {
+			if e.To != v {
+				continue
+			}
+			direct := false
+			g.Out(e.From, func(to, w int32) bool {
+				direct = direct || (to == v && w == e.Dist)
+				return true
+			})
+			out = append(out, InEdge{From: e.From, Dist: e.Dist, Direct: direct})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].From < out[j].From
+	})
+	return out
+}
+
+// refD and refE compute the D/E summaries from reference lists alone.
+func refD(src closure.TableSource, alpha, beta int32, childOnly bool) []DEntry {
+	var out []DEntry
+	g := src.Graph()
+	for v := int32(0); int(v) < g.NumNodes(); v++ {
+		if g.Label(v) != beta {
+			continue
+		}
+		for _, e := range refList(src, alpha, v) {
+			if !childOnly || e.Direct {
+				out = append(out, DEntry{V: v, Min: e.Dist})
+				break
+			}
+		}
+	}
+	return out
+}
+
+func refE(src closure.TableSource, alpha, beta int32, childOnly bool) []EEntry {
+	g := src.Graph()
+	best := make(map[int32]EEntry)
+	for v := int32(0); int(v) < g.NumNodes(); v++ {
+		if g.Label(v) != beta {
+			continue
+		}
+		for _, e := range refList(src, alpha, v) {
+			if childOnly && !e.Direct {
+				continue
+			}
+			if cur, ok := best[e.From]; !ok || e.Dist < cur.Dist {
+				best[e.From] = EEntry{From: e.From, To: v, Dist: e.Dist, Direct: e.Direct}
+			}
+		}
+	}
+	out := make([]EEntry, 0, len(best))
+	for _, e := range best {
+		out = append(out, e)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
+	return out
+}
+
+// TestCarveMatchesSourceRows checks the carved image against lists, block
+// boundaries and D/E summaries computed in the test from the source's
+// rows and the graph's direct edges, for every kind of source the store
+// is built over: an in-memory closure, a merged overlay, and v1 and v2
+// snapshots read lazily and through mmap.
+func TestCarveMatchesSourceRows(t *testing.T) {
+	// Weighted, so some direct edges are longer than the shortest path
+	// between their endpoints and must not be flagged direct.
+	g := gen.PowerLaw(gen.PowerLawConfig{Nodes: 48, AvgOutDegree: 4, Labels: 5, Window: 24, Communities: 2, MaxWeight: 6, Seed: 9})
+	c := closureOf(t, g)
+
+	// A merged source whose overlay is not empty: the closure of g minus
+	// every ninth edge, with those edges ingested back.
+	var held []graph.Edge
+	b := graph.NewBuilderWithLabels(g.Labels)
+	for v := int32(0); int(v) < g.NumNodes(); v++ {
+		b.AddNodeLabelID(g.Label(v))
+	}
+	n := 0
+	g.Edges(func(e graph.Edge) bool {
+		if n++; n%9 == 0 {
+			held = append(held, e)
+		} else {
+			b.AddWeightedEdge(e.From, e.To, e.Weight)
+		}
+		return true
+	})
+	base, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	combined, err := closure.CombineGraph(base, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := closure.NewDelta()
+	delta.AddEdges(combined, held)
+	if delta.Entries() == 0 {
+		t.Fatal("overlay is empty; the merged source would be the base")
+	}
+	merged := closure.NewMergedSource(combined, closureOf(t, base), delta)
+
+	sources := map[string]closure.TableSource{"closure": c, "merged": merged}
+	dir := t.TempDir()
+	for name, write := range map[string]func(io.Writer, closure.TableSource) error{
+		"v1": closure.WriteSnapshot, "v2": closure.WriteSnapshotV2,
+	} {
+		path := filepath.Join(dir, name+".snap")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f, c); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []closure.SnapMode{closure.SnapLazy, closure.SnapMMap} {
+			snap, err := closure.OpenSnapshotFile(path, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			sources[name+"/"+mode.String()] = snap
+		}
+	}
+
+	for name, src := range sources {
+		for _, blockSize := range []int{1, 3, DefaultBlockSize} {
+			checkCarve(t, name, src, NewFromSource(src, blockSize), blockSize)
+		}
+	}
+	// Eager construction is the same image.
+	checkCarve(t, "closure/eager", c, New(c, 3), 3)
+}
+
+func checkCarve(t *testing.T, name string, src closure.TableSource, s *Store, blockSize int) {
+	t.Helper()
+	g := src.Graph()
+	alphas := []int32{label.Wildcard}
+	for a := int32(0); int(a) < g.NumLabels(); a++ {
+		alphas = append(alphas, a)
+	}
+	for _, alpha := range alphas {
+		for v := int32(0); int(v) < g.NumNodes(); v++ {
+			want := refList(src, alpha, v)
+			lh := s.OpenList(alpha, v)
+			wantBlocks := (len(want) + blockSize - 1) / blockSize
+			if lh.Len() != len(want) || lh.NumBlocks() != wantBlocks || s.NumBlocks(alpha, v) != wantBlocks {
+				t.Fatalf("%s bs=%d list (%d,%d): len/blocks %d/%d, want %d/%d", name, blockSize, alpha, v, lh.Len(), lh.NumBlocks(), len(want), wantBlocks)
+			}
+			// Row view and column view, block by block: each block is
+			// the next blockSize reference entries and only the final
+			// one reports last.
+			for i := 0; i < max(wantBlocks, 1); i++ {
+				lo, hi := min(i*blockSize, len(want)), min((i+1)*blockSize, len(want))
+				blk, last := lh.Block(i)
+				bc, lastCols := lh.BlockCols(i)
+				if wantLast := hi == len(want); last != wantLast || lastCols != wantLast {
+					t.Fatalf("%s bs=%d list (%d,%d) block %d: last %v/%v, want %v", name, blockSize, alpha, v, i, last, lastCols, wantLast)
 				}
-				// The zero-copy block-column view must agree lane for
-				// lane with the row blocks.
-				lh := col.OpenList(alpha, v)
 				var lanes []InEdge
-				for i := 0; ; i++ {
-					bc, last := lh.BlockCols(i)
-					lanes = bc.appendInEdges(lanes)
-					if last {
-						break
-					}
+				for j := range bc.From {
+					lanes = append(lanes, InEdge{From: bc.From[j], Dist: bc.Dist[j], Direct: bc.Direct[j]})
 				}
-				if !reflect.DeepEqual(lanes, want) {
-					t.Fatalf("bs=%d cols (%d,%d): %v, want %v", blockSize, alpha, v, lanes, want)
-				}
-				if rn, cn := row.NumBlocks(alpha, v), col.NumBlocks(alpha, v); rn != cn {
-					t.Fatalf("bs=%d NumBlocks(%d,%d) = %d, want %d", blockSize, alpha, v, cn, rn)
+				if !slices.Equal(blk, want[lo:hi]) || !slices.Equal(lanes, want[lo:hi]) {
+					t.Fatalf("%s bs=%d list (%d,%d) block %d: rows %v, columns %v, want %v", name, blockSize, alpha, v, i, blk, lanes, want[lo:hi])
 				}
 			}
-			// Derived summaries agree for every beta label and edge type.
-			for beta := int32(0); int(beta) < g.NumLabels(); beta++ {
-				for _, childOnly := range []bool{false, true} {
-					wantD := row.LoadD(alpha, beta, childOnly)
-					gotD := col.LoadD(alpha, beta, childOnly)
-					if !reflect.DeepEqual(gotD, wantD) {
-						t.Fatalf("bs=%d LoadD(%d,%d,%v): %v, want %v", blockSize, alpha, beta, childOnly, gotD, wantD)
-					}
-					wantE := row.LoadE(alpha, beta, childOnly)
-					gotE := col.LoadE(alpha, beta, childOnly)
-					if !reflect.DeepEqual(gotE, wantE) {
-						t.Fatalf("bs=%d LoadE(%d,%d,%v): %v, want %v", blockSize, alpha, beta, childOnly, gotE, wantE)
-					}
+		}
+		for beta := int32(0); int(beta) < g.NumLabels(); beta++ {
+			for _, childOnly := range []bool{false, true} {
+				if got, want := s.LoadD(alpha, beta, childOnly), refD(src, alpha, beta, childOnly); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s bs=%d LoadD(%d,%d,%v): %v, want %v", name, blockSize, alpha, beta, childOnly, got, want)
+				}
+				if got, want := s.LoadE(alpha, beta, childOnly), refE(src, alpha, beta, childOnly); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s bs=%d LoadE(%d,%d,%v): %v, want %v", name, blockSize, alpha, beta, childOnly, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestColumnarWildcardMergeShared pins that the galloping wildcard merge
+// TestWildcardMergeShared pins that the galloping wildcard merge
 // publishes into the shared plane: the second resolution of the same
 // merged list returns the identical backing columns, and replicas share
 // them too.
-func TestColumnarWildcardMergeShared(t *testing.T) {
+func TestWildcardMergeShared(t *testing.T) {
 	g := gen.ErdosRenyi(30, 120, 4, 9)
 	c := closureOf(t, g)
-	s := NewFromConfig(c, Config{BlockSize: 4, Columnar: true})
-	s.MaterializeAll()
+	s := New(c, 4)
 	var v int32 = -1
 	for u := int32(0); int(u) < g.NumNodes(); u++ {
 		if len(drainList(s, label.Wildcard, u)) > 1 {
@@ -144,25 +288,14 @@ func TestColumnarWildcardMergeShared(t *testing.T) {
 	if v < 0 {
 		t.Skip("no node with a multi-entry wildcard list")
 	}
-	a := s.inListCols(label.Wildcard, v, nil)
-	b := s.inListCols(label.Wildcard, v, nil)
+	a := s.inList(label.Wildcard, v, nil)
+	b := s.inList(label.Wildcard, v, nil)
 	if len(a.From) == 0 || &a.From[0] != &b.From[0] {
 		t.Fatal("second wildcard resolution did not share the merged columns")
 	}
-	r := s.Replica()
-	rc := r.inListCols(label.Wildcard, v, nil)
+	rc := s.Replica().inList(label.Wildcard, v, nil)
 	if &rc.From[0] != &a.From[0] {
 		t.Fatal("replica did not share the merged columns")
-	}
-	// A private replica re-derives into its own plane: equal contents,
-	// different backing.
-	p := s.PrivateReplica()
-	pc := p.inListCols(label.Wildcard, v, nil)
-	if !reflect.DeepEqual(pc, a) {
-		t.Fatal("private replica merged columns differ in content")
-	}
-	if &pc.From[0] == &a.From[0] {
-		t.Fatal("private replica shared the plane's merged columns")
 	}
 }
 

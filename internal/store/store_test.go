@@ -224,7 +224,7 @@ func TestBlockBoundaries(t *testing.T) {
 	var v, alpha int32 = -1, -1
 	for a := int32(0); int(a) < g.NumLabels(); a++ {
 		for n := int32(0); int(n) < g.NumNodes(); n++ {
-			if len(s.inList(a, n, nil)) > 14 {
+			if s.inList(a, n, nil).Len() > 14 {
 				alpha, v = a, n
 				break
 			}
@@ -233,7 +233,7 @@ func TestBlockBoundaries(t *testing.T) {
 	if v < 0 {
 		t.Skip("no long list in this instance")
 	}
-	want := len(s.inList(alpha, v, nil))
+	want := s.inList(alpha, v, nil).Len()
 	got := 0
 	for i := 0; i < s.NumBlocks(alpha, v); i++ {
 		blk, last := s.LoadBlock(alpha, v, i)
@@ -346,25 +346,6 @@ func TestReplicaCountersIsolation(t *testing.T) {
 	r1.ResetCounters()
 	if got := r2.Counters(); got != c2 {
 		t.Fatalf("r2 counters changed by r1's reset: %+v -> %+v", c2, got)
-	}
-}
-
-// TestPrivateReplicaRederives pins the detached mode benchmarks rely on:
-// a PrivateReplica shares only the layout, so it re-derives tables the
-// base already has.
-func TestPrivateReplicaRederives(t *testing.T) {
-	g, c := smallGraph(t)
-	base := New(c, 8)
-	base.LoadD(lbl(g, "a"), lbl(g, "d"), false)
-	pr := base.PrivateReplica()
-	pr.LoadD(lbl(g, "a"), lbl(g, "d"), false)
-	if cnt := pr.Counters(); cnt.TablesRead != 1 || cnt.TableHits != 0 {
-		t.Fatalf("private replica counters = %+v, want its own derive", cnt)
-	}
-	shared := base.Replica()
-	shared.LoadD(lbl(g, "a"), lbl(g, "d"), false)
-	if cnt := shared.Counters(); cnt.TablesRead != 0 || cnt.TableHits != 1 {
-		t.Fatalf("shared replica counters = %+v, want a plane hit", cnt)
 	}
 }
 

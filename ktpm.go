@@ -44,15 +44,16 @@
 // # Snapshots
 //
 // The offline closure computation is paid once: SaveSnapshot writes a
-// page-aligned, offset-indexed KTPMSNAP1 image that OpenSnapshot can
-// reopen eagerly, lazily (tables fault in on first touch), or via mmap
-// (zero-copy table views) — the lazy modes open in O(directory) time,
-// so a daemon restart over a big graph is near-instant. SaveSnapshotAs
-// can instead write the columnar KTPMSNAP2 layout (per-table to/dist/
-// from columns), which OpenSnapshot detects by magic and serves through
-// the store's structure-of-arrays block kernels. All modes and both
-// formats answer queries byte-identically to BuildDatabase. SaveDatabase
-// and OpenDatabase keep reading the older KTPMTC1 stream format.
+// page-aligned, offset-indexed KTPMSNAP2 image (per-table to/dist/from
+// columns, the layout the store carves from without a transpose) that
+// OpenSnapshot can reopen eagerly, lazily (tables fault in on first
+// touch), or via mmap (zero-copy column views) — the lazy modes open in
+// O(directory) time, so a daemon restart over a big graph is
+// near-instant. SaveSnapshotAs can still write the older row-major
+// KTPMSNAP1 layout, which OpenSnapshot detects by magic. All modes and
+// both formats answer queries byte-identically to BuildDatabase.
+// SaveDatabase and OpenDatabase keep reading the older KTPMTC1 stream
+// format.
 package ktpm
 
 import (
@@ -280,13 +281,14 @@ type SnapshotFormat int
 
 const (
 	// SnapshotV1 is the row-major KTPMSNAP1 layout: each table is a run
-	// of (From, To, Dist) triples. The compatibility default.
+	// of (From, To, Dist) triples. Still written on request and read by
+	// magic; the store transposes its tables on every carve.
 	SnapshotV1 SnapshotFormat = iota
-	// SnapshotV2 is the columnar KTPMSNAP2 layout: each table stores
-	// to[], dist[], and from[] as separate contiguous little-endian
-	// columns behind the same directory. Databases opened from a v2
-	// snapshot serve queries through the store's structure-of-arrays
-	// layout and block kernels; results are byte-identical to v1.
+	// SnapshotV2 is the KTPMSNAP2 layout SaveSnapshot writes: each table
+	// stores to[], dist[], and from[] as separate contiguous
+	// little-endian columns behind the same directory, which is the form
+	// the store carves from (zero-copy under mmap). Results are
+	// byte-identical to v1.
 	SnapshotV2
 )
 
@@ -312,19 +314,19 @@ func ParseSnapshotFormat(name string) (SnapshotFormat, bool) {
 	return 0, false
 }
 
-// SaveSnapshot writes db as a KTPMSNAP1 snapshot: a page-aligned,
+// SaveSnapshot writes db as a KTPMSNAP2 snapshot: a page-aligned,
 // offset-indexed image of the graph and closure with a table directory
 // up front, openable eagerly, lazily, or via mmap (see OpenSnapshot).
 // Saving from a lazy or mmap database faults every table once; the
 // closure is never recomputed. Output is deterministic for a given
 // closure.
 func SaveSnapshot(w io.Writer, db *Database) error {
-	return closure.WriteSnapshot(w, db.c)
+	return SaveSnapshotAs(w, db, SnapshotV2)
 }
 
 // SaveSnapshotAs is SaveSnapshot with an explicit on-disk format:
-// SnapshotV1 writes the row-major KTPMSNAP1 image, SnapshotV2 the
-// columnar KTPMSNAP2 one. OpenSnapshot detects either by magic.
+// SnapshotV2 writes the column-per-field KTPMSNAP2 image, SnapshotV1 the
+// row-major KTPMSNAP1 one. OpenSnapshot detects either by magic.
 func SaveSnapshotAs(w io.Writer, db *Database, format SnapshotFormat) error {
 	if format == SnapshotV2 {
 		return closure.WriteSnapshotV2(w, db.c)
@@ -351,13 +353,7 @@ func OpenSnapshot(path string, opt SnapshotOptions) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ktpm: %w", err)
 	}
-	// A columnar (v2) snapshot is served through the store's
-	// structure-of-arrays layout, so the on-disk columns flow into the
-	// carved lists and D/E derivations without a row-major detour.
-	st := store.NewFromConfig(snap, store.Config{
-		BlockSize: opt.BlockSize,
-		Columnar:  snap.Version() >= 2,
-	})
+	st := store.NewFromSource(snap, opt.BlockSize)
 	if opt.Mode == SnapshotEager {
 		st.MaterializeAll()
 	}

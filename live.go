@@ -415,18 +415,17 @@ func decodeIngestRecord(p []byte) ([]graph.Edge, error) {
 func (l *Live) publishLocked() {
 	t0 := time.Now()
 	src := l.baseClosure
-	columnar := l.baseSnap != nil && l.baseSnap.Version() >= 2
 	if l.delta.EdgesApplied() > 0 {
 		// Re-merges the tables dirtied since the last publish and shares
 		// the rest with the outgoing epoch, which readers still on it keep.
 		l.merged = l.merged.Advance(l.combined, l.delta)
-		src, columnar = l.merged, false
+		src = l.merged
 	}
 	t1 := time.Now()
 	db := &Database{
 		g:   l.combined,
 		c:   src,
-		st:  store.NewFromConfig(src, store.Config{BlockSize: l.blockSize, Columnar: columnar}),
+		st:  store.NewFromSource(src, l.blockSize),
 		opt: DatabaseOptions{BlockSize: l.blockSize},
 	}
 	// Fold the outgoing epoch's monotonic I/O counters into the base so

@@ -116,7 +116,11 @@ func assertLiveMatchesReference(t *testing.T, tag string, live *Live, ref *Datab
 // after every ingest batch, and both before and after compaction, the
 // overlay-merged serving state must answer byte-identically to a
 // from-scratch BuildDatabase over base+delta edges — across snapshot
-// formats, generation backing modes, and shard counts {1, 2, 4}.
+// formats, generation backing modes, and shard counts {1, 2, 4}. The
+// epochs it walks are built over every kind of source (boot closure,
+// merged overlay, reopened generation, overlay on a generation), all
+// served by the store's one layout: nothing about an epoch's reader path
+// depends on which side of an ack or a generation swap it falls.
 func TestLiveMatchesRebuild(t *testing.T) {
 	for _, format := range []SnapshotFormat{SnapshotV1, SnapshotV2} {
 		for _, mode := range allSnapshotModes {
@@ -135,6 +139,16 @@ func TestLiveMatchesRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer live.Close()
+				// sourceIs pins which kind of source the current epoch's
+				// store is carved from, so the identity checks below are
+				// known to cover each of them.
+				sourceIs := func(tag string, want any) {
+					t.Helper()
+					if got := reflect.TypeOf(live.Current().st.Source()); got != reflect.TypeOf(want) {
+						t.Fatalf("%s: epoch source is %v, want %T", tag, got, want)
+					}
+				}
+				sourceIs("boot", (*closure.Closure)(nil))
 
 				all := append([]IngestEdge(nil), baseEdges...)
 				epoch := live.Epoch()
@@ -150,6 +164,7 @@ func TestLiveMatchesRebuild(t *testing.T) {
 					}
 					all = append(all, edges...)
 					ref := buildLiveDB(t, labels, all)
+					sourceIs("pre-compaction", (*closure.MergedSource)(nil))
 					assertLiveMatchesReference(t, fmt.Sprintf("batch %d (pre-compaction)", batch), live, ref)
 				}
 
@@ -164,6 +179,7 @@ func TestLiveMatchesRebuild(t *testing.T) {
 					t.Fatalf("watermark %d != last lsn %d after compaction", st.Overlay.Watermark, st.LastLSN)
 				}
 				ref := buildLiveDB(t, labels, all)
+				sourceIs("post-compaction", (*closure.Snapshot)(nil))
 				assertLiveMatchesReference(t, "post-compaction", live, ref)
 
 				// Ingest on top of the compacted generation: the merged
@@ -174,6 +190,7 @@ func TestLiveMatchesRebuild(t *testing.T) {
 				}
 				all = append(all, edges...)
 				ref = buildLiveDB(t, labels, all)
+				sourceIs("post-compaction ingest", (*closure.MergedSource)(nil))
 				assertLiveMatchesReference(t, "post-compaction ingest", live, ref)
 			})
 		}

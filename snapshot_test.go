@@ -7,21 +7,11 @@ import (
 	"testing"
 )
 
-// saveTestSnapshot writes db's snapshot into a temp file.
+// saveTestSnapshot writes db as a row-major KTPMSNAP1 snapshot — no
+// longer what SaveSnapshot writes, so the tests in this file ask for it
+// by name; snapshot_v2_test.go runs the same properties over KTPMSNAP2.
 func saveTestSnapshot(t testing.TB, db *Database) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "db.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveSnapshot(f, db); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return saveTestSnapshotAs(t, db, SnapshotV1)
 }
 
 var allSnapshotModes = []SnapshotMode{SnapshotEager, SnapshotLazy, SnapshotMMap}

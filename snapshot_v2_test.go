@@ -1,6 +1,7 @@
 package ktpm
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -186,6 +187,22 @@ func TestSnapshotV2Reencode(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("re-encoding %s from a v2-backed database is not byte-identical", pair[1])
 		}
+	}
+}
+
+// TestSaveSnapshotWritesV2 pins the default written format: SaveSnapshot
+// is SaveSnapshotAs(SnapshotV2), byte for byte.
+func TestSaveSnapshotWritesV2(t *testing.T) {
+	db := randomDatabase(t, 40, 3)
+	var def, v2 bytes.Buffer
+	if err := SaveSnapshot(&def, db); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSnapshotAs(&v2, db, SnapshotV2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(def.Bytes(), v2.Bytes()) {
+		t.Fatal("SaveSnapshot output differs from SaveSnapshotAs(SnapshotV2)")
 	}
 }
 
