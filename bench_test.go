@@ -340,13 +340,12 @@ func setupShardBench(b *testing.B) {
 }
 
 // BenchmarkShardedTopK compares the scatter-gather path at 1/2/4/8 shards
-// against the single-database baseline. Deep k makes Lawler enumeration
-// the dominant cost, which is exactly what root-partitioning divides:
-// enumeration is superlinear in the number of emitted matches (every
-// emission rescans the parked-candidate list), so N shards emitting ~k/N
-// matches each do less total work than one enumerator emitting k — the
-// sharded path wins even on one core, and the per-shard goroutines add
-// parallel speedup on top when cores are available.
+// against the single-database baseline at a deep k, where Lawler
+// enumeration is the dominant cost. Enumeration costs about the same per
+// match at any k, so N shards emitting ~k/N matches each do no less total
+// work than one enumerator emitting k; on one core the shards measure
+// the merge's overhead, and with idle cores what the per-shard
+// goroutines win back.
 func BenchmarkShardedTopK(b *testing.B) {
 	setupShardBench(b)
 	db := shardBenchDB

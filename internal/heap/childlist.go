@@ -23,11 +23,11 @@ type Entry struct {
 type ChildList struct {
 	h []Entry // sorted ascending by Key
 	l []Entry // binary min-heap by Key
-	// ver counts Inserts. Kth only extends the sorted prefix — it never
-	// changes what any Kth(i) returns — so a cached value derived from
-	// Kth calls stays valid exactly while ver is unchanged. The lazy
-	// block enumerator keys its cached candidate scores on this.
-	ver uint32
+	// Group is a slot the list's owner may key its own per-list state
+	// by; the list never reads or writes it. The lazy enumerator keeps
+	// the index of the parked-candidate group governed by this list here,
+	// so an Insert finds that group without a map lookup.
+	Group int32
 }
 
 // NewChildList builds a ChildList over entries in O(len(entries)). The
@@ -62,7 +62,6 @@ func (cl *ChildList) Extracted() int { return len(cl.h) }
 // discipline (children pop from Qg in non-decreasing lb order before their
 // edges are inserted) this is rare, but correctness must not depend on it.
 func (cl *ChildList) Insert(e Entry) {
-	cl.ver++
 	if n := len(cl.h); n > 0 && e.Key < cl.h[n-1].Key {
 		// Binary search for the insertion point in H.
 		lo, hi := 0, n
@@ -82,11 +81,6 @@ func (cl *ChildList) Insert(e Entry) {
 	}
 	cl.pushHeap(e)
 }
-
-// Version returns the list's mutation counter: it changes exactly when
-// Insert runs. Kth/Min never affect it (prefix extension is observationally
-// pure), so Version-keyed caches of Kth results need no other invalidation.
-func (cl *ChildList) Version() uint32 { return cl.ver }
 
 // Min returns the smallest entry. ok is false when the list is empty.
 func (cl *ChildList) Min() (Entry, bool) {

@@ -61,11 +61,6 @@ const (
 	EdgeAwareBound
 )
 
-// candBlock is the pending-pool block size: the unit in which parked
-// candidates are refreshed and threshold-scanned per recheck pass. Top-k
-// time was flat across {16, 64, 256} when it was last a knob.
-const candBlock = 64
-
 // Options configures the enumerator.
 type Options struct {
 	Bound Bound
@@ -104,6 +99,17 @@ type candidate struct {
 	parent *Match // nil for the top-1 sentinel
 	pivot  int32  // -1 for the top-1 sentinel
 	excl   int32
+	// group is the pending group c is parked in (0 once it is not) and
+	// slot its index in that group's cands.
+	group, slot int32
+}
+
+// group holds the candidates parked on one child list: the list whose
+// Inserts are the only events that can change their scores.
+type group struct {
+	list  *heap.ChildList
+	cands []*candidate
+	dirty bool
 }
 
 // laNode is one lazily discovered run-time-graph node (query node u, data
@@ -154,17 +160,16 @@ type Enumerator struct {
 	queue    *heap.Min
 	emitted  int
 
-	// The pending pool is a structure of arrays: lane i of the four
-	// slices is one parked candidate with its cached score, the child
-	// list governing it, and that list's version when the score was
-	// computed. ChildList.Version changes exactly on Insert — the only
-	// mutation that can change a candidate's score — so a recheck pass
-	// re-evaluates only lanes whose version moved and answers the rest
-	// from the contiguous score column, candBlock lanes at a time.
-	pending   []*candidate
-	pendScore []int64
-	pendVer   []uint32
-	pendList  []*heap.ChildList
+	// The pending pool. Every parked candidate sits in the group of its
+	// governing list (groups[list.Group]; index 0 is unused) and, while
+	// its score is finite, in pool under that score. An Insert marks the
+	// list's group dirty, so a recheck re-scores the dirty groups only
+	// and pops pool down to the Qg top; an entry whose candidate has been
+	// promoted or re-scored since it was pushed is stale and skipped.
+	groups  []group
+	dirty   []int32
+	pool    heap.Min
+	touched int
 
 	// Slab allocators for the enumeration hot path: laNodes, their child
 	// lists and initChild arrays, matches, and match node buffers are
@@ -270,7 +275,8 @@ func (e *Enumerator) carveMatchI32(n int) []int32 {
 // newCandidate returns a zeroed candidate with the given fields, reusing
 // one retired by Next when possible. A candidate has exactly one owner at
 // a time (pending, then queue, then popped), so recycling after
-// materialization cannot alias a live reference.
+// materialization cannot alias a live reference; stale pool entries still
+// point at it, and recheckPending checks them against its current state.
 func (e *Enumerator) newCandidate(parent *Match, pivot, excl int32) *candidate {
 	var c *candidate
 	if n := len(e.candFree); n > 0 {
@@ -307,6 +313,7 @@ func New(s *store.Store, q *query.Tree, opt Options) *Enumerator {
 		qg:          heap.NewIndexed(64),
 		rootList:    heap.NewEmptyChildList(),
 		queue:       &heap.Min{},
+		groups:      make([]group, 1),
 	}
 	e.inSubtree = make([]bool, nT)
 	for u := int32(0); u < nT; u++ {
@@ -470,6 +477,7 @@ func (e *Enumerator) insertEntry(nd *laNode, pos int, entry heap.Entry) {
 	list := &nd.lists[pos]
 	oldMin, hadMin := list.Min()
 	list.Insert(entry)
+	e.listChanged(list)
 	if !hadMin {
 		nd.nonEmpty++
 		if !nd.active && nd.nonEmpty == len(nd.lists) {
@@ -523,6 +531,7 @@ func (e *Enumerator) expandTop() {
 		if !nd.inRoots {
 			nd.inRoots = true
 			e.rootList.Insert(heap.Entry{Key: nd.bsBar, Node: nd.gid})
+			e.listChanged(e.rootList)
 		}
 		return
 	}
@@ -611,87 +620,67 @@ func (e *Enumerator) candScoreList(c *candidate, list *heap.ChildList) int64 {
 	return c.parent.Score + next.Key - old.Key
 }
 
-// park appends c to the pending pool: the governing list is resolved
-// once (list pointers are stable — ChildLists live in slab chunks that
-// are never reallocated), the score computed, and both cached alongside
-// the list version so later rechecks touch c again only when that list
-// actually changed.
+// park adds c to the pending pool: into the group of its governing list
+// (list pointers are stable — ChildLists live in slab chunks that are
+// never reallocated), and, when its score is finite, into pool.
 func (e *Enumerator) park(c *candidate) {
 	l := e.govList(c)
-	e.pending = append(e.pending, c)
-	e.pendList = append(e.pendList, l)
-	e.pendVer = append(e.pendVer, l.Version())
-	e.pendScore = append(e.pendScore, e.candScoreList(c, l))
+	if l.Group == 0 {
+		l.Group = int32(len(e.groups))
+		e.groups = append(e.groups, group{list: l})
+	}
+	g := &e.groups[l.Group]
+	c.group, c.slot = l.Group, int32(len(g.cands))
+	g.cands = append(g.cands, c)
+	c.score = e.candScoreList(c, l)
+	e.touched++
+	if c.score < infScore {
+		e.pool.Push(heap.Item{Key: c.score, Val: c})
+	}
 }
 
-// recheckPending promotes confirmed parked candidates into the global
+// listChanged marks the candidates parked on l for re-scoring; it follows
+// every Insert.
+func (e *Enumerator) listChanged(l *heap.ChildList) {
+	if g := &e.groups[l.Group]; len(g.cands) > 0 && !g.dirty {
+		g.dirty = true
+		e.dirty = append(e.dirty, l.Group)
+	}
+}
+
+// recheckPending re-scores the candidates of dirty groups and promotes
+// every parked candidate scoring at or below the Qg top into the global
 // queue. With Qg exhausted every finite score is final and ∞ subspaces
-// are truly empty.
-//
-// The pool is processed in candBlock-sized blocks: first the block's
-// dirty lanes — those whose governing list version moved since the score
-// was cached — are re-evaluated, then a tight threshold scan over the
-// contiguous score column pushes the lanes at or below the Qg top into
-// the global queue and compacts the survivors in place. The scan
-// touches one int64 per candidate, so a pass
-// over a large pool with few dirty lanes is a near-pure sequential read
-// rather than two Kth calls per candidate.
+// are truly empty, so they stay parked for good.
 func (e *Enumerator) recheckPending() {
-	qgTop := infScore
-	qgEmpty := e.qg.Len() == 0
-	if !qgEmpty {
-		qgTop = e.qg.PeekKey()
-	}
-	n := len(e.pending)
-	kept := 0
-	for lo := 0; lo < n; lo += candBlock {
-		hi := min(lo+candBlock, n)
-		// Refresh the block's stale lanes.
-		for i := lo; i < hi; i++ {
-			l := e.pendList[i]
-			if v := l.Version(); e.pendVer[i] != v {
-				e.pendScore[i] = e.candScoreList(e.pending[i], l)
-				e.pendVer[i] = v
-			}
-		}
-		// Threshold-scan the score column; promote and compact. The
-		// candidate pointer is captured before compaction because kept
-		// trails i — a later keepLane in the same block may overwrite
-		// lane i's slot, so the promotion must not go back through it.
-		for i := lo; i < hi; i++ {
-			s := e.pendScore[i]
-			if s >= infScore {
-				if !qgEmpty {
-					e.keepLane(kept, i)
-					kept++
-				}
-				continue
-			}
-			if qgEmpty || s <= qgTop {
-				c := e.pending[i]
+	for _, gi := range e.dirty {
+		g := &e.groups[gi]
+		g.dirty = false
+		for _, c := range g.cands {
+			e.touched++
+			if s := e.candScoreList(c, g.list); s != c.score {
 				c.score = s
-				e.queue.Push(heap.Item{Key: s, Val: c})
-				continue
+				if s < infScore {
+					e.pool.Push(heap.Item{Key: s, Val: c})
+				}
 			}
-			e.keepLane(kept, i)
-			kept++
 		}
 	}
-	e.pending = e.pending[:kept]
-	e.pendScore = e.pendScore[:kept]
-	e.pendVer = e.pendVer[:kept]
-	e.pendList = e.pendList[:kept]
-}
-
-// keepLane moves pending lane src to dst across the pool's four columns.
-func (e *Enumerator) keepLane(dst, src int) {
-	if dst == src {
-		return
+	e.dirty = e.dirty[:0]
+	qgEmpty := e.qg.Len() == 0
+	for e.pool.Len() > 0 && (qgEmpty || e.pool.Peek().Key <= e.qg.PeekKey()) {
+		it := e.pool.Pop()
+		c := it.Val.(*candidate)
+		if c.group == 0 || c.score != it.Key {
+			continue // stale: promoted already, or re-scored since this push
+		}
+		g := &e.groups[c.group]
+		last := g.cands[len(g.cands)-1]
+		g.cands[c.slot], last.slot = last, c.slot
+		g.cands = g.cands[:len(g.cands)-1]
+		c.group = 0
+		e.queue.Push(it)
 	}
-	e.pending[dst] = e.pending[src]
-	e.pendScore[dst] = e.pendScore[src]
-	e.pendVer[dst] = e.pendVer[src]
-	e.pendList[dst] = e.pendList[src]
 }
 
 // materialize recovers the full match, as in package core but over lazily
@@ -820,11 +809,16 @@ type Stats struct {
 	CreatedNodes int
 	// ActiveNodes is n'_R, the nodes that ever activated.
 	ActiveNodes int
+	// CandidatesTouched counts pending-pool score evaluations: one per
+	// parked candidate plus one per re-score after an Insert into its
+	// governing list. Per emitted match it is the pool's share of the
+	// enumeration cost.
+	CandidatesTouched int
 }
 
 // ComputeStats returns enumeration statistics.
 func (e *Enumerator) ComputeStats() Stats {
-	s := Stats{CreatedNodes: len(e.nodes)}
+	s := Stats{CreatedNodes: len(e.nodes), CandidatesTouched: e.touched}
 	for _, nd := range e.nodes {
 		if nd.active {
 			s.ActiveNodes++

@@ -1,6 +1,8 @@
 package lazy
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"ktpm/internal/core"
 	"ktpm/internal/gen"
 	"ktpm/internal/graph"
+	"ktpm/internal/heap"
 	"ktpm/internal/query"
 	"ktpm/internal/rtg"
 	"ktpm/internal/store"
@@ -350,6 +353,107 @@ func TestStatsAndEmitted(t *testing.T) {
 	}
 	if st.ActiveNodes > st.CreatedNodes {
 		t.Fatalf("active %d > created %d", st.ActiveNodes, st.CreatedNodes)
+	}
+}
+
+// TestPoolCostAcrossK pins the pending pool's cost on a k axis: the
+// candidates it touches (parks plus re-scores) stay within 3·n_T per
+// emitted match at k = 10², 10³ and 10⁴, where a pool rescanned on every
+// emission touches more per match the larger k grows. It also pins what
+// the pool must not move: the emitted scores equal Algorithm 1's, and the
+// canonical answer and the store reads behind it (Algorithm 2's loading)
+// equal a table recorded from the full-rescan pool.
+func TestPoolCostAcrossK(t *testing.T) {
+	g := gen.Citation(gen.CitationConfig{Nodes: 400, Venues: 12, Window: 50, Communities: 4, Seed: 13})
+	c := closure.Compute(g, closure.Options{})
+	qs, err := gen.QuerySet(g, 6, 5, true, 7)
+	if err != nil || len(qs) != 6 {
+		t.Fatalf("query set: %d queries, err %v", len(qs), err)
+	}
+	ks := []int{100, 1000, 10000}
+	type canon struct {
+		entries, blocks, tables int64
+		digest                  uint64 // FNV-64a of each match's score and nodes
+	}
+	want := [6][3]canon{
+		{{959, 91, 6, 0x98a84313d09835d3}, {967, 94, 6, 0x166fc713369976ed}, {967, 94, 6, 0x166fc713369976ed}},
+		{{1249, 111, 7, 0x114063cc2077616e}, {1450, 143, 7, 0xc3ff69b89ac5a535}, {1547, 154, 7, 0xbd7244d731ee1ed2}},
+		{{652, 73, 7, 0x5342c55bb133d5cb}, {659, 78, 7, 0x7c061321c4e10aff}, {669, 88, 7, 0x19a4e23fec4eaf1b}},
+		{{390, 44, 5, 0xfb50660e2138368e}, {531, 63, 5, 0x639a36a748891543}, {548, 65, 5, 0xe1239cbb7078d3d5}},
+		{{796, 54, 7, 0x245533b39678b42b}, {1333, 95, 7, 0x467484c00b3621cb}, {2371, 189, 7, 0xd4818df8045d7d88}},
+		{{1133, 105, 7, 0x7a122c28c9802f1a}, {1239, 123, 7, 0x8ec2011b3e4c1644}, {1415, 152, 7, 0x4fd6e9d7ef52d459}},
+	}
+	for qi, q := range qs {
+		ref := core.TopK(rtg.Build(c, q), ks[len(ks)-1])
+		nT := q.NumNodes()
+		for ki, k := range ks {
+			e := New(store.New(c, 16), q, Options{})
+			n := 0
+			for ; n < k; n++ {
+				m, ok := e.Next()
+				if !ok {
+					break
+				}
+				if m.Score != ref[n].Score {
+					t.Fatalf("q%d k=%d: match %d scores %d, Algorithm 1 %d", qi, k, n, m.Score, ref[n].Score)
+				}
+			}
+			if n != min(k, len(ref)) {
+				t.Fatalf("q%d k=%d: %d matches, Algorithm 1 %d", qi, k, n, min(k, len(ref)))
+			}
+			if touched := e.ComputeStats().CandidatesTouched; touched > 3*nT*n {
+				t.Errorf("q%d k=%d: %d candidates touched for %d matches, want ≤ 3·n_T = %d per match",
+					qi, k, touched, n, 3*nT)
+			}
+			s := store.New(c, 16)
+			h := fnv.New64a()
+			for _, m := range TopKCanonical(s, q, k, Options{}) {
+				fmt.Fprint(h, m.Score, m.Nodes, ";")
+			}
+			cnt := s.Counters()
+			if got := (canon{cnt.EntriesRead, cnt.BlocksRead, cnt.TablesRead, h.Sum64()}); got != want[qi][ki] {
+				t.Errorf("q%d k=%d: canonical run %+v, recorded %+v", qi, k, got, want[qi][ki])
+			}
+		}
+	}
+}
+
+// TestPoolSkipsRaisedScore pins the pool's stale-entry rule for a parked
+// score that rises: an Insert below the candidate's exclusion point can
+// widen the gap Kth(excl) − Kth(excl−1), and the candidate's earlier,
+// lower pool entry must then not promote it past the Qg top.
+func TestPoolSkipsRaisedScore(t *testing.T) {
+	g, _ := fig4(t)
+	e := &Enumerator{
+		q:           query.MustParse(g.Labels, "a(b)"),
+		posInParent: []int32{0, 0},
+		nodes:       []*laNode{{lists: make([]heap.ChildList, 1)}},
+		qg:          heap.NewIndexed(1),
+		queue:       &heap.Min{},
+		groups:      make([]group, 1),
+	}
+	list := &e.nodes[0].lists[0]
+	for _, k := range []int64{0, 5, 6} {
+		list.Insert(heap.Entry{Key: k})
+	}
+	e.qg.Push(0, 10)
+	c := e.newCandidate(&Match{Score: 10, gids: []int32{0, 0}}, 1, 2)
+	e.park(c) // 10 + Kth(2) − Kth(1) = 10 + 6 − 5
+	e.recheckPending()
+	if c.score != 11 || e.queue.Len() != 0 {
+		t.Fatalf("parked with Qg top 10: score %d (want 11), queue %d", c.score, e.queue.Len())
+	}
+	list.Insert(heap.Entry{Key: 1}) // [0 1 5 6]: 10 + 5 − 1
+	e.listChanged(list)
+	e.qg.Update(0, 12)
+	e.recheckPending()
+	if c.score != 14 || e.queue.Len() != 0 {
+		t.Fatalf("re-scored with Qg top 12: score %d (want 14), queue %d", c.score, e.queue.Len())
+	}
+	e.qg.Pop()
+	e.recheckPending()
+	if e.queue.Len() != 1 || e.queue.Peek().Key != 14 {
+		t.Fatalf("Qg exhausted: queue %d, want the candidate at 14", e.queue.Len())
 	}
 }
 

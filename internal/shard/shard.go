@@ -87,11 +87,8 @@ func Parse(name string) (Partitioner, bool) {
 // BENCH_topk.json: per-match hand-off (chunk 1) costs one channel
 // synchronization per match, while chunks past ~32 only grow the
 // run-ahead — work a shard computes past the termination threshold,
-// bounded by one chunk in flight plus one buffered per shard. Run-ahead
-// is disproportionately expensive because the enumerator's per-match
-// cost grows with how many matches it has emitted (every emission
-// rescans the parked-candidate list), which is also why a single-shard
-// DB skips the transport entirely (see TopK).
+// bounded by one chunk in flight plus one buffered per shard. A
+// single-shard DB skips the transport entirely (see TopK).
 const DefaultChunkSize = 32
 
 // chunkBuffer is the gather channel's capacity in chunks. One buffered
@@ -324,12 +321,10 @@ func (d *DB) TopK(t *query.Tree, k int) []*lazy.Match {
 // A single-shard DB skips the gather transport: the lone shard owns
 // every vertex, so the coordinator pulls the enumerator directly — no
 // producer goroutine, no channel synchronizations, and no run-ahead
-// past the termination threshold. Run-ahead is what makes the transport
-// expensive at n=1: the producer computes up to two chunks the merge
-// never consumes, and those late matches are the costly ones because
-// the enumerator's per-match cost grows with how many matches it has
-// emitted. The output is byte-identical either way (GatherTopK forces
-// the transport; benchmarks and tests compare the two).
+// past the termination threshold, where the producer computes up to two
+// chunks the merge never consumes. The output is byte-identical either
+// way (GatherTopK forces the transport; benchmarks and tests compare the
+// two).
 func (d *DB) TopKOpts(t *query.Tree, k int, base lazy.Options) []*lazy.Match {
 	if k <= 0 {
 		return nil

@@ -637,11 +637,7 @@ func (db *Database) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
 	switch opt.Algorithm {
 	case AlgoTopkEN:
 		ms := lazy.TopKCanonical(db.st, q.t, k, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
-		out := make([]Match, len(ms))
-		for i, m := range ms {
-			out[i] = Match{Nodes: m.Nodes, Score: m.Score}
-		}
-		return out, nil
+		return detach(ms, q.NumNodes()), nil
 	case AlgoTopk:
 		r := rtg.Build(db.c, q.t)
 		ms := core.TopK(r, k)
@@ -667,6 +663,22 @@ func (db *Database) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
 		return out, nil
 	}
 	return nil, fmt.Errorf("ktpm: unknown algorithm %v", opt.Algorithm)
+}
+
+// detach copies the bindings of ms into one array of len(ms)·nT and points
+// each Match.Nodes into it. An enumerator's Match.Nodes alias its slabs,
+// which hold every match it emitted — tie-drain overshoot and, sharded,
+// each shard's unselected matches — so a result a caller keeps (ktpmd's
+// result cache) would pin all of them.
+func detach(ms []*lazy.Match, nT int) []Match {
+	out := make([]Match, len(ms))
+	buf := make([]int32, len(ms)*nT)
+	for i, m := range ms {
+		nodes := buf[i*nT : (i+1)*nT : (i+1)*nT]
+		copy(nodes, m.Nodes)
+		out[i] = Match{Nodes: nodes, Score: m.Score}
+	}
+	return out
 }
 
 // MatchStream is an incremental enumeration of matches in non-decreasing

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ktpm/internal/shard"
 )
@@ -29,6 +30,23 @@ func sortedMatches(ms []Match) []Match {
 		return false
 	})
 	return out
+}
+
+// checkDetached fails unless the matches' Nodes are consecutive n_T-wide
+// windows of one array: a kept result then pins its own bindings and
+// nothing of the enumerator's slabs, whose match buffers are carved in
+// emission order, not canonical order.
+func checkDetached(t *testing.T, q *Query, ms []Match) {
+	t.Helper()
+	nT := q.NumNodes()
+	for i, m := range ms {
+		if cap(m.Nodes) != nT {
+			t.Fatalf("match %d: cap(Nodes) = %d, want n_T = %d", i, cap(m.Nodes), nT)
+		}
+		if want := unsafe.Add(unsafe.Pointer(unsafe.SliceData(ms[0].Nodes)), 4*i*nT); unsafe.Pointer(unsafe.SliceData(m.Nodes)) != want {
+			t.Fatalf("match %d: Nodes is not window %d of the result's own array", i, i)
+		}
+	}
 }
 
 // TestShardedTopKMatchesSingleDatabase is the result-identity property
@@ -79,12 +97,14 @@ func TestShardedTopKMatchesSingleDatabase(t *testing.T) {
 			if int64(len(single)) != total {
 				t.Fatalf("seed %d query %q: single path returned %d of %d matches", seed, qs, len(single), total)
 			}
+			checkDetached(t, q, single)
 			canonical := sortedMatches(single)
 			for name, sdb := range sharded {
 				got, err := sdb.TopK(q, kFull)
 				if err != nil {
 					t.Fatalf("seed %d query %q shards %s: %v", seed, qs, name, err)
 				}
+				checkDetached(t, q, got)
 				if !reflect.DeepEqual(got, canonical) {
 					t.Fatalf("seed %d query %q shards %s: full enumeration differs from single database", seed, qs, name)
 				}

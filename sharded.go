@@ -137,11 +137,7 @@ func (s *ShardedDatabase) TopKWith(q *Query, k int, opt Options) ([]Match, error
 		return s.db.TopKWith(q, k, opt)
 	}
 	ms := s.sd.TopKOpts(q.t, k, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{Nodes: m.Nodes, Score: m.Score}
-	}
-	return out, nil
+	return detach(ms, q.NumNodes()), nil
 }
 
 // TopKBatch answers many queries in one call; see Database.TopKBatch.
