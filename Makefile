@@ -17,9 +17,9 @@ bench-smoke:
 
 # Regenerate the committed serving sweep numbers (BENCH_topk.json):
 # the shard-count sweep (ns/op, allocs/op, summary-table derives flat
-# across shard counts over the shared plane), the gather chunk-size
-# sweep, the batch amortization sweep, the snapshot startup sweep
-# (open wall time + first-query latency for build/eager/lazy/mmap at
+# across shard counts over the shared plane), the batch amortization
+# sweep, the snapshot startup sweep (open wall time + first-query
+# latency for build/eager/lazy/mmap at
 # several graph sizes), the instrumentation overhead sweep (warm-cache
 # /query with observability on versus off), and the distributed and
 # overload sweeps. -json implies every sweep, so the flags below stay

@@ -375,36 +375,28 @@ func BenchmarkShardedTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamGather sweeps the gather transport chunk size: the
-// scatter-gather stream drained to k at chunk sizes 1 (the old per-match
-// transport: one channel synchronization per match) through 128. The
-// committed chunk-size sweep in BENCH_topk.json (benchkit -exp batch)
-// records the same curve; shard.DefaultChunkSize is the knee.
+// BenchmarkStreamGather drains the 4-shard scatter-gather stream to k,
+// the pull-based counterpart of BenchmarkShardedTopK.
 func BenchmarkStreamGather(b *testing.B) {
 	setupShardBench(b)
 	queries := shardBenchQueries
 	const k = 1500
-	for _, chunk := range []int{1, 8, 32, 128} {
-		sdb, err := shardBenchDB.Shard(4, PartitionByLabel())
+	sdb, err := shardBenchDB.Shard(4, PartitionByLabel())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st, err := sdb.Stream(queries[i%len(queries)])
 		if err != nil {
 			b.Fatal(err)
 		}
-		sdb.SetGatherChunkSize(chunk)
-		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				st, err := sdb.Stream(queries[i%len(queries)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				for n := 0; n < k; n++ {
-					if _, ok := st.Next(); !ok {
-						break
-					}
-				}
-				st.Close()
+		for n := 0; n < k; n++ {
+			if _, ok := st.Next(); !ok {
+				break
 			}
-		})
+		}
+		st.Close()
 	}
 }
 

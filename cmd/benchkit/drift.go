@@ -74,11 +74,11 @@ func keyPaths(v any) map[string]bool {
 }
 
 // rowNames collects every sweep row's qualified name, e.g.
-// "chunk_sweep/shards=1/inline".
+// "batch_sweep/batch=1/loop".
 func rowNames(doc any) map[string]bool {
 	out := map[string]bool{}
 	top, _ := doc.(map[string]any)
-	for _, sweep := range []string{"rows", "chunk_sweep", "batch_sweep", "startup_sweep", "obs_sweep", "dist_sweep", "overload_sweep"} {
+	for _, sweep := range []string{"rows", "batch_sweep", "startup_sweep", "obs_sweep", "dist_sweep", "overload_sweep"} {
 		rows, _ := top[sweep].([]any)
 		for _, r := range rows {
 			if m, ok := r.(map[string]any); ok {

@@ -13,11 +13,10 @@
 //	benchkit -exp topk,batch -json BENCH_topk.json  # serving sweeps (make bench-json)
 //	benchkit -drift BENCH_topk.json                 # schema drift check (make bench-json-check)
 //
-// -json writes the shard-plane, gather chunk-size, batch amortization,
-// snapshot startup, instrumentation overhead, distributed
-// scatter-gather, and overload sweeps as one document;
-// it implies every serving-sweep experiment so the written schema is
-// always complete. -drift regenerates the same
+// -json writes the shard-plane, batch amortization, snapshot startup,
+// instrumentation overhead, distributed scatter-gather, and overload
+// sweeps as one document; it implies every serving-sweep experiment so
+// the written schema is always complete. -drift regenerates the same
 // sweeps and fails when the committed document's schema (key paths, row
 // names) no longer matches — CI's guard against a stale BENCH_topk.json.
 //
@@ -42,7 +41,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced sweeps for a fast pass")
 		jsonPath  = flag.String("json", "", "write the topk+batch+startup+obs sweeps as one JSON document to this path (implies all four experiments; see make bench-json)")
 		driftPath = flag.String("drift", "", "regenerate the topk+batch+startup+obs sweeps and compare their schema (key paths, row names) against this committed JSON document; exit nonzero on drift (implies all four experiments; see make bench-json-check)")
-		topkOps   = flag.Int("topk-ops", 5, "iterations per configuration of the topk, chunk, and batch sweeps")
+		topkOps   = flag.Int("topk-ops", 5, "iterations per configuration of the topk and batch sweeps")
 
 		overloadTarget  = flag.String("overload-target", "", "overload sweep: storm this live ktpmd base URL instead of an in-process server (see the CI overload smoke)")
 		overloadQueries = flag.String("overload-queries", "", "overload sweep: file of queries, one per line, required with -overload-target")
@@ -163,12 +162,6 @@ func main() {
 		rep.Table().Fprint(os.Stdout)
 	}
 	if want("batch") {
-		chunkRows, err := bench.RunChunkSweep(*topkOps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchkit: chunk sweep: %v\n", err)
-			os.Exit(1)
-		}
-		bench.ChunkTable(chunkRows).Fprint(os.Stdout)
 		batchRows, err := runBatchSweep(*topkOps)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchkit: batch sweep: %v\n", err)
@@ -176,7 +169,6 @@ func main() {
 		}
 		bench.BatchTable(batchRows).Fprint(os.Stdout)
 		if rep != nil {
-			rep.ChunkSweep = chunkRows
 			rep.BatchSweep = batchRows
 		}
 	}

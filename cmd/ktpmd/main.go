@@ -98,7 +98,6 @@ func main() {
 		maxK        = flag.Int("max-k", 0, "largest accepted k (0 = default 1000)")
 		shards      = flag.Int("shards", 1, "partition the match space across N shards and scatter-gather top-k (1 = single database)")
 		partition   = flag.String("partition", "hash", "shard partitioner: hash or label")
-		chunkSize   = flag.Int("chunk-size", 0, "matches per channel operation in the scatter-gather transport (0 = default 32, chosen from the BENCH_topk.json chunk-size sweep)")
 		slowMS      = flag.Float64("slow-query-ms", 0, "log the trace span tree of requests slower than this many milliseconds, and retain only those in /debug/traces (0 = retain every request, log none)")
 		traceRing   = flag.Int("trace-ring", 0, "recent-trace ring capacity behind /debug/traces (0 = default 64, negative disables)")
 		accessLog   = flag.Bool("access-log", false, "log every request (method, path, status, duration, request id)")
@@ -217,7 +216,6 @@ func main() {
 			Index:       *workerIndex,
 			Count:       *workerCount,
 			Partitioner: partitioner,
-			StreamChunk: *chunkSize,
 			Logger:      logger,
 		}, *addr, *snapPath != "", *drainTimeout)
 		return
@@ -239,7 +237,6 @@ func main() {
 			Retries:         *workerRetries,
 			Backoff:         *retryBackoff,
 			DegradedPartial: *degraded == "partial",
-			ChunkSize:       *chunkSize,
 			BreakerFailures: *breakerFails,
 			BreakerCooldown: *breakerCooldown,
 			BreakerLatency:  *breakerLatency,
@@ -265,9 +262,6 @@ func main() {
 		if err != nil {
 			fatal(logger, "shard", err)
 		}
-		if *chunkSize != 0 {
-			sdb.SetGatherChunkSize(*chunkSize)
-		}
 		backend = sdb
 		ss := sdb.ShardStats()
 		sizes := make([]int, len(ss.PerShard))
@@ -278,7 +272,6 @@ func main() {
 			"shards", ss.Shards,
 			"partitioner", ss.Partitioner,
 			"vertices_per_shard", fmt.Sprint(sizes),
-			"gather_chunk", ss.ChunkSize,
 		)
 	}
 

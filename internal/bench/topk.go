@@ -37,19 +37,6 @@ type TopKRow struct {
 	BlocksRead int64 `json:"blocks_read"`
 }
 
-// ChunkRow is one point of the gather chunk-size sweep in
-// BENCH_topk.json: scatter-gather TopK latency at a given shard count
-// and transport chunk size (matches per channel operation). Chunk 1
-// reproduces the per-match transport; shard.DefaultChunkSize is chosen
-// from this sweep.
-type ChunkRow struct {
-	Name      string  `json:"name"` // "shards=N/chunk=C"
-	Shards    int     `json:"shards"`
-	ChunkSize int     `json:"chunk_size"`
-	Ops       int     `json:"ops"`
-	NsPerOp   float64 `json:"ns_per_op"`
-}
-
 // BatchRow is one point of the batch amortization sweep in
 // BENCH_topk.json: per-item latency of answering BatchSize queries
 // (cycling UniqueQueries distinct ones) either as individual TopK calls
@@ -123,11 +110,10 @@ type TopKReport struct {
 	GOARCH string     `json:"goarch"`
 	CPUs   int        `json:"cpus"`
 	Rows   []*TopKRow `json:"rows"`
-	// ChunkSweep, BatchSweep, and StartupSweep are filled by the batch
-	// and startup experiments (benchkit -exp batch,startup; -json runs
-	// them automatically so the committed document always carries every
+	// BatchSweep and StartupSweep are filled by the batch and startup
+	// experiments (benchkit -exp batch,startup; -json runs them
+	// automatically so the committed document always carries every
 	// section).
-	ChunkSweep    []*ChunkRow    `json:"chunk_sweep"`
 	BatchSweep    []*BatchRow    `json:"batch_sweep"`
 	StartupSweep  []*StartupRow  `json:"startup_sweep"`
 	ObsSweep      []*ObsRow      `json:"obs_sweep"`
@@ -274,64 +260,6 @@ func RunTopKSweep(ops int) (*TopKReport, error) {
 	return rep, nil
 }
 
-// RunChunkSweep measures the gather transport's chunk-size sensitivity:
-// scatter-gather TopK over the standard workload at shard counts {1, 4}
-// and chunk sizes {1, 8, 32, 128}, forced through the transport with
-// GatherTopK so the shards=1 rows stay meaningful, plus one
-// "shards=1/inline" row (chunk_size 0) measuring the production
-// single-shard fast path that skips the transport entirely. Chunk 1 is
-// the old per-match transport (one channel synchronization per match);
-// the sweep is what the shard.DefaultChunkSize choice and the ktpmd
-// -chunk-size docs cite. ops is the iteration count per configuration
-// (0 means 5).
-func RunChunkSweep(ops int) ([]*ChunkRow, error) {
-	if ops <= 0 {
-		ops = 5
-	}
-	const k = 1500
-	_, c, qs, err := TopKWorkload()
-	if err != nil {
-		return nil, err
-	}
-	var rows []*ChunkRow
-	for _, shards := range []int{1, 4} {
-		st := store.New(c, 0)
-		db, err := shard.New(st, shards, shard.LabelBalanced{})
-		if err != nil {
-			return nil, err
-		}
-		for _, chunk := range []int{1, 8, 32, 128} {
-			db.SetChunkSize(chunk)
-			t0 := time.Now()
-			for i := 0; i < ops; i++ {
-				db.GatherTopK(qs[i%len(qs)], k, lazy.Options{})
-			}
-			elapsed := time.Since(t0)
-			rows = append(rows, &ChunkRow{
-				Name:      fmt.Sprintf("shards=%d/chunk=%d", shards, chunk),
-				Shards:    shards,
-				ChunkSize: chunk,
-				Ops:       ops,
-				NsPerOp:   float64(elapsed.Nanoseconds()) / float64(ops),
-			})
-		}
-		if shards == 1 {
-			t0 := time.Now()
-			for i := 0; i < ops; i++ {
-				db.TopK(qs[i%len(qs)], k)
-			}
-			elapsed := time.Since(t0)
-			rows = append(rows, &ChunkRow{
-				Name:    "shards=1/inline",
-				Shards:  1,
-				Ops:     ops,
-				NsPerOp: float64(elapsed.Nanoseconds()) / float64(ops),
-			})
-		}
-	}
-	return rows, nil
-}
-
 // BatchSweepK is the batch sweep's per-item k: smaller than the shard
 // sweep's 1500 so the "loop" baseline at batch=32 stays affordable. The
 // sweep itself lives in cmd/benchkit (it exercises the public
@@ -430,18 +358,6 @@ func OverloadTable(rows []*OverloadRow) *Table {
 			fmt.Sprintf("%.1f", r.P50MS),
 			fmt.Sprintf("%.1f", r.P99MS),
 			fmt.Sprintf("%.1f", r.P999MS))
-	}
-	return t
-}
-
-// ChunkTable renders a chunk sweep in the benchkit text format.
-func ChunkTable(rows []*ChunkRow) *Table {
-	t := &Table{
-		Title:  "Gather chunk-size sweep (k=1500)",
-		Header: []string{"config", "ms/op"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Name, fmt.Sprintf("%.1f", r.NsPerOp/1e6))
 	}
 	return t
 }

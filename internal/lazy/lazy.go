@@ -27,7 +27,6 @@ package lazy
 
 import (
 	"math"
-	"sort"
 
 	"ktpm/internal/graph"
 	"ktpm/internal/heap"
@@ -843,132 +842,11 @@ func TopK(s *store.Store, q *query.Tree, k int, opt Options) []*Match {
 	return out
 }
 
-// Less is the canonical total order over matches: by score, then node
-// bindings lexicographically. Two distinct matches always differ in some
-// binding. It is the order the public API and the shard scatter-gather
-// promise, which makes top-k results byte-identical across shard counts.
-func Less(a, b *Match) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return a.Nodes[i] < b.Nodes[i]
-		}
-	}
-	return false
-}
-
-// Canonicalize sorts ms by Less and truncates to the k smallest. The
-// result stays non-decreasing by score, which merge loops that compact
-// mid-gather rely on.
-func Canonicalize(ms []*Match, k int) []*Match {
-	sort.Slice(ms, func(i, j int) bool { return Less(ms[i], ms[j]) })
-	if len(ms) > k {
-		ms = ms[:k]
-	}
-	return ms
-}
-
-// DrainTopK pulls e's k best matches in canonical order: everything
-// scoring at or below the k-th score is gathered (emission is
-// non-decreasing, so the tie group at the k-th score ends at the first
-// strictly greater match), compacted periodically so huge equal-score
-// groups cost O(k) memory, and canonically sorted. consumed is how many
-// matches were gathered before truncation. Draining the k-th tie group
-// is what TopK skips and canonical output requires: any not-yet-emitted
-// tie could order before an emitted one.
-func DrainTopK(e *Enumerator, k int) (out []*Match, consumed int) {
-	if k <= 0 {
-		return nil, 0
-	}
-	compactAt := 2*k + 64
-	for {
-		m, ok := e.Next()
-		if !ok {
-			break
-		}
-		if len(out) >= k && m.Score > out[k-1].Score {
-			break
-		}
-		consumed++
-		out = append(out, m)
-		if len(out) >= compactAt {
-			out = Canonicalize(out, k)
-		}
-	}
-	return Canonicalize(out, k), consumed
-}
-
 // TopKCanonical returns up to k matches of q in the canonical order
 // (score, then node bindings) — the result is a pure function of the
 // store contents, byte-identical to what the shard scatter-gather
 // returns at any shard count. It costs draining the tie group at the
 // k-th score beyond plain TopK.
 func TopKCanonical(s *store.Store, q *query.Tree, k int, opt Options) []*Match {
-	out, _ := DrainTopK(New(s, q, opt), k)
-	return out
+	return NewMerge([]Source{New(s, q, opt)}).TopK(k)
 }
-
-// CanonicalStream adapts an Enumerator to emit in canonical order:
-// non-decreasing score with equal scores ordered by node bindings.
-// Emission order within a tie group is arbitrary, so the stream buffers
-// one whole group at a time plus a single lookahead match (the first
-// match of the next group, which ends the current one); run-ahead past
-// what the consumer asked for is bounded by that one match and the
-// current group's tail.
-type CanonicalStream struct {
-	e        *Enumerator
-	ahead    *Match
-	started  bool
-	tie      []*Match
-	tiePos   int
-	consumed int64
-}
-
-// NewCanonicalStream wraps e; e must not be advanced by anyone else.
-func NewCanonicalStream(e *Enumerator) *CanonicalStream {
-	return &CanonicalStream{e: e}
-}
-
-// Next returns the next match in canonical order; ok is false when the
-// match space is exhausted.
-func (cs *CanonicalStream) Next() (*Match, bool) {
-	if cs.tiePos < len(cs.tie) {
-		m := cs.tie[cs.tiePos]
-		cs.tiePos++
-		return m, true
-	}
-	if !cs.started {
-		cs.started = true
-		if m, ok := cs.e.Next(); ok {
-			cs.ahead = m
-			cs.consumed++
-		}
-	}
-	if cs.ahead == nil {
-		return nil, false
-	}
-	group := append(cs.tie[:0], cs.ahead)
-	score := cs.ahead.Score
-	cs.ahead = nil
-	for {
-		m, ok := cs.e.Next()
-		if !ok {
-			break
-		}
-		cs.consumed++
-		if m.Score != score {
-			cs.ahead = m
-			break
-		}
-		group = append(group, m)
-	}
-	sort.Slice(group, func(i, j int) bool { return Less(group[i], group[j]) })
-	cs.tie, cs.tiePos = group, 1
-	return group[0], true
-}
-
-// Consumed returns how many matches have been pulled from the wrapped
-// enumerator, including the buffered lookahead.
-func (cs *CanonicalStream) Consumed() int64 { return cs.consumed }

@@ -8,17 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"ktpm"
-	"ktpm/internal/heap"
 	"ktpm/internal/lazy"
 	"ktpm/internal/obs"
-	"ktpm/internal/shard"
 )
 
 // Endpoint is one address a shard's stream can be opened at. The
@@ -135,9 +132,6 @@ type Config struct {
 	// worker count, or canonical-order version) always fail the query —
 	// a degraded answer must still be an honest subset of the truth.
 	DegradedPartial bool
-	// ChunkSize is how many matches a shard reader accumulates before
-	// one channel hand-off to the merge; 0 means shard.DefaultChunkSize.
-	ChunkSize int
 	// BreakerFailures is the consecutive-failure count that opens an
 	// endpoint's circuit breaker, ejecting it from rotation so its
 	// shard's replicas absorb the load; 0 means 3. The breaker never
@@ -165,9 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.Retries < 0 {
 		c.Retries = 0
 	}
-	if c.ChunkSize < 1 {
-		c.ChunkSize = shard.DefaultChunkSize
-	}
 	if c.BreakerFailures < 1 {
 		c.BreakerFailures = 3
 	}
@@ -181,13 +172,10 @@ func (c Config) withDefaults() Config {
 // window, so a long-dead worker is still probed every half minute.
 const breakerMaxCooldown = 30 * time.Second
 
-// Coordinator scatter-gathers top-k queries across remote workers with
-// the same threshold-terminating k-way merge the in-process shard.DB
-// runs — per-shard streams arrive score-ordered, a min-heap keyed by
-// head score picks the global order, and a shard stops being pulled
-// once its head cannot beat the current k-th result — so results are
-// byte-identical to a local ShardedDatabase over the same graph,
-// partitioner, and worker count.
+// Coordinator scatter-gathers top-k queries across remote workers
+// through lazy.Merge, the k-way merge the in-process shard.DB runs over
+// its shards, so results are byte-identical to a local ShardedDatabase
+// over the same graph, partitioner, and worker count.
 //
 // The coordinator holds its own Database over the same snapshot: it
 // parses and plans queries locally (the graph is identical by
@@ -653,18 +641,17 @@ func (c *Coordinator) run(ctx context.Context, r *shardReader, query string, k, 
 // ordered. Returns nil only on a complete end frame.
 func (c *Coordinator) pump(ctx context.Context, conn *workerConn, r *shardReader, consumed *int) error {
 	skip := *consumed
-	buf := make([]*lazy.Match, 0, c.cfg.ChunkSize)
+	buf := make([]*lazy.Match, 0, lazy.ChunkSize)
 	var prev *lazy.Match
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
 		out := buf
-		buf = make([]*lazy.Match, 0, c.cfg.ChunkSize)
+		buf = make([]*lazy.Match, 0, lazy.ChunkSize)
 		select {
 		case r.ch <- out:
 			*consumed += len(out)
-			c.counters[r.shardID].matches.Add(int64(len(out)))
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
@@ -692,7 +679,7 @@ func (c *Coordinator) pump(ctx context.Context, conn *workerConn, r *shardReader
 				continue
 			}
 			buf = append(buf, m)
-			if len(buf) >= c.cfg.ChunkSize {
+			if len(buf) >= lazy.ChunkSize {
 				if err := flush(); err != nil {
 					return err
 				}
@@ -713,131 +700,72 @@ func (c *Coordinator) pump(ctx context.Context, conn *workerConn, r *shardReader
 	}
 }
 
-// coordGather mirrors the in-process gather: per-shard current chunk +
-// cursor, and an indexed min-heap of shard heads.
-type coordGather struct {
+// gather is one distributed merge: a shard reader per worker, each
+// behind a readerSource, all feeding one lazy.Merge.
+type gather struct {
+	*lazy.Merge
 	c       *Coordinator
 	cancel  context.CancelFunc
-	readers []*shardReader
-	heads   [][]*lazy.Match
-	cur     []int
-	hq      *heap.Indexed
 	span    *obs.Span
-	partial bool
-	err     error // terminal merge error (fail policy or topology mismatch)
+	partial bool  // a shard was dropped under the partial policy
+	err     error // the fail policy or a topology mismatch poisoned the merge
 }
 
-// newCoordGather starts one reader per shard. k is the worker-side
+// newGather starts one reader per shard. k is the worker-side
 // truncation hint (0 = unbounded, for streams).
-func (c *Coordinator) newCoordGather(ctx context.Context, query string, k, positions int, trace *obs.Span) *coordGather {
+func (c *Coordinator) newGather(ctx context.Context, query string, k, positions int, trace *obs.Span) *gather {
 	gctx, cancel := context.WithCancel(ctx)
 	span := trace.StartChild("remote_merge")
 	span.SetAttr("workers", len(c.eps))
-	g := &coordGather{
-		c:       c,
-		cancel:  cancel,
-		readers: make([]*shardReader, len(c.eps)),
-		heads:   make([][]*lazy.Match, len(c.eps)),
-		cur:     make([]int, len(c.eps)),
-		hq:      heap.NewIndexed(len(c.eps)),
-		span:    span,
-	}
-	for i := range g.readers {
+	g := &gather{c: c, cancel: cancel, span: span}
+	srcs := make([]lazy.Source, len(c.eps))
+	for i := range srcs {
 		r := &shardReader{shardID: i, ch: make(chan []*lazy.Match, 1)}
-		g.readers[i] = r
+		srcs[i] = &readerSource{Chunks: lazy.NewChunks(r.ch), g: g, r: r}
 		go c.run(gctx, r, query, k, positions, span)
 	}
+	g.Merge = lazy.NewMerge(srcs)
 	return g
 }
 
-// settle applies the degradation policy to a reader that closed its
-// channel: a clean exhaustion is fine; a fatal (topology) error or the
-// fail policy poisons the merge; otherwise the shard is dropped and the
-// response marked partial. Returns false when the merge must stop.
-func (g *coordGather) settle(r *shardReader) bool {
-	if r.err == nil {
-		return true
-	}
-	if r.fatal || !g.c.cfg.DegradedPartial {
-		g.err = r.err
-		return false
-	}
-	g.partial = true
-	return true
-}
-
-// init blocks for every shard's first chunk and seeds the head heap.
-// Returns false when a reader failure poisons the merge.
-func (g *coordGather) init() bool {
-	for i, r := range g.readers {
-		if chunk := <-r.ch; chunk != nil {
-			g.heads[i] = chunk
-			g.hq.Push(i, chunk[0].Score)
-		} else if !g.settle(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// take consumes shard i's head match, advancing within the chunk or
-// blocking for the next one. ok is false when a reader failure poisons
-// the merge mid-take (the match is still returned).
-func (g *coordGather) take(i int) (m *lazy.Match, ok bool) {
-	m = g.heads[i][g.cur[i]]
-	g.cur[i]++
-	if g.cur[i] < len(g.heads[i]) {
-		g.hq.Update(i, g.heads[i][g.cur[i]].Score)
-		return m, true
-	}
-	if chunk := <-g.readers[i].ch; chunk != nil {
-		g.heads[i], g.cur[i] = chunk, 0
-		g.hq.Update(i, chunk[0].Score)
-		return m, true
-	}
-	g.heads[i] = nil
-	g.hq.Remove(i)
-	return m, g.settle(g.readers[i])
-}
-
-// stop cancels the readers and ends the merge span. Idempotent enough
-// for defer + explicit use (context cancel and span End both tolerate
-// repetition).
-func (g *coordGather) stop() {
+// stop cancels the readers, ends the merge span, and credits each
+// shard's takes to its worker's Matches. The caller calls it once.
+func (g *gather) stop() {
 	g.cancel()
 	g.span.End()
+	for i := range g.c.counters {
+		g.c.counters[i].matches.Add(int64(g.Taken(i)))
+	}
 }
 
-// topK runs the distributed threshold merge. The returned matches are
-// canonical; partial reports whether any shard was dropped under the
-// degradation policy.
-func (c *Coordinator) topK(ctx context.Context, query string, k, positions int, trace *obs.Span) (out []*lazy.Match, partial bool, err error) {
-	chunkHint := k // workers truncate at their own k-th tie group
-	g := c.newCoordGather(ctx, query, chunkHint, positions, trace)
-	defer g.stop()
-	if !g.init() {
-		return nil, false, g.err
+// readerSource is one shard reader as a merge source. When the reader's
+// channel closes it applies the degradation policy: a clean end is
+// exhaustion; a topology mismatch or the fail policy sets the gather's
+// err; the partial policy drops the shard, marking the gather partial and
+// counting the query in /stats once, at the drop.
+type readerSource struct {
+	*lazy.Chunks
+	g *gather
+	r *shardReader
+}
+
+// Next implements lazy.Source.
+func (s *readerSource) Next() (*lazy.Match, bool) {
+	if m, ok := s.Chunks.Next(); ok {
+		return m, true
 	}
-	// Identical threshold reasoning to shard.DB.GatherTopK: heads are each
-	// shard's best remaining score; stop once no head can beat the k-th
-	// result; drain the k-th score's tie group in full; compact to O(k)
-	// periodically so astronomically tied graphs stay bounded.
-	compactAt := 2*k + 64
-	for g.hq.Len() > 0 {
-		best, score := g.hq.Peek()
-		if len(out) >= k && score > out[k-1].Score {
-			break
+	g := s.g
+	switch {
+	case s.r.err == nil:
+	case s.r.fatal || !g.c.cfg.DegradedPartial:
+		if g.err == nil {
+			g.err = s.r.err
 		}
-		m, ok := g.take(best)
-		out = append(out, m)
-		if !ok && g.err != nil {
-			return nil, false, g.err
-		}
-		if len(out) >= compactAt {
-			out = lazy.Canonicalize(out, k)
-		}
+	case !g.partial:
+		g.partial = true
+		g.c.partials.Add(1)
 	}
-	return lazy.Canonicalize(out, k), g.partial, nil
+	return nil, false
 }
 
 // errPartialUnmarked guards against using TopKWith where the partial
@@ -864,18 +792,18 @@ func (c *Coordinator) TopKPartial(q *ktpm.Query, k int, opt ktpm.Options) ([]ktp
 	if k == 0 {
 		return nil, false, nil
 	}
-	ms, partial, err := c.topK(context.Background(), q.Canonical(), k, q.NumNodes(), opt.Trace)
-	if err != nil {
-		return nil, false, err
-	}
-	if partial {
-		c.partials.Add(1)
+	// Workers truncate at their own k-th tie group.
+	g := c.newGather(context.Background(), q.Canonical(), k, q.NumNodes(), opt.Trace)
+	defer g.stop()
+	ms := g.TopK(k)
+	if g.err != nil {
+		return nil, false, g.err
 	}
 	out := make([]ktpm.Match, len(ms))
 	for i, m := range ms {
 		out[i] = ktpm.Match{Nodes: m.Nodes, Score: m.Score}
 	}
-	return out, partial, nil
+	return out, g.partial, nil
 }
 
 // TopKWith implements the Backend contract. Callers that can surface
@@ -957,78 +885,40 @@ func (c *Coordinator) OpenStream(q *ktpm.Query, opt ktpm.Options) (ktpm.MatchStr
 	if opt.RootFilter != nil {
 		return c.local.OpenStream(q, opt)
 	}
-	g := c.newCoordGather(context.Background(), q.Canonical(), 0, q.NumNodes(), opt.Trace)
-	return &coordStream{g: g}, nil
+	return &coordStream{g: c.newGather(context.Background(), q.Canonical(), 0, q.NumNodes(), opt.Trace)}, nil
 }
 
-// coordStream adapts coordGather to the MatchStream pull interface with
-// the canonical tie-group buffering of shard.Stream.
+// coordStream adapts the distributed merge to the MatchStream pull
+// interface.
 type coordStream struct {
-	g      *coordGather
-	tie    []*lazy.Match
-	tiePos int
-	inited bool
+	g      *gather
 	closed bool
-	marked bool // partial already counted
 }
 
 // Next returns the next match in canonical order. Under the partial
 // policy a dead shard is dropped mid-stream and the remaining shards
 // keep streaming (Partial reports it); under the fail policy the stream
-// ends and Err reports why.
+// ends and Err reports why. The error is checked before a tie group is
+// emitted: the dead shard may have held a smaller tie.
 func (s *coordStream) Next() (ktpm.Match, bool) {
-	for {
-		if s.tiePos < len(s.tie) {
-			m := s.tie[s.tiePos]
-			s.tiePos++
-			return ktpm.Match{Nodes: m.Nodes, Score: m.Score}, true
-		}
-		if s.closed || s.g.err != nil {
-			return ktpm.Match{}, false
-		}
-		if !s.inited {
-			s.inited = true
-			if !s.g.init() {
-				return ktpm.Match{}, false
-			}
-		}
-		if s.g.hq.Len() == 0 {
-			return ktpm.Match{}, false
-		}
-		// Drain the whole tie group at the current minimum score before
-		// emitting any of it: another shard may still hold a
-		// lexicographically smaller tie.
-		_, score := s.g.hq.Peek()
-		group := s.tie[:0]
-		for s.g.hq.Len() > 0 {
-			best, sc := s.g.hq.Peek()
-			if sc != score {
-				break
-			}
-			m, ok := s.g.take(best)
-			group = append(group, m)
-			if !ok && s.g.err != nil {
-				// Fail policy: the group is no longer trustworthy (the dead
-				// shard may have held a smaller tie).
-				return ktpm.Match{}, false
-			}
-		}
-		sort.Slice(group, func(i, j int) bool { return lazy.Less(group[i], group[j]) })
-		s.tie, s.tiePos = group, 0
-		if s.g.partial && !s.marked {
-			s.marked = true
-			s.g.c.partials.Add(1)
-		}
+	if s.closed {
+		return ktpm.Match{}, false
 	}
+	m, ok := s.g.Next()
+	if !ok || s.g.err != nil {
+		s.Close()
+		return ktpm.Match{}, false
+	}
+	return ktpm.Match{Nodes: m.Nodes, Score: m.Score}, true
 }
 
-// Close cancels the shard readers. Idempotent.
+// Close cancels the shard readers. Idempotent; exhaustion and failure
+// close the stream themselves.
 func (s *coordStream) Close() {
-	if s.closed {
-		return
+	if !s.closed {
+		s.closed = true
+		s.g.stop()
 	}
-	s.closed = true
-	s.g.stop()
 }
 
 // Partial reports whether any shard was dropped under the degradation
@@ -1049,8 +939,10 @@ type WorkerStat struct {
 	Hedges    int64    `json:"hedges"`
 	HedgeWins int64    `json:"hedge_wins"`
 	Failures  int64    `json:"failures"`
-	Matches   int64    `json:"matches"`
-	LastError string   `json:"last_error,omitempty"`
+	// Matches counts what the merges took from this shard
+	// (lazy.Merge.Taken), the meaning ShardStats.Merged has locally.
+	Matches   int64  `json:"matches"`
+	LastError string `json:"last_error,omitempty"`
 	// Breakers is each endpoint's circuit-breaker snapshot, aligned
 	// with Addrs by index.
 	Breakers []BreakerStat `json:"breakers,omitempty"`

@@ -324,6 +324,40 @@ func TestCoordinatorStreamFaults(t *testing.T) {
 	}
 }
 
+// TestPartialCountedAtDrop pins /stats partials to the drop itself: a
+// one-worker fleet whose only worker is dead leaves a partial-policy
+// stream no tie group to emit, and the query must still count once —
+// and a top-k query once more, not twice.
+func TestPartialCountedAtDrop(t *testing.T) {
+	db := testDB(t, 40, 3)
+	q, err := db.ParseQuery("a(b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, _ := flakyFleet(t, db, 1, Config{DegradedPartial: true},
+		func(f *flakyEndpoint) { f.dead = true })
+	st, err := coord.OpenStream(q, ktpm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Next(); ok {
+		t.Fatal("a dead fleet streamed a match")
+	}
+	st.Close()
+	if cs := st.(*coordStream); !cs.Partial() || cs.Err() != nil {
+		t.Fatalf("stream: Partial=%v Err=%v, want partial without error", cs.Partial(), cs.Err())
+	}
+	if n := coord.CoordinatorStats().Partials; n != 1 {
+		t.Fatalf("partials after one degraded stream = %d, want 1", n)
+	}
+	if _, partial, err := coord.TopKPartial(q, 5, ktpm.Options{}); err != nil || !partial {
+		t.Fatalf("top-k on a dead fleet: partial=%v err=%v", partial, err)
+	}
+	if n := coord.CoordinatorStats().Partials; n != 2 {
+		t.Fatalf("partials after a degraded stream and query = %d, want 2", n)
+	}
+}
+
 // TestCoordinatorHedging pins the hedge path: shard 0's first replica
 // answers slowly, its second replica is healthy, and a short HedgeAfter
 // must fire the hedge, adopt the fast replica's stream, and still return

@@ -209,7 +209,7 @@ func TestCoordinatorUniformTies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord := newTestCoordinator(t, db, count, p, Config{ChunkSize: 2*count + 1})
+		coord := newTestCoordinator(t, db, count, p, Config{})
 		for _, k := range []int{1, 4, fanout / 2, fanout} {
 			want, err := sdb.TopK(q, k)
 			if err != nil {
@@ -224,6 +224,55 @@ func TestCoordinatorUniformTies(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("workers=%d k=%d: not the canonical prefix of the tie group", count, k)
+			}
+		}
+	}
+}
+
+// TestMergedCountsAgree pins one meaning of "merged": for the same
+// query, partitioner and worker count, the coordinator's per-worker
+// Matches equals the ShardedDatabase's per-shard Merged, and both equal
+// the shard's number of matches scoring at or below the k-th score.
+func TestMergedCountsAgree(t *testing.T) {
+	db := testDB(t, 80, 5)
+	q, err := db.ParseQuery("a(b,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := db.TopK(q, int(db.CountMatches(q)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 9
+	if len(all) <= k {
+		t.Fatalf("%d matches; the graph is too small for k=%d", len(all), k)
+	}
+	for _, count := range []int{1, 3} {
+		for _, p := range []ktpm.Partitioner{ktpm.PartitionByHash(), ktpm.PartitionByLabel()} {
+			assign := p.Partition(db.Graph(), count)
+			want := make([]int64, count)
+			for _, m := range all {
+				if m.Score <= all[k-1].Score {
+					want[assign[m.Nodes[0]]]++
+				}
+			}
+			sdb, err := db.Shard(count, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sdb.TopK(q, k); err != nil {
+				t.Fatal(err)
+			}
+			coord := newTestCoordinator(t, db, count, p, Config{})
+			if _, _, err := coord.TopKPartial(q, k, ktpm.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			local, remote := sdb.ShardStats().PerShard, coord.CoordinatorStats().Workers
+			for i := 0; i < count; i++ {
+				if local[i].Merged != want[i] || remote[i].Matches != want[i] {
+					t.Fatalf("workers=%d/%s shard %d: sharded Merged %d, coordinator Matches %d, want %d",
+						count, p.Name(), i, local[i].Merged, remote[i].Matches, want[i])
+				}
 			}
 		}
 	}

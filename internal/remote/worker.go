@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"ktpm"
+	"ktpm/internal/lazy"
 )
 
 // WorkerConfig configures one worker's place in a topology.
@@ -21,9 +22,6 @@ type WorkerConfig struct {
 	// Every worker and the coordinator must use the same partitioner —
 	// its name travels in the handshake.
 	Partitioner ktpm.Partitioner
-	// StreamChunk is the NDJSON flush granularity (matches per flush and
-	// per client-disconnect check); 0 means 32.
-	StreamChunk int
 	// MaxQueryLen rejects longer q strings, mirroring the serving
 	// default; 0 means 4096.
 	MaxQueryLen int
@@ -65,9 +63,6 @@ func NewWorker(db *ktpm.Database, cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = ktpm.PartitionByHash()
-	}
-	if cfg.StreamChunk < 1 {
-		cfg.StreamChunk = 32
 	}
 	if cfg.MaxQueryLen < 1 {
 		cfg.MaxQueryLen = 4096
@@ -156,9 +151,10 @@ func (w *Worker) handleHello(rw http.ResponseWriter, r *http.Request) {
 
 // handleStream serves GET /shard/stream?q=<query>&k=<hint>: the hello
 // frame, then this shard's matches in canonical order, then an end
-// frame. A positive k truncates per the DrainTopK contract — the
-// shard's k best plus the whole tie group at its k-th score — which is
-// everything a global top-k merge could ever need from this shard,
+// frame, flushing every lazy.ChunkSize matches. A positive k truncates
+// per the lazy.Merge.TopK contract — the shard's k best plus the whole
+// tie group at its k-th score — which is everything a global top-k merge
+// could ever need from this shard,
 // because the global k-th score is at most the shard's. k=0 streams
 // until exhaustion or client disconnect (the coordinator's /stream
 // path). Errors before the first byte are HTTP errors; after it, an
@@ -245,7 +241,7 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 		if count == int64(k) {
 			kth = m.Score
 		}
-		if count%int64(w.cfg.StreamChunk) == 0 {
+		if count%lazy.ChunkSize == 0 {
 			if flusher != nil {
 				flusher.Flush()
 			}

@@ -168,7 +168,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if ss, ok := s.db.(shardStater); ok {
 		st := ss.ShardStats()
 		gauge("ktpmd_shards", "Shard count of the sharded backend.", float64(st.Shards))
-		gauge("ktpmd_shard_gather_chunk_size", "Matches per channel operation in the scatter-gather transport.", float64(st.ChunkSize))
 		fmt.Fprintf(&b, "# HELP ktpmd_shard_vertices Data-graph vertices owned by each shard.\n# TYPE ktpmd_shard_vertices gauge\n")
 		for i, ps := range st.PerShard {
 			fmt.Fprintf(&b, "ktpmd_shard_vertices{shard=%q,partitioner=%q} %d\n", fmt.Sprint(i), st.Partitioner, ps.Vertices)

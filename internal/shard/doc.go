@@ -17,25 +17,21 @@
 // # Per-shard stores
 //
 // The transitive closure is computed once and shared read-only. Each
-// shard owns a store.Replica: the immutable closure layout is shared, but
-// derived-table caches, the wildcard-merge cache, and the simulated-I/O
-// counters are private, so concurrent per-shard enumerations neither
-// contend on one cache mutex nor mix their accounting. /stats reports the
-// per-shard counters individually and in aggregate.
+// shard owns a store.Replica that shares the base store's immutable
+// layout and its derived-data plane, so D/E tables and wildcard merges
+// are derived once process-wide whatever the shard count. Only the
+// simulated-I/O counters are private, which is how /stats reports I/O
+// per shard as well as in aggregate.
 //
 // # Scatter-gather merge
 //
-// TopK runs one enumerator goroutine per shard, each feeding a bounded
-// channel (the streaming half: a shard computes at most a small buffer
-// ahead of what the coordinator has consumed). The coordinator repeatedly
-// takes the smallest head — a k-way merge — and stops pulling from a
-// shard once that shard's best possible remaining score cannot beat the
-// current k-th result; because per-shard emission is sorted, a shard's
-// head score is exactly that best possible remaining score, so the
-// threshold test is the paper's early-termination argument lifted from
-// block loading to shard gathering. After the k-th score s_k is known the
-// coordinator drains every head still equal to s_k and orders equal
-// scores by their node bindings, which makes the returned slice a pure
-// function of the match space and k: byte-identical across shard counts
-// and partitioners.
+// A query runs one enumerator goroutine per shard, each handing
+// score-ordered chunks into a bounded channel, and gathers them with
+// lazy.Merge — the same k-way merge that orders a single database's
+// answer and a coordinator's remote workers. The merge takes the
+// smallest head, stops pulling once no shard's head can beat the k-th
+// result, drains the k-th score's tie group, and orders equal scores by
+// node bindings, so the answer is byte-identical across shard counts and
+// partitioners. At one shard the enumerator is the merge's only source
+// and no goroutine runs.
 package shard

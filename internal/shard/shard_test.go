@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"ktpm/internal/closure"
-	"ktpm/internal/gen"
 	"ktpm/internal/graph"
-	"ktpm/internal/lazy"
 	"ktpm/internal/query"
 	"ktpm/internal/store"
 )
@@ -101,69 +99,6 @@ type shortPartitioner struct{}
 func (shortPartitioner) Name() string { return "short" }
 func (shortPartitioner) Partition(g *graph.Graph, n int) []int32 {
 	return make([]int32, g.NumNodes()-1)
-}
-
-// TestInlineMatchesGather pins the single-shard fast path to the
-// transport it bypasses: on one DB, TopK (inline) and GatherTopK (forced
-// through the chunked scatter-gather) must return byte-identical match
-// slices for every k and chunk size, and Stream (inline at one shard)
-// drained to k must agree with both. Uniform weights (MaxWeight 1) make
-// tie groups enormous relative to k, so the canonical tie-breaking of
-// both paths is exercised, not just score order.
-func TestInlineMatchesGather(t *testing.T) {
-	for _, maxw := range []int32{1, 8} {
-		g := gen.PowerLaw(gen.PowerLawConfig{
-			Nodes: 300, AvgOutDegree: 4, Labels: 12,
-			Window: 30, Communities: 4, MaxWeight: maxw, Seed: 7,
-		})
-		qs, err := gen.QuerySet(g, 3, 6, false, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := store.New(closure.Compute(g, closure.Options{}), 0)
-		d, err := New(st, 1, LabelBalanced{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range qs {
-			for _, k := range []int{1, 7, 60} {
-				want := d.TopK(q, k)
-				for _, chunk := range []int{1, 8, 64} {
-					d.SetChunkSize(chunk)
-					got := d.GatherTopK(q, k, lazy.Options{})
-					assertSameMatches(t, want, got, "maxw=%d q=%d k=%d chunk=%d gather", maxw, qi, k, chunk)
-				}
-				s := d.Stream(q, lazy.Options{})
-				var streamed []*lazy.Match
-				for len(streamed) < k {
-					m, ok := s.Next()
-					if !ok {
-						break
-					}
-					streamed = append(streamed, m)
-				}
-				s.Close()
-				assertSameMatches(t, want, streamed, "maxw=%d q=%d k=%d stream", maxw, qi, k)
-			}
-		}
-	}
-}
-
-func assertSameMatches(t *testing.T, want, got []*lazy.Match, format string, args ...any) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf(format+": %d matches, want %d", append(args, len(got), len(want))...)
-	}
-	for i := range want {
-		if want[i].Score != got[i].Score {
-			t.Fatalf(format+": match %d score %d, want %d", append(args, i, got[i].Score, want[i].Score)...)
-		}
-		for p := range want[i].Nodes {
-			if want[i].Nodes[p] != got[i].Nodes[p] {
-				t.Fatalf(format+": match %d binds %v, want %v", append(args, i, got[i].Nodes, want[i].Nodes)...)
-			}
-		}
-	}
 }
 
 func TestParse(t *testing.T) {

@@ -699,12 +699,13 @@ type MatchStream interface {
 // ordered by node bindings — for consumers that do not know k up front.
 // Drained to any k it is byte-identical to TopK(q, k).
 type Stream struct {
-	cs *lazy.CanonicalStream
+	m *lazy.Merge
 }
 
 // Stream opens an incremental enumeration of q.
 func (db *Database) Stream(q *Query) *Stream {
-	return &Stream{cs: lazy.NewCanonicalStream(lazy.New(db.st, q.t, lazy.Options{}))}
+	s, _ := db.StreamWith(q, Options{})
+	return s
 }
 
 // StreamWith opens an incremental enumeration of q with options, so
@@ -717,7 +718,8 @@ func (db *Database) StreamWith(q *Query, opt Options) (*Stream, error) {
 	if opt.Algorithm != AlgoTopkEN {
 		return nil, fmt.Errorf("ktpm: streaming requires Topk-EN, got %v", opt.Algorithm)
 	}
-	return &Stream{cs: lazy.NewCanonicalStream(lazy.New(db.st, q.t, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace}))}, nil
+	e := lazy.New(db.st, q.t, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
+	return &Stream{m: lazy.NewMerge([]lazy.Source{e})}, nil
 }
 
 // OpenStream is StreamWith behind the MatchStream interface, the form
@@ -730,7 +732,7 @@ func (db *Database) OpenStream(q *Query, opt Options) (MatchStream, error) {
 // Next returns the next match in canonical order; ok is false when the
 // space is exhausted.
 func (s *Stream) Next() (Match, bool) {
-	m, ok := s.cs.Next()
+	m, ok := s.m.Next()
 	if !ok {
 		return Match{}, false
 	}

@@ -51,33 +51,25 @@ func checkDetached(t *testing.T, q *Query, ms []Match) {
 
 // TestShardedTopKMatchesSingleDatabase is the result-identity property
 // test: on randomized graphs, sharded TopK must return byte-identical
-// slices for every shard count in {1,2,4,7}, both partitioners, and
-// every gather chunk size, equal to the single database's full
-// enumeration in canonical order; every prefix k must be exactly the
-// first k entries of that canonical order, with the same score sequence
-// the single database produces.
+// slices for every shard count in {1,2,4,7} and both partitioners, equal
+// to the single database's full enumeration in canonical order; every
+// prefix k must be exactly the first k entries of that canonical order,
+// with the same score sequence the single database produces. Chunk
+// boundaries inside the merge are covered by lazy's TestMergeMatchesOracle.
 func TestShardedTopKMatchesSingleDatabase(t *testing.T) {
 	queries := []string{"a(b)", "a(b,c)", "b(c(d))", "a(*,c)", "a(/b)", "c(d,e)", "a(b,b)", "e"}
 	shardCounts := []int{1, 2, 4, 7}
 	partitioners := []Partitioner{PartitionByHash(), PartitionByLabel()}
-	// Chunk sizes cycle across the configurations: 1 reproduces the
-	// per-match transport, 2 and 5 exercise mid-chunk boundaries, 64
-	// exceeds most of the test result sets (single-chunk shards).
-	chunkSizes := []int{1, 2, 5, 64}
 	for _, seed := range []int64{3, 17} {
 		db := randomDatabase(t, 90, seed)
 		sharded := make(map[string]*ShardedDatabase)
-		ci := 0
 		for _, n := range shardCounts {
 			for _, p := range partitioners {
 				sdb, err := db.Shard(n, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				chunk := chunkSizes[ci%len(chunkSizes)]
-				ci++
-				sdb.SetGatherChunkSize(chunk)
-				sharded[fmt.Sprintf("%d/%s/chunk=%d", n, p.Name(), chunk)] = sdb
+				sharded[fmt.Sprintf("%d/%s", n, p.Name())] = sdb
 			}
 		}
 		for _, qs := range queries {
@@ -168,9 +160,6 @@ func TestShardedTopKUniformTies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// An odd chunk size splits the uniform tie group across chunk
-		// boundaries; the drain must still see the whole group.
-		sdb.SetGatherChunkSize(2*n + 1)
 		for _, k := range []int{1, 4, fanout / 2, fanout} {
 			got, err := sdb.TopK(q, k)
 			if err != nil {

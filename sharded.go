@@ -148,20 +148,6 @@ func (s *ShardedDatabase) TopKBatch(items []BatchItem) []BatchResult {
 	return runBatch(items, s.IOStats, s.TopKWith)
 }
 
-// SetGatherChunkSize tunes the scatter-gather transport: how many
-// matches a shard accumulates before handing them to the coordinator in
-// one channel operation. Values below 1 restore the default
-// (shard.DefaultChunkSize, chosen from the BENCH_topk.json chunk-size
-// sweep). The chunk size never affects results — only the number of
-// channel synchronizations per query and the bounded work a shard may
-// compute past the termination threshold. Safe to call while serving;
-// in-flight queries keep the size they started with.
-func (s *ShardedDatabase) SetGatherChunkSize(n int) { s.sd.SetChunkSize(n) }
-
-// GatherChunkSize returns the current scatter-gather transport chunk
-// size.
-func (s *ShardedDatabase) GatherChunkSize() int { return s.sd.ChunkSize() }
-
 // ShardStream incrementally enumerates matches scatter-gathered across
 // the shards in the canonical order ShardedDatabase.TopK returns:
 // non-decreasing score, equal scores ordered by node bindings. Drained
@@ -238,8 +224,9 @@ type ShardStats struct {
 	// Vertices is how many data-graph vertices the shard owns, i.e. how
 	// many root bindings it is responsible for.
 	Vertices int `json:"vertices"`
-	// Merged counts the matches this shard has contributed to
-	// scatter-gather merges.
+	// Merged counts the matches scatter-gather merges have taken from
+	// this shard: after one TopK(q, k), its matches scoring at or below
+	// the k-th score.
 	Merged int64 `json:"merged"`
 	// IO is the shard store's private simulated-I/O counters.
 	IO IOStats `json:"io"`
@@ -247,12 +234,9 @@ type ShardStats struct {
 
 // ShardingStats summarizes a ShardedDatabase for /stats.
 type ShardingStats struct {
-	Shards      int    `json:"shards"`
-	Partitioner string `json:"partitioner"`
-	// ChunkSize is the gather transport's matches-per-channel-op setting
-	// (ktpmd -chunk-size).
-	ChunkSize int          `json:"chunk_size"`
-	PerShard  []ShardStats `json:"per_shard"`
+	Shards      int          `json:"shards"`
+	Partitioner string       `json:"partitioner"`
+	PerShard    []ShardStats `json:"per_shard"`
 }
 
 // ShardStats returns the per-shard counters.
@@ -260,7 +244,6 @@ func (s *ShardedDatabase) ShardStats() ShardingStats {
 	st := ShardingStats{
 		Shards:      s.sd.NumShards(),
 		Partitioner: s.sd.PartitionerName(),
-		ChunkSize:   s.sd.ChunkSize(),
 		PerShard:    make([]ShardStats, s.sd.NumShards()),
 	}
 	for i := range st.PerShard {

@@ -51,20 +51,18 @@ func TestStreamMatchesTopK(t *testing.T) {
 // TestShardedStreamMatchesShardedTopK is the streaming half of the
 // result-identity property: a sharded stream drained to k must be
 // byte-identical to ShardedDatabase.TopK(q, k) — which itself is
-// byte-identical across shard counts — for shard counts {1,2,4,7}, both
-// partitioners, and several gather chunk sizes.
+// byte-identical across shard counts — for shard counts {1,2,4,7} and
+// both partitioners.
 func TestShardedStreamMatchesShardedTopK(t *testing.T) {
 	db := randomDatabase(t, 90, 17)
 	queries := []string{"a(b)", "a(b,c)", "b(c(d))", "a(*,c)", "a(b,b)", "e"}
-	chunks := []int{1, 3, 64}
 	for _, n := range []int{1, 2, 4, 7} {
 		for _, p := range []Partitioner{PartitionByHash(), PartitionByLabel()} {
 			sdb, err := db.Shard(n, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for ci, qs := range queries {
-				sdb.SetGatherChunkSize(chunks[ci%len(chunks)])
+			for _, qs := range queries {
 				q, err := sdb.ParseQuery(qs)
 				if err != nil {
 					t.Fatal(err)
@@ -84,8 +82,8 @@ func TestShardedStreamMatchesShardedTopK(t *testing.T) {
 						continue
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("shards=%d/%s chunk=%d query %q k=%d: stream differs from sharded TopK",
-							n, p.Name(), sdb.GatherChunkSize(), qs, k)
+						t.Fatalf("shards=%d/%s query %q k=%d: stream differs from sharded TopK",
+							n, p.Name(), qs, k)
 					}
 				}
 			}
@@ -200,8 +198,7 @@ func TestStreamWithOptions(t *testing.T) {
 }
 
 // TestShardedStreamClose checks that closing mid-stream stops emission
-// (Next reports exhaustion after the buffered tie group) and is
-// idempotent, and that an unconsumed stream can be closed immediately.
+// and is idempotent.
 func TestShardedStreamClose(t *testing.T) {
 	db := randomDatabase(t, 150, 5)
 	sdb, err := db.Shard(4, PartitionByHash())
@@ -223,7 +220,7 @@ func TestShardedStreamClose(t *testing.T) {
 	st.Close() // idempotent
 	for i := 0; i < 10000; i++ {
 		if _, ok := st.Next(); !ok {
-			return // exhausted after the buffered tie group, as documented
+			return // a closed stream reports exhaustion, as documented
 		}
 	}
 	t.Fatal("closed stream kept emitting")
