@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,9 +23,11 @@ import (
 // the real ktpmd binary, spawns two `-role worker` processes and a
 // coordinator over one shared snapshot, plus a plain single-node server
 // over the same snapshot, and requires the coordinator's /query answers
-// to be byte-identical to the single node's. This is the only test that
-// exercises the actual wire — real TCP, real process boundaries, real
-// flag parsing — rather than in-process httptest plumbing.
+// and /stream lines to be byte-identical to the single node's, and each
+// worker to send no more than the k it was asked for. This is the only
+// test that exercises the actual wire — real TCP, real process
+// boundaries, real flag parsing — rather than in-process httptest
+// plumbing.
 func TestDistributedE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes; skipped in -short")
@@ -79,21 +82,26 @@ func TestDistributedE2E(t *testing.T) {
 		} `json:"matches"`
 		Partial bool `json:"partial"`
 	}
+	sumK := 0
 	for _, tc := range []struct {
 		q string
 		k int
 	}{
-		{"a(b)", 5},
-		{"a(b,c)", 20},
-		{"b(c(d))", 7},
-		{"e", 3},
+		{"L000(L001)", 5},
+		{"L000(L001,L002)", 20},
+		{"L001(L002(L003))", 7},
+		{"L004", 3},
 	} {
+		sumK += tc.k
 		u := "/query?q=" + url.QueryEscape(tc.q) + "&k=" + fmt.Sprint(tc.k)
 		var dist, solo queryResp
 		getJSON(t, coordAddr, u, &dist)
 		getJSON(t, soloAddr, u, &solo)
 		if dist.Partial {
 			t.Fatalf("%s k=%d: coordinator answered partial with all workers up", tc.q, tc.k)
+		}
+		if len(solo.Matches) == 0 {
+			t.Fatalf("%s k=%d: no matches; the query must use the generator's labels", tc.q, tc.k)
 		}
 		if dist.Canonical != solo.Canonical || dist.K != solo.K ||
 			!reflect.DeepEqual(dist.Positions, solo.Positions) ||
@@ -131,6 +139,67 @@ func TestDistributedE2E(t *testing.T) {
 	if stats.Partials != 0 {
 		t.Fatalf("partials = %d with a healthy fleet", stats.Partials)
 	}
+
+	// A top-k stream carries at most k matches, so across the queries
+	// above no worker can have sent more than their k's summed.
+	for i, addr := range workerAddrs {
+		var ws struct {
+			Matches int64 `json:"matches"`
+		}
+		getJSON(t, addr, "/stats", &ws)
+		if ws.Matches > int64(sumK) {
+			t.Fatalf("worker %d sent %d matches for queries whose k sum to %d", i, ws.Matches, sumK)
+		}
+	}
+
+	// /stream runs the unbounded (k = 0) worker streams: the coordinator
+	// must send the single node's lines, the trailer's timing aside.
+	for _, tc := range []struct {
+		q   string
+		max int
+	}{
+		{"L000(L001,L002)", 60},
+		{"L001(L002(L003))", 100000},
+	} {
+		u := "/stream?q=" + url.QueryEscape(tc.q) + "&max=" + fmt.Sprint(tc.max)
+		dist, solo := getLines(t, coordAddr, u), getLines(t, soloAddr, u)
+		if len(dist) != len(solo) || len(dist) < 3 {
+			t.Fatalf("%s: coordinator streamed %d lines, single node %d", u, len(dist), len(solo))
+		}
+		last := len(dist) - 1
+		for i := 0; i < last; i++ {
+			if dist[i] != solo[i] {
+				t.Fatalf("%s line %d:\ncoordinator: %s\nsingle node: %s", u, i, dist[i], solo[i])
+			}
+		}
+		var dt, st map[string]any
+		if json.Unmarshal([]byte(dist[last]), &dt) != nil || json.Unmarshal([]byte(solo[last]), &st) != nil {
+			t.Fatalf("%s: trailers are not JSON:\n%s\n%s", u, dist[last], solo[last])
+		}
+		delete(dt, "elapsed_ms")
+		delete(st, "elapsed_ms")
+		if !reflect.DeepEqual(dt, st) {
+			t.Fatalf("%s: trailers differ:\ncoordinator: %s\nsingle node: %s", u, dist[last], solo[last])
+		}
+	}
+}
+
+// getLines fetches path and splits the body into lines.
+func getLines(t *testing.T, addr, path string) []string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatalf("GET %s%s: %v", addr, path, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s%s: %d %s", addr, path, resp.StatusCode, body)
+	}
+	return strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
 }
 
 // freeAddr reserves a loopback port by binding and releasing it. A

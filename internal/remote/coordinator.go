@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -29,7 +28,7 @@ type Endpoint interface {
 	Hello(ctx context.Context) (Hello, error)
 	// OpenStream opens the worker's match stream for the canonical query
 	// string, with k as the truncation hint (0 = unbounded). The first
-	// line of the returned body is the hello frame.
+	// frame of the returned body is the hello.
 	OpenStream(ctx context.Context, query string, k int) (io.ReadCloser, error)
 }
 
@@ -66,14 +65,7 @@ func (e *httpEndpoint) Hello(ctx context.Context) (Hello, error) {
 	if resp.StatusCode != http.StatusOK {
 		return Hello{}, fmt.Errorf("%s: hello status %d", e.base, resp.StatusCode)
 	}
-	f, err := DecodeFrame(bytes.TrimSpace(body))
-	if err != nil {
-		return Hello{}, err
-	}
-	if f.Kind != KindHello {
-		return Hello{}, fmt.Errorf("%s: hello endpoint answered a %q frame", e.base, f.Kind)
-	}
-	return f.Hello, nil
+	return decodeHello(body)
 }
 
 func (e *httpEndpoint) OpenStream(ctx context.Context, query string, k int) (io.ReadCloser, error) {
@@ -304,12 +296,12 @@ func (c *Coordinator) CheckTopology(ctx context.Context) error {
 	return nil
 }
 
-// workerConn is one live stream from a worker: the response body, a
-// line reader, the decoded handshake, and a watchdog that severs the
+// workerConn is one live stream from a worker: the response body, its
+// frame decoder, the decoded handshake, and a watchdog that severs the
 // connection if a read stalls past the per-stall timeout.
 type workerConn struct {
 	body   io.ReadCloser
-	br     *lineReader
+	dec    *decoder
 	wd     *time.Timer
 	idle   time.Duration
 	hello  Hello
@@ -317,50 +309,8 @@ type workerConn struct {
 	cancel context.CancelFunc // the attempt's context; nil until adopted
 }
 
-// lineReader reads newline-delimited frames with a hard length cap, so
-// a worker that stops emitting newlines cannot balloon memory.
-type lineReader struct {
-	r   io.Reader
-	buf []byte
-	pos int
-	n   int
-}
-
-func newLineReader(r io.Reader) *lineReader {
-	return &lineReader{r: r, buf: make([]byte, 64<<10)}
-}
-
-// ReadLine returns the next line without its trailing newline. Lines
-// longer than MaxFrameBytes are an error; EOF mid-line is
-// io.ErrUnexpectedEOF.
-func (l *lineReader) ReadLine() ([]byte, error) {
-	var line []byte
-	for {
-		for i := l.pos; i < l.n; i++ {
-			if l.buf[i] == '\n' {
-				line = append(line, l.buf[l.pos:i]...)
-				l.pos = i + 1
-				return bytes.TrimSuffix(line, []byte{'\r'}), nil
-			}
-		}
-		line = append(line, l.buf[l.pos:l.n]...)
-		l.pos, l.n = 0, 0
-		if len(line) > MaxFrameBytes {
-			return nil, fmt.Errorf("remote: frame exceeds the %d-byte cap", MaxFrameBytes)
-		}
-		n, err := l.r.Read(l.buf)
-		l.n = n
-		if n == 0 && err != nil {
-			if err == io.EOF && len(line) > 0 {
-				return nil, io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-	}
-}
-
 func newWorkerConn(body io.ReadCloser, idle time.Duration) *workerConn {
-	c := &workerConn{body: body, br: newLineReader(body), idle: idle}
+	c := &workerConn{body: body, dec: newDecoder(body), idle: idle}
 	// The watchdog closes the body out from under a stalled read; the
 	// reader sees an error and the retry policy takes over. Reset before
 	// every blocking read.
@@ -372,11 +322,7 @@ func newWorkerConn(body io.ReadCloser, idle time.Duration) *workerConn {
 // around the read.
 func (c *workerConn) readFrame() (Frame, error) {
 	c.wd.Reset(c.idle)
-	line, err := c.br.ReadLine()
-	if err != nil {
-		return Frame{}, err
-	}
-	return DecodeFrame(line)
+	return c.dec.next()
 }
 
 func (c *workerConn) Close() {
@@ -636,13 +582,16 @@ func (c *Coordinator) run(ctx context.Context, r *shardReader, query string, k, 
 
 // pump reads one connection's frames into the reader's channel,
 // skipping the first *consumed matches (already delivered by a prior
-// attempt) and validating what the order contract promises: match width
-// equals the handshake's positions, and scores arrive canonically
-// ordered. Returns nil only on a complete end frame.
+// attempt) and validating what the order contract promises: matches
+// arrive canonically ordered (the decoder holds every match to the
+// handshake's width). Returns nil only on a complete end frame.
 func (c *Coordinator) pump(ctx context.Context, conn *workerConn, r *shardReader, consumed *int) error {
 	skip := *consumed
 	buf := make([]*lazy.Match, 0, lazy.ChunkSize)
-	var prev *lazy.Match
+	var (
+		prev *lazy.Match
+		slab []lazy.Match // one allocation per chunk of matches
+	)
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
@@ -664,10 +613,12 @@ func (c *Coordinator) pump(ctx context.Context, conn *workerConn, r *shardReader
 		}
 		switch f.Kind {
 		case KindMatch:
-			if len(f.Nodes) != conn.hello.Positions {
-				return fmt.Errorf("worker %d: match with %d bindings, want %d", r.shardID, len(f.Nodes), conn.hello.Positions)
+			if len(slab) == 0 {
+				slab = make([]lazy.Match, lazy.ChunkSize)
 			}
-			m := &lazy.Match{Nodes: f.Nodes, Score: f.Score}
+			m := &slab[0]
+			slab = slab[1:]
+			m.Nodes, m.Score = f.Nodes, f.Score
 			if prev != nil && !lazy.Less(prev, m) {
 				// The merge's threshold reasoning assumes per-shard canonical
 				// order; a worker violating it would corrupt results silently.
@@ -792,7 +743,7 @@ func (c *Coordinator) TopKPartial(q *ktpm.Query, k int, opt ktpm.Options) ([]ktp
 	if k == 0 {
 		return nil, false, nil
 	}
-	// Workers truncate at their own k-th tie group.
+	// Each worker sends at most its first k matches.
 	g := c.newGather(context.Background(), q.Canonical(), k, q.NumNodes(), opt.Trace)
 	defer g.stop()
 	ms := g.TopK(k)
@@ -940,7 +891,9 @@ type WorkerStat struct {
 	HedgeWins int64    `json:"hedge_wins"`
 	Failures  int64    `json:"failures"`
 	// Matches counts what the merges took from this shard
-	// (lazy.Merge.Taken), the meaning ShardStats.Merged has locally.
+	// (lazy.Merge.Taken). A top-k stream carries at most k matches, so
+	// per query it is min(k, ShardStats.Merged of a local sharded
+	// database).
 	Matches   int64  `json:"matches"`
 	LastError string `json:"last_error,omitempty"`
 	// Breakers is each endpoint's circuit-breaker snapshot, aligned

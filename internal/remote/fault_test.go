@@ -19,17 +19,18 @@ import (
 // Endpoint and rewrites its behavior — refused or delayed opens, a
 // mid-stream hangup (the body simply stops delivering bytes, the
 // network failure TCP cannot surface), a corrupted frame, a stale
-// snapshot identity in the handshake, or permanent death. Faults that
-// take a count are line indexes into the NDJSON stream (line 0 is the
-// hello frame); -1 disables. once-flagged faults fire only on the first
-// successful open, so retry paths can observe recovery.
+// snapshot identity in the handshake, or permanent death. It decodes
+// the worker's stream and re-encodes it frame by frame; faults that take
+// a count are frame indexes (frame 0 is the hello), -1 disables.
+// once-flagged faults fire only on the first successful open, so retry
+// paths can observe recovery.
 type flakyEndpoint struct {
 	inner       Endpoint
 	helloDelay  time.Duration // sleep before the open is forwarded
 	failOpens   int32         // first N opens are refused outright
-	hangAt      int           // stop delivering at this line; -1 disables
+	hangAt      int           // stop delivering at this frame; -1 disables
 	hangOnce    bool
-	corruptAt   int // replace this line with malformed JSON; -1 disables
+	corruptAt   int // replace this frame with a malformed one; -1 disables
 	corruptOnce bool
 	staleHello  bool // rewrite the handshake's snapshot identity
 	dead        bool // every open is refused
@@ -79,38 +80,37 @@ func (f *flakyEndpoint) OpenStream(ctx context.Context, query string, k int) (io
 	pr, pw := io.Pipe()
 	go func() {
 		defer inner.Close()
-		lr := newLineReader(inner)
-		for line := 0; ; line++ {
-			l, err := lr.ReadLine()
+		dec := newDecoder(inner)
+		for frame := 0; ; frame++ {
+			fr, err := dec.next()
 			if err != nil {
 				pw.CloseWithError(err)
 				return
 			}
-			if f.hangAt >= 0 && line >= f.hangAt && (!f.hangOnce || firstGoodOpen) {
+			if f.hangAt >= 0 && frame >= f.hangAt && (!f.hangOnce || firstGoodOpen) {
 				// Neither write nor close: the consumer blocks until its
 				// stall watchdog severs the body, which unblocks any
 				// pending pipe operation with ErrClosedPipe.
 				return
 			}
-			out := l
-			if f.staleHello && line == 0 {
-				if fr, derr := DecodeFrame(l); derr == nil && fr.Kind == KindHello {
-					fr.Hello.Snapshot = "deadbeefdeadbeef"
-					if enc, eerr := EncodeFrame(fr); eerr == nil {
-						out = enc
-					}
-				}
+			if f.staleHello && fr.Kind == KindHello {
+				fr.Hello.Snapshot = "deadbeefdeadbeef"
 			}
-			if f.corruptAt >= 0 && line == f.corruptAt && (!f.corruptOnce || firstGoodOpen) {
-				out = []byte(`{"f":"m","s":}garbage`)
+			out := appendFrame(nil, fr)
+			if f.corruptAt >= 0 && frame == f.corruptAt && (!f.corruptOnce || firstGoodOpen) {
+				out = corruptMatch
 			}
-			if _, err := pw.Write(append(out, '\n')); err != nil {
+			if _, err := pw.Write(out); err != nil {
 				return // consumer gone (watchdog or Close)
 			}
 		}
 	}()
 	return pr, nil
 }
+
+// corruptMatch is a malformed match frame: score 1, then a first
+// binding past MaxInt32.
+var corruptMatch = []byte{KindMatch, 7, 0x02, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00}
 
 // flakyFleet builds a coordinator whose shard 0 endpoint is wrapped by a
 // flakyEndpoint configured by mutate; the remaining shards stay healthy.

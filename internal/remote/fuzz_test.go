@@ -1,58 +1,98 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"reflect"
 	"testing"
 )
 
-// FuzzDecodeFrame pins the untrusted decoder's contract: no input
-// panics, and every input DecodeFrame accepts must round-trip —
-// re-encode, re-decode, structurally identical — so the coordinator and
-// any future tooling agree on what a frame means. Seeds cover every
-// frame kind plus the malformed shapes the validation rejects; the
-// committed corpus under testdata/fuzz extends them.
+// decodeAll decodes frames from b until the first error, which it
+// returns with the frames accepted before it.
+func decodeAll(b []byte) ([]Frame, error) {
+	dec := newDecoder(bytes.NewReader(b))
+	var out []Frame
+	for {
+		f, err := dec.next()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, f)
+	}
+}
+
+// FuzzDecodeFrame pins the untrusted stream decoder's contract: no input
+// panics, and the frames it accepts round-trip — re-encoded as one
+// stream and decoded again, they come back structurally identical and
+// the stream ends cleanly — so worker and coordinator agree on what a
+// frame means. Seeds cover every frame kind plus the malformed shapes
+// the validation rejects; the committed corpus under testdata/fuzz
+// extends them.
 func FuzzDecodeFrame(f *testing.F) {
-	seeds := []string{
-		`{"f":"hello","proto":1,"shard":0,"workers":4,"partitioner":"hash","snapshot":"00deadbeef","order":"topk-en-canonical/1","positions":3}`,
-		`{"f":"hello","proto":1,"shard":3,"workers":4}`,
-		`{"f":"m","s":12,"n":[3,4,5]}`,
-		`{"f":"m","s":-7,"n":[0]}`,
-		`{"f":"m","n":[1,2]}`,
-		`{"f":"m","s":1,"n":[]}`,
-		`{"f":"m","s":1,"n":[-3]}`,
-		`{"f":"end","count":42,"complete":true}`,
-		`{"f":"end","count":0,"complete":false}`,
-		`{"f":"end"}`,
-		`{"f":"err","error":"worker on fire"}`,
-		`{"f":"err"}`,
-		`{"f":"bogus"}`,
-		`{}`,
-		`{"f":"hello","proto":0,"shard":-1,"workers":0}`,
-		`not json at all`,
-		`[1,2,3]`,
-		`{"f":"m","s":}garbage`,
-		``,
+	hello := func(positions int) []byte {
+		return appendFrame(nil, Frame{Kind: KindHello, Hello: Hello{
+			Proto: ProtoVersion, Shard: 0, Workers: 4, Partitioner: "hash",
+			Snapshot: "00deadbeef", Order: OrderVersion, Positions: positions,
+		}})
+	}
+	frame := func(kind byte, payload ...byte) []byte {
+		return append(binary.AppendUvarint([]byte{kind}, uint64(len(payload))), payload...)
+	}
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	match := func(score int64, nodes ...int32) []byte {
+		return appendFrame(nil, Frame{Kind: KindMatch, Score: score, Nodes: nodes})
+	}
+	seeds := [][]byte{
+		hello(3),
+		cat(hello(3), match(12, 3, 4, 5), appendFrame(nil, Frame{Kind: KindEnd, Count: 42, Complete: true})),
+		cat(hello(1), match(-7, 0), appendFrame(nil, Frame{Kind: KindEnd})),
+		cat(hello(2), appendFrame(nil, Frame{Kind: KindErr, Error: "worker on fire"})),
+		frame(KindHello, []byte(`{"f":"hello","proto":1,"shard":3,"workers":4}`)...),
+		frame(KindHello, []byte(`{"f":"hello","proto":0,"shard":-1,"workers":0}`)...),
+		frame(KindHello, []byte(`{"f":"m","s":12,"n":[3,4,5]}`)...),
+		frame(KindMatch, 0x18, 3),                      // match before any hello
+		cat(hello(2), frame(KindMatch, 0x02, 5)),       // one binding of two
+		cat(hello(2), frame(KindMatch, 0x02, 1, 2, 3)), // a byte past the width
+		// A binding of MaxInt32, then one of MaxInt32+1.
+		cat(hello(1), match(1, 1<<31-1), frame(KindMatch, 0x02, 0x80, 0x80, 0x80, 0x80, 0x08)),
+		cat(hello(1), frame(KindMatch)), // no score
+		frame(KindEnd, 42),              // no complete byte
+		frame(KindEnd, 0, 2),            // complete byte out of range
+		frame(KindErr),                  // no message
+		frame(KindErr, 0xff, 0xfe),      // not UTF-8
+		binary.AppendUvarint([]byte{KindMatch}, MaxFrameBytes+1),
+		cat(hello(2), []byte{KindMatch, 5, 0x02, 0x01}), // payload cut short
+		[]byte(`{"f":"m","s":12,"n":[3,4,5]}` + "\n"),   // a protocol-1 line
+		{'z', 0},
+		{},
 	}
 	for _, s := range seeds {
-		f.Add([]byte(s))
+		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		fr, err := DecodeFrame(line)
-		if err != nil {
-			return // rejected inputs just need to not panic
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		frames, err := decodeAll(stream)
+		if err == nil {
+			t.Fatal("decoding ended without an error")
 		}
-		enc, err := EncodeFrame(fr)
-		if err != nil {
-			t.Fatalf("accepted frame failed to encode: %v", err)
+		var enc []byte
+		for _, fr := range frames {
+			enc = appendFrame(enc, fr)
 		}
-		fr2, err := DecodeFrame(enc)
-		if err != nil {
-			t.Fatalf("re-encoded frame failed to decode: %v\nencoded: %s", err, enc)
+		again, err := decodeAll(enc)
+		if err != io.EOF {
+			t.Fatalf("re-encoded frames failed to decode: %v\nencoded: %q", err, enc)
 		}
-		// Nodes nil-vs-empty never survives the accept path (match frames
-		// require at least one binding), so DeepEqual is exact.
-		if !reflect.DeepEqual(fr, fr2) {
-			t.Fatalf("round trip changed the frame:\n first: %+v\nsecond: %+v\nencoded: %s", fr, fr2, enc)
+		// Nodes nil-vs-empty never survives the accept path (a match needs
+		// a hello with positions > 0), so DeepEqual is exact.
+		if !reflect.DeepEqual(frames, again) {
+			t.Fatalf("round trip changed the frames:\n first: %+v\nsecond: %+v\nencoded: %q", frames, again, enc)
 		}
 	})
 }

@@ -1,56 +1,64 @@
 // Package remote promotes the shard scatter-gather merge contract over
-// the network: a worker serves its shard's score-ordered match stream as
-// NDJSON frames (the /stream framing with a handshake bolted on), and a
-// coordinator runs the same threshold-terminating k-way merge the
+// the network: a worker serves its shard's canonical match stream as
+// binary frames, and a coordinator runs the same k-way merge the
 // in-process shard.DB runs over channels — so a topology of N workers
 // answers top-k queries byte-identically to a local ShardedDatabase with
 // N shards.
 //
-// The wire format is one JSON object per line, discriminated by the "f"
-// key:
+// Every frame is one kind byte, a uvarint payload length (at most
+// MaxFrameBytes), then the payload:
 //
-//	{"f":"hello","proto":1,"shard":0,"workers":4,"partitioner":"hash",
-//	 "snapshot":"<identity>","order":"topk-en-canonical/1","positions":3}
-//	{"f":"m","s":12,"n":[3,4,5]}
-//	{"f":"end","count":42,"complete":true}
-//	{"f":"err","error":"..."}
+//	'h'  the JSON Hello object, the bytes /shard/hello serves:
+//	     {"f":"hello","proto":2,"shard":0,"workers":4,"partitioner":"hash",
+//	      "snapshot":"<identity>","order":"topk-en-canonical/1","positions":3}
+//	'm'  a zigzag-varint score, then exactly positions uvarint bindings
+//	'e'  a uvarint match count, then a complete byte (0 or 1)
+//	'x'  a UTF-8 error message
 //
 // The hello frame is the handshake: shard id and worker count pin the
 // worker's place in the topology, the snapshot identity and canonical
-// order version pin what it serves, and positions echoes the parsed
-// query's node count so every later match frame is length-checkable.
-// Mismatched topologies fail fast at the first frame instead of merging
-// wrong answers.
+// order version pin what it serves, and positions fixes the width of
+// every later match frame. Mismatched topologies fail fast at the first
+// frame instead of merging wrong answers. The /shard/hello probe stays
+// JSON, so a peer speaking another protocol version fails the topology
+// check at startup with both versions named.
 //
-// DecodeFrame is the untrusted half: the coordinator feeds it bytes from
-// the network, so it validates structurally (frame kind, required
-// fields, bounds) and never panics — FuzzDecodeFrame pins that.
+// The decoder is the untrusted half: the coordinator feeds it bytes from
+// the network, so it validates structurally (frame kind, length cap,
+// required fields, bounds, exact width) and never panics —
+// FuzzDecodeFrame pins that.
 package remote
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"math"
+	"math/bits"
+	"unicode/utf8"
 
 	"ktpm"
+	"ktpm/internal/lazy"
 )
 
 const (
 	// ProtoVersion is the wire protocol version carried in the handshake;
 	// coordinator and worker must agree exactly.
-	ProtoVersion = 1
+	ProtoVersion = 2
 
 	// OrderVersion names the canonical result order both sides promise:
-	// non-decreasing score, equal scores ordered by node bindings, the
-	// tie group at the k-th score drained in full. A worker emitting any
-	// other order would silently corrupt the merge, so the version is
-	// part of the handshake.
+	// non-decreasing score, equal scores ordered by node bindings. A
+	// worker emitting any other order would silently corrupt the merge,
+	// so the version is part of the handshake.
 	OrderVersion = "topk-en-canonical/1"
 
-	// MaxFrameBytes caps one NDJSON line. A match frame is bounded by the
-	// query's position count, so anything near this size is garbage; the
-	// cap keeps a corrupt or hostile worker from ballooning coordinator
-	// memory through the line scanner.
+	// MaxFrameBytes caps one frame's payload. A match frame is bounded by
+	// the query's position count, so anything near this size is garbage;
+	// the cap keeps a corrupt or hostile worker from ballooning
+	// coordinator memory through the decoder.
 	MaxFrameBytes = 1 << 20
 
 	// MaxPositions caps the node count a match frame may carry. The
@@ -59,16 +67,20 @@ const (
 	MaxPositions = 4096
 )
 
-// Frame kinds, the values of the "f" discriminator.
+// Frame kinds, the first byte of every frame.
 const (
-	KindHello = "hello"
-	KindMatch = "m"
-	KindEnd   = "end"
-	KindErr   = "err"
+	KindHello byte = 'h'
+	KindMatch byte = 'm'
+	KindEnd   byte = 'e'
+	KindErr   byte = 'x'
 )
 
-// Hello is the handshake frame, the first line of every worker stream
-// (and the /shard/hello response body, minus Positions).
+// helloTag is the "f" value of a JSON hello, which tells a hello apart
+// from the error bodies the same endpoints answer with.
+const helloTag = "hello"
+
+// Hello is the handshake, the payload of the first frame of every
+// worker stream and the /shard/hello response body (minus Positions).
 type Hello struct {
 	F           string `json:"f"`
 	Proto       int    `json:"proto"`
@@ -84,16 +96,15 @@ type Hello struct {
 	// Draining marks a worker that has begun a graceful shutdown: it
 	// still answers (in-flight merges need it) but asks the coordinator
 	// to prefer replicas and stop hedging against it. Absent on the wire
-	// when false, so old coordinators interoperate unchanged — the field
-	// is advisory and never validated.
+	// when false; the field is advisory and never validated.
 	Draining bool `json:"draining,omitempty"`
 }
 
-// Frame is one decoded wire line. Kind selects which fields are
-// meaningful: Hello for KindHello; Score and Nodes for KindMatch; Count
-// and Complete for KindEnd; Error for KindErr.
+// Frame is one decoded frame. Kind selects which fields are meaningful:
+// Hello for KindHello; Score and Nodes for KindMatch; Count and Complete
+// for KindEnd; Error for KindErr.
 type Frame struct {
-	Kind     string
+	Kind     byte
 	Hello    Hello
 	Score    int64
 	Nodes    []int32
@@ -102,129 +113,174 @@ type Frame struct {
 	Error    string
 }
 
-// wireFrame is the union shape DecodeFrame unmarshals into. Pointer
-// fields distinguish "absent" from zero values, so a match frame without
-// a score is rejected instead of silently scoring 0.
-type wireFrame struct {
-	F           string  `json:"f"`
-	Proto       int     `json:"proto"`
-	Shard       int     `json:"shard"`
-	Workers     int     `json:"workers"`
-	Partitioner string  `json:"partitioner"`
-	Snapshot    string  `json:"snapshot"`
-	Order       string  `json:"order"`
-	Positions   int     `json:"positions"`
-	Draining    bool    `json:"draining"`
-	S           *int64  `json:"s"`
-	N           []int32 `json:"n"`
-	Count       *int64  `json:"count"`
-	Complete    *bool   `json:"complete"`
-	Error       string  `json:"error"`
+func badFrame(format string, args ...any) error {
+	return fmt.Errorf("remote: bad frame: "+format, args...)
 }
 
-// DecodeFrame parses one NDJSON line from a worker stream. It is the
-// untrusted decoder: any structural defect — oversized line, non-object
-// JSON, unknown kind, missing or out-of-range required fields — returns
-// an error, and no input panics (FuzzDecodeFrame). Unknown keys are
+// decodeHello parses and validates a JSON hello. Unknown keys are
 // ignored for forward compatibility.
-func DecodeFrame(line []byte) (Frame, error) {
-	if len(line) == 0 {
-		return Frame{}, fmt.Errorf("remote: empty frame")
+func decodeHello(p []byte) (Hello, error) {
+	var h Hello
+	if err := json.Unmarshal(p, &h); err != nil {
+		return Hello{}, badFrame("hello: %v", err)
 	}
-	if len(line) > MaxFrameBytes {
-		return Frame{}, fmt.Errorf("remote: frame of %d bytes exceeds the %d cap", len(line), MaxFrameBytes)
+	switch {
+	case h.F != helloTag:
+		return Hello{}, badFrame("hello tagged %q", h.F)
+	case h.Proto <= 0 || h.Workers < 1 || h.Shard < 0 || h.Shard >= h.Workers:
+		return Hello{}, badFrame("hello with proto %d, shard %d of %d", h.Proto, h.Shard, h.Workers)
+	case h.Positions < 0 || h.Positions > MaxPositions:
+		return Hello{}, badFrame("hello with %d positions", h.Positions)
 	}
-	var w wireFrame
-	if err := json.Unmarshal(line, &w); err != nil {
-		return Frame{}, fmt.Errorf("remote: bad frame: %w", err)
-	}
-	switch w.F {
-	case KindHello:
-		if w.Proto <= 0 || w.Workers < 1 || w.Shard < 0 || w.Shard >= w.Workers {
-			return Frame{}, fmt.Errorf("remote: hello frame with proto %d, shard %d of %d", w.Proto, w.Shard, w.Workers)
-		}
-		if w.Positions < 0 || w.Positions > MaxPositions {
-			return Frame{}, fmt.Errorf("remote: hello frame with %d positions", w.Positions)
-		}
-		return Frame{Kind: KindHello, Hello: Hello{
-			F:           KindHello,
-			Proto:       w.Proto,
-			Shard:       w.Shard,
-			Workers:     w.Workers,
-			Partitioner: w.Partitioner,
-			Snapshot:    w.Snapshot,
-			Order:       w.Order,
-			Positions:   w.Positions,
-			Draining:    w.Draining,
-		}}, nil
-	case KindMatch:
-		if w.S == nil {
-			return Frame{}, fmt.Errorf("remote: match frame without a score")
-		}
-		if len(w.N) == 0 || len(w.N) > MaxPositions {
-			return Frame{}, fmt.Errorf("remote: match frame with %d bindings", len(w.N))
-		}
-		for _, v := range w.N {
-			if v < 0 {
-				return Frame{}, fmt.Errorf("remote: match frame binds negative node %d", v)
-			}
-		}
-		return Frame{Kind: KindMatch, Score: *w.S, Nodes: w.N}, nil
-	case KindEnd:
-		if w.Count == nil || *w.Count < 0 {
-			return Frame{}, fmt.Errorf("remote: end frame without a valid count")
-		}
-		complete := false
-		if w.Complete != nil {
-			complete = *w.Complete
-		}
-		return Frame{Kind: KindEnd, Count: *w.Count, Complete: complete}, nil
-	case KindErr:
-		if w.Error == "" {
-			return Frame{}, fmt.Errorf("remote: err frame without an error")
-		}
-		return Frame{Kind: KindErr, Error: w.Error}, nil
-	case "":
-		return Frame{}, fmt.Errorf("remote: frame without a kind")
-	}
-	return Frame{}, fmt.Errorf("remote: unknown frame kind %q", w.F)
+	return h, nil
 }
 
-// EncodeFrame renders f back to its one-line wire form (no trailing
-// newline). The worker encodes its frames directly as typed structs;
-// this exists for tests and the fuzz round-trip property.
-func EncodeFrame(f Frame) ([]byte, error) {
+// decoder reads the frames of one worker stream.
+type decoder struct {
+	r         *bufio.Reader
+	positions int     // match width, fixed by the stream's hello
+	payload   []byte  // the current frame's payload, reused
+	slab      []int32 // where the next match's bindings are carved
+}
+
+func newDecoder(r io.Reader) *decoder {
+	return &decoder{r: bufio.NewReaderSize(r, 32<<10)}
+}
+
+// next decodes the next frame. The end of input at a frame boundary is
+// io.EOF; inside a frame it is io.ErrUnexpectedEOF. Any structural
+// defect — unknown kind, a payload over the cap, missing or
+// out-of-range fields, a match of the wrong width — is an error, and no
+// input panics.
+func (d *decoder) next() (Frame, error) {
+	kind, err := d.r.ReadByte()
+	if err != nil {
+		return Frame{}, err
+	}
+	switch kind {
+	case KindHello, KindMatch, KindEnd, KindErr:
+	default:
+		return Frame{}, badFrame("unknown kind %q", kind)
+	}
+	n, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return Frame{}, midFrame(err)
+	}
+	if n > MaxFrameBytes {
+		return Frame{}, fmt.Errorf("remote: frame of %d bytes exceeds the %d cap", n, MaxFrameBytes)
+	}
+	if uint64(cap(d.payload)) < n {
+		d.payload = make([]byte, n)
+	}
+	p := d.payload[:n]
+	if _, err := io.ReadFull(d.r, p); err != nil {
+		return Frame{}, midFrame(err)
+	}
+	switch kind {
+	case KindHello:
+		h, err := decodeHello(p)
+		if err != nil {
+			return Frame{}, err
+		}
+		d.positions = h.Positions
+		return Frame{Kind: KindHello, Hello: h}, nil
+	case KindMatch:
+		return d.match(p)
+	case KindEnd:
+		count, w := binary.Uvarint(p)
+		if w <= 0 || count > math.MaxInt64 {
+			return Frame{}, badFrame("end without a valid count")
+		}
+		if len(p) != w+1 || p[w] > 1 {
+			return Frame{}, badFrame("end without a complete byte")
+		}
+		return Frame{Kind: KindEnd, Count: int64(count), Complete: p[w] == 1}, nil
+	}
+	if len(p) == 0 || !utf8.Valid(p) {
+		return Frame{}, badFrame("err frame without a UTF-8 message")
+	}
+	return Frame{Kind: KindErr, Error: string(p)}, nil
+}
+
+// midFrame reports a read error inside a frame: there, the end of input
+// means the frame was cut short.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// match decodes a match payload. Bindings are carved from a slab shared
+// by one chunk's worth of matches, so a chunk costs one allocation.
+func (d *decoder) match(p []byte) (Frame, error) {
+	score, w := binary.Varint(p)
+	if w <= 0 {
+		return Frame{}, badFrame("match without a score")
+	}
+	p = p[w:]
+	if d.positions == 0 {
+		return Frame{}, badFrame("match before a hello with positions")
+	}
+	if len(d.slab) < d.positions {
+		d.slab = make([]int32, d.positions*lazy.ChunkSize)
+	}
+	nodes := d.slab[:d.positions:d.positions]
+	for i := range nodes {
+		v, w := binary.Uvarint(p)
+		if w <= 0 {
+			return Frame{}, badFrame("match with %d bindings, want %d", i, d.positions)
+		}
+		if v > math.MaxInt32 {
+			return Frame{}, badFrame("match binds node %d", v)
+		}
+		nodes[i] = int32(v)
+		p = p[w:]
+	}
+	if len(p) > 0 {
+		return Frame{}, badFrame("match with %d bytes past its %d bindings", len(p), d.positions)
+	}
+	d.slab = d.slab[d.positions:]
+	return Frame{Kind: KindMatch, Score: score, Nodes: nodes}, nil
+}
+
+// uvarintLen is the encoded size of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// appendFrame appends f's wire form to b. f.Kind must be one of the four
+// frame kinds. A match frame is sized before it is written, so encoding
+// one allocates nothing beyond b's growth.
+func appendFrame(b []byte, f Frame) []byte {
+	var p []byte
 	switch f.Kind {
+	case KindMatch:
+		n := uvarintLen(uint64(f.Score<<1) ^ uint64(f.Score>>63))
+		for _, v := range f.Nodes {
+			n += uvarintLen(uint64(v))
+		}
+		b = binary.AppendUvarint(append(b, KindMatch), uint64(n))
+		b = binary.AppendVarint(b, f.Score)
+		for _, v := range f.Nodes {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+		return b
 	case KindHello:
 		h := f.Hello
-		h.F = KindHello
-		return json.Marshal(h)
-	case KindMatch:
-		return json.Marshal(matchFrame{F: KindMatch, S: f.Score, N: f.Nodes})
+		h.F = helloTag
+		p, _ = json.Marshal(h) // a struct of strings, ints and bools always marshals
 	case KindEnd:
-		return json.Marshal(endFrame{F: KindEnd, Count: f.Count, Complete: f.Complete})
+		complete := byte(0)
+		if f.Complete {
+			complete = 1
+		}
+		p = append(binary.AppendUvarint(nil, uint64(f.Count)), complete)
 	case KindErr:
-		return json.Marshal(errFrame{F: KindErr, Error: f.Error})
+		p = []byte(f.Error)
+	default:
+		panic(fmt.Sprintf("remote: cannot encode frame kind %q", f.Kind))
 	}
-	return nil, fmt.Errorf("remote: cannot encode frame kind %q", f.Kind)
-}
-
-// matchFrame, endFrame, and errFrame are the worker's typed wire shapes.
-type matchFrame struct {
-	F string  `json:"f"`
-	S int64   `json:"s"`
-	N []int32 `json:"n"`
-}
-
-type endFrame struct {
-	F        string `json:"f"`
-	Count    int64  `json:"count"`
-	Complete bool   `json:"complete"`
-}
-
-type errFrame struct {
-	F     string `json:"f"`
-	Error string `json:"error"`
+	b = binary.AppendUvarint(append(b, f.Kind), uint64(len(p)))
+	return append(b, p...)
 }
 
 // Identity fingerprints what a database serves: the full data graph (text

@@ -2,12 +2,16 @@ package remote
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"ktpm"
 )
@@ -42,7 +46,7 @@ func testDB(t testing.TB, n int, seed int64) *ktpm.Database {
 }
 
 // startWorkers spins up count workers over db behind httptest servers
-// (real HTTP, real NDJSON) and returns one endpoint list per shard.
+// (real HTTP, real frames) and returns one endpoint list per shard.
 func startWorkers(t testing.TB, db *ktpm.Database, count int, p ktpm.Partitioner) [][]Endpoint {
 	t.Helper()
 	eps := make([][]Endpoint, count)
@@ -182,8 +186,8 @@ func TestCoordinatorStreamMatchesShardedStream(t *testing.T) {
 // TestCoordinatorUniformTies drives the tie-heavy path end to end: a
 // star graph where every match of "a(b)" scores identically, so the
 // k-th tie group is the whole match space and the merge must compact,
-// drain the group in full on the worker side (k-hint contract), and
-// still return the canonical prefix at every worker count.
+// cut the group at k on the worker side (k-hint contract), and still
+// return the canonical prefix at every worker count.
 func TestCoordinatorUniformTies(t *testing.T) {
 	gb := ktpm.NewGraphBuilder()
 	a := gb.AddNode("a")
@@ -230,9 +234,10 @@ func TestCoordinatorUniformTies(t *testing.T) {
 }
 
 // TestMergedCountsAgree pins one meaning of "merged": for the same
-// query, partitioner and worker count, the coordinator's per-worker
-// Matches equals the ShardedDatabase's per-shard Merged, and both equal
-// the shard's number of matches scoring at or below the k-th score.
+// query, partitioner and worker count, the ShardedDatabase's per-shard
+// Merged is the shard's number of matches scoring at or below the k-th
+// score, and the coordinator's per-worker Matches is the same count cut
+// at k, because a worker sends at most k.
 func TestMergedCountsAgree(t *testing.T) {
 	db := testDB(t, 80, 5)
 	q, err := db.ParseQuery("a(b,c)")
@@ -269,9 +274,9 @@ func TestMergedCountsAgree(t *testing.T) {
 			}
 			local, remote := sdb.ShardStats().PerShard, coord.CoordinatorStats().Workers
 			for i := 0; i < count; i++ {
-				if local[i].Merged != want[i] || remote[i].Matches != want[i] {
-					t.Fatalf("workers=%d/%s shard %d: sharded Merged %d, coordinator Matches %d, want %d",
-						count, p.Name(), i, local[i].Merged, remote[i].Matches, want[i])
+				if local[i].Merged != want[i] || remote[i].Matches != min(want[i], k) {
+					t.Fatalf("workers=%d/%s shard %d: sharded Merged %d, coordinator Matches %d, want %d and %d",
+						count, p.Name(), i, local[i].Merged, remote[i].Matches, want[i], min(want[i], k))
 				}
 			}
 		}
@@ -279,9 +284,9 @@ func TestMergedCountsAgree(t *testing.T) {
 }
 
 // TestWorkerKHintTruncation checks the worker-side contract directly:
-// with a k hint the worker must emit its shard's k best plus the whole
-// tie group at its k-th score, flagged complete — everything a global
-// merge could need, nothing unbounded.
+// with a k hint the worker must send exactly its first k matches in
+// canonical order (all of them when it has fewer), then an end frame
+// flagged complete — even when the tie group at the k-th score runs on.
 func TestWorkerKHintTruncation(t *testing.T) {
 	db := testDB(t, 60, 7)
 	w, err := NewWorker(db, WorkerConfig{Index: 0, Count: 1})
@@ -313,60 +318,112 @@ func TestWorkerKHintTruncation(t *testing.T) {
 		}
 		return false
 	})
-	if len(canonical) < 4 {
-		t.Skipf("only %d matches; graph too small for the truncation property", len(canonical))
+	// The first k whose k-th match ties with the next one: the old
+	// contract sent that tie group in full.
+	tieK := 0
+	for i := 1; i < len(canonical) && tieK == 0; i++ {
+		if canonical[i].Score == canonical[i-1].Score {
+			tieK = i
+		}
+	}
+	if tieK == 0 {
+		t.Fatalf("no tie among %d matches; the graph cannot test the cut", len(canonical))
 	}
 
-	const k = 3
-	body, err := ep.OpenStream(context.Background(), q.Canonical(), k)
+	for _, k := range []int{1, tieK, len(canonical) + 2} {
+		body, err := ep.OpenStream(context.Background(), q.Canonical(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := newDecoder(body)
+		var (
+			frames []Frame
+			end    Frame
+		)
+		for end.Kind != KindEnd {
+			f, err := dec.next()
+			if err != nil {
+				t.Fatalf("k=%d: %v", k, err)
+			}
+			switch f.Kind {
+			case KindMatch:
+				frames = append(frames, f)
+			case KindEnd:
+				end = f
+			}
+		}
+		body.Close()
+		want := canonical[:min(k, len(canonical))]
+		if !end.Complete || end.Count != int64(len(want)) || len(frames) != len(want) {
+			t.Fatalf("k=%d: stream carried %d matches, end frame %+v; want exactly %d, complete",
+				k, len(frames), end, len(want))
+		}
+		for i, f := range frames {
+			if f.Score != want[i].Score || !reflect.DeepEqual(f.Nodes, want[i].Nodes) {
+				t.Fatalf("k=%d: frame %d diverges from canonical order", k, i)
+			}
+		}
+	}
+}
+
+// TestWorkerCountsAbandonedStreams pins the worker's matches counter to
+// what it wrote, including streams a client closes early: a coordinator
+// /stream read for five matches and closed must still show up in the
+// worker's /stats.
+func TestWorkerCountsAbandonedStreams(t *testing.T) {
+	// One root and weighted fan-outs: a(b,c) has 250 000 matches in
+	// small tie groups, far more than a stream reads before it is closed.
+	gb := ktpm.NewGraphBuilder()
+	a := gb.AddNode("a")
+	for i := 0; i < 500; i++ {
+		gb.AddWeightedEdge(a, gb.AddNode("b"), int32(1+i))
+		gb.AddWeightedEdge(a, gb.AddNode("c"), int32(1+i))
+	}
+	g, err := gb.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer body.Close()
-	lr := newLineReader(body)
-	var (
-		frames   []Frame
-		complete bool
-	)
-	for {
-		line, err := lr.ReadLine()
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		f, err := DecodeFrame(line)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if f.Kind == KindEnd {
-			complete = f.Complete
-			break
-		}
-		if f.Kind == KindMatch {
-			frames = append(frames, f)
+	db, err := ktpm.BuildDatabase(g, ktpm.DatabaseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(db, WorkerConfig{Index: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	coord, err := NewCoordinator(db, "hash", [][]Endpoint{{NewHTTPEndpoint(ts.URL)}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.ParseQuery("a(b,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := coord.OpenStream(q, ktpm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok := st.Next(); !ok {
+			t.Fatalf("stream ended after %d matches", i)
 		}
 	}
-	if !complete {
-		t.Fatal("k-hinted stream did not end complete")
-	}
-	// Expected cut: the k best plus the full tie group at the k-th score.
-	kth := canonical[k-1].Score
-	wantLen := k
-	for wantLen < len(canonical) && canonical[wantLen].Score == kth {
-		wantLen++
-	}
-	if len(frames) != wantLen {
-		t.Fatalf("k=%d stream carried %d matches, want %d (k best + tie group)", k, len(frames), wantLen)
-	}
-	for i, f := range frames {
-		if f.Score != canonical[i].Score || !reflect.DeepEqual(f.Nodes, canonical[i].Nodes) {
-			t.Fatalf("frame %d diverges from canonical order", i)
+	st.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for w.Stats().Matches < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker counted %d matches for a stream that delivered 5", w.Stats().Matches)
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // TestCheckTopologyRejectsMismatches wires deliberately wrong fleets and
 // checks the probe fails fast: wrong worker count, wrong partitioner,
-// and a worker serving a different graph.
+// a worker serving a different graph, and a worker speaking an older
+// protocol.
 func TestCheckTopologyRejectsMismatches(t *testing.T) {
 	db := testDB(t, 50, 3)
 	other := testDB(t, 50, 4)
@@ -398,6 +455,27 @@ func TestCheckTopologyRejectsMismatches(t *testing.T) {
 	}
 	if err := c.CheckTopology(context.Background()); err == nil {
 		t.Fatal("snapshot-identity mismatch passed the topology check")
+	}
+
+	// A worker of the previous protocol: its JSON probe still decodes,
+	// and the check names both versions.
+	w, err := NewWorker(db, WorkerConfig{Index: 0, Count: 1, Partitioner: hash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		h := w.Hello()
+		h.Proto = 1
+		_ = json.NewEncoder(rw).Encode(h)
+	}))
+	defer old.Close()
+	c, err = NewCoordinator(db, "hash", [][]Endpoint{{NewHTTPEndpoint(old.URL)}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.CheckTopology(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "protocol version 1, want 2") {
+		t.Fatalf("protocol-1 worker: CheckTopology = %v, want a version mismatch", err)
 	}
 }
 

@@ -43,7 +43,7 @@ type Worker struct {
 	mux    *http.ServeMux
 
 	streams  atomic.Int64 // /shard/stream requests accepted
-	matches  atomic.Int64 // match frames emitted
+	matches  atomic.Int64 // match frames written, abandoned streams included
 	errs     atomic.Int64 // streams ended by an err frame or rejected
 	draining atomic.Bool  // graceful shutdown begun; see SetDraining
 }
@@ -72,7 +72,7 @@ func NewWorker(db *ktpm.Database, cfg WorkerConfig) (*Worker, error) {
 		cfg:    cfg,
 		assign: cfg.Partitioner.Partition(db.Graph(), cfg.Count),
 		hello: Hello{
-			F:           KindHello,
+			F:           helloTag,
 			Proto:       ProtoVersion,
 			Shard:       cfg.Index,
 			Workers:     cfg.Count,
@@ -151,14 +151,14 @@ func (w *Worker) handleHello(rw http.ResponseWriter, r *http.Request) {
 
 // handleStream serves GET /shard/stream?q=<query>&k=<hint>: the hello
 // frame, then this shard's matches in canonical order, then an end
-// frame, flushing every lazy.ChunkSize matches. A positive k truncates
-// per the lazy.Merge.TopK contract — the shard's k best plus the whole
-// tie group at its k-th score — which is everything a global top-k merge
-// could ever need from this shard,
-// because the global k-th score is at most the shard's. k=0 streams
-// until exhaustion or client disconnect (the coordinator's /stream
-// path). Errors before the first byte are HTTP errors; after it, an
-// err frame.
+// frame, flushing every lazy.ChunkSize matches. A positive k sends
+// exactly the shard's first k matches and stops without enumerating
+// another: the global top-k is the k smallest matches under the
+// canonical total order, so the shard's share of it is a prefix of its
+// stream no longer than k, and any later match is beaten by k of the
+// shard's own. k=0 streams until exhaustion or client disconnect (the
+// coordinator's /stream path). Errors before the first byte are HTTP
+// errors; after it, an err frame.
 func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
@@ -198,67 +198,59 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 	defer st.Close()
 
 	w.streams.Add(1)
-	rw.Header().Set("Content-Type", "application/x-ndjson")
+	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("X-Accel-Buffering", "no")
 	flusher, _ := rw.(http.Flusher)
-	enc := json.NewEncoder(rw)
+	// Frames collect in buf and go out one chunk per write and flush.
+	send := func(buf []byte) error {
+		if _, err := rw.Write(buf); err != nil {
+			return err
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return nil
+	}
 	hello := w.hello
 	hello.Positions = q.NumNodes()
 	hello.Draining = w.draining.Load()
-	if err := enc.Encode(hello); err != nil {
+	if send(appendFrame(nil, Frame{Kind: KindHello, Hello: hello})) != nil {
 		return
-	}
-	if flusher != nil {
-		flusher.Flush()
 	}
 
 	ctx := r.Context()
 	var (
-		count    int64
-		kth      int64
-		complete bool
+		buf            []byte
+		count, written int64
 	)
-	for {
+	// A stream its client abandons ends early; what it wrote still counts.
+	defer func() { w.matches.Add(written) }()
+	for k == 0 || count < int64(k) {
 		m, ok := st.Next()
 		if !ok {
-			complete = true
 			break
 		}
-		if k > 0 && count >= int64(k) {
-			if m.Score > kth {
-				// Past the shard's k-th score and its tie group: nothing
-				// further can reach a global top-k merge.
-				complete = true
-				break
-			}
-		}
-		if err := enc.Encode(matchFrame{F: KindMatch, S: m.Score, N: m.Nodes}); err != nil {
-			// The client went away mid-write; no frame can reach it.
-			w.logStream(r, count, "write: "+err.Error())
-			return
-		}
+		buf = appendFrame(buf, Frame{Kind: KindMatch, Score: m.Score, Nodes: m.Nodes})
 		count++
-		if count == int64(k) {
-			kth = m.Score
-		}
 		if count%lazy.ChunkSize == 0 {
-			if flusher != nil {
-				flusher.Flush()
+			if err := send(buf); err != nil {
+				// The client went away mid-write; no frame can reach it.
+				w.logStream(r, written, "write: "+err.Error())
+				return
 			}
+			buf, written = buf[:0], count
 			select {
 			case <-ctx.Done():
-				w.logStream(r, count, "client disconnected")
+				w.logStream(r, written, "client disconnected")
 				return
 			default:
 			}
 		}
 	}
-	w.matches.Add(count)
-	_ = enc.Encode(endFrame{F: KindEnd, Count: count, Complete: complete})
-	if flusher != nil {
-		flusher.Flush()
+	if send(appendFrame(buf, Frame{Kind: KindEnd, Count: count, Complete: true})) == nil {
+		written = count
 	}
-	w.logStream(r, count, "")
+	w.logStream(r, written, "")
 }
 
 // reject writes a pre-stream failure as a plain HTTP error with a JSON
@@ -283,9 +275,12 @@ func (w *Worker) logStream(r *http.Request, matches int64, note string) {
 
 // WorkerStats is the worker process's /stats document.
 type WorkerStats struct {
-	Hello    Hello        `json:"hello"`
-	Vertices int          `json:"vertices"`
-	Streams  int64        `json:"streams"`
+	Hello    Hello `json:"hello"`
+	Vertices int   `json:"vertices"`
+	Streams  int64 `json:"streams"`
+	// Matches counts match frames written across all shard streams,
+	// including streams the coordinator closed early; a top-k stream
+	// writes at most k.
 	Matches  int64        `json:"matches"`
 	Errors   int64        `json:"errors"`
 	Draining bool         `json:"draining"`
