@@ -3,7 +3,7 @@
 // Usage:
 //
 //	ktpm -graph g.txt -query "a(b,c(d))" -k 20 [-algo topk-en] [-count]
-//	ktpm -graph g.txt -save-snapshot g.snap [-snapshot-format v1]
+//	ktpm -graph g.txt -save-snapshot g.snap
 //	ktpm -verify-snapshot g.snap
 //
 // The graph file uses the library text format ("n <id> <label>" and
@@ -28,16 +28,14 @@ import (
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "path to the data graph file")
-		dbPath    = flag.String("db", "", "path to a prepared KTPMTC1 database stream (alternative to -graph)")
-		snapPath  = flag.String("snapshot", "", "path to a KTPMSNAP1/2 snapshot (alternative to -graph/-db; see -snapshot-mode)")
+		snapPath  = flag.String("snapshot", "", "path to a KTPMSNAP2 snapshot (alternative to -graph; see -snapshot-mode)")
 		snapMode  = flag.String("snapshot-mode", "mmap", "snapshot table backing: eager, lazy, or mmap")
-		savePath  = flag.String("save", "", "write the prepared KTPMTC1 database stream here")
-		saveSnap  = flag.String("save-snapshot", "", "write a snapshot here (openable eagerly, lazily, or via mmap; see -snapshot-format)")
-		snapFmt   = flag.String("snapshot-format", "v2", "snapshot layout for -save-snapshot: v2 (KTPMSNAP2 columns, what the store reads natively) or v1 (row-major KTPMSNAP1)")
+		saveSnap  = flag.String("save-snapshot", "", "write a KTPMSNAP2 snapshot here (openable eagerly, lazily, or via mmap)")
+		snapFmt   = flag.String("snapshot-format", "v2", "deprecated and due for removal: v2 (KTPMSNAP2) is the only snapshot format, and any other value is an error")
 		queryStr  = flag.String("query", "", "query tree, e.g. \"a(b,c(d))\"")
 		k         = flag.Int("k", 10, "number of matches to return")
 		algoName  = flag.String("algo", "topk-en", "algorithm: topk-en, topk, dp-b, dp-p")
-		verify    = flag.String("verify-snapshot", "", "validate a KTPMSNAP1/2 snapshot — magic, header/directory bounds, the CRC32C trailer when present, and every table payload — then exit (0 healthy, nonzero corrupt)")
+		verify    = flag.String("verify-snapshot", "", "validate a KTPMSNAP2 snapshot — magic, header/directory bounds, the CRC32C trailer, and every table payload — then exit (0 healthy, nonzero corrupt)")
 		count     = flag.Bool("count", false, "also print the total number of matches")
 		explain   = flag.Bool("explain", false, "print the query plan before running")
 		quiet     = flag.Bool("quiet", false, "print scores only")
@@ -57,8 +55,7 @@ func main() {
 		verifySnapshot(*verify)
 		return
 	}
-	if (*graphPath == "" && *dbPath == "" && *snapPath == "") ||
-		(*queryStr == "" && *savePath == "" && *saveSnap == "") {
+	if (*graphPath == "" && *snapPath == "") || (*queryStr == "" && *saveSnap == "") {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -70,9 +67,8 @@ func main() {
 	if !ok {
 		fatalf("unknown snapshot mode %q (want eager, lazy, mmap)", *snapMode)
 	}
-	format, ok := ktpm.ParseSnapshotFormat(*snapFmt)
-	if !ok {
-		fatalf("unknown snapshot format %q (want v1, v2)", *snapFmt)
+	if *snapFmt != "v2" {
+		fatalf("unknown snapshot format %q (v2 is the only format)", *snapFmt)
 	}
 
 	var db *ktpm.Database
@@ -85,19 +81,7 @@ func main() {
 		}
 		defer db.Close()
 		ss, _ := db.SnapshotStats()
-		fmt.Printf("snapshot opened in %v (%s mode, %s format)\n", time.Since(t0).Round(time.Microsecond), ss.Mode, ss.Format)
-	} else if *dbPath != "" {
-		f, err := os.Open(*dbPath)
-		if err != nil {
-			fatalf("open database: %v", err)
-		}
-		t0 := time.Now()
-		db, err = ktpm.OpenDatabase(f, ktpm.DatabaseOptions{})
-		f.Close()
-		if err != nil {
-			fatalf("load database: %v", err)
-		}
-		fmt.Printf("database loaded in %v\n", time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("snapshot opened in %v (%s mode)\n", time.Since(t0).Round(time.Microsecond), ss.Mode)
 	} else {
 		f, err := os.Open(*graphPath)
 		if err != nil {
@@ -118,17 +102,18 @@ func main() {
 		fmt.Printf("closure: %d entries in %d tables (theta %.1f, %.1f MB) in %v\n",
 			entries, tables, theta, float64(size)/1e6, time.Since(t0).Round(time.Millisecond))
 	}
-	if *savePath != "" {
-		save(*savePath, db, ktpm.SaveDatabase)
-		fmt.Printf("database stream written to %s\n", *savePath)
-	}
 	if *saveSnap != "" {
-		save(*saveSnap, db, func(w io.Writer, db *ktpm.Database) error {
-			return ktpm.SaveSnapshotAs(w, db, format)
-		})
-		fmt.Printf("%s snapshot written to %s\n", format, *saveSnap)
+		// Crash-atomic: a kill mid-write leaves only a *.tmp sibling
+		// behind, never a torn file at the path, and an existing file
+		// there survives any failure intact.
+		if err := fsio.WriteFileAtomic(*saveSnap, func(w io.Writer) error {
+			return ktpm.SaveSnapshot(w, db)
+		}); err != nil {
+			fatalf("save %s: %v", *saveSnap, err)
+		}
+		fmt.Printf("snapshot written to %s\n", *saveSnap)
 	}
-	if *queryStr == "" && (*savePath != "" || *saveSnap != "") {
+	if *queryStr == "" {
 		return
 	}
 
@@ -166,17 +151,6 @@ func main() {
 	}
 }
 
-// save writes crash-atomically: a kill mid-write leaves only a *.tmp
-// sibling behind, never a torn file at path, and an existing file at
-// path survives any failure intact.
-func save(path string, db *ktpm.Database, write func(io.Writer, *ktpm.Database) error) {
-	if err := fsio.WriteFileAtomic(path, func(w io.Writer) error {
-		return write(w, db)
-	}); err != nil {
-		fatalf("save %s: %v", path, err)
-	}
-}
-
 // verifySnapshot runs the -verify-snapshot engine and prints a one-line
 // health report; corruption exits nonzero with the failure on stderr.
 func verifySnapshot(path string) {
@@ -184,12 +158,8 @@ func verifySnapshot(path string) {
 	if err != nil {
 		fatalf("verify %s: %v", path, err)
 	}
-	sum := "checksummed (CRC32C trailer verified)"
-	if !rep.Checksummed {
-		sum = "unchecksummed (pre-checksum file: structural validation only)"
-	}
-	fmt.Printf("%s: OK — %s format, %d tables, %d entries, %d bytes, %s\n",
-		path, rep.Format, rep.Tables, rep.Entries, rep.SizeBytes, sum)
+	fmt.Printf("%s: OK — %d tables, %d entries, %d bytes, CRC32C trailer verified\n",
+		path, rep.Tables, rep.Entries, rep.SizeBytes)
 }
 
 func fatalf(format string, args ...any) {

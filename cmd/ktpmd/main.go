@@ -1,15 +1,14 @@
 // Command ktpmd serves top-k tree-matching queries over HTTP.
 //
-// It loads a data graph (building the closure at startup), a prepared
-// KTPMTC1 database stream (see ktpm -save), or a KTPMSNAP1 snapshot (see
-// ktpm -save-snapshot) — the latter openable lazily or via mmap so the
-// daemon starts serving in O(directory) time instead of re-materializing
-// the whole closure — then answers concurrent queries against the one
-// shared database, optionally partitioned across shards that
-// scatter-gather each top-k query:
+// It loads a data graph (building the closure at startup) or a KTPMSNAP2
+// snapshot (see ktpm -save-snapshot) — the latter openable lazily or via
+// mmap so the daemon starts serving in O(directory) time instead of
+// re-materializing the whole closure — then answers concurrent queries
+// against the one shared database, optionally partitioned across shards
+// that scatter-gather each top-k query:
 //
 //	ktpmd -graph g.txt -addr :8080
-//	ktpmd -db g.ktpmdb -concurrency 8 -cache 4096 -shards 4 -partition label
+//	ktpmd -snapshot g.snap -concurrency 8 -cache 4096 -shards 4 -partition label
 //	ktpmd -snapshot g.snap -snapshot-mode mmap
 //
 // Beyond the default single-process mode (-role serve), the daemon can
@@ -84,8 +83,7 @@ import (
 func main() {
 	var (
 		graphPath   = flag.String("graph", "", "path to the data graph file")
-		dbPath      = flag.String("db", "", "path to a prepared KTPMTC1 database stream (alternative to -graph)")
-		snapPath    = flag.String("snapshot", "", "path to a KTPMSNAP1/2 snapshot (alternative to -graph/-db; format detected by magic, see -snapshot-mode)")
+		snapPath    = flag.String("snapshot", "", "path to a KTPMSNAP2 snapshot (alternative to -graph; see -snapshot-mode)")
 		snapMode    = flag.String("snapshot-mode", "mmap", "snapshot table backing: eager (decode all at open), lazy (fault tables on demand), or mmap (zero-copy views, falls back to lazy without mmap)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		concurrency = flag.Int("concurrency", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -107,7 +105,6 @@ func main() {
 		walDir       = flag.String("wal-dir", "", "enable the crash-safe write path (/ingest): directory for the write-ahead log, compacted generation snapshots, and the CURRENT pointer (empty = read-only; requires -role serve and -shards 1)")
 		fsyncPolicy  = flag.String("fsync", "always", "WAL durability policy with -wal-dir: always (fsync before every ack), interval (fsync every 100ms; a crash may lose the acked tail), or never (fsync only on rotation and shutdown)")
 		compactThr   = flag.Int("compact-threshold", 0, "with -wal-dir, drain the in-memory overlay into a new snapshot generation once it holds this many closure entries (0 = default 100000, negative disables background compaction)")
-		walGenFormat = flag.String("wal-gen-format", "v2", "snapshot format for compacted generations: v1 (row-major) or v2 (columnar)")
 		maxQueueWait = flag.Duration("max-queue-wait", 2*time.Second, "shed a request with 429 when its estimated admission-queue wait exceeds this (0 disables predictive shedding)")
 		memSoft      = flag.String("mem-soft-limit", "", "heap soft limit with an optional KiB/MiB/GiB suffix (e.g. 512MiB): approaching it progressively shrinks the result cache, stops cache admission, then sheds uncached requests with 429; also sets the Go runtime's soft memory limit (empty disables)")
 		maxBody      = flag.Int64("max-body-bytes", 0, "largest accepted POST body in bytes, answered 413 beyond it (0 = default 4MiB, negative disables the cap)")
@@ -140,14 +137,8 @@ func main() {
 	logger := newLogger(*logJSON)
 	slog.SetDefault(logger)
 
-	sources := 0
-	for _, p := range []string{*graphPath, *dbPath, *snapPath} {
-		if p != "" {
-			sources++
-		}
-	}
-	if sources != 1 {
-		fmt.Fprintln(os.Stderr, "ktpmd: exactly one of -graph, -db, or -snapshot is required")
+	if (*graphPath == "") == (*snapPath == "") {
+		fmt.Fprintln(os.Stderr, "ktpmd: exactly one of -graph or -snapshot is required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -177,11 +168,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ktpmd: unknown degraded policy %q (want partial or fail)\n", *degraded)
 		os.Exit(2)
 	}
-	genFormat, ok := ktpm.ParseSnapshotFormat(*walGenFormat)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ktpmd: unknown -wal-gen-format %q (want v1 or v2)\n", *walGenFormat)
-		os.Exit(2)
-	}
 	if *walDir != "" && (*role != "serve" || *shards > 1) {
 		fmt.Fprintln(os.Stderr, "ktpmd: -wal-dir (the write path) requires -role serve and -shards 1")
 		os.Exit(2)
@@ -204,7 +190,7 @@ func main() {
 		"pid", os.Getpid(),
 	)
 
-	db, startup, err := loadDatabase(logger, *graphPath, *dbPath, *snapPath, mode, *blockSize)
+	db, startup, err := loadDatabase(logger, *graphPath, *snapPath, mode, *blockSize)
 	if err != nil {
 		fatal(logger, "load", err)
 	}
@@ -285,7 +271,6 @@ func main() {
 			Dir:              *walDir,
 			Fsync:            *fsyncPolicy,
 			CompactThreshold: *compactThr,
-			SnapshotFormat:   genFormat,
 			SnapshotMode:     mode,
 			Logger:           logger,
 		})
@@ -566,10 +551,8 @@ func servePprof(logger *slog.Logger, addr string) {
 	}
 }
 
-func loadDatabase(logger *slog.Logger, graphPath, dbPath, snapPath string, mode ktpm.SnapshotMode, blockSize int) (*ktpm.Database, server.StartupInfo, error) {
-	opt := ktpm.DatabaseOptions{BlockSize: blockSize}
-	switch {
-	case snapPath != "":
+func loadDatabase(logger *slog.Logger, graphPath, snapPath string, mode ktpm.SnapshotMode, blockSize int) (*ktpm.Database, server.StartupInfo, error) {
+	if snapPath != "" {
 		t0 := time.Now()
 		db, err := ktpm.OpenSnapshot(snapPath, ktpm.SnapshotOptions{Mode: mode, BlockSize: blockSize})
 		if err != nil {
@@ -581,32 +564,16 @@ func loadDatabase(logger *slog.Logger, graphPath, dbPath, snapPath string, mode 
 		logger.Info("snapshot opened",
 			"elapsed", elapsed.Round(time.Microsecond).String(),
 			"mode", ss.Mode,
-			"format", ss.Format,
 			"entries", entries,
 			"tables", tables,
 			"mb", float64(size)/1e6,
 			"tables_resident", ss.TablesLoaded,
 		)
 		return db, server.StartupInfo{
-			Source:         "snapshot",
-			SnapshotMode:   ss.Mode,
-			SnapshotFormat: ss.Format,
-			OpenMS:         float64(elapsed.Microseconds()) / 1000,
+			Source:       "snapshot",
+			SnapshotMode: ss.Mode,
+			OpenMS:       float64(elapsed.Microseconds()) / 1000,
 		}, nil
-	case dbPath != "":
-		f, err := os.Open(dbPath)
-		if err != nil {
-			return nil, server.StartupInfo{}, err
-		}
-		defer f.Close()
-		t0 := time.Now()
-		db, err := ktpm.OpenDatabase(f, opt)
-		if err != nil {
-			return nil, server.StartupInfo{}, fmt.Errorf("load database: %w", err)
-		}
-		elapsed := time.Since(t0)
-		logger.Info("database stream loaded", "elapsed", elapsed.Round(time.Millisecond).String())
-		return db, server.StartupInfo{Source: "db", OpenMS: float64(elapsed.Microseconds()) / 1000}, nil
 	}
 	f, err := os.Open(graphPath)
 	if err != nil {
@@ -618,7 +585,7 @@ func loadDatabase(logger *slog.Logger, graphPath, dbPath, snapPath string, mode 
 		return nil, server.StartupInfo{}, fmt.Errorf("load graph: %w", err)
 	}
 	t0 := time.Now()
-	db, err := ktpm.BuildDatabase(g, opt)
+	db, err := ktpm.BuildDatabase(g, ktpm.DatabaseOptions{BlockSize: blockSize})
 	if err != nil {
 		return nil, server.StartupInfo{}, fmt.Errorf("build database: %w", err)
 	}

@@ -1,9 +1,7 @@
 package ktpm
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -188,43 +186,6 @@ func TestNodeWeightsThroughFacade(t *testing.T) {
 		if ms[1].Nodes[0] != a1 || ms[1].Score != 11 {
 			t.Fatalf("%v: top-2 root %d score %d", algo, ms[1].Nodes[0], ms[1].Score)
 		}
-	}
-}
-
-// TestSaveOpenDatabase round-trips the full offline artifact.
-func TestSaveOpenDatabase(t *testing.T) {
-	db := paperFig1(t)
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db); err != nil {
-		t.Fatalf("SaveDatabase: %v", err)
-	}
-	db2, err := OpenDatabase(&buf, DatabaseOptions{})
-	if err != nil {
-		t.Fatalf("OpenDatabase: %v", err)
-	}
-	e1, t1, th1, s1 := db.ClosureStats()
-	e2, t2, th2, s2 := db2.ClosureStats()
-	if e1 != e2 || t1 != t2 || th1 != th2 || s1 != s2 {
-		t.Fatalf("stats differ after round trip: %d/%d/%f/%d vs %d/%d/%f/%d",
-			e1, t1, th1, s1, e2, t2, th2, s2)
-	}
-	q1, _ := db.ParseQuery("C(E,S)")
-	q2, _ := db2.ParseQuery("C(E,S)")
-	ms1, _ := db.TopK(q1, 10)
-	ms2, _ := db2.TopK(q2, 10)
-	if len(ms1) != len(ms2) {
-		t.Fatalf("matches %d vs %d after reload", len(ms1), len(ms2))
-	}
-	for i := range ms1 {
-		if ms1[i].Score != ms2[i].Score {
-			t.Fatalf("top-%d score %d vs %d after reload", i+1, ms1[i].Score, ms2[i].Score)
-		}
-	}
-}
-
-func TestOpenDatabaseGarbage(t *testing.T) {
-	if _, err := OpenDatabase(strings.NewReader("nope"), DatabaseOptions{}); err == nil {
-		t.Fatal("garbage database accepted")
 	}
 }
 

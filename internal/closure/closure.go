@@ -39,10 +39,9 @@ type Entry struct {
 	Dist     int32
 }
 
-// EntrySize is the fixed encoded width of one Entry in every on-disk
-// format this package writes (three little-endian int32s). It is the
-// single source of truth shared by the KTPMTC1 stream codec, the
-// KTPMSNAP1 snapshot writer, and SizeBytes.
+// EntrySize is the encoded width of one Entry's three int32 fields, the
+// unit of SizeBytes and of the snapshot reader's overflow-safe bound on
+// a table's entry count.
 const EntrySize = 12
 
 // TableSource is read access to a closure organized as label-pair tables

@@ -10,8 +10,8 @@ package closure
 // two of the three fields at a time (dist-threshold scans, inList carving,
 // D/E derivation); serving each field as its own contiguous column turns
 // those loops into tight per-column passes instead of 12-byte strided
-// struct walks. KTPMSNAP2 stores tables in exactly this layout, so on an
-// mmap-mode v2 snapshot a Cols is served zero-copy from the mapping.
+// struct walks. Snapshots store tables in exactly this layout, so on an
+// mmap-mode snapshot a Cols is served zero-copy from the mapping.
 type Cols struct {
 	From, To, Dist []int32
 }
@@ -52,35 +52,24 @@ func EntriesToCols(entries []Entry) Cols {
 }
 
 // ColumnSource is a TableSource whose stored form is column views: a
-// Snapshot over a KTPMSNAP2 file, which serves its on-disk columns
-// (zero-copy under mmap). TableCols returns the L^α_β table as columns
-// in canonical (To, Dist, From) lane order; the zero Cols means the table
-// is empty or absent. ColsNative is false on a Snapshot over a row-major
-// file, where the columns would be a transpose of Table.
+// Snapshot, which serves its on-disk columns (zero-copy under mmap).
+// TableCols returns the L^α_β table as columns in canonical (To, Dist,
+// From) lane order; the zero Cols means the table is empty or absent.
+// Iteration helpers prefer TableCols on such a source: Table would
+// materialize and cache a row-major copy of every table touched.
 type ColumnSource interface {
 	TableSource
 	TableCols(alpha, beta int32) Cols
-	ColsNative() bool
 }
 
-// NativeCols returns src as a ColumnSource when column views are its
-// native representation. Iteration helpers use it to walk the layout
-// that is already resident: on such a source Table() would materialize
-// and cache a row-major copy of every table touched, while TableCols is
-// (under mmap) a zero-copy view.
-func NativeCols(src TableSource) (ColumnSource, bool) {
-	cs, ok := src.(ColumnSource)
-	return cs, ok && cs.ColsNative()
-}
-
-// TableColsOf serves src's L^α_β table as columns: the source's own
-// views when they are native (shared is true: they alias the source's
-// storage, a mapping under mmap, and must not be modified or outlive
-// it), otherwise a fresh transpose of the row-major table that the
-// caller owns. The transpose allocates per call and is not retained, so
-// callers carve once and keep the result (the store layout does).
+// TableColsOf serves src's L^α_β table as columns: a ColumnSource's own
+// views (shared is true: they alias the source's storage, a mapping
+// under mmap, and must not be modified or outlive it), otherwise a fresh
+// transpose of the row-major table that the caller owns. The transpose
+// allocates per call and is not retained, so callers carve once and keep
+// the result (the store layout does).
 func TableColsOf(src TableSource, alpha, beta int32) (cols Cols, shared bool) {
-	if cs, ok := NativeCols(src); ok {
+	if cs, ok := src.(ColumnSource); ok {
 		return cs.TableCols(alpha, beta), true
 	}
 	return EntriesToCols(src.Table(alpha, beta)), false

@@ -16,13 +16,13 @@ import (
 	"ktpm/internal/graph"
 )
 
-// KTPMSNAP1 is the page-aligned, offset-indexed snapshot format: a
-// self-contained image of one graph plus its transitive closure that can
+// KTPMSNAP2 is the page-aligned, offset-indexed, columnar snapshot format:
+// a self-contained image of one graph plus its transitive closure that can
 // be served straight off the file without parsing it at open time. All
 // integers are little-endian.
 //
-//	[0,10)   magic "KTPMSNAP1\n"
-//	[10,14)  uint32 version (1)
+//	[0,10)   magic "KTPMSNAP2\n"
+//	[10,14)  uint32 version (2)
 //	[14,18)  uint32 pageSize (alignment unit of the directory and payload
 //	         sections; writers use snapPageSize)
 //	[18,26)  int64 numTables
@@ -34,52 +34,54 @@ import (
 //	...      graph text
 //	dirOff   numTables × 24-byte rows {int32 alpha, int32 beta,
 //	         int64 off, int64 count}, sorted by (alpha, beta)
-//	...      table payloads: count × EntrySize fixed-width entries per
-//	         table; the payload section starts page-aligned and every
-//	         table offset is 16-byte aligned, so an mmap of the file can
-//	         serve []Entry views in place (entries need 4-byte alignment)
+//	...      table payloads, the payload section starting page-aligned;
+//	         each table stores its entries as three int32 columns:
 //
-// Unlike the KTPMTC1 stream — which must be read front to back — the
-// directory up front lets a reader open the snapshot in O(directory)
-// time and seek (or map) exactly the tables a workload touches.
+//	             d.off            to[count]    — target nodes (the carve key)
+//	             d.off + distRel  dist[count]  — δmin values
+//	             d.off + fromRel  from[count]  — source nodes
 //
-// KTPMSNAP2 is the columnar (structure-of-arrays) variant: identical
-// header (magic "KTPMSNAP2\n", version 2) and directory, but each table
-// payload stores the three entry fields as separate contiguous
-// little-endian int32 columns instead of interleaved 12-byte rows:
-//
-//	d.off                 to[count]    — target nodes (the carve key)
-//	d.off + distRel       dist[count]  — δmin values
-//	d.off + fromRel       from[count]  — source nodes
+//	...      checksum trailer and footer (checksum.go), required
 //
 // where distRel/fromRel round each preceding column up to snapTableAlign,
 // so every column starts 16-byte aligned and an mmap of the file serves
-// zero-copy []int32 views per column (colsSpan computes the offsets; lane
-// i across the three columns is entry i, in the same canonical (To, Dist,
-// From) order as v1). Column payloads are what make the store's
-// threshold scans, inList carving, and D/E derivation tight per-column
-// passes; v1 files keep opening unchanged, and readers pick the layout by
-// magic alone.
+// zero-copy []int32 views per column (colsSpan computes the offsets). Lane
+// i across the three columns is entry i, in canonical (To, Dist, From)
+// order. The directory up front lets a reader open the snapshot in
+// O(directory) time and seek (or map) exactly the tables a workload
+// touches; column payloads make the store's threshold scans, inList
+// carving and D/E derivation tight per-column passes.
 
-var (
-	snapMagic  = []byte("KTPMSNAP1\n")
-	snapMagic2 = []byte("KTPMSNAP2\n")
-)
+var snapMagic = []byte("KTPMSNAP2\n")
+
+// legacyMagics are the file formats earlier builds wrote and this one no
+// longer reads. Opening one fails with an error naming the format and how
+// to convert it, rather than a generic bad-magic error.
+var legacyMagics = []struct {
+	magic, format, fix string
+}{
+	{"KTPMSNAP1\n", "a row-major KTPMSNAP1 snapshot", "ktpm -snapshot OLD -save-snapshot NEW -snapshot-format v2"},
+	{"KTPMDB1 ", "a KTPMDB1 database file (ktpm -save, ktpmd -db)", "ktpm -db OLD -save-snapshot NEW -snapshot-format v2"},
+	{"KTPMTC1\n", "a bare KTPMTC1 closure stream", "ktpm -db OLD -save-snapshot NEW -snapshot-format v2 on the KTPMDB1 file that holds it"},
+}
 
 const (
-	snapVersion    = 1
-	snapVersion2   = 2
+	snapVersion    = 2
 	snapPageSize   = 4096
 	snapHeaderSize = 64
 	snapDirEntSize = 24
 	snapTableAlign = 16
+
+	// colChunk is the scratch granularity of writeCol: entries stream
+	// through a buffer of at most this many lanes per column.
+	colChunk = 1 << 16
 )
 
-// colsSpan returns the layout of one KTPMSNAP2 table payload holding count
-// entries: the offsets of the dist and from columns relative to the table
-// offset, and the total payload span. Every column starts snapTableAlign-
-// aligned; total ≥ count×EntrySize always holds, which the open-time
-// bounds checks rely on to stay overflow-safe.
+// colsSpan returns the layout of one table payload holding count entries:
+// the offsets of the dist and from columns relative to the table offset,
+// and the total payload span. Every column starts snapTableAlign-aligned;
+// total ≥ count×EntrySize always holds, which the open-time bounds checks
+// rely on to stay overflow-safe.
 func colsSpan(count int64) (distRel, fromRel, total int64) {
 	col := alignUp(count*4, snapTableAlign)
 	distRel = col
@@ -92,17 +94,18 @@ func colsSpan(count int64) (distRel, fromRel, total int64) {
 type SnapMode int
 
 const (
-	// SnapEager decodes every table into memory at open — the fully
-	// resident behavior of the KTPMTC1 path.
+	// SnapEager decodes every table into memory at open, so serving never
+	// touches the file again.
 	SnapEager SnapMode = iota
 	// SnapLazy reads only the header, graph, and directory at open; a
 	// table's payload is seek-read and decoded the first time it is
 	// asked for.
 	SnapLazy
-	// SnapMMap maps the file and serves zero-copy []Entry views over the
-	// mapping (no heap copy of payloads). On platforms without mmap — or
-	// hosts whose native layout disagrees with the on-disk one — it
-	// degrades to SnapLazy; Snapshot.Mode reports what actually happened.
+	// SnapMMap maps the file and serves zero-copy []int32 column views
+	// over the mapping (no heap copy of payloads). On platforms without
+	// mmap — or big-endian hosts, where the little-endian columns cannot
+	// be reinterpreted in place — it degrades to SnapLazy; Snapshot.Mode
+	// reports what actually happened.
 	SnapMMap
 )
 
@@ -119,17 +122,11 @@ func (m SnapMode) String() string {
 	return fmt.Sprintf("SnapMode(%d)", int(m))
 }
 
-// entryViewOK reports whether a raw on-disk payload can be reinterpreted
-// as []Entry in place: the host must be little-endian and Entry's memory
-// layout must match the encoded triple exactly.
-var entryViewOK = func() bool {
+// hostLittleEndian reports whether on-disk little-endian int32 columns can
+// be reinterpreted in place as []int32, the precondition of mmap views.
+var hostLittleEndian = func() bool {
 	var one uint16 = 1
-	little := *(*byte)(unsafe.Pointer(&one)) == 1
-	var e Entry
-	return little &&
-		unsafe.Sizeof(e) == EntrySize &&
-		unsafe.Offsetof(e.To) == 4 &&
-		unsafe.Offsetof(e.Dist) == 8
+	return *(*byte)(unsafe.Pointer(&one)) == 1
 }()
 
 // snapDirEnt is one decoded directory row.
@@ -139,28 +136,24 @@ type snapDirEnt struct {
 	count       int64
 }
 
-// Snapshot is an open KTPMSNAP1 file: a TableSource whose tables fault in
-// on first use (lazy, mmap) or are pre-faulted at open (eager). All
+// Snapshot is an open KTPMSNAP2 file: a ColumnSource whose tables fault
+// in on first use (lazy, mmap) or are pre-faulted at open (eager). All
 // methods are safe for concurrent use; a faulted table is decoded (or
 // mapped and validated) exactly once and then served lock-free, so one
 // Snapshot can back every shard replica of a database. Close releases
 // the file and any mapping — only after all queries against the snapshot
-// have stopped, since mmap-mode []Entry views point into the mapping.
+// have stopped, since mmap-mode column views point into the mapping.
 type Snapshot struct {
-	g       *graph.Graph
-	dir     []snapDirEnt
-	mode    SnapMode // effective mode, after any mmap fallback
-	version uint32   // 1 (row-major) or 2 (columnar), from the magic
+	g    *graph.Graph
+	dir  []snapDirEnt
+	mode SnapMode // effective mode, after any mmap fallback
 
-	// tabs[i] is the published []Entry of dir[i], nil until faulted. In
-	// mmap mode (v1) the slice is a zero-copy view over data; otherwise a
-	// decoded heap copy. On a v2 file it is a row-major materialization of
-	// the columns, built on demand for TableSource compatibility.
-	tabs []atomic.Pointer[[]Entry]
-	// cols[i] is the published column view of dir[i] on a v2 file: the
-	// faulted on-disk layout (zero-copy per column under mmap). Unused on
-	// a v1 file.
+	// cols[i] is the published column view of dir[i], nil until faulted:
+	// zero-copy per column under mmap, a decoded heap copy otherwise.
 	cols []atomic.Pointer[Cols]
+	// tabs[i] is a row-major materialization of cols[i], built on demand
+	// for the TableSource interface.
+	tabs []atomic.Pointer[[]Entry]
 	mu   sync.Mutex // serializes faults; reads stay lock-free
 
 	f    *os.File    // lazy backing; nil once eager load completes
@@ -173,34 +166,19 @@ type Snapshot struct {
 	loadErr      atomic.Pointer[error] // sticky first fault-time failure
 
 	// tableCRCs holds the per-table payload CRC32C values from the
-	// checksum trailer (checksum.go), directory order; nil on
-	// pre-checksum files. Verified as each table faults.
+	// checksum trailer (checksum.go), directory order. Verified as each
+	// table faults.
 	tableCRCs []uint32
 }
 
-var (
-	_ TableSource  = (*Snapshot)(nil)
-	_ ColumnSource = (*Snapshot)(nil)
-)
+var _ ColumnSource = (*Snapshot)(nil)
 
-// WriteSnapshot writes src — graph and closure — as a KTPMSNAP1 (row-major)
-// snapshot. Any TableSource serves, so an existing database (in-memory or
-// itself snapshot-backed) converts without recomputing the closure; on a
-// lazy source this faults every table. The directory is sorted by
-// (alpha, beta), making the output deterministic for a given closure.
+// WriteSnapshot writes src — graph and closure — as a KTPMSNAP2 snapshot.
+// Any TableSource serves, so an existing database (in-memory or itself
+// snapshot-backed) converts without recomputing the closure; on a lazy
+// source this faults every table. The directory is sorted by (alpha,
+// beta), making the output deterministic for a given closure.
 func WriteSnapshot(w io.Writer, src TableSource) error {
-	return writeSnapshot(w, src, snapVersion)
-}
-
-// WriteSnapshotV2 writes src as a KTPMSNAP2 columnar snapshot: same
-// directory, per-table to[]/dist[]/from[] columns. Deterministic like
-// WriteSnapshot, and byte-for-byte the same logical closure — only the
-// payload transpose differs.
-func WriteSnapshotV2(w io.Writer, src TableSource) error {
-	return writeSnapshot(w, src, snapVersion2)
-}
-
-func writeSnapshot(w io.Writer, src TableSource, version uint32) error {
 	g := src.Graph()
 	var gbuf bytes.Buffer
 	if err := graph.Encode(&gbuf, g); err != nil {
@@ -225,13 +203,8 @@ func writeSnapshot(w io.Writer, src TableSource, version uint32) error {
 	var numEntries int64
 	for i := range dir {
 		dir[i].off = off
-		if version == snapVersion2 {
-			_, _, total := colsSpan(dir[i].count)
-			off += total
-		} else {
-			off += dir[i].count * EntrySize
-		}
-		off = alignUp(off, snapTableAlign)
+		_, _, total := colsSpan(dir[i].count)
+		off = alignUp(off+total, snapTableAlign)
 		numEntries += dir[i].count
 	}
 
@@ -241,12 +214,8 @@ func writeSnapshot(w io.Writer, src TableSource, version uint32) error {
 	cw := &crcWriter{w: bw}
 	tableCRCs := make([]uint32, len(dir))
 	hdr := make([]byte, snapHeaderSize)
-	if version == snapVersion2 {
-		copy(hdr, snapMagic2)
-	} else {
-		copy(hdr, snapMagic)
-	}
-	binary.LittleEndian.PutUint32(hdr[10:14], version)
+	copy(hdr, snapMagic)
+	binary.LittleEndian.PutUint32(hdr[10:14], snapVersion)
 	binary.LittleEndian.PutUint32(hdr[14:18], snapPageSize)
 	binary.LittleEndian.PutUint64(hdr[18:26], uint64(len(dir)))
 	binary.LittleEndian.PutUint64(hdr[26:34], uint64(numEntries))
@@ -299,39 +268,30 @@ func writeSnapshot(w io.Writer, src TableSource, version uint32) error {
 		}
 		entries := src.Table(d.alpha, d.beta)
 		if int64(len(entries)) != d.count {
-			return fmt.Errorf("closure: table (%d,%d) changed size during snapshot write", d.alpha, d.beta)
+			return fmt.Errorf("closure: table (%d,%d) has %d entries, directory says %d (changed or failed to load during snapshot write)", d.alpha, d.beta, len(entries), d.count)
 		}
-		// The table's whole payload span — including v2 inter-column
-		// padding — feeds its trailer CRC.
+		// The table's whole payload span — inter-column padding included —
+		// feeds its trailer CRC. Columns are streamed straight from the
+		// row-major entries so the writer never materializes a second
+		// copy of the table.
 		cw.begin()
-		var err error
-		if version == snapVersion2 {
-			// Columns are streamed straight from the row-major entries so
-			// the writer never materializes a second copy of the table.
-			distRel, fromRel, _ := colsSpan(d.count)
-			if buf, err = writeCol(cw, entries, func(e Entry) int32 { return e.To }, buf); err != nil {
+		distRel, fromRel, _ := colsSpan(d.count)
+		for _, c := range []struct {
+			rel int64
+			sel func(Entry) int32
+		}{
+			{0, func(e Entry) int32 { return e.To }},
+			{distRel, func(e Entry) int32 { return e.Dist }},
+			{fromRel, func(e Entry) int32 { return e.From }},
+		} {
+			if err := pad(d.off + c.rel); err != nil {
+				return err
+			}
+			var err error
+			if buf, err = writeCol(cw, entries, c.sel, buf); err != nil {
 				return err
 			}
 			pos += d.count * 4
-			if err = pad(d.off + distRel); err != nil {
-				return err
-			}
-			if buf, err = writeCol(cw, entries, func(e Entry) int32 { return e.Dist }, buf); err != nil {
-				return err
-			}
-			pos += d.count * 4
-			if err = pad(d.off + fromRel); err != nil {
-				return err
-			}
-			if buf, err = writeCol(cw, entries, func(e Entry) int32 { return e.From }, buf); err != nil {
-				return err
-			}
-			pos += d.count * 4
-		} else {
-			if buf, err = writeEntries(cw, entries, buf); err != nil {
-				return err
-			}
-			pos += d.count * EntrySize
 		}
 		tableCRCs[i] = cw.end()
 	}
@@ -345,12 +305,69 @@ var zeroPage [snapPageSize]byte
 
 func alignUp(n, align int64) int64 { return (n + align - 1) / align * align }
 
-// OpenSnapshotFile opens a KTPMSNAP1 snapshot written by WriteSnapshot.
+// writeCol streams one int32 field of entries — selected by sel — as a
+// contiguous little-endian column through buf (grown to at most colChunk
+// lanes), returning the possibly-grown buffer. The writer uses it to
+// transpose on the fly without holding a second copy of the table.
+func writeCol(w io.Writer, entries []Entry, sel func(Entry) int32, buf []byte) ([]byte, error) {
+	for len(entries) > 0 {
+		n := min(len(entries), colChunk)
+		if cap(buf) < n*4 {
+			buf = make([]byte, n*4)
+		}
+		buf = buf[:n*4]
+		for i, e := range entries[:n] {
+			binary.LittleEndian.PutUint32(buf[i*4:], uint32(sel(e)))
+		}
+		if _, err := w.Write(buf); err != nil {
+			return buf, err
+		}
+		entries = entries[n:]
+	}
+	return buf, nil
+}
+
+// decodeInt32ColInto decodes len(dst) little-endian int32s from src.
+func decodeInt32ColInto(src []byte, dst []int32) {
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(src[i*4:]))
+	}
+}
+
+// validateCols checks every lane of one table against the graph: in-range
+// endpoints, positive distance, and labels agreeing with the table's
+// (alpha, beta) directory key. It runs as per-column passes (each a tight
+// scan over one contiguous []int32) before a faulted view is published.
+func validateCols(g *graph.Graph, alpha, beta int32, c Cols) error {
+	if len(c.From) != len(c.To) || len(c.Dist) != len(c.To) {
+		return fmt.Errorf("column lengths disagree: from %d to %d dist %d", len(c.From), len(c.To), len(c.Dist))
+	}
+	n := int32(g.NumNodes())
+	for i, v := range c.From {
+		if v < 0 || v >= n || g.Label(v) != alpha {
+			return fmt.Errorf("invalid entry %+v", c.At(i))
+		}
+	}
+	for i, v := range c.To {
+		if v < 0 || v >= n || g.Label(v) != beta {
+			return fmt.Errorf("invalid entry %+v", c.At(i))
+		}
+	}
+	for i, d := range c.Dist {
+		if d <= 0 {
+			return fmt.Errorf("invalid entry %+v", c.At(i))
+		}
+	}
+	return nil
+}
+
+// OpenSnapshotFile opens a KTPMSNAP2 snapshot written by WriteSnapshot.
 // In SnapLazy and SnapMMap modes the work done here is O(header + graph +
 // directory): no table payload is read, decoded, or validated until its
 // first fault. The directory itself is fully validated — bad magic,
-// implausible counts, unsorted rows, and offsets pointing past EOF all
-// fail here rather than at query time.
+// implausible counts, unsorted rows, offsets pointing past EOF, and a
+// missing or damaged checksum trailer all fail here rather than at query
+// time.
 func OpenSnapshotFile(path string, mode SnapMode) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -364,6 +381,20 @@ func OpenSnapshotFile(path string, mode SnapMode) (*Snapshot, error) {
 	return s, nil
 }
 
+// checkMagic accepts the KTPMSNAP2 magic and names the format and the
+// conversion of any file an earlier build wrote.
+func checkMagic(hdr []byte) error {
+	if bytes.HasPrefix(hdr, snapMagic) {
+		return nil
+	}
+	for _, l := range legacyMagics {
+		if bytes.HasPrefix(hdr, []byte(l.magic)) {
+			return fmt.Errorf("closure: file is %s, a format this build no longer reads; rewrite it as KTPMSNAP2 with an older ktpm that still reads it: %s", l.format, l.fix)
+		}
+	}
+	return fmt.Errorf("closure: bad snapshot magic %q", hdr[:min(len(hdr), len(snapMagic))])
+}
+
 func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -371,20 +402,18 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 	}
 	size := fi.Size()
 	hdr := make([]byte, snapHeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
+	n, err := f.ReadAt(hdr, 0)
+	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("closure: snapshot header: %w", err)
 	}
-	var version uint32
-	switch {
-	case bytes.Equal(hdr[:len(snapMagic)], snapMagic):
-		version = snapVersion
-	case bytes.Equal(hdr[:len(snapMagic2)], snapMagic2):
-		version = snapVersion2
-	default:
-		return nil, fmt.Errorf("closure: bad snapshot magic %q", hdr[:len(snapMagic)])
+	if err := checkMagic(hdr[:n]); err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint32(hdr[10:14]); v != version {
-		return nil, fmt.Errorf("closure: snapshot version %d disagrees with magic %q", v, hdr[:len(snapMagic)])
+	if n < snapHeaderSize {
+		return nil, fmt.Errorf("closure: snapshot header: %w", io.ErrUnexpectedEOF)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[10:14]); v != snapVersion {
+		return nil, fmt.Errorf("closure: snapshot version %d, want %d", v, snapVersion)
 	}
 	numTables := int64(binary.LittleEndian.Uint64(hdr[18:26]))
 	numEntries := int64(binary.LittleEndian.Uint64(hdr[26:34]))
@@ -430,28 +459,21 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 		if i > 0 && !(dir[i-1].alpha < d.alpha || (dir[i-1].alpha == d.alpha && dir[i-1].beta < d.beta)) {
 			return nil, fmt.Errorf("closure: snapshot directory not sorted at row %d", i)
 		}
-		// count*EntrySize is overflow-safe only after bounding count by
-		// the remaining file size.
+		// Bounding count by the remaining file size first makes colsSpan
+		// overflow-safe (its span is at least count×EntrySize); the second
+		// check makes the bound exact.
 		if d.off < payloadStart || d.off > size || d.count < 0 || d.count > (size-d.off)/EntrySize {
 			return nil, fmt.Errorf("closure: snapshot directory row %d: table (%d,%d) at [%d, +%d entries) outside file of %d bytes", i, d.alpha, d.beta, d.off, d.count, size)
 		}
-		span := d.count * EntrySize
-		if version == snapVersion2 {
-			// The columnar payload is wider than count×EntrySize by the
-			// inter-column alignment padding; the v1-style bound above makes
-			// colsSpan overflow-safe, and this makes it exact.
-			_, _, span = colsSpan(d.count)
-			if span > size-d.off {
-				return nil, fmt.Errorf("closure: snapshot directory row %d: columnar table (%d,%d) at [%d, +%d bytes) outside file of %d bytes", i, d.alpha, d.beta, d.off, span, size)
-			}
+		_, _, span := colsSpan(d.count)
+		if span > size-d.off {
+			return nil, fmt.Errorf("closure: snapshot directory row %d: table (%d,%d) at [%d, +%d bytes) outside file of %d bytes", i, d.alpha, d.beta, d.off, span, size)
 		}
-		if end := d.off + span; end > payloadEnd {
-			payloadEnd = end
-		}
+		payloadEnd = max(payloadEnd, d.off+span)
 		if d.off%snapTableAlign != 0 {
 			// The format guarantees 16-byte-aligned tables; an unaligned
-			// offset would make the mmap mode's in-place []Entry view
-			// misaligned, so it is structural corruption caught at open.
+			// offset would misalign the mmap mode's in-place column views,
+			// so it is structural corruption caught at open.
 			return nil, fmt.Errorf("closure: snapshot directory row %d: table (%d,%d) offset %d not %d-byte aligned", i, d.alpha, d.beta, d.off, snapTableAlign)
 		}
 		dir[i] = d
@@ -462,9 +484,8 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 	}
 
 	// Checksum trailer (checksum.go): header/graph/directory CRCs verify
-	// here; per-table CRCs are kept for fault-time verification. Old
-	// files without the trailer open with tableCRCs == nil.
-	tableCRCs, _, err := readSnapshotTrailer(f, size, payloadEnd, hdr, dirRaw, graphOff, graphLen, int(numTables))
+	// here; per-table CRCs are kept for fault-time verification.
+	tableCRCs, err := readSnapshotTrailer(f, size, payloadEnd, hdr, dirRaw, graphOff, graphLen, int(numTables))
 	if err != nil {
 		return nil, err
 	}
@@ -473,9 +494,8 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 		g:          g,
 		dir:        dir,
 		mode:       mode,
-		version:    version,
-		tabs:       make([]atomic.Pointer[[]Entry], numTables),
 		cols:       make([]atomic.Pointer[Cols], numTables),
+		tabs:       make([]atomic.Pointer[[]Entry], numTables),
 		f:          f,
 		r:          f,
 		size:       size,
@@ -483,9 +503,9 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 		tableCRCs:  tableCRCs,
 	}
 	if mode == SnapMMap {
-		// entryViewOK is checked before mapping: a mapping that cannot be
-		// reinterpreted in place would only leak address space.
-		if !entryViewOK {
+		// The byte order is checked before mapping: a mapping that cannot
+		// be reinterpreted in place would only leak address space.
+		if !hostLittleEndian {
 			s.mode = SnapLazy
 		} else if data, err := mmapFile(f, size); err != nil {
 			// Portable fallback: same lazy faulting, through ReadAt.
@@ -500,15 +520,7 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 	}
 	if mode == SnapEager {
 		for i := range s.dir {
-			// On a v2 file the resident form is the columns; row-major
-			// views materialize from them on demand without the file.
-			var err error
-			if version == snapVersion2 {
-				_, err = s.loadCols(i)
-			} else {
-				_, err = s.load(i)
-			}
-			if err != nil {
+			if _, err := s.loadCols(i); err != nil {
 				s.Close()
 				return nil, err
 			}
@@ -531,82 +543,36 @@ func (s *Snapshot) find(alpha, beta int32) int {
 	return -1
 }
 
-// load faults directory entry i as a row-major table: reads (or maps) its
-// payload, validates every entry against the graph, and publishes the
-// table. Later calls are a single atomic load. On a v2 file the columns
-// are the faulted form and the row-major view is transposed from them
-// (already-validated), so Table keeps working on columnar snapshots.
+// load returns directory entry i as a row-major table, transposed from
+// its (already validated) column view and cached, so Table keeps working
+// for TableSource consumers. Later calls are a single atomic load.
 func (s *Snapshot) load(i int) ([]Entry, error) {
 	if p := s.tabs[i].Load(); p != nil {
 		return *p, nil
 	}
-	if s.version == snapVersion2 {
-		c, err := s.loadCols(i)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if p := s.tabs[i].Load(); p != nil {
-			return *p, nil
-		}
-		entries := c.AppendEntries(make([]Entry, 0, c.Len()))
-		s.tabs[i].Store(&entries)
-		return entries, nil
+	c, err := s.loadCols(i)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p := s.tabs[i].Load(); p != nil {
 		return *p, nil
 	}
-	d := &s.dir[i]
-	var entries []Entry
-	switch {
-	case s.data != nil:
-		// Zero-copy: the published table is a view over the mapping. The
-		// trailer CRC runs over the same mapped bytes before publication.
-		if err := s.verifyTableCRC(i, s.data[d.off:d.off+d.count*EntrySize]); err != nil {
-			return nil, fmt.Errorf("closure: snapshot table (%d,%d): %w", d.alpha, d.beta, err)
-		}
-		if d.count > 0 {
-			entries = unsafe.Slice((*Entry)(unsafe.Pointer(&s.data[d.off])), d.count)
-		}
-	case s.r != nil:
-		raw := make([]byte, d.count*EntrySize)
-		if _, err := s.r.ReadAt(raw, d.off); err != nil {
-			return nil, fmt.Errorf("closure: snapshot table (%d,%d): %w", d.alpha, d.beta, err)
-		}
-		if err := s.verifyTableCRC(i, raw); err != nil {
-			return nil, fmt.Errorf("closure: snapshot table (%d,%d): %w", d.alpha, d.beta, err)
-		}
-		entries = make([]Entry, d.count)
-		decodeEntriesInto(raw, entries)
-	default:
-		return nil, fmt.Errorf("closure: snapshot is closed")
-	}
-	if err := validateEntries(s.g, d.alpha, d.beta, entries); err != nil {
-		return nil, fmt.Errorf("closure: snapshot table (%d,%d): %w", d.alpha, d.beta, err)
-	}
+	entries := c.AppendEntries(make([]Entry, 0, c.Len()))
 	s.tabs[i].Store(&entries)
-	s.tablesLoaded.Add(1)
 	return entries, nil
 }
 
-// loadCols faults directory entry i as a column view. On a v2 file this is
-// the on-disk form: under mmap each column is a zero-copy []int32 view
-// over the mapping (column starts are snapTableAlign-aligned by
-// construction, so the reinterpretation is always aligned); in lazy mode
-// the three columns are read and decoded in one ReadAt. On a v1 file the
-// row-major table is faulted and transposed per call, uncached (the store
-// carves v1 tables from Table and keeps its own columns). Validation runs
-// per column (validateCols) before the view is published.
+// loadCols faults directory entry i as a column view: under mmap each
+// column is a zero-copy []int32 view over the mapping (column starts are
+// snapTableAlign-aligned by construction, so the reinterpretation is
+// always aligned); in lazy mode the three columns are read and decoded in
+// one ReadAt. The payload's trailer CRC and then validateCols run before
+// the view is published; later calls are a single atomic load.
 func (s *Snapshot) loadCols(i int) (Cols, error) {
 	if p := s.cols[i].Load(); p != nil {
 		return *p, nil
-	}
-	if s.version != snapVersion2 {
-		entries, err := s.load(i)
-		return EntriesToCols(entries), err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -724,8 +690,8 @@ func (s *Snapshot) Table(alpha, beta int32) []Entry {
 }
 
 // TableCols returns the L^α_β table as a column view, faulting it on
-// first use. On a v2 snapshot in mmap mode the columns are zero-copy
-// views over the mapping; on a v1 snapshot they are a fresh transpose.
+// first use; in mmap mode the columns are zero-copy views over the
+// mapping.
 func (s *Snapshot) TableCols(alpha, beta int32) Cols {
 	i := s.find(alpha, beta)
 	if i < 0 {
@@ -768,15 +734,6 @@ func (s *Snapshot) ComputeStats() Stats {
 // the platform cannot map or reinterpret the file in place.
 func (s *Snapshot) Mode() SnapMode { return s.mode }
 
-// Format returns the CLI/stats spelling of the on-disk format: "v1" for
-// row-major KTPMSNAP1, "v2" for KTPMSNAP2 columns.
-func (s *Snapshot) Format() string { return fmt.Sprintf("v%d", s.version) }
-
-// ColsNative reports whether column views are the snapshot's primary
-// representation (KTPMSNAP2): TableCols reads the on-disk columns while
-// Table pays a row-major materialization. See NativeCols.
-func (s *Snapshot) ColsNative() bool { return s.version >= 2 }
-
 // TablesLoaded returns how many tables have been faulted so far — the
 // counter behind IOStats.SnapshotTablesLoaded. Right after a lazy or
 // mmap open it is 0; eager open reports the full directory.
@@ -787,19 +744,17 @@ func (s *Snapshot) TablesLoaded() int64 { return s.tablesLoaded.Load() }
 func (s *Snapshot) BytesMapped() int64 { return int64(len(s.data)) }
 
 // Close releases the file handle and any mapping. It must only be called
-// after every query against the snapshot has finished: mmap-mode tables
-// are views into the mapping and become invalid here. Idempotent.
+// after every query against the snapshot has finished: mmap-mode column
+// views point into the mapping and become invalid here. Idempotent.
 func (s *Snapshot) Close() error {
 	var err error
 	if s.data != nil {
 		err = munmap(s.data)
 		s.data = nil
 		// Published zero-copy views now dangle; drop them so a
-		// (disallowed but cheap to defend) post-Close Table observes the
-		// closed state instead of reading unmapped memory.
-		for i := range s.tabs {
-			s.tabs[i].Store(nil)
-		}
+		// (disallowed but cheap to defend) post-Close fault observes the
+		// closed state instead of reading unmapped memory. Row-major
+		// tables are heap copies and stay valid.
 		for i := range s.cols {
 			s.cols[i].Store(nil)
 		}

@@ -2,14 +2,21 @@ package closure
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"ktpm/internal/gen"
 )
+
+var allSnapModes = []SnapMode{SnapEager, SnapLazy, SnapMMap}
 
 // writeTestSnapshot computes a closure and writes its snapshot to a temp
 // file, returning the closure and the path.
@@ -18,15 +25,8 @@ func writeTestSnapshot(t *testing.T) (*Closure, string) {
 	g := gen.ErdosRenyi(60, 220, 6, 11)
 	c := Compute(g, Options{})
 	path := filepath.Join(t.TempDir(), "c.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(f, c); err != nil {
+	if err := writeSnapshotFile(path, c); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 	return c, path
 }
@@ -56,20 +56,34 @@ func sameTables(t *testing.T, want TableSource, got TableSource, mode string) {
 	})
 }
 
+// TestSnapshotRoundTripAllModes pins the snapshot against the in-memory
+// closure it was written from, in every mode: row-major Table views
+// (reassembled from columns) and TableCols column views must both agree
+// entry for entry, and the directory-level stats must match.
 func TestSnapshotRoundTripAllModes(t *testing.T) {
 	c, path := writeTestSnapshot(t)
-	for _, mode := range []SnapMode{SnapEager, SnapLazy, SnapMMap} {
+	for _, mode := range allSnapModes {
 		s, err := OpenSnapshotFile(path, mode)
 		if err != nil {
 			t.Fatalf("%v: OpenSnapshotFile: %v", mode, err)
 		}
 		sameTables(t, c, s, mode.String())
+		c.Tables(func(alpha, beta int32, entries []Entry) bool {
+			cols := s.TableCols(alpha, beta)
+			if cols.Len() != len(entries) {
+				t.Fatalf("%v: cols (%d,%d): %d lanes, want %d", mode, alpha, beta, cols.Len(), len(entries))
+			}
+			for i, e := range entries {
+				if cols.At(i) != e {
+					t.Fatalf("%v: cols (%d,%d)[%d]: %v, want %v", mode, alpha, beta, i, cols.At(i), e)
+				}
+			}
+			return true
+		})
 		if err := s.Err(); err != nil {
 			t.Fatalf("%v: Err: %v", mode, err)
 		}
-		ws := c.ComputeStats()
-		gs := s.ComputeStats()
-		if gs != ws {
+		if gs, ws := s.ComputeStats(), c.ComputeStats(); gs != ws {
 			t.Fatalf("%v: stats %+v, want %+v", mode, gs, ws)
 		}
 		if err := s.Close(); err != nil {
@@ -115,6 +129,11 @@ func TestSnapshotOpenDoesNoTableWork(t *testing.T) {
 	}
 }
 
+// TestSnapshotMMapZeroCopy pins the layout property the zero-copy views
+// rely on: in mmap mode every column of every table is a view that starts
+// 16-byte aligned inside the mapping, so reinterpreting the mapped bytes
+// as []int32 is always in-bounds and aligned, and no payload is copied
+// onto the heap.
 func TestSnapshotMMapZeroCopy(t *testing.T) {
 	_, path := writeTestSnapshot(t)
 	s, err := OpenSnapshotFile(path, SnapMMap)
@@ -128,9 +147,29 @@ func TestSnapshotMMapZeroCopy(t *testing.T) {
 	if s.BytesMapped() == 0 {
 		t.Fatal("BytesMapped = 0 in mmap mode")
 	}
-	// Faulting every table must not copy payloads onto the heap: total
-	// allocation stays far below the mapped payload size.
-	s.Tables(func(alpha, beta int32, entries []Entry) bool { return true })
+	base := uintptr(unsafe.Pointer(&s.data[0]))
+	end := base + uintptr(len(s.data))
+	checked := 0
+	s.TableLens(func(alpha, beta int32, count int) bool {
+		cols := s.TableCols(alpha, beta)
+		for _, col := range [][]int32{cols.To, cols.Dist, cols.From} {
+			if len(col) == 0 {
+				continue
+			}
+			p := uintptr(unsafe.Pointer(&col[0]))
+			if p%snapTableAlign != 0 {
+				t.Fatalf("table (%d,%d): column start %#x not %d-aligned", alpha, beta, p, snapTableAlign)
+			}
+			if p < base || p+uintptr(len(col))*4 > end {
+				t.Fatalf("table (%d,%d): column [%#x,%#x) escapes the mapping [%#x,%#x) — not zero-copy", alpha, beta, p, p+uintptr(len(col))*4, base, end)
+			}
+			checked++
+		}
+		return true
+	})
+	if checked == 0 {
+		t.Fatal("no columns checked")
+	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,45 +195,64 @@ func snapDirOff(b []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(b[50:58]))
 }
 
+// resealFirstTable recomputes the first table's trailer CRC and the
+// trailer's footer CRC after the test edited that table's payload, so
+// the edit reaches structural validation instead of failing the checksum.
+func resealFirstTable(t *testing.T, b []byte) {
+	t.Helper()
+	off, span, trailerBytes := snapLayout(t, b)
+	trailerOff := int64(len(b)) - trailerBytes
+	trailer := b[trailerOff : int64(len(b))-snapFooterSize]
+	binary.LittleEndian.PutUint32(trailer[snapTrailerFix:], crc32.Checksum(b[off:off+span], snapCRC))
+	binary.LittleEndian.PutUint32(b[len(b)-snapFooterSize+20:], crc32.Checksum(trailer, snapCRC))
+}
+
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	_, path := writeTestSnapshot(t)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, trailerBytes := snapLayout(t, raw)
 	cases := []struct {
 		name   string
 		mutate func(b []byte) []byte
+		errHas string // required substring of the open error, if any
 	}{
-		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }},
-		{"bad version", func(b []byte) []byte { b[10] = 99; return b }},
+		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "bad snapshot magic"},
+		// Formats earlier builds wrote are named, with the conversion.
+		{"legacy KTPMSNAP1 magic", func(b []byte) []byte { b[8] = '1'; return b }, "KTPMSNAP1 snapshot, a format this build no longer reads; rewrite it as KTPMSNAP2"},
+		{"legacy KTPMDB1 magic", func(b []byte) []byte { copy(b, "KTPMDB1 1234\n"); return b }, "KTPMDB1 database file (ktpm -save, ktpmd -db), a format this build no longer reads; rewrite it as KTPMSNAP2"},
+		{"legacy KTPMTC1 magic", func(b []byte) []byte { return []byte("KTPMTC1\n\x00") }, "KTPMTC1 closure stream, a format this build no longer reads; rewrite it as KTPMSNAP2"},
+		{"bad version", func(b []byte) []byte { b[10] = 99; return b }, "snapshot version"},
 		{"numTables overflow", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[18:26], 1<<60)
 			return b
-		}},
+		}, ""},
 		{"graph section overflow", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[34:42], 1<<62)
 			binary.LittleEndian.PutUint64(b[42:50], 1<<62)
 			return b
-		}},
-		{"truncated header", func(b []byte) []byte { return b[:snapHeaderSize/2] }},
-		{"truncated payload", func(b []byte) []byte { return b[:len(b)-EntrySize] }},
-		{"truncated at directory", func(b []byte) []byte { return b[:snapDirOff(b)+4] }},
+		}, ""},
+		{"truncated header", func(b []byte) []byte { return b[:snapHeaderSize/2] }, ""},
+		// Cut into the last table's columns (trailer gone with them).
+		{"truncated payload", func(b []byte) []byte { return b[:int64(len(b))-trailerBytes-8] }, ""},
+		{"truncated at directory", func(b []byte) []byte { return b[:snapDirOff(b)+4] }, ""},
 		{"directory offset past EOF", func(b []byte) []byte {
 			row := b[snapDirOff(b):]
 			binary.LittleEndian.PutUint64(row[8:16], uint64(len(b))+snapPageSize)
 			return b
-		}},
+		}, ""},
 		{"directory count past EOF", func(b []byte) []byte {
 			row := b[snapDirOff(b):]
 			binary.LittleEndian.PutUint64(row[16:24], 1<<40)
 			return b
-		}},
+		}, ""},
 		{"directory count overflow", func(b []byte) []byte {
 			row := b[snapDirOff(b):]
 			binary.LittleEndian.PutUint64(row[16:24], 1<<62)
 			return b
-		}},
+		}, ""},
 		{"unsorted directory", func(b []byte) []byte {
 			d := snapDirOff(b)
 			tmp := make([]byte, snapDirEntSize)
@@ -202,47 +260,60 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			copy(b[d:], b[d+snapDirEntSize:d+2*snapDirEntSize])
 			copy(b[d+snapDirEntSize:], tmp)
 			return b
-		}},
+		}, ""},
 		{"label out of range", func(b []byte) []byte {
 			row := b[snapDirOff(b):]
 			binary.LittleEndian.PutUint32(row[0:4], 1<<30)
 			return b
-		}},
+		}, ""},
+		// A column start off the 16-byte grid every zero-copy view
+		// derives from.
 		{"unaligned table offset", func(b []byte) []byte {
 			row := b[snapDirOff(b):]
 			off := binary.LittleEndian.Uint64(row[8:16])
 			binary.LittleEndian.PutUint64(row[8:16], off+4)
 			return b
-		}},
+		}, ""},
 		{"garbage graph section", func(b []byte) []byte {
 			copy(b[snapHeaderSize:], "definitely not a graph")
 			return b
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := corrupt(t, path, tc.mutate)
-			for _, mode := range []SnapMode{SnapEager, SnapLazy, SnapMMap} {
-				if s, err := OpenSnapshotFile(p, mode); err == nil {
+			for _, mode := range allSnapModes {
+				s, err := OpenSnapshotFile(p, mode)
+				if err == nil {
 					s.Close()
 					t.Fatalf("%v: corruption %q accepted at open", mode, tc.name)
 				}
+				if !strings.Contains(err.Error(), tc.errHas) {
+					t.Fatalf("%v: error %q does not say %q", mode, err, tc.errHas)
+				}
+			}
+			if _, err := VerifySnapshotFile(p); err == nil {
+				t.Fatalf("VerifySnapshotFile accepted %q", tc.name)
 			}
 		})
 	}
-	// Payload corruption inside the directory's bounds is only detectable
-	// when the table faults: eager rejects at open; lazy and mmap reject
-	// at first Table with a sticky Err.
+	// Payload damage inside the directory's bounds is only detectable when
+	// the table faults: eager rejects at open; lazy and mmap reject at the
+	// first fault, through both the column and the row read paths, with a
+	// sticky Err. The CRCs are resealed so the damage reaches structural
+	// validation, the check behind the checksum.
 	t.Run("out-of-range entry endpoint", func(t *testing.T) {
-		var first snapDirEnt
-		first.off = int64(binary.LittleEndian.Uint64(raw[snapDirOff(raw)+8:]))
+		first := int64(binary.LittleEndian.Uint64(raw[snapDirOff(raw)+8:]))
 		p := corrupt(t, path, func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[first.off:], 1<<30) // Entry.From far out of range
+			binary.LittleEndian.PutUint32(b[first:], 1<<30) // to[0], far out of range
+			resealFirstTable(t, b)
 			return b
 		})
 		if s, err := OpenSnapshotFile(p, SnapEager); err == nil {
 			s.Close()
 			t.Fatal("eager open accepted an out-of-range entry endpoint")
+		} else if !strings.Contains(err.Error(), "invalid entry") {
+			t.Fatalf("eager open failed on %q, want structural validation", err)
 		}
 		for _, mode := range []SnapMode{SnapLazy, SnapMMap} {
 			s, err := OpenSnapshotFile(p, mode)
@@ -251,16 +322,19 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			}
 			var alpha, beta int32
 			s.TableLens(func(a, b int32, count int) bool { alpha, beta = a, b; return false })
+			if cols := s.TableCols(alpha, beta); cols.Len() != 0 {
+				t.Fatalf("%v: corrupt table served %d lanes", mode, cols.Len())
+			}
 			if tab := s.Table(alpha, beta); tab != nil {
-				t.Fatalf("%v: corrupt table served %d entries", mode, len(tab))
+				t.Fatalf("%v: corrupt table served %d entries via rows", mode, len(tab))
 			}
 			if s.Err() == nil {
 				t.Fatalf("%v: no sticky error after corrupt fault", mode)
 			}
 			// Re-encoding the damaged source must fail loudly, not write
-			// a truncated stream.
-			if err := Encode(io.Discard, s); err == nil {
-				t.Fatalf("%v: Encode of a corrupt snapshot succeeded", mode)
+			// a file with the table missing.
+			if err := WriteSnapshot(io.Discard, s); err == nil {
+				t.Fatalf("%v: WriteSnapshot of a corrupt snapshot succeeded", mode)
 			}
 			s.Close()
 		}
@@ -282,18 +356,24 @@ func TestSnapshotWriteDeterministic(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsOutOfRangeEndpoint(t *testing.T) {
-	g := gen.ErdosRenyi(30, 100, 4, 2)
-	c := Compute(g, Options{})
-	var buf bytes.Buffer
-	if err := Encode(&buf, c); err != nil {
+// TestSnapshotBytesPinned pins the KTPMSNAP2 bytes across builds: the
+// digest below is what the writer produced for this seeded closure when
+// the format was last changed on purpose. Files and compacted generations
+// already on disk must keep opening, and snapshot sizes must keep meaning
+// the same thing, so any change here is a format change and needs a new
+// magic or version, not a new digest.
+func TestSnapshotBytesPinned(t *testing.T) {
+	const (
+		wantLen    = 27584
+		wantSHA256 = "3cfadd45d5cb428effc0ecc46c4ae673c60865832eb2a937f16d52e89865fee3"
+	)
+	c := Compute(gen.ErdosRenyi(40, 150, 5, 3), Options{})
+	var b bytes.Buffer
+	if err := WriteSnapshot(&b, c); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	// First entry payload starts after magic(8) + numTables(8) + table
-	// header(16); splat a huge From.
-	binary.LittleEndian.PutUint32(b[len(closureMagic)+8+16:], 1<<30)
-	if _, err := Decode(bytes.NewReader(b), g, false); err == nil {
-		t.Fatal("out-of-range endpoint accepted")
+	sum := sha256.Sum256(b.Bytes())
+	if got := hex.EncodeToString(sum[:]); b.Len() != wantLen || got != wantSHA256 {
+		t.Fatalf("snapshot is %d bytes with sha256 %s, want %d bytes with %s", b.Len(), got, wantLen, wantSHA256)
 	}
 }

@@ -51,7 +51,7 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := closure.WriteSnapshotV2(f, c); err != nil {
+	if err := closure.WriteSnapshot(f, c); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

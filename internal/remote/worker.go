@@ -33,7 +33,7 @@ type WorkerConfig struct {
 // the vertices its partitioner assigns to its index and answers
 // /shard/stream with the canonical score-ordered enumeration of those
 // matches, truncated by the coordinator's k hint. The underlying
-// Database is typically opened from the same KTPMSNAP1 snapshot every
+// Database is typically opened from the same KTPMSNAP2 snapshot every
 // other worker maps, so the page cache is shared across the fleet.
 type Worker struct {
 	db     *ktpm.Database

@@ -69,15 +69,12 @@ type coordinatorStater interface {
 // verbatim in /stats and /metrics so operators can see what a restart
 // would cost. The zero value reports nothing.
 type StartupInfo struct {
-	// Source is "graph" (closure built at startup), "db" (KTPMTC1
-	// stream), or "snapshot" (KTPMSNAP1/2).
+	// Source is "graph" (closure built at startup) or "snapshot" (a
+	// KTPMSNAP2 file opened at startup).
 	Source string `json:"source"`
 	// SnapshotMode is the effective snapshot backing ("eager", "lazy",
 	// "mmap"); empty for non-snapshot sources.
 	SnapshotMode string `json:"snapshot_mode,omitempty"`
-	// SnapshotFormat is the on-disk snapshot layout ("v1" row-major,
-	// "v2" columnar); empty for non-snapshot sources.
-	SnapshotFormat string `json:"snapshot_format,omitempty"`
 	// OpenMS is the wall time spent building or opening the database
 	// before serving could begin.
 	OpenMS float64 `json:"open_ms"`
@@ -950,12 +947,12 @@ type StatsResponse struct {
 	// revision when embedded.
 	Build obs.BuildInfo `json:"build"`
 	// Startup reports how the database was loaded and how long the open
-	// took (ktpmd -graph builds, -db parses the stream, -snapshot opens
-	// in the configured mode).
+	// took (ktpmd -graph builds, -snapshot opens in the configured
+	// mode).
 	Startup StartupInfo `json:"startup"`
-	// Snapshot reports the snapshot backing — on-disk format, effective mode, tables
+	// Snapshot reports the snapshot backing — effective mode, tables
 	// faulted so far out of the directory total, mapped bytes — when the
-	// backend was opened from a KTPMSNAP1/2 snapshot; omitted otherwise.
+	// backend was opened from a snapshot; omitted otherwise.
 	Snapshot *ktpm.SnapshotStats `json:"snapshot,omitempty"`
 	// Ingest reports the crash-safe write path — WAL, epoch overlay, and
 	// background compaction — when the backend is a live (writable)

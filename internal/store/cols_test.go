@@ -1,7 +1,6 @@
 package store
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -149,8 +148,8 @@ func refE(src closure.TableSource, alpha, beta int32, childOnly bool) []EEntry {
 // TestCarveMatchesSourceRows checks the carved image against lists, block
 // boundaries and D/E summaries computed in the test from the source's
 // rows and the graph's direct edges, for every kind of source the store
-// is built over: an in-memory closure, a merged overlay, and v1 and v2
-// snapshots read lazily and through mmap.
+// is built over: an in-memory closure and a merged overlay (both carved
+// through the transpose) and a snapshot read lazily and through mmap.
 func TestCarveMatchesSourceRows(t *testing.T) {
 	// Weighted, so some direct edges are longer than the shortest path
 	// between their endpoints and must not be flagged direct.
@@ -189,29 +188,24 @@ func TestCarveMatchesSourceRows(t *testing.T) {
 	merged := closure.NewMergedSource(combined, closureOf(t, base), delta)
 
 	sources := map[string]closure.TableSource{"closure": c, "merged": merged}
-	dir := t.TempDir()
-	for name, write := range map[string]func(io.Writer, closure.TableSource) error{
-		"v1": closure.WriteSnapshot, "v2": closure.WriteSnapshotV2,
-	} {
-		path := filepath.Join(dir, name+".snap")
-		f, err := os.Create(path)
+	path := filepath.Join(t.TempDir(), "c.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closure.WriteSnapshot(f, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []closure.SnapMode{closure.SnapLazy, closure.SnapMMap} {
+		snap, err := closure.OpenSnapshotFile(path, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := write(f, c); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []closure.SnapMode{closure.SnapLazy, closure.SnapMMap} {
-			snap, err := closure.OpenSnapshotFile(path, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer snap.Close()
-			sources[name+"/"+mode.String()] = snap
-		}
+		defer snap.Close()
+		sources["snapshot/"+mode.String()] = snap
 	}
 
 	for name, src := range sources {

@@ -25,13 +25,13 @@
 // from[]/dist[]/direct[] columns, whatever the closure.TableSource behind
 // it. What the carve costs depends only on where the bytes come from:
 //
-//   - a KTPMSNAP2 snapshot serves its on-disk columns (zero-copy views
-//     over the mapping under mmap, one decoded read under lazy), so the
-//     carve is two column copies plus the direct-flag pass;
-//   - an in-memory Closure, a MergedSource overlay and a KTPMSNAP1
-//     snapshot hold row-major entries, which closure.TableColsOf
-//     transposes once per carve: the transpose's from/dist become the
-//     store's columns and nothing else is retained.
+//   - a snapshot serves its on-disk columns (zero-copy views over the
+//     mapping under mmap, one decoded read under lazy), so the carve is
+//     two column copies plus the direct-flag pass;
+//   - an in-memory Closure and a MergedSource overlay hold row-major
+//     entries, which closure.TableColsOf transposes once per carve: the
+//     transpose's from/dist become the store's columns and nothing else
+//     is retained.
 //
 // Lists are served as EdgeCols column views (ListHandle.BlockCols, what
 // the enumerator's block kernels read); ListHandle.Block and LoadBlock

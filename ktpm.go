@@ -45,20 +45,15 @@
 //
 // The offline closure computation is paid once: SaveSnapshot writes a
 // page-aligned, offset-indexed KTPMSNAP2 image (per-table to/dist/from
-// columns, the layout the store carves from without a transpose) that
-// OpenSnapshot can reopen eagerly, lazily (tables fault in on first
-// touch), or via mmap (zero-copy column views) — the lazy modes open in
-// O(directory) time, so a daemon restart over a big graph is
-// near-instant. SaveSnapshotAs can still write the older row-major
-// KTPMSNAP1 layout, which OpenSnapshot detects by magic. All modes and
-// both formats answer queries byte-identically to BuildDatabase.
-// SaveDatabase and OpenDatabase keep reading the older KTPMTC1 stream
-// format.
+// columns, the layout the store carves from without a transpose, behind
+// a required CRC32C trailer) that OpenSnapshot can reopen eagerly, lazily
+// (tables fault in on first touch), or via mmap (zero-copy column views)
+// — the lazy modes open in O(directory) time, so a daemon restart over a
+// big graph is near-instant. All modes answer queries byte-identically to
+// BuildDatabase.
 package ktpm
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -152,12 +147,12 @@ type DatabaseOptions struct {
 // with shortest distances (Section 3.1) organized both as label-pair
 // tables and in the simulated block store (Section 4.1). The closure is
 // accessed through a closure.TableSource, which is either fully resident
-// (BuildDatabase, OpenDatabase, eager snapshots) or faulted in from disk
+// (BuildDatabase, eager snapshots) or faulted in from disk
 // per table (OpenSnapshot in lazy or mmap mode).
 type Database struct {
 	g    *graph.Graph
 	c    closure.TableSource
-	snap *closure.Snapshot // non-nil when opened from a KTPMSNAP1/2 file
+	snap *closure.Snapshot // non-nil when opened from a snapshot file
 	st   *store.Store
 	opt  DatabaseOptions
 }
@@ -180,55 +175,6 @@ func BuildDatabase(g *Graph, opt DatabaseOptions) (*Database, error) {
 // Graph returns the underlying data graph.
 func (db *Database) Graph() *Graph { return &Graph{g: db.g} }
 
-// SaveDatabase writes a self-contained snapshot — the graph plus its
-// precomputed closure — so the offline step is paid once. The layout is a
-// length-prefixed graph text section followed by the binary KTPMTC1
-// closure stream, which OpenDatabase must parse front to back; prefer
-// SaveSnapshot/OpenSnapshot, whose offset-indexed format also supports
-// lazy and mmap opening. Kept for compatibility with existing files.
-func SaveDatabase(w io.Writer, db *Database) error {
-	var gbuf bytes.Buffer
-	if err := graph.Encode(&gbuf, db.g); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "KTPMDB1 %d\n", gbuf.Len()); err != nil {
-		return err
-	}
-	if _, err := w.Write(gbuf.Bytes()); err != nil {
-		return err
-	}
-	return closure.Encode(w, db.c)
-}
-
-// OpenDatabase reads a snapshot written by SaveDatabase, skipping the
-// closure recomputation. BlockSize applies to the rebuilt store; a
-// MaxDistance different from the snapshot's is not re-applied.
-func OpenDatabase(r io.Reader, opt DatabaseOptions) (*Database, error) {
-	br := bufio.NewReader(r)
-	var glen int
-	if _, err := fmt.Fscanf(br, "KTPMDB1 %d\n", &glen); err != nil {
-		return nil, fmt.Errorf("ktpm: bad database header: %w", err)
-	}
-	gbytes := make([]byte, glen)
-	if _, err := io.ReadFull(br, gbytes); err != nil {
-		return nil, fmt.Errorf("ktpm: reading graph section: %w", err)
-	}
-	g, err := graph.Decode(bytes.NewReader(gbytes))
-	if err != nil {
-		return nil, err
-	}
-	c, err := closure.Decode(br, g, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Database{
-		g:   g,
-		c:   c,
-		st:  store.New(c, opt.BlockSize),
-		opt: opt,
-	}, nil
-}
-
 // SnapshotMode selects how OpenSnapshot backs the closure tables.
 type SnapshotMode int
 
@@ -240,7 +186,7 @@ const (
 	// SnapshotLazy opens in O(directory) time; each closure table is
 	// seek-read and decoded the first time a query touches it.
 	SnapshotLazy
-	// SnapshotMMap maps the file and serves zero-copy entry views over
+	// SnapshotMMap maps the file and serves zero-copy column views over
 	// the mapping: no heap copy of table payloads, opening in
 	// O(directory) time, and the OS page cache shares the bytes across
 	// every process mapping the same file. Falls back to SnapshotLazy on
@@ -276,66 +222,41 @@ type SnapshotOptions struct {
 	BlockSize int
 }
 
-// SnapshotFormat selects the on-disk layout SaveSnapshotAs writes.
+// SnapshotFormat names the on-disk layout SaveSnapshotAs writes.
+//
+// Deprecated: KTPMSNAP2 is the only format; SnapshotV2, the zero value,
+// is the only accepted value. SnapshotFormat remains only for existing
+// callers and will be removed.
 type SnapshotFormat int
 
-const (
-	// SnapshotV1 is the row-major KTPMSNAP1 layout: each table is a run
-	// of (From, To, Dist) triples. Still written on request and read by
-	// magic; the store transposes its tables on every carve.
-	SnapshotV1 SnapshotFormat = iota
-	// SnapshotV2 is the KTPMSNAP2 layout SaveSnapshot writes: each table
-	// stores to[], dist[], and from[] as separate contiguous
-	// little-endian columns behind the same directory, which is the form
-	// the store carves from (zero-copy under mmap). Results are
-	// byte-identical to v1.
-	SnapshotV2
-)
-
-// String returns the CLI spelling ("v1", "v2"); ParseSnapshotFormat
-// accepts it back.
-func (f SnapshotFormat) String() string {
-	if f == SnapshotV2 {
-		return "v2"
-	}
-	return "v1"
-}
-
-// ParseSnapshotFormat resolves the CLI/service spelling of a snapshot
-// format ("v1", "v2", case-insensitive); ok is false for unknown names,
-// including the empty string.
-func ParseSnapshotFormat(name string) (SnapshotFormat, bool) {
-	switch strings.ToLower(name) {
-	case "v1":
-		return SnapshotV1, true
-	case "v2":
-		return SnapshotV2, true
-	}
-	return 0, false
-}
+// SnapshotV2 is the KTPMSNAP2 layout, the only one written or read.
+//
+// Deprecated: it is the zero value of SnapshotFormat and will be removed
+// with it.
+const SnapshotV2 SnapshotFormat = 0
 
 // SaveSnapshot writes db as a KTPMSNAP2 snapshot: a page-aligned,
 // offset-indexed image of the graph and closure with a table directory
-// up front, openable eagerly, lazily, or via mmap (see OpenSnapshot).
-// Saving from a lazy or mmap database faults every table once; the
-// closure is never recomputed. Output is deterministic for a given
-// closure.
+// up front and a CRC32C trailer, openable eagerly, lazily, or via mmap
+// (see OpenSnapshot). Saving from a lazy or mmap database faults every
+// table once; the closure is never recomputed. Output is deterministic
+// for a given closure.
 func SaveSnapshot(w io.Writer, db *Database) error {
-	return SaveSnapshotAs(w, db, SnapshotV2)
-}
-
-// SaveSnapshotAs is SaveSnapshot with an explicit on-disk format:
-// SnapshotV2 writes the column-per-field KTPMSNAP2 image, SnapshotV1 the
-// row-major KTPMSNAP1 one. OpenSnapshot detects either by magic.
-func SaveSnapshotAs(w io.Writer, db *Database, format SnapshotFormat) error {
-	if format == SnapshotV2 {
-		return closure.WriteSnapshotV2(w, db.c)
-	}
 	return closure.WriteSnapshot(w, db.c)
 }
 
-// OpenSnapshot opens a KTPMSNAP1 or KTPMSNAP2 snapshot written by
-// SaveSnapshot or SaveSnapshotAs, detecting the format by magic. In
+// SaveSnapshotAs is SaveSnapshot for callers that name the format; any
+// format other than SnapshotV2 is an error.
+//
+// Deprecated: use SaveSnapshot. SaveSnapshotAs will be removed.
+func SaveSnapshotAs(w io.Writer, db *Database, format SnapshotFormat) error {
+	if format != SnapshotV2 {
+		return fmt.Errorf("ktpm: snapshot format %d is not written; KTPMSNAP2 (SnapshotV2) is the only format", int(format))
+	}
+	return SaveSnapshot(w, db)
+}
+
+// OpenSnapshot opens a KTPMSNAP2 snapshot written by SaveSnapshot. In
 // SnapshotLazy and SnapshotMMap modes it returns in O(directory) time —
 // the graph and table directory are read, but no closure table is
 // touched until a query faults it — so a daemon over a big graph starts
@@ -344,8 +265,9 @@ func SaveSnapshotAs(w io.Writer, db *Database, format SnapshotFormat) error {
 //
 // The returned Database is safe for concurrent use like any other, but a
 // lazy or mmap database keeps the file (or mapping) open: call Close
-// once queries have stopped. Corruption in the header, graph, or
-// directory fails here; payload corruption fails at open only in eager
+// once queries have stopped. Corruption in the header, graph, directory,
+// or checksum trailer (a missing trailer included) fails here; payload
+// corruption fails at open only in eager
 // mode, and in lazy/mmap modes surfaces as an error from SnapshotStats
 // once the damaged table faults.
 func OpenSnapshot(path string, opt SnapshotOptions) (*Database, error) {
@@ -384,9 +306,6 @@ type SnapshotStats struct {
 	// Mode is the effective backing mode ("eager", "lazy", "mmap") —
 	// what a requested mmap degraded to on platforms without it.
 	Mode string `json:"mode"`
-	// Format is the on-disk layout the snapshot was written in: "v1"
-	// (row-major KTPMSNAP1) or "v2" (columnar KTPMSNAP2).
-	Format string `json:"format"`
 	// TablesLoaded counts closure tables faulted from the snapshot so
 	// far; directly after a lazy or mmap open it is 0.
 	TablesLoaded int64 `json:"tables_loaded"`
@@ -407,7 +326,6 @@ func (db *Database) SnapshotStats() (SnapshotStats, bool) {
 	}
 	st := SnapshotStats{
 		Mode:         db.snap.Mode().String(),
-		Format:       db.snap.Format(),
 		TablesLoaded: db.snap.TablesLoaded(),
 		TablesTotal:  int64(db.snap.NumTables()),
 		BytesMapped:  db.snap.BytesMapped(),

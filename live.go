@@ -145,7 +145,10 @@ type LiveConfig struct {
 	// compaction; 0 means 100000, negative disables compaction entirely
 	// (the WAL grows unboundedly).
 	CompactThreshold int
-	// SnapshotFormat is the on-disk layout of compacted generations.
+	// SnapshotFormat must be SnapshotV2, the zero value: generations are
+	// always KTPMSNAP2.
+	//
+	// Deprecated: leave it unset. The field will be removed.
 	SnapshotFormat SnapshotFormat
 	// SnapshotMode is how compacted generations are opened for serving;
 	// the zero value is SnapshotEager.
@@ -182,7 +185,6 @@ type pendingBatch struct {
 // ktpmd serving backend); queries and Ingest may run concurrently.
 type Live struct {
 	dir       string
-	format    SnapshotFormat
 	mode      SnapshotMode
 	threshold int
 	blockSize int
@@ -243,6 +245,9 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("ktpm: OpenLive: Dir is required")
 	}
+	if cfg.SnapshotFormat != SnapshotV2 {
+		return nil, fmt.Errorf("ktpm: OpenLive: snapshot format %d is not written; generations are always KTPMSNAP2", int(cfg.SnapshotFormat))
+	}
 	pol, err := wal.ParsePolicy(cfg.Fsync)
 	if err != nil {
 		return nil, fmt.Errorf("ktpm: OpenLive: %w", err)
@@ -260,7 +265,6 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 	}
 	l := &Live{
 		dir:         cfg.Dir,
-		format:      cfg.SnapshotFormat,
 		mode:        cfg.SnapshotMode,
 		threshold:   threshold,
 		blockSize:   db.opt.BlockSize,
@@ -591,9 +595,6 @@ func (l *Live) compact() error {
 	name := liveGenName(gen)
 	path := filepath.Join(l.dir, name)
 	err := fsio.WriteFileAtomic(path, func(out io.Writer) error {
-		if l.format == SnapshotV2 {
-			return closure.WriteSnapshotV2(out, src)
-		}
 		return closure.WriteSnapshot(out, src)
 	})
 	if err != nil {
@@ -834,7 +835,6 @@ func (l *Live) SnapshotStats() (SnapshotStats, bool) {
 	}
 	st := SnapshotStats{
 		Mode:         snap.Mode().String(),
-		Format:       snap.Format(),
 		TablesLoaded: snap.TablesLoaded(),
 		TablesTotal:  int64(snap.NumTables()),
 		BytesMapped:  snap.BytesMapped(),

@@ -115,85 +115,82 @@ func assertLiveMatchesReference(t *testing.T, tag string, live *Live, ref *Datab
 // TestLiveMatchesRebuild is the write-path result-identity property:
 // after every ingest batch, and both before and after compaction, the
 // overlay-merged serving state must answer byte-identically to a
-// from-scratch BuildDatabase over base+delta edges — across snapshot
-// formats, generation backing modes, and shard counts {1, 2, 4}. The
-// epochs it walks are built over every kind of source (boot closure,
-// merged overlay, reopened generation, overlay on a generation), all
-// served by the store's one layout: nothing about an epoch's reader path
-// depends on which side of an ack or a generation swap it falls.
+// from-scratch BuildDatabase over base+delta edges — across generation
+// backing modes and shard counts {1, 2, 4}. The epochs it walks are built
+// over every kind of source (boot closure, merged overlay, reopened
+// generation, overlay on a generation), all served by the store's one
+// layout: nothing about an epoch's reader path depends on which side of
+// an ack or a generation swap it falls.
 func TestLiveMatchesRebuild(t *testing.T) {
-	for _, format := range []SnapshotFormat{SnapshotV1, SnapshotV2} {
-		for _, mode := range allSnapshotModes {
-			t.Run(fmt.Sprintf("%v/%v", format, mode), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(91))
-				labels, baseEdges := liveBase(rng, 60)
-				boot := buildLiveDB(t, labels, baseEdges)
-				live, err := OpenLive(boot, LiveConfig{
-					Dir:              t.TempDir(),
-					Fsync:            "never", // durability is exercised elsewhere; keep the property loop fast
-					CompactThreshold: -1,      // compaction is driven explicitly below
-					SnapshotFormat:   format,
-					SnapshotMode:     mode,
-				})
-				if err != nil {
-					t.Fatal(err)
+	for _, mode := range allSnapshotModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(91))
+			labels, baseEdges := liveBase(rng, 60)
+			boot := buildLiveDB(t, labels, baseEdges)
+			live, err := OpenLive(boot, LiveConfig{
+				Dir:              t.TempDir(),
+				Fsync:            "never", // durability is exercised elsewhere; keep the property loop fast
+				CompactThreshold: -1,      // compaction is driven explicitly below
+				SnapshotMode:     mode,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer live.Close()
+			// sourceIs pins which kind of source the current epoch's
+			// store is carved from, so the identity checks below are
+			// known to cover each of them.
+			sourceIs := func(tag string, want any) {
+				t.Helper()
+				if got := reflect.TypeOf(live.Current().st.Source()); got != reflect.TypeOf(want) {
+					t.Fatalf("%s: epoch source is %v, want %T", tag, got, want)
 				}
-				defer live.Close()
-				// sourceIs pins which kind of source the current epoch's
-				// store is carved from, so the identity checks below are
-				// known to cover each of them.
-				sourceIs := func(tag string, want any) {
-					t.Helper()
-					if got := reflect.TypeOf(live.Current().st.Source()); got != reflect.TypeOf(want) {
-						t.Fatalf("%s: epoch source is %v, want %T", tag, got, want)
-					}
-				}
-				sourceIs("boot", (*closure.Closure)(nil))
+			}
+			sourceIs("boot", (*closure.Closure)(nil))
 
-				all := append([]IngestEdge(nil), baseEdges...)
-				epoch := live.Epoch()
-				for batch := 0; batch < 3; batch++ {
-					edges := liveNewEdges(rng, 60, 6+rng.Intn(5))
-					if _, err := live.Ingest(edges); err != nil {
-						t.Fatalf("batch %d: %v", batch, err)
-					}
-					if e := live.Epoch(); e <= epoch {
-						t.Fatalf("batch %d: epoch did not advance (%d -> %d)", batch, epoch, e)
-					} else {
-						epoch = e
-					}
-					all = append(all, edges...)
-					ref := buildLiveDB(t, labels, all)
-					sourceIs("pre-compaction", (*closure.MergedSource)(nil))
-					assertLiveMatchesReference(t, fmt.Sprintf("batch %d (pre-compaction)", batch), live, ref)
-				}
-
-				if err := live.Compact(); err != nil {
-					t.Fatalf("compact: %v", err)
-				}
-				st := live.IngestStats()
-				if st.Compaction.Count != 1 || st.Overlay.Entries != 0 || st.Compaction.Generation != 1 {
-					t.Fatalf("post-compaction stats: %+v", st)
-				}
-				if st.Overlay.Watermark != st.LastLSN {
-					t.Fatalf("watermark %d != last lsn %d after compaction", st.Overlay.Watermark, st.LastLSN)
-				}
-				ref := buildLiveDB(t, labels, all)
-				sourceIs("post-compaction", (*closure.Snapshot)(nil))
-				assertLiveMatchesReference(t, "post-compaction", live, ref)
-
-				// Ingest on top of the compacted generation: the merged
-				// source now overlays a reopened snapshot base.
-				edges := liveNewEdges(rng, 60, 8)
+			all := append([]IngestEdge(nil), baseEdges...)
+			epoch := live.Epoch()
+			for batch := 0; batch < 3; batch++ {
+				edges := liveNewEdges(rng, 60, 6+rng.Intn(5))
 				if _, err := live.Ingest(edges); err != nil {
-					t.Fatal(err)
+					t.Fatalf("batch %d: %v", batch, err)
+				}
+				if e := live.Epoch(); e <= epoch {
+					t.Fatalf("batch %d: epoch did not advance (%d -> %d)", batch, epoch, e)
+				} else {
+					epoch = e
 				}
 				all = append(all, edges...)
-				ref = buildLiveDB(t, labels, all)
-				sourceIs("post-compaction ingest", (*closure.MergedSource)(nil))
-				assertLiveMatchesReference(t, "post-compaction ingest", live, ref)
-			})
-		}
+				ref := buildLiveDB(t, labels, all)
+				sourceIs("pre-compaction", (*closure.MergedSource)(nil))
+				assertLiveMatchesReference(t, fmt.Sprintf("batch %d (pre-compaction)", batch), live, ref)
+			}
+
+			if err := live.Compact(); err != nil {
+				t.Fatalf("compact: %v", err)
+			}
+			st := live.IngestStats()
+			if st.Compaction.Count != 1 || st.Overlay.Entries != 0 || st.Compaction.Generation != 1 {
+				t.Fatalf("post-compaction stats: %+v", st)
+			}
+			if st.Overlay.Watermark != st.LastLSN {
+				t.Fatalf("watermark %d != last lsn %d after compaction", st.Overlay.Watermark, st.LastLSN)
+			}
+			ref := buildLiveDB(t, labels, all)
+			sourceIs("post-compaction", (*closure.Snapshot)(nil))
+			assertLiveMatchesReference(t, "post-compaction", live, ref)
+
+			// Ingest on top of the compacted generation: the merged
+			// source now overlays a reopened snapshot base.
+			edges := liveNewEdges(rng, 60, 8)
+			if _, err := live.Ingest(edges); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, edges...)
+			ref = buildLiveDB(t, labels, all)
+			sourceIs("post-compaction ingest", (*closure.MergedSource)(nil))
+			assertLiveMatchesReference(t, "post-compaction ingest", live, ref)
+		})
 	}
 }
 
@@ -205,7 +202,7 @@ func TestLiveRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	labels, baseEdges := liveBase(rng, 50)
 	dir := t.TempDir()
-	cfg := LiveConfig{Dir: dir, Fsync: "always", CompactThreshold: -1, SnapshotFormat: SnapshotV2, SnapshotMode: SnapshotLazy}
+	cfg := LiveConfig{Dir: dir, Fsync: "always", CompactThreshold: -1, SnapshotMode: SnapshotLazy}
 
 	open := func() *Live {
 		t.Helper()
@@ -348,7 +345,7 @@ func TestLiveConcurrentQueryIngest(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	labels, baseEdges := liveBase(rng, 60)
 	live, err := OpenLive(buildLiveDB(t, labels, baseEdges), LiveConfig{
-		Dir: t.TempDir(), Fsync: "never", CompactThreshold: 200, SnapshotFormat: SnapshotV2, SnapshotMode: SnapshotMMap,
+		Dir: t.TempDir(), Fsync: "never", CompactThreshold: 200, SnapshotMode: SnapshotMMap,
 	})
 	if err != nil {
 		t.Fatal(err)

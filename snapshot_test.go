@@ -1,26 +1,40 @@
 package ktpm
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// saveTestSnapshot writes db as a row-major KTPMSNAP1 snapshot — no
-// longer what SaveSnapshot writes, so the tests in this file ask for it
-// by name; snapshot_v2_test.go runs the same properties over KTPMSNAP2.
+// saveTestSnapshot writes db's snapshot into a temp file.
 func saveTestSnapshot(t testing.TB, db *Database) string {
-	return saveTestSnapshotAs(t, db, SnapshotV1)
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "db.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSnapshot(f, db); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 var allSnapshotModes = []SnapshotMode{SnapshotEager, SnapshotLazy, SnapshotMMap}
 
 // TestSnapshotModesMatchBuildDatabase is the snapshot result-identity
-// property test: a database reopened from its snapshot in every mode
-// must answer TopK byte-identically to the BuildDatabase original — for
-// full enumerations and prefixes, unsharded and at shard counts
-// {1, 2, 4} — and /explain-level planning must agree too.
+// property test: a database reopened from its snapshot in every mode —
+// which routes every query through the store's columnar carve and the
+// block kernels — must answer TopK byte-identically to the BuildDatabase
+// original, for full enumerations and prefixes, unsharded and at shard
+// counts {1, 2, 4}, and /explain-level planning must agree too. Ties are
+// covered by the k=5000 full drain: canonical order is part of the
+// compared bytes.
 func TestSnapshotModesMatchBuildDatabase(t *testing.T) {
 	queries := []string{"a(b)", "a(b,c(d))", "a(*,c)", "a(/b)", "c(d,e)", "e"}
 	shardCounts := []int{1, 2, 4}
@@ -96,8 +110,8 @@ func TestSnapshotModesMatchBuildDatabase(t *testing.T) {
 }
 
 // TestSnapshotAlgorithmsAgree pins the non-default algorithms (which
-// materialize through the TableSource rather than the store) to the
-// original database on a snapshot opened in every mode.
+// materialize through the TableSource's column views rather than the
+// store) to the original database on a snapshot opened in every mode.
 func TestSnapshotAlgorithmsAgree(t *testing.T) {
 	db := randomDatabase(t, 70, 9)
 	path := saveTestSnapshot(t, db)
@@ -236,60 +250,61 @@ func TestSnapshotSharedAcrossReplicas(t *testing.T) {
 	}
 }
 
-// TestSnapshotReencode pins format interoperability: a lazily opened
-// snapshot re-encodes to both the KTPMTC1 database stream and a fresh
-// byte-identical KTPMSNAP1 snapshot without recomputing the closure.
+// TestSnapshotReencode pins that a snapshot-backed database re-saves to
+// the byte-identical file it was opened from, in every mode: the closure
+// is never recomputed and nothing is lost or reordered on the way
+// through the reader.
 func TestSnapshotReencode(t *testing.T) {
 	db := randomDatabase(t, 60, 13)
 	path := saveTestSnapshot(t, db)
-	sdb, err := OpenSnapshot(path, SnapshotOptions{Mode: SnapshotLazy})
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sdb.Close()
-	path2 := saveTestSnapshot(t, sdb)
-	a, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range allSnapshotModes {
+		sdb, err := OpenSnapshot(path, SnapshotOptions{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := SaveSnapshot(&got, sdb); err != nil {
+			t.Fatalf("%v: SaveSnapshot: %v", mode, err)
+		}
+		sdb.Close()
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%v: snapshot of a snapshot-backed database is not byte-identical", mode)
+		}
 	}
-	b, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("snapshot of a snapshot-backed database is not byte-identical")
-	}
+}
 
-	// KTPMDB1 round trip from a snapshot-backed database.
-	legacy := filepath.Join(t.TempDir(), "db.ktpmdb")
-	f, err := os.Create(legacy)
-	if err != nil {
+// TestSaveSnapshotWritesV2 pins the deprecated format names to the one
+// format: SnapshotV2 is SnapshotFormat's zero value, SaveSnapshotAs with
+// it is SaveSnapshot byte for byte, and every other value is refused by
+// SaveSnapshotAs and by LiveConfig.SnapshotFormat.
+func TestSaveSnapshotWritesV2(t *testing.T) {
+	db := randomDatabase(t, 40, 3)
+	var def, v2 bytes.Buffer
+	if err := SaveSnapshot(&def, db); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveDatabase(f, sdb); err != nil {
-		t.Fatalf("SaveDatabase from snapshot: %v", err)
+	if !bytes.HasPrefix(def.Bytes(), []byte("KTPMSNAP2\n")) {
+		t.Fatalf("SaveSnapshot wrote magic %q", def.Bytes()[:10])
 	}
-	if err := f.Close(); err != nil {
+	if SnapshotV2 != SnapshotFormat(0) {
+		t.Fatal("SnapshotV2 is not the zero value")
+	}
+	if err := SaveSnapshotAs(&v2, db, SnapshotV2); err != nil {
 		t.Fatal(err)
 	}
-	lf, err := os.Open(legacy)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(def.Bytes(), v2.Bytes()) {
+		t.Fatal("SaveSnapshot output differs from SaveSnapshotAs(SnapshotV2)")
 	}
-	defer lf.Close()
-	ldb, err := OpenDatabase(lf, DatabaseOptions{})
-	if err != nil {
-		t.Fatalf("OpenDatabase of re-encoded stream: %v", err)
+	if err := SaveSnapshotAs(&bytes.Buffer{}, db, SnapshotFormat(1)); err == nil {
+		t.Fatal("SaveSnapshotAs accepted a format other than SnapshotV2")
 	}
-	q, _ := db.ParseQuery("a(b)")
-	lq, _ := ldb.ParseQuery("a(b)")
-	want, _ := db.TopK(q, 20)
-	got, err := ldb.TopK(lq, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("re-encoded database answers differently")
+	if l, err := OpenLive(db, LiveConfig{Dir: t.TempDir(), SnapshotFormat: SnapshotFormat(1)}); err == nil {
+		l.Close()
+		t.Fatal("OpenLive accepted a generation format other than SnapshotV2")
 	}
 }
 
