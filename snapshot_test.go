@@ -150,6 +150,54 @@ func TestSnapshotAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// TestSnapshotV2AlgorithmsAgree pins each non-default algorithm on a
+// snapshot to the same algorithm on the original database, match for
+// match: drained in full, reading the closure through the KTPMSNAP2
+// column views instead of the in-memory tables yields the same set of
+// matches. (These algorithms break ties in no fixed order, so the sets
+// are compared sorted.)
+func TestSnapshotV2AlgorithmsAgree(t *testing.T) {
+	db := randomDatabase(t, 70, 9)
+	path := saveTestSnapshot(t, db)
+	for _, mode := range allSnapshotModes {
+		sdb, err := OpenSnapshot(path, SnapshotOptions{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, qs := range []string{"a(b,c)", "a(b,c(d))", "c(d,e)"} {
+			q, err := db.ParseQuery(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sq, err := sdb.ParseQuery(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := int(db.CountMatches(q))
+			if all == 0 {
+				t.Fatalf("query %q has no matches", qs)
+			}
+			for _, algo := range []Algorithm{AlgoTopk, AlgoDPB, AlgoDPP} {
+				want, err := db.TopKWith(q, all, Options{Algorithm: algo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sdb.TopKWith(sq, all, Options{Algorithm: algo})
+				if err != nil {
+					t.Fatalf("%v/%v %q: %v", mode, algo, qs, err)
+				}
+				if len(want) != all || !reflect.DeepEqual(sortedMatches(got), sortedMatches(want)) {
+					t.Fatalf("%v/%v %q: snapshot matches differ from the original database's", mode, algo, qs)
+				}
+			}
+		}
+		if st, _ := sdb.SnapshotStats(); st.Err != "" {
+			t.Fatalf("%v: snapshot error: %s", mode, st.Err)
+		}
+		sdb.Close()
+	}
+}
+
 // TestSnapshotLazyOpenDoesNoTableWork pins the O(directory) open
 // contract: in lazy and mmap modes no closure table may be materialized
 // at open — neither by the snapshot reader nor by the store layout — and
@@ -273,6 +321,54 @@ func TestSnapshotReencode(t *testing.T) {
 		sdb.Close()
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("%v: snapshot of a snapshot-backed database is not byte-identical", mode)
+		}
+	}
+}
+
+// TestSnapshotV2Reencode pins re-encoding as a chain of generations: each
+// generation is saved from a database opened on the one before, in
+// another mode and after a query, so the lazy and mmap writers read a mix
+// of faulted and unfaulted tables. Every generation must answer like the
+// original database and be byte-identical to the first file.
+func TestSnapshotV2Reencode(t *testing.T) {
+	db := randomDatabase(t, 60, 13)
+	path := saveTestSnapshot(t, db)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.ParseQuery("a(b,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTop, err := db.TopK(q, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []SnapshotMode{SnapshotLazy, SnapshotMMap, SnapshotEager} {
+		sdb, err := OpenSnapshot(path, SnapshotOptions{Mode: mode})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		sq, err := sdb.ParseQuery("a(b,c)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sdb.TopK(sq, 20)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !reflect.DeepEqual(got, wantTop) {
+			t.Fatalf("%v: generation answers differ from the original database", mode)
+		}
+		path = saveTestSnapshot(t, sdb)
+		sdb.Close()
+		again, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, want) {
+			t.Fatalf("%v: generation re-saved from a partly faulted database is not byte-identical", mode)
 		}
 	}
 }
