@@ -6,7 +6,7 @@ import (
 )
 
 // TestTopKBatchDedup pins the batch amortization contract: items whose
-// canonical form, k, and algorithm agree are enumerated once — the
+// canonical form and k agree are enumerated once — the
 // duplicates share the leader's result slice and are marked Shared —
 // and every item's answer equals the equivalent individual TopK call.
 func TestTopKBatchDedup(t *testing.T) {

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	ktpm -graph g.txt -query "a(b,c(d))" -k 20 [-algo topk-en] [-count]
+//	ktpm -graph g.txt -query "a(b,c(d))" -k 20 [-count]
 //	ktpm -graph g.txt -save-snapshot g.snap
 //	ktpm -verify-snapshot g.snap
 //
@@ -34,7 +34,6 @@ func main() {
 		snapFmt   = flag.String("snapshot-format", "v2", "deprecated and due for removal: v2 (KTPMSNAP2) is the only snapshot format, and any other value is an error")
 		queryStr  = flag.String("query", "", "query tree, e.g. \"a(b,c(d))\"")
 		k         = flag.Int("k", 10, "number of matches to return")
-		algoName  = flag.String("algo", "topk-en", "algorithm: topk-en, topk, dp-b, dp-p")
 		verify    = flag.String("verify-snapshot", "", "validate a KTPMSNAP2 snapshot — magic, header/directory bounds, the CRC32C trailer, and every table payload — then exit (0 healthy, nonzero corrupt)")
 		count     = flag.Bool("count", false, "also print the total number of matches")
 		explain   = flag.Bool("explain", false, "print the query plan before running")
@@ -58,10 +57,6 @@ func main() {
 	if (*graphPath == "" && *snapPath == "") || (*queryStr == "" && *saveSnap == "") {
 		flag.Usage()
 		os.Exit(2)
-	}
-	algo, ok := ktpm.ParseAlgorithm(*algoName)
-	if !ok {
-		fatalf("unknown algorithm %q (want topk-en, topk, dp-b, dp-p)", *algoName)
 	}
 	mode, ok := ktpm.ParseSnapshotMode(*snapMode)
 	if !ok {
@@ -129,12 +124,12 @@ func main() {
 		fmt.Print(plan)
 	}
 	t0 := time.Now()
-	ms, err := db.TopKWith(q, *k, ktpm.Options{Algorithm: algo})
+	ms, err := db.TopK(q, *k)
 	if err != nil {
 		fatalf("query: %v", err)
 	}
 	elapsed := time.Since(t0)
-	fmt.Printf("%s found %d match(es) in %v\n", algo, len(ms), elapsed.Round(time.Microsecond))
+	fmt.Printf("found %d match(es) in %v\n", len(ms), elapsed.Round(time.Microsecond))
 	for i, m := range ms {
 		if *quiet {
 			fmt.Printf("top-%d score=%d\n", i+1, m.Score)

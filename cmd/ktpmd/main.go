@@ -90,7 +90,7 @@ func main() {
 		queueDepth  = flag.Int("queue", 0, "admission queue depth (0 = default 64)")
 		timeout     = flag.Duration("timeout", 0, "per-request timeout (0 = default 10s)")
 		cacheSize   = flag.Int("cache", 0, "result cache entries (0 = default 1024, negative disables)")
-		cacheMin    = flag.Int("cache-min-entries", 0, "cache a result only if computing it read at least N store entries (0 = cache everything)")
+		cacheMin    = flag.Int("cache-min-entries", 0, "cache a result only if computing it read at least N store entries (0 = cache everything; not with -role coordinator)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060 or :6060; empty disables)")
 		blockSize   = flag.Int("block-size", 0, "store block size (0 = default)")
 		maxK        = flag.Int("max-k", 0, "largest accepted k (0 = default 1000)")
@@ -162,6 +162,13 @@ func main() {
 	}
 	if *role != "serve" && *shards > 1 {
 		fmt.Fprintf(os.Stderr, "ktpmd: -shards is the single-process scatter-gather; it cannot combine with -role %s\n", *role)
+		os.Exit(2)
+	}
+	if *role == "coordinator" && *cacheMin > 0 {
+		// A coordinator prices results by its local store, which the
+		// workers' enumeration never touches: every fill would cost 0 and
+		// be bypassed, so the cache would never hold anything.
+		fmt.Fprintln(os.Stderr, "ktpmd: -cache-min-entries cannot combine with -role coordinator: its local store reads nothing for distributed queries")
 		os.Exit(2)
 	}
 	if *degraded != "partial" && *degraded != "fail" {

@@ -38,15 +38,14 @@ func randomDatabase(t testing.TB, n int, seed int64) *Database {
 	return db
 }
 
-// TestConcurrentTopKSharedDatabase runs many TopK calls of every
-// algorithm in parallel against one shared Database and checks each
-// result against a sequentially computed golden answer. Run with -race
-// (CI does) to surface shared-mutation bugs in the store's lazy caches,
-// the wildcard merge path, and the label interner.
+// TestConcurrentTopKSharedDatabase runs many TopK calls in parallel
+// against one shared Database and checks each result against a
+// sequentially computed golden answer. Run with -race (CI does) to
+// surface shared-mutation bugs in the store's lazy caches, the wildcard
+// merge path, and the label interner.
 func TestConcurrentTopKSharedDatabase(t *testing.T) {
 	db := randomDatabase(t, 300, 42)
 	queries := []string{"a(b)", "a(b,c)", "b(c(d))", "a(*,c)", "*(b)", "a(/b)", "c(d,e)"}
-	algos := []Algorithm{AlgoTopkEN, AlgoTopk, AlgoDPB, AlgoDPP}
 	const k = 12
 
 	type golden struct {
@@ -76,7 +75,6 @@ func TestConcurrentTopKSharedDatabase(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				qs := queries[(w+i)%len(queries)]
-				algo := algos[(w+i)%len(algos)]
 				// Parse inside the goroutine: the parser interns labels
 				// into the shared interner concurrently.
 				q, err := db.ParseQuery(qs)
@@ -84,19 +82,19 @@ func TestConcurrentTopKSharedDatabase(t *testing.T) {
 					t.Errorf("worker %d: parse %q: %v", w, qs, err)
 					return
 				}
-				ms, err := db.TopKWith(q, k, Options{Algorithm: algo})
+				ms, err := db.TopK(q, k)
 				if err != nil {
-					t.Errorf("worker %d: %q/%v: %v", w, qs, algo, err)
+					t.Errorf("worker %d: %q: %v", w, qs, err)
 					return
 				}
 				g := want[qs]
 				if len(ms) != len(g.scores) {
-					t.Errorf("worker %d: %q/%v returned %d matches, want %d", w, qs, algo, len(ms), len(g.scores))
+					t.Errorf("worker %d: %q returned %d matches, want %d", w, qs, len(ms), len(g.scores))
 					return
 				}
 				for j, m := range ms {
 					if m.Score != g.scores[j] {
-						t.Errorf("worker %d: %q/%v match %d score %d, want %d", w, qs, algo, j, m.Score, g.scores[j])
+						t.Errorf("worker %d: %q match %d score %d, want %d", w, qs, j, m.Score, g.scores[j])
 						return
 					}
 				}
@@ -210,28 +208,6 @@ func TestParseQueryDoesNotGrowGraphInterner(t *testing.T) {
 	ms, err := db.TopK(q, 5)
 	if err != nil || len(ms) == 0 || ms[0].Score != 2 {
 		t.Fatalf("known query broken after overlay parses: %v, %d matches", err, len(ms))
-	}
-}
-
-func TestParseAlgorithm(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Algorithm
-		ok   bool
-	}{
-		{"topk-en", AlgoTopkEN, true},
-		{"Topk-EN", AlgoTopkEN, true},
-		{"topk", AlgoTopk, true},
-		{"DP-B", AlgoDPB, true},
-		{"dp-p", AlgoDPP, true},
-		{"", 0, false},
-		{"quantum", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := ParseAlgorithm(c.in)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
-		}
 	}
 }
 

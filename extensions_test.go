@@ -172,11 +172,15 @@ func TestNodeWeightsThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := db.ParseQuery("a(b)")
-	for _, algo := range []Algorithm{AlgoTopkEN, AlgoTopk, AlgoDPB, AlgoDPP} {
-		ms, err := db.TopKWith(q, 2, Options{Algorithm: algo})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
+	topkEN, err := db.TopK(q, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := map[string][]Match{"Topk-EN": topkEN, "oracle": oracleTopK(db, q, 2)}
+	for _, b := range baselines {
+		results[b.String()] = runBaseline(db, q, 2, b)
+	}
+	for algo, ms := range results {
 		if len(ms) != 2 {
 			t.Fatalf("%v: %d matches", algo, len(ms))
 		}
@@ -222,25 +226,24 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 10; round++ {
 				qs := queries[(worker+round)%len(queries)]
-				algo := []Algorithm{AlgoTopkEN, AlgoTopk}[(worker+round)%2]
 				q, err := db.ParseQuery(qs)
 				if err != nil {
 					errs <- err
 					return
 				}
-				ms, err := db.TopKWith(q, 10, Options{Algorithm: algo})
+				ms, err := db.TopK(q, 10)
 				if err != nil {
 					errs <- err
 					return
 				}
 				want := refs[qs].scores
 				if len(ms) != len(want) {
-					errs <- fmt.Errorf("%s/%v: %d matches, want %d", qs, algo, len(ms), len(want))
+					errs <- fmt.Errorf("%s: %d matches, want %d", qs, len(ms), len(want))
 					return
 				}
 				for i := range ms {
 					if ms[i].Score != want[i] {
-						errs <- fmt.Errorf("%s/%v: top-%d = %d, want %d", qs, algo, i+1, ms[i].Score, want[i])
+						errs <- fmt.Errorf("%s: top-%d = %d, want %d", qs, i+1, ms[i].Score, want[i])
 						return
 					}
 				}

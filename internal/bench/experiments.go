@@ -58,7 +58,8 @@ type runResult struct {
 	loaded int64
 	// randBlocks / seqBlocks feed the disk cost model.
 	randBlocks, seqBlocks int64
-	found                 int
+	// scores is the emitted score sequence.
+	scores []int64
 }
 
 // modeled returns elapsed plus the priced disk accesses.
@@ -89,43 +90,45 @@ func (e *Env) fullScanBlocks(q *query.Tree) int64 {
 
 // runTotal executes one algorithm end to end for the top-k of one query.
 func (e *Env) runTotal(q *query.Tree, k int, a Algo) runResult {
+	st := e.Store
+	st.ResetCounters()
+	var (
+		res runResult
+		r   *rtg.Graph // set by the materializing algorithms
+	)
+	t0 := time.Now()
 	switch a {
 	case Topk:
-		t0 := time.Now()
-		r := rtg.Build(e.Closure, q)
-		ms := core.TopK(r, k)
-		return runResult{elapsed: time.Since(t0), loaded: r.NumEdges(),
-			seqBlocks: e.fullScanBlocks(q), found: len(ms)}
-	case TopkEN:
-		st := e.Store
-		st.ResetCounters()
-		t0 := time.Now()
-		ms := lazy.TopK(st, q, k, lazy.Options{})
-		c := st.Counters()
-		bs := int64(st.BlockSize())
-		return runResult{elapsed: time.Since(t0), loaded: c.EntriesRead,
-			randBlocks: c.BlocksRead,
-			seqBlocks:  (c.TableEntriesRead + bs - 1) / bs,
-			found:      len(ms)}
+		r = rtg.Build(e.Closure, q)
+		for _, m := range core.TopK(r, k) {
+			res.scores = append(res.scores, m.Score)
+		}
 	case DPB:
-		t0 := time.Now()
-		r := rtg.Build(e.Closure, q)
-		ms := dp.TopK(r, k)
-		return runResult{elapsed: time.Since(t0), loaded: r.NumEdges(),
-			seqBlocks: e.fullScanBlocks(q), found: len(ms)}
+		r = rtg.Build(e.Closure, q)
+		for _, m := range dp.TopK(r, k) {
+			res.scores = append(res.scores, m.Score)
+		}
+	case TopkEN:
+		for _, m := range lazy.TopK(st, q, k, lazy.Options{}) {
+			res.scores = append(res.scores, m.Score)
+		}
 	case DPP:
-		st := e.Store
-		st.ResetCounters()
-		t0 := time.Now()
-		ms := dp.TopKLazy(st, q, k)
-		c := st.Counters()
-		bs := int64(st.BlockSize())
-		return runResult{elapsed: time.Since(t0), loaded: c.EntriesRead,
-			randBlocks: c.BlocksRead,
-			seqBlocks:  (c.TableEntriesRead + bs - 1) / bs,
-			found:      len(ms)}
+		for _, m := range dp.TopKLazy(st, q, k) {
+			res.scores = append(res.scores, m.Score)
+		}
+	default:
+		panic("bench: unknown algo")
 	}
-	panic("bench: unknown algo")
+	res.elapsed = time.Since(t0)
+	if r != nil {
+		// The full run-time graph, identified by sequential table scans.
+		res.loaded, res.seqBlocks = r.NumEdges(), e.fullScanBlocks(q)
+		return res
+	}
+	c := st.Counters()
+	bs := int64(st.BlockSize())
+	res.loaded, res.randBlocks, res.seqBlocks = c.EntriesRead, c.BlocksRead, (c.TableEntriesRead+bs-1)/bs
+	return res
 }
 
 // avgResult aggregates runs over one query set.

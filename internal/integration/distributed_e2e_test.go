@@ -1,7 +1,9 @@
 package integration
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -181,6 +183,45 @@ func TestDistributedE2E(t *testing.T) {
 		if !reflect.DeepEqual(dt, st) {
 			t.Fatalf("%s: trailers differ:\ncoordinator: %s\nsingle node: %s", u, dist[last], solo[last])
 		}
+	}
+}
+
+// TestCoordinatorRejectsCacheMinEntries: a coordinator prices a result
+// by its local store, which the workers' enumeration never reads, so
+// under -cache-min-entries > 0 every cache fill would cost 0 and be
+// bypassed. ktpmd must refuse the combination as a usage error (exit 2)
+// instead of starting a daemon whose cache never holds anything.
+func TestCoordinatorRejectsCacheMinEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs ktpmd; skipped in -short")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "ktpmd")
+	if out, err := exec.Command("go", "build", "-o", bin, "ktpm/cmd/ktpmd").CombinedOutput(); err != nil {
+		t.Fatalf("go build ktpmd: %v\n%s", err, out)
+	}
+	snapPath := filepath.Join(dir, "g.snap")
+	f, err := os.Create(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closure.WriteSnapshot(f, closure.Compute(gen.ErdosRenyi(30, 90, 4, 5), closure.Options{})); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-role", "coordinator", "-snapshot", snapPath,
+		"-workers", freeAddr(t), "-cache-min-entries", "8", "-addr", freeAddr(t)).CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("ktpmd -role coordinator -cache-min-entries 8 started and kept running:\n%s", out)
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-cache-min-entries") {
+		t.Fatalf("want exit 2 naming -cache-min-entries, got %v:\n%s", err, out)
 	}
 }
 

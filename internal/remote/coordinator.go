@@ -171,11 +171,10 @@ const breakerMaxCooldown = 30 * time.Second
 //
 // The coordinator holds its own Database over the same snapshot: it
 // parses and plans queries locally (the graph is identical by
-// handshake), serves the non-distributable paths (materialized and DP
-// algorithms, RootFilter queries) locally, and derives the expected
-// snapshot identity from it. It implements the server Backend contract,
-// so ktpmd -role coordinator serves the same endpoints as every other
-// mode.
+// handshake), serves RootFilter queries (whose predicate cannot travel
+// the wire) locally, and derives the expected snapshot identity from it.
+// It implements the server Backend contract, so ktpmd -role coordinator
+// serves the same endpoints as every other mode.
 type Coordinator struct {
 	local       *ktpm.Database
 	eps         [][]Endpoint
@@ -725,10 +724,10 @@ var errPartialUnmarked = fmt.Errorf("remote: partial result with no way to mark 
 
 // TopKPartial is the coordinator's top-k entry point: matches, a
 // partial marker (true when a dead shard was dropped under the
-// DegradedPartial policy), and an error. Non-distributable requests —
-// materialized/DP algorithms and RootFilter queries, whose predicate
-// cannot travel the wire — are served by the coordinator's own local
-// database, never partially.
+// DegradedPartial policy), and an error. RootFilter queries, whose
+// predicate cannot travel the wire, are the one non-distributable
+// request: the coordinator's own local database serves them, never
+// partially.
 func (c *Coordinator) TopKPartial(q *ktpm.Query, k int, opt ktpm.Options) ([]ktpm.Match, bool, error) {
 	if q == nil {
 		return nil, false, fmt.Errorf("ktpm: nil query")
@@ -736,7 +735,7 @@ func (c *Coordinator) TopKPartial(q *ktpm.Query, k int, opt ktpm.Options) ([]ktp
 	if k < 0 {
 		return nil, false, fmt.Errorf("ktpm: negative k")
 	}
-	if opt.Algorithm != ktpm.AlgoTopkEN || opt.RootFilter != nil {
+	if opt.RootFilter != nil {
 		ms, err := c.local.TopKWith(q, k, opt)
 		return ms, false, err
 	}
@@ -775,7 +774,9 @@ func (c *Coordinator) TopKWith(q *ktpm.Query, k int, opt ktpm.Options) ([]ktpm.M
 // TopKBatch answers many queries in one call, deduplicating
 // canonical-identical items like the local engines. Partial results are
 // marked per item and never shared (a later identical item deserves a
-// fresh chance at a complete answer).
+// fresh chance at a complete answer). Cost is the local database's
+// EntriesRead delta, so it is 0 for every item the workers enumerate;
+// only RootFilter items are priced.
 func (c *Coordinator) TopKBatch(items []ktpm.BatchItem) []ktpm.BatchResult {
 	out := make([]ktpm.BatchResult, len(items))
 	seen := make(map[string]int, len(items))
@@ -783,7 +784,7 @@ func (c *Coordinator) TopKBatch(items []ktpm.BatchItem) []ktpm.BatchResult {
 		var key string
 		dedupable := it.Query != nil && it.Opt.RootFilter == nil
 		if dedupable {
-			key = it.Query.Canonical() + "\x00" + strconv.Itoa(it.K) + "\x00" + it.Opt.Algorithm.String()
+			key = it.Query.Canonical() + "\x00" + strconv.Itoa(it.K)
 			if first, ok := seen[key]; ok {
 				out[i] = out[first]
 				out[i].Shared = true
@@ -817,21 +818,20 @@ func (c *Coordinator) Explain(q *ktpm.Query) (*ktpm.Plan, error) { return c.loca
 // Graph returns the shared data graph.
 func (c *Coordinator) Graph() *ktpm.Graph { return c.local.Graph() }
 
-// IOStats reports the local database's counters (remote workers' I/O is
-// theirs; each worker's /stats reports it).
+// IOStats reports the local database's counters, which move only for
+// RootFilter queries (remote workers' I/O is theirs; each worker's
+// /stats reports it).
 func (c *Coordinator) IOStats() ktpm.IOStats { return c.local.IOStats() }
 
 // OpenStream opens a distributed incremental enumeration in canonical
 // order, the MatchStream the server's /stream endpoint drains. The
 // worker streams are unbounded (no k hint) and the merge buffers one
 // tie group at a time, exactly like the in-process ShardStream.
-// RootFilter streams fall back to the local database.
+// RootFilter streams, whose predicate cannot travel the wire, are the
+// one kind the local database serves.
 func (c *Coordinator) OpenStream(q *ktpm.Query, opt ktpm.Options) (ktpm.MatchStream, error) {
 	if q == nil {
 		return nil, fmt.Errorf("ktpm: nil query")
-	}
-	if opt.Algorithm != ktpm.AlgoTopkEN {
-		return nil, fmt.Errorf("ktpm: streaming requires Topk-EN, got %v", opt.Algorithm)
 	}
 	if opt.RootFilter != nil {
 		return c.local.OpenStream(q, opt)

@@ -27,11 +27,13 @@ type BatchRequest struct {
 	Items []BatchRequestItem `json:"items"`
 }
 
-// BatchRequestItem is one query of a /batch request; q/k/algo have the
-// same syntax, defaults, and limits as the /query parameters.
+// BatchRequestItem is one query of a /batch request; q/k have the same
+// syntax, defaults, and limits as the /query parameters.
 type BatchRequestItem struct {
-	Q    string `json:"q"`
-	K    int    `json:"k"`
+	Q string `json:"q"`
+	K int    `json:"k"`
+	// Algo is decoded only so that an item still naming an algorithm
+	// fails with the removal error instead of silently running Topk-EN.
 	Algo string `json:"algo"`
 }
 
@@ -41,7 +43,6 @@ type BatchItemResponse struct {
 	Query     string      `json:"query"`
 	Canonical string      `json:"canonical,omitempty"`
 	K         int         `json:"k,omitempty"`
-	Algorithm string      `json:"algorithm,omitempty"`
 	Positions []string    `json:"positions,omitempty"`
 	Matches   []MatchJSON `json:"matches,omitempty"`
 	// Cached marks an item served from the result cache.
@@ -121,15 +122,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, it := range req.Items {
 		items[i].resp.Query = it.Q
 		items[i].first = i
-		canonical, k, algo, errMsg := s.validateBatchItem(it)
+		canonical, k, errMsg := s.validateBatchItem(it)
 		if errMsg != "" {
 			items[i].resp.Error = errMsg
 			continue
 		}
 		items[i].resp.Canonical = canonical
 		items[i].resp.K = k
-		items[i].resp.Algorithm = algo.String()
-		items[i].key = s.resultKey(canonical, k, algo)
+		items[i].key = s.resultKey(canonical, k)
 		if f, ok := firstOf[items[i].key]; ok {
 			items[i].first = f
 		} else {
@@ -139,11 +139,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// One cache probe per distinct key; hits serve every group member.
 	trace := requestSpan(w, r)
-	type pending struct {
-		first int
-		algo  ktpm.Algorithm
-	}
-	var misses []pending
+	var misses []int // index of each missed group's first item
 	cp := trace.StartChild("cache_probe")
 	for key, f := range firstOf {
 		if res, hit := s.cache.Get(key); hit {
@@ -151,8 +147,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[f].resp.Cached = true
 			continue
 		}
-		algo, _ := ktpm.ParseAlgorithm(items[f].resp.Algorithm)
-		misses = append(misses, pending{first: f, algo: algo})
+		misses = append(misses, f)
 	}
 	cp.End()
 
@@ -173,13 +168,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		batch := make([]ktpm.BatchItem, len(misses))
-		for i, p := range misses {
-			cq, err := s.db.ParseQuery(items[p.first].resp.Canonical)
+		for i, f := range misses {
+			cq, err := s.db.ParseQuery(items[f].resp.Canonical)
 			if err != nil {
 				s.writeError(w, http.StatusInternalServerError, "canonical reparse: %v", err)
 				return
 			}
-			batch[i] = ktpm.BatchItem{Query: cq, K: items[p.first].resp.K, Opt: ktpm.Options{Algorithm: p.algo}}
+			batch[i] = ktpm.BatchItem{Query: cq, K: items[f].resp.K}
 		}
 		var results []ktpm.BatchResult
 		// A panic inside TopKBatch fails the whole batch with 500 but is
@@ -198,8 +193,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		})) {
 			return
 		}
-		for i, p := range misses {
-			res, it := results[i], &items[p.first]
+		for i, f := range misses {
+			res, it := results[i], &items[f]
 			if res.Err != nil {
 				it.resp.Error = res.Err.Error()
 				continue
@@ -275,36 +270,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // validateBatchItem applies the /query parameter rules to one batch
-// item, returning the canonical form and resolved k/algo, or a non-empty
+// item, returning the canonical form and resolved k, or a non-empty
 // error message mirroring parseRequest's texts.
-func (s *Server) validateBatchItem(it BatchRequestItem) (canonical string, k int, algo ktpm.Algorithm, errMsg string) {
+func (s *Server) validateBatchItem(it BatchRequestItem) (canonical string, k int, errMsg string) {
 	if it.Q == "" {
-		return "", 0, 0, "missing required parameter q"
+		return "", 0, "missing required parameter q"
 	}
 	if len(it.Q) > s.cfg.MaxQueryLen {
-		return "", 0, 0, "query length " + strconv.Itoa(len(it.Q)) + " exceeds the maximum " + strconv.Itoa(s.cfg.MaxQueryLen)
+		return "", 0, "query length " + strconv.Itoa(len(it.Q)) + " exceeds the maximum " + strconv.Itoa(s.cfg.MaxQueryLen)
 	}
 	k = it.K
 	if k == 0 {
 		k = s.cfg.DefaultK
 	}
 	if k < 1 {
-		return "", 0, 0, "k must be a positive integer, got " + strconv.Itoa(it.K)
+		return "", 0, "k must be a positive integer, got " + strconv.Itoa(it.K)
 	}
 	if k > s.cfg.MaxK {
-		return "", 0, 0, "k=" + strconv.Itoa(k) + " exceeds the maximum " + strconv.Itoa(s.cfg.MaxK)
+		return "", 0, "k=" + strconv.Itoa(k) + " exceeds the maximum " + strconv.Itoa(s.cfg.MaxK)
 	}
-	algo = ktpm.AlgoTopkEN
 	if it.Algo != "" {
-		var good bool
-		algo, good = ktpm.ParseAlgorithm(it.Algo)
-		if !good {
-			return "", 0, 0, "unknown algorithm " + strconv.Quote(it.Algo) + " (want topk-en, topk, dp-b, dp-p)"
-		}
+		return "", 0, errAlgoRemoved
 	}
 	q, err := s.db.ParseQuery(it.Q)
 	if err != nil {
-		return "", 0, 0, "bad query: " + err.Error()
+		return "", 0, "bad query: " + err.Error()
 	}
-	return q.Canonical(), k, algo, ""
+	return q.Canonical(), k, ""
 }

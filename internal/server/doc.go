@@ -4,11 +4,11 @@
 //
 // Endpoints (full request/response reference in docs/API.md):
 //
-//	GET/POST /query?q=a(b,c)&k=10&algo=topk-en  — top-k matches
-//	GET/POST /explain?q=a(b,c)                  — query plan, no enumeration
-//	GET      /stats                             — cache/executor/I-O counters (JSON)
-//	GET      /metrics                           — the same counters, Prometheus text format
-//	GET      /healthz                           — liveness probe
+//	GET/POST /query?q=a(b,c)&k=10  — top-k matches (Topk-EN)
+//	GET/POST /explain?q=a(b,c)     — query plan, no enumeration
+//	GET      /stats                — cache/executor/I-O counters (JSON)
+//	GET      /metrics              — the same counters, Prometheus text format
+//	GET      /healthz              — liveness probe
 //
 // Three serving concerns layer over the library:
 //
@@ -22,10 +22,10 @@
 //     carries a deadline (504 on expiry; a request that times out while
 //     still queued is dropped without ever occupying a worker).
 //   - Result caching: answers are memoized in an LRU keyed by
-//     (canonical query, k, algorithm). The backend is immutable after
-//     startup, so cached answers never go stale; the canonical key means
-//     "a(b,c)" and "a(c,b)" share one entry. Concurrent identical misses
-//     coalesce onto one in-flight computation.
+//     (canonical query, k). The backend is immutable after startup, so
+//     cached answers never go stale; the canonical key means "a(b,c)"
+//     and "a(c,b)" share one entry. Concurrent identical misses coalesce
+//     onto one in-flight computation.
 //
 // The Backend interface is the exact query surface these layers need;
 // serving a sharded database is transparent to every endpoint except

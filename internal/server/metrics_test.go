@@ -153,9 +153,9 @@ func TestFlightLeaderCacheRecheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := q.Canonical() + "\x00" + "3" + "\x00" + ktpm.AlgoTopkEN.String()
+	key := s.resultKey(q.Canonical(), 3)
 	req := httptest.NewRequest(http.MethodGet, "/query?q=C(E,S)&k=3", nil)
-	res, coalesced, err := s.runQuery(httptest.NewRecorder(), req, key, q, 3, ktpm.AlgoTopkEN)
+	res, coalesced, err := s.runQuery(httptest.NewRecorder(), req, key, q, 3)
 	if err != nil || coalesced {
 		t.Fatalf("runQuery = coalesced %v, err %v", coalesced, err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"ktpm"
 	"ktpm/internal/obs"
 )
 
@@ -353,10 +352,3 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 
 // Build re-exports the binary's build info for /stats and /metrics.
 func buildInfo() obs.BuildInfo { return obs.Build() }
-
-// enumerateOptions builds the ktpm.Options for one enumeration under sp
-// (the "enumerate" stage span): table faults and shard merges triggered
-// by the call nest under it.
-func enumerateOptions(algo ktpm.Algorithm, sp *obs.Span) ktpm.Options {
-	return ktpm.Options{Algorithm: algo, Trace: sp}
-}

@@ -228,7 +228,6 @@ type QueryResponse struct {
 	Query     string      `json:"query"`
 	Canonical string      `json:"canonical"`
 	K         int         `json:"k"`
-	Algorithm string      `json:"algorithm"`
 	Positions []string    `json:"positions"`
 	Matches   []MatchJSON `json:"matches"`
 	Cached    bool        `json:"cached"`
@@ -484,28 +483,33 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// parseRequest extracts and validates the q/k/algo parameters shared by
+// errAlgoRemoved answers a request that still names an algorithm. Every
+// request runs Topk-EN; serving it to a client that asked for a baseline
+// would be a silent wrong answer, so the parameter fails loudly instead.
+const errAlgoRemoved = "algo was removed: every request runs Topk-EN"
+
+// parseRequest extracts and validates the q/k parameters shared by
 // /query and /explain. A nil *Query return means an error response was
 // already written.
-func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (q *ktpm.Query, k int, algo ktpm.Algorithm, ok bool) {
+func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (q *ktpm.Query, k int, ok bool) {
 	sp := requestSpan(w, r).StartChild("parse")
 	defer sp.End()
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		w.Header().Set("Allow", "GET, POST")
 		s.writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	if r.Method == http.MethodPost && !s.limitBody(w, r) {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	qs := r.FormValue("q")
 	if qs == "" {
 		s.writeError(w, http.StatusBadRequest, "missing required parameter q")
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	if len(qs) > s.cfg.MaxQueryLen {
 		s.writeError(w, http.StatusBadRequest, "query length %d exceeds the maximum %d", len(qs), s.cfg.MaxQueryLen)
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	k = s.cfg.DefaultK
 	if ks := r.FormValue("k"); ks != "" {
@@ -513,28 +517,23 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (q *ktpm.Q
 		k, err = strconv.Atoi(ks)
 		if err != nil || k < 1 {
 			s.writeError(w, http.StatusBadRequest, "k must be a positive integer, got %q", ks)
-			return nil, 0, 0, false
+			return nil, 0, false
 		}
 		if k > s.cfg.MaxK {
 			s.writeError(w, http.StatusBadRequest, "k=%d exceeds the maximum %d", k, s.cfg.MaxK)
-			return nil, 0, 0, false
+			return nil, 0, false
 		}
 	}
-	algo = ktpm.AlgoTopkEN
-	if name := r.FormValue("algo"); name != "" {
-		var good bool
-		algo, good = ktpm.ParseAlgorithm(name)
-		if !good {
-			s.writeError(w, http.StatusBadRequest, "unknown algorithm %q (want topk-en, topk, dp-b, dp-p)", name)
-			return nil, 0, 0, false
-		}
+	if r.FormValue("algo") != "" {
+		s.writeError(w, http.StatusBadRequest, "%s", errAlgoRemoved)
+		return nil, 0, false
 	}
 	q, err := s.db.ParseQuery(qs)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad query: %v", err)
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
-	return q, k, algo, true
+	return q, k, true
 }
 
 // execute runs fn through the pool under the endpoint family ep (which
@@ -596,7 +595,7 @@ func (s *Server) writeExecError(w http.ResponseWriter, err error) bool {
 // leads and occupies a worker; the rest wait on its result (reported by
 // coalesced) without consuming pool capacity. The returned error may be
 // ErrQueueFull, a context error, or a query failure.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq *ktpm.Query, k int, algo ktpm.Algorithm) (_ cachedResult, coalesced bool, _ error) {
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq *ktpm.Query, k int) (_ cachedResult, coalesced bool, _ error) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
@@ -652,6 +651,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq
 		if s.cfg.CacheMinEntries > 0 {
 			costBefore = s.db.IOStats().EntriesRead
 		}
+		// Table faults and shard merges the call triggers nest under the
+		// enumerate span.
 		en := trace.StartChild("enumerate")
 		var (
 			ms      []ktpm.Match
@@ -659,9 +660,9 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq
 			err     error
 		)
 		if pb, ok := s.db.(partialBackend); ok {
-			ms, partial, err = pb.TopKPartial(cq, k, enumerateOptions(algo, en))
+			ms, partial, err = pb.TopKPartial(cq, k, ktpm.Options{Trace: en})
 		} else {
-			ms, err = s.db.TopKWith(cq, k, enumerateOptions(algo, en))
+			ms, err = s.db.TopKWith(cq, k, ktpm.Options{Trace: en})
 		}
 		en.End()
 		if err != nil {
@@ -729,8 +730,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq
 // graph are simply never probed again — they age out of the LRU instead
 // of being served stale, and in-flight coalesced computations keyed
 // under the old epoch stay correct for the requests that joined them.
-func (s *Server) resultKey(canonical string, k int, algo ktpm.Algorithm) string {
-	key := canonical + "\x00" + strconv.Itoa(k) + "\x00" + algo.String()
+func (s *Server) resultKey(canonical string, k int) string {
+	key := canonical + "\x00" + strconv.Itoa(k)
 	if li, ok := s.db.(liveBackend); ok {
 		key = strconv.FormatUint(li.Epoch(), 16) + "\x00" + key
 	}
@@ -743,17 +744,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.rejectDraining(w)
 		return
 	}
-	q, k, algo, ok := s.parseRequest(w, r)
+	q, k, ok := s.parseRequest(w, r)
 	if !ok {
 		return
 	}
 	canonical := q.Canonical()
-	key := s.resultKey(canonical, k, algo)
+	key := s.resultKey(canonical, k)
 	resp := QueryResponse{
 		Query:     r.FormValue("q"),
 		Canonical: canonical,
 		K:         k,
-		Algorithm: algo.String(),
 	}
 	debug := r.FormValue("debug") == "1"
 	trace := requestSpan(w, r)
@@ -800,7 +800,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "canonical reparse: %v", err)
 		return
 	}
-	res, coalesced, err := s.runQuery(w, r, key, cq, k, algo)
+	res, coalesced, err := s.runQuery(w, r, key, cq, k)
 	if err != nil && !coalesced {
 		// Only the flight leader quarantines: followers share the same
 		// error and would multiply the panic count.
@@ -831,7 +831,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.rejectDraining(w)
 		return
 	}
-	q, _, _, ok := s.parseRequest(w, r)
+	q, _, ok := s.parseRequest(w, r)
 	if !ok {
 		return
 	}

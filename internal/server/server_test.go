@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -112,31 +113,35 @@ func TestQueryEndToEnd(t *testing.T) {
 	if qr.Cached {
 		t.Error("first query reported cached")
 	}
-	if qr.Algorithm != "Topk-EN" {
-		t.Errorf("algorithm = %q", qr.Algorithm)
-	}
 }
 
-func TestQueryAlgorithmsAgree(t *testing.T) {
-	s, _ := newTestServer(t, Config{CacheEntries: -1})
-	var first []MatchJSON
-	for _, algo := range []string{"topk-en", "topk", "dp-b", "dp-p"} {
-		rec, qr := getQuery(t, s, "/query?q=C(E,S)&k=10&algo="+algo)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", algo, rec.Code, rec.Body.String())
+// TestAlgoParamRemoved pins the removal of the algorithm choice: a
+// non-empty algo fails with 400 naming the removal on every endpoint
+// that once took it, and as an item error inside /batch — a client that
+// asked for a baseline must not be served Topk-EN silently.
+func TestAlgoParamRemoved(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, path := range []string{
+		"/query?q=C(E,S)&algo=dp-b",
+		"/query?q=C(E,S)&algo=topk-en",
+		"/explain?q=C(E,S)&algo=topk",
+		"/stream?q=C(E,S)&algo=dp-p",
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "algo was removed") {
+			t.Errorf("GET %s = %d %s, want 400 naming the removal", path, rec.Code, rec.Body.String())
 		}
-		if first == nil {
-			first = qr.Matches
-			continue
-		}
-		if len(qr.Matches) != len(first) {
-			t.Fatalf("%s returned %d matches, want %d", algo, len(qr.Matches), len(first))
-		}
-		for i := range first {
-			if qr.Matches[i].Score != first[i].Score {
-				t.Errorf("%s match %d score %d, want %d", algo, i, qr.Matches[i].Score, first[i].Score)
-			}
-		}
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch",
+		strings.NewReader(`{"items":[{"q":"C(E,S)"},{"q":"C(E,S)","algo":"dp-b"}]}`)))
+	var br BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("/batch = %d %s", rec.Code, rec.Body.String())
+	}
+	if br.Items[0].Error != "" || !strings.Contains(br.Items[1].Error, "algo was removed") {
+		t.Fatalf("/batch item errors %q, %q; want none, then the removal", br.Items[0].Error, br.Items[1].Error)
 	}
 }
 
@@ -160,10 +165,6 @@ func TestQueryCacheHitAndCanonicalization(t *testing.T) {
 	// Different k: distinct cache entry.
 	if _, qr := getQuery(t, s, "/query?q=C(E,S)&k=3"); qr.Cached {
 		t.Error("k=3 hit the k=5 entry")
-	}
-	// Different algorithm: distinct cache entry.
-	if _, qr := getQuery(t, s, "/query?q=C(E,S)&k=5&algo=topk"); qr.Cached {
-		t.Error("algo=topk hit the topk-en entry")
 	}
 	_, stats := get(t, s, "/stats")
 	cache := stats["cache"].(map[string]any)
@@ -298,7 +299,7 @@ func TestBadRequests(t *testing.T) {
 		{"/query?q=C(E)&k=0", http.StatusBadRequest},                   // non-positive k
 		{"/query?q=C(E)&k=banana", http.StatusBadRequest},              // non-numeric k
 		{"/query?q=C(E)&k=51", http.StatusBadRequest},                  // k over MaxK
-		{"/query?q=C(E)&algo=quantum", http.StatusBadRequest},          // unknown algorithm
+		{"/query?q=C(E)&algo=quantum", http.StatusBadRequest},          // algo was removed
 		{"/explain", http.StatusBadRequest},                            // missing q
 		{"/nope", http.StatusNotFound},
 	}
@@ -404,11 +405,16 @@ func TestRequestTimeoutWhileQueued(t *testing.T) {
 	waitFor(t, func() bool { return s.exec.canceled.Load() == 1 })
 }
 
+// TestEmptyAlgoDefaultsToTopkEN: an empty algo is no choice at all, so
+// the request runs Topk-EN and answers exactly like one without it.
 func TestEmptyAlgoDefaultsToTopkEN(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
+	s, _ := newTestServer(t, Config{CacheEntries: -1})
 	rec, qr := getQuery(t, s, "/query?q=C(E)&algo=")
-	if rec.Code != http.StatusOK || qr.Algorithm != "Topk-EN" {
-		t.Fatalf("empty algo: status %d algorithm %q, want 200 Topk-EN", rec.Code, qr.Algorithm)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("empty algo: status %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	if _, plain := getQuery(t, s, "/query?q=C(E)"); !reflect.DeepEqual(qr.Matches, plain.Matches) {
+		t.Fatalf("empty algo matches %v, without algo %v", qr.Matches, plain.Matches)
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 type StreamHeader struct {
 	Query     string   `json:"query"`
 	Canonical string   `json:"canonical"`
-	Algorithm string   `json:"algorithm"`
 	Positions []string `json:"positions"`
 }
 
@@ -76,7 +75,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.rejectDraining(w)
 		return
 	}
-	q, algo, max, ok := s.parseStreamRequest(w, r)
+	q, max, ok := s.parseStreamRequest(w, r)
 	if !ok {
 		return
 	}
@@ -151,11 +150,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// backend's shard_merge span (ended by Close) nests under it.
 	en := trace.StartChild("enumerate")
 	defer en.End()
-	st, err := s.db.OpenStream(q, ktpm.Options{Algorithm: algo, Trace: en})
+	st, err := s.db.OpenStream(q, ktpm.Options{Trace: en})
 	if err != nil {
-		// Only non-streamable algorithms reach here; the request is wrong,
-		// not the server.
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		// The request was validated above, so a failure here is the
+		// server's, not the client's.
+		s.writeError(w, http.StatusInternalServerError, "open stream: %v", err)
 		return
 	}
 	defer st.Close()
@@ -170,7 +169,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	hdr := StreamHeader{
 		Query:     r.FormValue("q"),
 		Canonical: q.Canonical(),
-		Algorithm: algo.String(),
 		Positions: make([]string, q.NumNodes()),
 	}
 	for i := range hdr.Positions {
@@ -272,23 +270,23 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // the /query rules; max (how many matches to stream at most) defaults to
 // and is capped by MaxStreamMatches rather than MaxK — streaming exists
 // precisely for results too large for one /query response.
-func (s *Server) parseStreamRequest(w http.ResponseWriter, r *http.Request) (q *ktpm.Query, algo ktpm.Algorithm, max int, ok bool) {
+func (s *Server) parseStreamRequest(w http.ResponseWriter, r *http.Request) (q *ktpm.Query, max int, ok bool) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		w.Header().Set("Allow", "GET, POST")
 		s.writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	if r.Method == http.MethodPost && !s.limitBody(w, r) {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	qs := r.FormValue("q")
 	if qs == "" {
 		s.writeError(w, http.StatusBadRequest, "missing required parameter q")
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	if len(qs) > s.cfg.MaxQueryLen {
 		s.writeError(w, http.StatusBadRequest, "query length %d exceeds the maximum %d", len(qs), s.cfg.MaxQueryLen)
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	max = s.cfg.MaxStreamMatches
 	if ms := r.FormValue("max"); ms != "" {
@@ -296,26 +294,21 @@ func (s *Server) parseStreamRequest(w http.ResponseWriter, r *http.Request) (q *
 		max, err = strconv.Atoi(ms)
 		if err != nil || max < 1 {
 			s.writeError(w, http.StatusBadRequest, "max must be a positive integer, got %q", ms)
-			return nil, 0, 0, false
+			return nil, 0, false
 		}
 		if max > s.cfg.MaxStreamMatches {
 			s.writeError(w, http.StatusBadRequest, "max=%d exceeds the maximum %d", max, s.cfg.MaxStreamMatches)
-			return nil, 0, 0, false
+			return nil, 0, false
 		}
 	}
-	algo = ktpm.AlgoTopkEN
-	if name := r.FormValue("algo"); name != "" {
-		var good bool
-		algo, good = ktpm.ParseAlgorithm(name)
-		if !good {
-			s.writeError(w, http.StatusBadRequest, "unknown algorithm %q (want topk-en, topk, dp-b, dp-p)", name)
-			return nil, 0, 0, false
-		}
+	if r.FormValue("algo") != "" {
+		s.writeError(w, http.StatusBadRequest, "%s", errAlgoRemoved)
+		return nil, 0, false
 	}
 	q, err := s.db.ParseQuery(qs)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad query: %v", err)
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
-	return q, algo, max, true
+	return q, max, true
 }

@@ -135,12 +135,11 @@ func TestStreamBadRequests(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/stream", http.StatusBadRequest},                   // missing q
-		{"/stream?q=C(E)&max=0", http.StatusBadRequest},      // non-positive max
-		{"/stream?q=C(E)&max=banana", http.StatusBadRequest}, // non-numeric max
-		{"/stream?q=C(E)&max=101", http.StatusBadRequest},    // max over cap
-		{"/stream?q=C(E)&algo=quantum", http.StatusBadRequest},
-		{"/stream?q=C(E)&algo=dp-b", http.StatusBadRequest}, // only Topk-EN streams
+		{"/stream", http.StatusBadRequest},                     // missing q
+		{"/stream?q=C(E)&max=0", http.StatusBadRequest},        // non-positive max
+		{"/stream?q=C(E)&max=banana", http.StatusBadRequest},   // non-numeric max
+		{"/stream?q=C(E)&max=101", http.StatusBadRequest},      // max over cap
+		{"/stream?q=C(E)&algo=quantum", http.StatusBadRequest}, // algo was removed
 		{"/stream?q=" + strings.Repeat("C", 5000), http.StatusBadRequest},
 	}
 	for _, c := range cases {

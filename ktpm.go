@@ -19,16 +19,15 @@
 //	q, _ := db.ParseQuery("a(b)")
 //	matches, _ := db.TopK(q, 10)
 //
-// # Algorithms
+// # Algorithm
 //
-// Four kTPM algorithms are available through Options.Algorithm:
-//
-//   - AlgoTopkEN (default): Algorithm 3 of the paper — optimal Lawler
-//     enumeration over a lazily, priority-order loaded run-time graph.
-//   - AlgoTopk: Algorithm 1 — the same enumeration over a fully
-//     materialized run-time graph.
-//   - AlgoDPB, AlgoDPP: the dynamic-programming baselines of Gou &
-//     Chirkova (SIGMOD'08), kept for comparison benchmarks.
+// Every TopK and Stream call runs Topk-EN, Algorithm 3 of the paper:
+// optimal Lawler enumeration over a lazily, priority-order loaded
+// run-time graph, emitting matches in one canonical order. The paper's
+// comparison baselines — Algorithm 1 (Topk) over a fully materialized
+// run-time graph, and the dynamic-programming DP-B and DP-P of Gou &
+// Chirkova (SIGMOD'08) — are not served; they live in the reproduction
+// harness (cmd/benchkit), which runs all four side by side.
 //
 // Queries support '//' (ancestor-descendant) and '/' (parent-child) edges,
 // duplicate labels, and wildcard (*) nodes; see ParseQuery. Top-k matching
@@ -61,7 +60,6 @@ import (
 
 	"ktpm/internal/closure"
 	"ktpm/internal/core"
-	"ktpm/internal/dp"
 	"ktpm/internal/graph"
 	"ktpm/internal/kgpm"
 	"ktpm/internal/lazy"
@@ -431,70 +429,19 @@ func (q *Query) Canonical() string { return q.t.Canonical() }
 // LabelOf returns the label of query position i (BFS order).
 func (q *Query) LabelOf(i int) string { return q.t.LabelName(int32(i)) }
 
-// Algorithm selects a kTPM implementation.
-type Algorithm int
-
-const (
-	// AlgoTopkEN is Algorithm 3 (Topk-EN), the default.
-	AlgoTopkEN Algorithm = iota
-	// AlgoTopk is Algorithm 1 (Topk) over the materialized run-time graph.
-	AlgoTopk
-	// AlgoDPB is the DP-B baseline of [21].
-	AlgoDPB
-	// AlgoDPP is the DP-P baseline of [21].
-	AlgoDPP
-)
-
-// ParseAlgorithm resolves the CLI/service spelling of an algorithm name
-// ("topk-en", "topk", "dp-b", "dp-p", case-insensitive); ok is false for
-// unknown names, including the empty string — callers that want a
-// default decide it themselves.
-func ParseAlgorithm(name string) (Algorithm, bool) {
-	switch strings.ToLower(name) {
-	case "topk-en":
-		return AlgoTopkEN, true
-	case "topk":
-		return AlgoTopk, true
-	case "dp-b":
-		return AlgoDPB, true
-	case "dp-p":
-		return AlgoDPP, true
-	}
-	return 0, false
-}
-
-// String returns the paper's spelling of the algorithm name ("Topk-EN",
-// "Topk", "DP-B", "DP-P"); ParseAlgorithm accepts it back.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoTopkEN:
-		return "Topk-EN"
-	case AlgoTopk:
-		return "Topk"
-	case AlgoDPB:
-		return "DP-B"
-	case AlgoDPP:
-		return "DP-P"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
 // Options tunes a single TopK or Stream call.
 type Options struct {
-	Algorithm Algorithm
 	// RootFilter, when non-nil, restricts results to matches whose root
 	// position binds a data node the filter accepts; other positions are
 	// unaffected. Because every match binds the root to exactly one data
 	// node, filters over disjoint vertex sets partition the match space.
-	// Supported by the Topk-EN paths (TopK, TopKWith, Stream, StreamWith,
-	// and their sharded forms, where it composes with — restricts within —
-	// shard ownership); the materialized and DP algorithms reject it.
+	// On the sharded forms it composes with — restricts within — shard
+	// ownership.
 	RootFilter func(v int32) bool
-	// Trace, when non-nil, parents the call's trace spans: the Topk-EN
-	// paths record "table_fault" spans around store carves and derives,
-	// and sharded execution adds a "shard_merge" span with per-shard
-	// "shard_enumerate" children. The materialized and DP algorithms
-	// ignore it. Nil disables tracing at zero cost.
+	// Trace, when non-nil, parents the call's trace spans: enumeration
+	// records "table_fault" spans around store carves and derives, and
+	// sharded execution adds a "shard_merge" span with per-shard
+	// "shard_enumerate" children. Nil disables tracing at zero cost.
 	Trace *Span
 }
 
@@ -530,18 +477,16 @@ func (m *Match) binding(q *Query, label string) (int32, bool) {
 // for distinct-label queries, where the binding is unique.
 func (m *Match) Binding(q *Query, label string) (int32, bool) { return m.binding(q, label) }
 
-// TopK returns the k best matches with the default algorithm (Topk-EN).
+// TopK returns the k best matches.
 func (db *Database) TopK(q *Query, k int) ([]Match, error) {
 	return db.TopKWith(q, k, Options{})
 }
 
-// TopKWith returns the k best matches using the selected algorithm. All
-// algorithms return the same score sequence; they differ in cost.
-// AlgoTopkEN (the default) additionally returns the canonical order —
-// non-decreasing score, equal scores ordered by node bindings, the tie
-// group at the k-th score drained in full — so its result is a pure
-// function of the store contents, byte-identical to what a
-// ShardedDatabase returns at any shard count.
+// TopKWith returns the k best matches under opt, enumerated by Topk-EN in
+// canonical order — non-decreasing score, equal scores ordered by node
+// bindings, the tie group at the k-th score drained in full — so the
+// result is a pure function of the store contents, byte-identical to
+// what a ShardedDatabase returns at any shard count.
 func (db *Database) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
 	if q == nil || q.t == nil {
 		return nil, fmt.Errorf("ktpm: nil query")
@@ -549,38 +494,8 @@ func (db *Database) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("ktpm: negative k")
 	}
-	if opt.RootFilter != nil && opt.Algorithm != AlgoTopkEN {
-		return nil, fmt.Errorf("ktpm: RootFilter requires Topk-EN, got %v", opt.Algorithm)
-	}
-	switch opt.Algorithm {
-	case AlgoTopkEN:
-		ms := lazy.TopKCanonical(db.st, q.t, k, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
-		return detach(ms, q.NumNodes()), nil
-	case AlgoTopk:
-		r := rtg.Build(db.c, q.t)
-		ms := core.TopK(r, k)
-		out := make([]Match, len(ms))
-		for i, m := range ms {
-			out[i] = Match{Nodes: m.Nodes, Score: m.Score}
-		}
-		return out, nil
-	case AlgoDPB:
-		r := rtg.Build(db.c, q.t)
-		ms := dp.TopK(r, k)
-		out := make([]Match, len(ms))
-		for i, m := range ms {
-			out[i] = Match{Nodes: m.Nodes, Score: m.Score}
-		}
-		return out, nil
-	case AlgoDPP:
-		ms := dp.TopKLazy(db.st, q.t, k)
-		out := make([]Match, len(ms))
-		for i, m := range ms {
-			out[i] = Match{Nodes: m.Nodes, Score: m.Score}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("ktpm: unknown algorithm %v", opt.Algorithm)
+	ms := lazy.TopKCanonical(db.st, q.t, k, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
+	return detach(ms, q.NumNodes()), nil
 }
 
 // detach copies the bindings of ms into one array of len(ms)·nT and points
@@ -627,14 +542,10 @@ func (db *Database) Stream(q *Query) *Stream {
 }
 
 // StreamWith opens an incremental enumeration of q with options, so
-// RootFilter applies to streaming too. Streaming is inherently lazy:
-// only AlgoTopkEN supports it, and any other Algorithm is an error.
+// RootFilter applies to streaming too.
 func (db *Database) StreamWith(q *Query, opt Options) (*Stream, error) {
 	if q == nil || q.t == nil {
 		return nil, fmt.Errorf("ktpm: nil query")
-	}
-	if opt.Algorithm != AlgoTopkEN {
-		return nil, fmt.Errorf("ktpm: streaming requires Topk-EN, got %v", opt.Algorithm)
 	}
 	e := lazy.New(db.st, q.t, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
 	return &Stream{m: lazy.NewMerge([]lazy.Source{e})}, nil
@@ -694,10 +605,10 @@ type BatchResult struct {
 }
 
 // TopKBatch answers many queries in one call, amortizing per-query
-// overheads: items whose canonical form, k, and algorithm agree are
-// enumerated once and share the result, and every item warms the same
-// derived-data plane, so D/E tables a batch touches repeatedly are
-// derived at most once. Items with a RootFilter are never deduplicated
+// overheads: items whose canonical form and k agree are enumerated once
+// and share the result, and every item warms the same derived-data
+// plane, so D/E tables a batch touches repeatedly are derived at most
+// once. Items with a RootFilter are never deduplicated
 // (filter identity is unknowable). Results align with items; a failed
 // item carries its own Err and does not disturb the rest.
 //
@@ -716,7 +627,7 @@ func batchKey(it BatchItem) (string, bool) {
 	if it.Query == nil || it.Query.t == nil || it.Opt.RootFilter != nil {
 		return "", false
 	}
-	return it.Query.Canonical() + "\x00" + strconv.Itoa(it.K) + "\x00" + it.Opt.Algorithm.String(), true
+	return it.Query.Canonical() + "\x00" + strconv.Itoa(it.K), true
 }
 
 // runBatch is the shared TopKBatch engine: run computes one item, stats
@@ -837,23 +748,24 @@ func (db *Database) TopKContained(q *Query, k int, tx *Taxonomy) ([]Match, error
 	if q == nil || q.t == nil {
 		return nil, fmt.Errorf("ktpm: nil query")
 	}
+	var r *rtg.Graph
 	if tx == nil {
-		return db.TopKWith(q, k, Options{Algorithm: AlgoTopk})
-	}
-	contains := func(queryLabel int32) []int32 {
-		var out []int32
-		seen := map[int32]bool{}
-		// Resolve through the query's interner: a taxonomy-only label is in
-		// the query's parse overlay, not the graph's table.
-		for _, name := range tx.Contains(q.t.Labels.Name(int(queryLabel))) {
-			if id, ok := db.g.Labels.Lookup(name); ok && !seen[int32(id)] {
-				seen[int32(id)] = true
-				out = append(out, int32(id))
+		r = rtg.Build(db.c, q.t)
+	} else {
+		r = rtg.BuildWithContainment(db.c, q.t, func(queryLabel int32) []int32 {
+			var out []int32
+			seen := map[int32]bool{}
+			// Resolve through the query's interner: a taxonomy-only label is
+			// in the query's parse overlay, not the graph's table.
+			for _, name := range tx.Contains(q.t.Labels.Name(int(queryLabel))) {
+				if id, ok := db.g.Labels.Lookup(name); ok && !seen[int32(id)] {
+					seen[int32(id)] = true
+					out = append(out, int32(id))
+				}
 			}
-		}
-		return out
+			return out
+		})
 	}
-	r := rtg.BuildWithContainment(db.c, q.t, contains)
 	ms := core.TopK(r, k)
 	out := make([]Match, len(ms))
 	for i, m := range ms {

@@ -2,6 +2,7 @@ package ktpm
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -73,26 +74,22 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestAllAlgorithmsAgree holds Topk-EN to the brute-force oracle match
+// for match, and the three baselines to the oracle's score sequence.
 func TestAllAlgorithmsAgree(t *testing.T) {
 	db := paperFig1(t)
 	q, _ := db.ParseQuery("C(E,S)")
-	var ref []Match
-	for _, algo := range []Algorithm{AlgoTopkEN, AlgoTopk, AlgoDPB, AlgoDPP} {
-		ms, err := db.TopKWith(q, 10, Options{Algorithm: algo})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if ref == nil {
-			ref = ms
-			continue
-		}
-		if len(ms) != len(ref) {
-			t.Fatalf("%v: %d matches, ref %d", algo, len(ms), len(ref))
-		}
-		for i := range ms {
-			if ms[i].Score != ref[i].Score {
-				t.Fatalf("%v: top-%d = %d, ref %d", algo, i+1, ms[i].Score, ref[i].Score)
-			}
+	want := oracleTopK(db, q, 10)
+	got, err := db.TopK(q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Topk-EN %v, oracle %v", got, want)
+	}
+	for _, b := range baselines {
+		if ms := runBaseline(db, q, 10, b); !reflect.DeepEqual(scoresOf(ms), scoresOf(want)) {
+			t.Fatalf("%v scores %v, oracle %v", b, scoresOf(ms), scoresOf(want))
 		}
 	}
 }
@@ -171,25 +168,8 @@ func TestErrors(t *testing.T) {
 	if _, err := db.TopKWith(q, -1, Options{}); err == nil {
 		t.Fatal("negative k accepted")
 	}
-	if _, err := db.TopKWith(q, 3, Options{Algorithm: Algorithm(99)}); err == nil {
-		t.Fatal("bogus algorithm accepted")
-	}
 	if _, err := BuildDatabase(nil, DatabaseOptions{}); err == nil {
 		t.Fatal("nil graph accepted")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	names := map[Algorithm]string{
-		AlgoTopkEN: "Topk-EN", AlgoTopk: "Topk", AlgoDPB: "DP-B", AlgoDPP: "DP-P",
-	}
-	for a, want := range names {
-		if a.String() != want {
-			t.Fatalf("%d.String() = %s, want %s", int(a), a.String(), want)
-		}
-	}
-	if Algorithm(42).String() == "" {
-		t.Fatal("unknown algorithm name empty")
 	}
 }
 

@@ -172,9 +172,9 @@ func TestShardedTopKUniformTies(t *testing.T) {
 	}
 }
 
-// TestShardedTopKAcrossAlgorithms checks the TopKWith contract on a
-// sharded database: the non-default algorithms fall back to the wrapped
-// database and still produce the sharded path's score sequence.
+// TestShardedTopKAcrossAlgorithms holds the sharded scatter-gather to the
+// brute-force oracle match for match, and checks that the baselines over
+// the wrapped database produce the same score sequence.
 func TestShardedTopKAcrossAlgorithms(t *testing.T) {
 	db := randomDatabase(t, 150, 5)
 	sdb, err := db.Shard(4, nil) // nil partitioner defaults to hash
@@ -185,22 +185,17 @@ func TestShardedTopKAcrossAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sdb.TopK(q, 15)
+	got, err := sdb.TopK(q, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{AlgoTopk, AlgoDPB, AlgoDPP} {
-		got, err := sdb.TopKWith(q, 15, Options{Algorithm: algo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d matches, want %d", algo, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Score != want[i].Score {
-				t.Fatalf("%v: score[%d]=%d, want %d", algo, i, got[i].Score, want[i].Score)
-			}
+	want := oracleTopK(db, q, 15)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded TopK differs from the oracle")
+	}
+	for _, b := range baselines {
+		if ms := runBaseline(db, q, 15, b); !reflect.DeepEqual(scoresOf(ms), scoresOf(want)) {
+			t.Fatalf("%v: scores %v, want %v", b, scoresOf(ms), scoresOf(want))
 		}
 	}
 }

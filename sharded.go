@@ -120,12 +120,9 @@ func (s *ShardedDatabase) TopK(q *Query, k int) ([]Match, error) {
 	return s.TopKWith(q, k, Options{})
 }
 
-// TopKWith returns the k best matches using the selected algorithm.
-// AlgoTopkEN (the default) scatter-gathers across the shards; the
-// materialized and DP baselines exist for single-database comparison
-// benchmarks and are served unsharded by the wrapped Database. All
-// algorithms return the same score sequence. A RootFilter composes with
-// (restricts within) shard ownership on the scatter-gather path.
+// TopKWith returns the k best matches under opt, scatter-gathered across
+// the shards; a RootFilter composes with (restricts within) shard
+// ownership.
 func (s *ShardedDatabase) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
 	if q == nil || q.t == nil {
 		return nil, fmt.Errorf("ktpm: nil query")
@@ -133,17 +130,14 @@ func (s *ShardedDatabase) TopKWith(q *Query, k int, opt Options) ([]Match, error
 	if k < 0 {
 		return nil, fmt.Errorf("ktpm: negative k")
 	}
-	if opt.Algorithm != AlgoTopkEN {
-		return s.db.TopKWith(q, k, opt)
-	}
 	ms := s.sd.TopKOpts(q.t, k, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
 	return detach(ms, q.NumNodes()), nil
 }
 
 // TopKBatch answers many queries in one call; see Database.TopKBatch.
-// Default-algorithm items scatter-gather across the shards; every item
-// warms the shared derived-data plane, so a batch derives each distinct
-// table at most once no matter how many items touch it.
+// Every item scatter-gathers across the shards and warms the shared
+// derived-data plane, so a batch derives each distinct table at most
+// once no matter how many items touch it.
 func (s *ShardedDatabase) TopKBatch(items []BatchItem) []BatchResult {
 	return runBatch(items, s.IOStats, s.TopKWith)
 }
@@ -164,14 +158,10 @@ func (s *ShardedDatabase) Stream(q *Query) (*ShardStream, error) {
 }
 
 // StreamWith is Stream with options: RootFilter composes with shard
-// ownership. Streaming is inherently lazy: only AlgoTopkEN supports it,
-// and any other Algorithm is an error.
+// ownership.
 func (s *ShardedDatabase) StreamWith(q *Query, opt Options) (*ShardStream, error) {
 	if q == nil || q.t == nil {
 		return nil, fmt.Errorf("ktpm: nil query")
-	}
-	if opt.Algorithm != AlgoTopkEN {
-		return nil, fmt.Errorf("ktpm: streaming requires Topk-EN, got %v", opt.Algorithm)
 	}
 	return &ShardStream{st: s.sd.Stream(q.t, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})}, nil
 }
@@ -196,19 +186,19 @@ func (ss *ShardStream) Next() (Match, bool) {
 func (ss *ShardStream) Close() { ss.st.Close() }
 
 // IOStats returns the simulated-I/O counters summed over every shard
-// store plus the wrapped Database's own store (which serves the non-default
-// algorithms).
+// store, which serve all enumeration. TablesLoaded and
+// SnapshotBytesMapped come from the wrapped Database: the layout (and
+// with it the snapshot backing) is shared by every shard replica, so
+// they are properties of the database, not sums.
 func (s *ShardedDatabase) IOStats() IOStats {
 	c := s.sd.Counters()
 	base := s.db.IOStats()
 	return IOStats{
-		BlocksRead:       base.BlocksRead + c.BlocksRead,
-		EntriesRead:      base.EntriesRead + c.EntriesRead,
-		TableEntriesRead: base.TableEntriesRead + c.TableEntriesRead,
-		TablesRead:       base.TablesRead + c.TablesRead,
-		TableHits:        base.TableHits + c.TableHits,
-		// The layout (and with it the snapshot backing) is shared by every
-		// shard replica, so these are properties of the database, not sums.
+		BlocksRead:          c.BlocksRead,
+		EntriesRead:         c.EntriesRead,
+		TableEntriesRead:    c.TableEntriesRead,
+		TablesRead:          c.TablesRead,
+		TableHits:           c.TableHits,
 		TablesLoaded:        base.TablesLoaded,
 		SnapshotBytesMapped: base.SnapshotBytesMapped,
 	}

@@ -109,9 +109,10 @@ func TestSnapshotModesMatchBuildDatabase(t *testing.T) {
 	}
 }
 
-// TestSnapshotAlgorithmsAgree pins the non-default algorithms (which
-// materialize through the TableSource's column views rather than the
-// store) to the original database on a snapshot opened in every mode.
+// TestSnapshotAlgorithmsAgree pins the baselines (which materialize
+// through the TableSource's column views, or load through the store) on
+// a snapshot opened in every mode to the oracle's score sequence on the
+// original database.
 func TestSnapshotAlgorithmsAgree(t *testing.T) {
 	db := randomDatabase(t, 70, 9)
 	path := saveTestSnapshot(t, db)
@@ -119,10 +120,7 @@ func TestSnapshotAlgorithmsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.TopKWith(q, 25, Options{Algorithm: AlgoTopk})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := scoresOf(oracleTopK(db, q, 25))
 	for _, mode := range allSnapshotModes {
 		sdb, err := OpenSnapshot(path, SnapshotOptions{Mode: mode})
 		if err != nil {
@@ -132,15 +130,9 @@ func TestSnapshotAlgorithmsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range []Algorithm{AlgoTopk, AlgoDPB, AlgoDPP} {
-			got, err := sdb.TopKWith(sq, 25, Options{Algorithm: algo})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", mode, algo, err)
-			}
-			for i := range want {
-				if got[i].Score != want[i].Score {
-					t.Fatalf("%v/%v: score[%d]=%d, want %d", mode, algo, i, got[i].Score, want[i].Score)
-				}
+		for _, b := range baselines {
+			if got := scoresOf(runBaseline(sdb, sq, 25, b)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v/%v: scores %v, want %v", mode, b, got, want)
 			}
 		}
 		if got := sdb.CountMatches(sq); got != db.CountMatches(q) {
@@ -150,12 +142,11 @@ func TestSnapshotAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2AlgorithmsAgree pins each non-default algorithm on a
-// snapshot to the same algorithm on the original database, match for
-// match: drained in full, reading the closure through the KTPMSNAP2
-// column views instead of the in-memory tables yields the same set of
-// matches. (These algorithms break ties in no fixed order, so the sets
-// are compared sorted.)
+// TestSnapshotV2AlgorithmsAgree pins each baseline on a snapshot to the
+// same baseline on the original database, match for match: drained in
+// full, reading the closure through the KTPMSNAP2 column views instead
+// of the in-memory tables yields the same set of matches. (The baselines
+// break ties in no fixed order, so the sets are compared sorted.)
 func TestSnapshotV2AlgorithmsAgree(t *testing.T) {
 	db := randomDatabase(t, 70, 9)
 	path := saveTestSnapshot(t, db)
@@ -177,17 +168,11 @@ func TestSnapshotV2AlgorithmsAgree(t *testing.T) {
 			if all == 0 {
 				t.Fatalf("query %q has no matches", qs)
 			}
-			for _, algo := range []Algorithm{AlgoTopk, AlgoDPB, AlgoDPP} {
-				want, err := db.TopKWith(q, all, Options{Algorithm: algo})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := sdb.TopKWith(sq, all, Options{Algorithm: algo})
-				if err != nil {
-					t.Fatalf("%v/%v %q: %v", mode, algo, qs, err)
-				}
+			for _, b := range baselines {
+				want := runBaseline(db, q, all, b)
+				got := runBaseline(sdb, sq, all, b)
 				if len(want) != all || !reflect.DeepEqual(sortedMatches(got), sortedMatches(want)) {
-					t.Fatalf("%v/%v %q: snapshot matches differ from the original database's", mode, algo, qs)
+					t.Fatalf("%v/%v %q: snapshot matches differ from the original database's", mode, b, qs)
 				}
 			}
 		}

@@ -135,9 +135,7 @@ func TestShardedStreamCanonicalTies(t *testing.T) {
 }
 
 // TestStreamWithOptions checks option handling: RootFilter restricts the
-// stream exactly as it restricts TopKWith, and non-lazy algorithms are
-// rejected by both streaming paths (and by TopKWith when a RootFilter is
-// set).
+// stream exactly as it restricts TopKWith, sharded and unsharded.
 func TestStreamWithOptions(t *testing.T) {
 	db := randomDatabase(t, 120, 9)
 	sdb, err := db.Shard(3, PartitionByLabel())
@@ -181,18 +179,6 @@ func TestStreamWithOptions(t *testing.T) {
 	for _, m := range got {
 		if !filter(m.Nodes[0]) {
 			t.Fatalf("root binding %d slipped past the filter", m.Nodes[0])
-		}
-	}
-	// Non-lazy algorithms cannot stream, and cannot honor RootFilter.
-	for _, algo := range []Algorithm{AlgoTopk, AlgoDPB, AlgoDPP} {
-		if _, err := db.StreamWith(q, Options{Algorithm: algo}); err == nil {
-			t.Fatalf("StreamWith accepted %v", algo)
-		}
-		if _, err := sdb.StreamWith(q, Options{Algorithm: algo}); err == nil {
-			t.Fatalf("sharded StreamWith accepted %v", algo)
-		}
-		if _, err := db.TopKWith(q, 5, Options{Algorithm: algo, RootFilter: filter}); err == nil {
-			t.Fatalf("TopKWith accepted RootFilter with %v", algo)
 		}
 	}
 }
