@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ktpm/internal/core"
 	"ktpm/internal/label"
 	"ktpm/internal/rtg"
 )
@@ -84,7 +85,7 @@ func (db *Database) Explain(q *Query) (*Plan, error) {
 	r := rtg.Build(db.c, q.t)
 	p.PrunedRuntimeNodes = r.NumNodes()
 	p.PrunedRuntimeEdges = r.NumEdges()
-	p.TotalMatches = db.CountMatches(q)
+	p.TotalMatches = core.CountMatches(r)
 	return p, nil
 }
 

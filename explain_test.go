@@ -3,6 +3,8 @@ package ktpm
 import (
 	"strings"
 	"testing"
+
+	"ktpm/internal/gen"
 )
 
 func TestExplain(t *testing.T) {
@@ -66,5 +68,40 @@ func TestExplainSlashEdge(t *testing.T) {
 	}
 	if p.Edges[0].Kind != "/" {
 		t.Fatalf("kind = %q", p.Edges[0].Kind)
+	}
+}
+
+// TestExplainTotalMatchesOverQuerySet holds Explain's match count, taken
+// from the run-time graph the plan builds, to CountMatches over a
+// generated query set of several sizes.
+func TestExplainTotalMatchesOverQuerySet(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{Nodes: 300, AvgOutDegree: 3, Labels: 20, Window: 30, Communities: 4, Seed: 5})
+	db, err := BuildDatabase(&Graph{g: g}, DatabaseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, size := range []int{2, 3, 5, 8} {
+		trees, err := gen.QuerySet(g, 6, size, true, int64(size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range trees {
+			q, err := db.ParseQuery(tr.Canonical())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := db.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := db.CountMatches(q); p.TotalMatches != want {
+				t.Fatalf("%s: Plan.TotalMatches = %d, CountMatches = %d", q, p.TotalMatches, want)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("query set is empty")
 	}
 }

@@ -71,7 +71,8 @@ type BatchResponse struct {
 
 // batchItem is the handler's per-item working state.
 type batchItem struct {
-	resp  BatchItemResponse
+	resp  BatchItemResponse // Positions and Matches stay nil: res carries them
+	res   cachedResult
 	key   string // cache/dedup key; empty when the item is invalid
 	first int    // index of the first item with the same key, or own index
 }
@@ -143,7 +144,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	cp := trace.StartChild("cache_probe")
 	for key, f := range firstOf {
 		if res, hit := s.cache.Get(key); hit {
-			items[f].resp.Positions, items[f].resp.Matches = res.Positions, res.Matches
+			items[f].res = res
 			items[f].resp.Cached = true
 			continue
 		}
@@ -193,23 +194,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		})) {
 			return
 		}
+		// Each computed item is encoded once; its duplicates and later
+		// cache hits splice the same bytes.
+		enc := trace.StartChild("encode")
 		for i, f := range misses {
 			res, it := results[i], &items[f]
 			if res.Err != nil {
 				it.resp.Error = res.Err.Error()
 				continue
 			}
-			out := cachedResult{
-				Positions: make([]string, batch[i].Query.NumNodes()),
-				Matches:   make([]MatchJSON, len(res.Matches)),
-			}
-			for j := range out.Positions {
-				out.Positions[j] = batch[i].Query.LabelOf(j)
-			}
-			for j, m := range res.Matches {
-				out.Matches[j] = MatchJSON{Score: m.Score, Nodes: m.Nodes}
-			}
-			it.resp.Positions, it.resp.Matches = out.Positions, out.Matches
+			it.res = encodeResult(positionsOf(batch[i].Query), res.Matches, res.Partial)
 			if res.Partial {
 				// Degraded items are returned marked but never cached — the
 				// next request should retry the dead shard.
@@ -223,22 +217,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				if (s.cfg.CacheMinEntries > 0 && res.Cost < int64(s.cfg.CacheMinEntries)) || !s.cacheAdmitAllowed() {
 					s.cacheBypassed.Add(1)
 				} else {
-					s.cache.Put(it.key, out)
+					s.cache.Put(it.key, it.res)
 					s.cacheAdmitted.Add(1)
 				}
 			}
 		}
+		enc.End()
 	}
 
 	// Fan group leaders' outcomes out to their duplicates and assemble
 	// the response.
+	enc := trace.StartChild("encode")
 	resp := BatchResponse{Items: make([]BatchItemResponse, len(items))}
+	res := make([]cachedResult, len(items))
 	var itemErrs int64
 	for i := range items {
 		it := &items[i]
 		if it.first != i {
 			leader := &items[it.first]
-			it.resp.Positions, it.resp.Matches = leader.resp.Positions, leader.resp.Matches
+			it.res = leader.res
 			it.resp.Partial = leader.resp.Partial
 			it.resp.Error = leader.resp.Error
 			if it.resp.Error == "" {
@@ -257,7 +254,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		} else if !it.resp.Deduped {
 			resp.Computed++
 		}
-		resp.Items[i] = it.resp
+		resp.Items[i], res[i] = it.resp, it.res
 	}
 	s.batches.Add(1)
 	s.batchItems.Add(int64(len(items)))
@@ -266,7 +263,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchCacheHits.Add(int64(resp.CacheHits))
 	s.batchItemErrs.Add(itemErrs)
 	resp.ElapsedMS = msSince(t0)
-	s.writeJSON(w, http.StatusOK, resp)
+	bp := getBuf()
+	b := append(appendBatch(*bp, &resp, res), '\n')
+	writeBody(w, http.StatusOK, b)
+	putBuf(bp, b)
+	enc.End()
 }
 
 // validateBatchItem applies the /query parameter rules to one batch

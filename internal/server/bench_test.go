@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"ktpm"
+	"ktpm/internal/gen"
+	"ktpm/internal/graph"
 )
 
 // benchDatabase builds a mid-size random graph once per benchmark run.
@@ -81,4 +84,79 @@ func BenchmarkServerTopK(b *testing.B) {
 		defer s.Close()
 		serveQueries(b, s, 4)
 	})
+}
+
+// hotPaths builds the query_hot shape in process: a power-law graph of
+// the benchmark's family, 256 distinct canonical queries of sizes T6 to
+// T14 at k=20, and a Zipf(1.1) draw sequence over them.
+func hotPaths(b *testing.B) (*ktpm.Database, []string, []string) {
+	b.Helper()
+	g := gen.PowerLaw(gen.PowerLawConfig{Nodes: 800, AvgOutDegree: 5, Labels: 150, Window: 50, Communities: 10, Seed: 21})
+	var buf bytes.Buffer
+	if err := graph.Encode(&buf, g); err != nil {
+		b.Fatal(err)
+	}
+	pg, err := ktpm.LoadGraph(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := ktpm.BuildDatabase(pg, ktpm.DatabaseOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const nKeys = 256
+	seen := map[string]bool{}
+	var keys []string
+	for round := int64(0); round < 40 && len(keys) < nKeys; round++ {
+		for size := 6; size <= 14 && len(keys) < nKeys; size++ {
+			trees, err := gen.QuerySet(g, 32, size, true, round*1_000_003+int64(size)*101)
+			if err != nil {
+				continue
+			}
+			for _, t := range trees {
+				if c := t.Canonical(); !seen[c] && len(keys) < nKeys {
+					seen[c] = true
+					keys = append(keys, "/query?q="+url.QueryEscape(c)+"&k=20")
+				}
+			}
+		}
+	}
+	if len(keys) < nKeys {
+		b.Fatalf("only %d distinct queries", len(keys))
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(2)), 1.1, 1, nKeys-1)
+	draws := make([]string, 4096)
+	for i := range draws {
+		draws[i] = keys[zipf.Uint64()]
+	}
+	return db, keys, draws
+}
+
+// BenchmarkServerHit is the query_hot request in process: every /query
+// is a result-cache hit through the full ServeHTTP stack, so what it
+// times is parsing, the cache probe, the observability middleware and
+// the response encode. bytes/resp is the mean reply size.
+func BenchmarkServerHit(b *testing.B) {
+	db, keys, draws := hotPaths(b)
+	s := New(db, Config{})
+	defer s.Close()
+	for _, p := range keys {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("GET %s = %d: %s", p, rec.Code, rec.Body.String())
+		}
+	}
+	var bytesOut int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, draws[i%len(draws)], nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d", rec.Code)
+		}
+		bytesOut += int64(rec.Body.Len())
+	}
+	b.ReportMetric(float64(bytesOut)/float64(b.N), "bytes/resp")
 }

@@ -110,7 +110,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeHistogram(&b, "ktpmd_request_duration_seconds",
 			"End-to-end request latency by endpoint.", "endpoint", s.obs.endpoints)
 		writeHistogram(&b, "ktpmd_stage_duration_seconds",
-			"Request latency attributed to pipeline stages (parse, admission_wait, cache_probe, enumerate, shard_merge, table_fault, remote_merge, ingest).",
+			"Request latency attributed to pipeline stages (parse, admission_wait, cache_probe, enumerate, shard_merge, table_fault, remote_merge, encode).",
 			"stage", s.obs.stages)
 	}
 

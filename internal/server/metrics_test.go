@@ -159,7 +159,7 @@ func TestFlightLeaderCacheRecheck(t *testing.T) {
 	if err != nil || coalesced {
 		t.Fatalf("runQuery = coalesced %v, err %v", coalesced, err)
 	}
-	if len(res.Matches) == 0 {
+	if !hasItems(res.matches) {
 		t.Fatal("recheck returned no matches")
 	}
 	statsAfter := s.cache.Stats()

@@ -32,7 +32,7 @@ var endpointNames = map[string]string{
 // worker_stream is a per-worker slice of the distributed remote_merge
 // stage and is folded into that.
 var stageNames = []string{
-	"parse", "admission_wait", "cache_probe", "enumerate", "shard_merge", "table_fault", "remote_merge",
+	"parse", "admission_wait", "cache_probe", "enumerate", "shard_merge", "table_fault", "remote_merge", "encode",
 }
 
 // stageOf maps a span name to its stage histogram name ("" = not a

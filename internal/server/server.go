@@ -207,15 +207,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// cachedResult is the request-independent part of a /query response.
-// Partial is always false for entries that actually reach the cache:
-// degraded results bypass the fill.
-type cachedResult struct {
-	Positions []string
-	Matches   []MatchJSON
-	Partial   bool
-}
-
 // MatchJSON is one match in a QueryResponse: Nodes[i] is the data node
 // bound to canonical-query position i (see QueryResponse.Positions).
 type MatchJSON struct {
@@ -241,9 +232,9 @@ type QueryResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// RequestID and Trace are present only with ?debug=1: the request's
 	// correlation ID (also echoed in the X-Request-ID header) and the
-	// request's span tree as of response assembly — stages are finished,
-	// the root is still open, so stage durations sum to at most the
-	// root's.
+	// request's span tree as of response assembly — earlier stages are
+	// finished, encode and the root are still open, so stage durations
+	// sum to at most the root's.
 	RequestID string        `json:"request_id,omitempty"`
 	Trace     *obs.SpanJSON `json:"trace,omitempty"`
 }
@@ -470,12 +461,14 @@ func (s *Server) recordPanic(canonical string, err error) bool {
 	return true
 }
 
+// writeJSON answers with v as compact JSON and a trailing newline, the
+// one style every reply shares.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	b, err := json.Marshal(v)
+	if err != nil {
+		b, status = []byte(`{"error":"encode response: unsupported value"}`), http.StatusInternalServerError
+	}
+	writeBody(w, status, append(b, '\n'))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -669,18 +662,11 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq
 			callErr = err
 			return
 		}
-		out := cachedResult{
-			Positions: make([]string, cq.NumNodes()),
-			Matches:   make([]MatchJSON, len(ms)),
-			Partial:   partial,
-		}
-		for i := range out.Positions {
-			out.Positions[i] = cq.LabelOf(i)
-		}
-		for i, m := range ms {
-			out.Matches[i] = MatchJSON{Score: m.Score, Nodes: m.Nodes}
-		}
-		res = out
+		// Encoded once here: this response, its coalesced followers and
+		// later hits all splice the same bytes.
+		enc := trace.StartChild("encode")
+		res = encodeResult(positionsOf(cq), ms, partial)
+		enc.End()
 		if partial {
 			// Degraded results are handed to their waiters but never
 			// cached: the next request should retry the dead shard, not be
@@ -706,7 +692,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq
 		}
 		// Cache from inside the task: even if every waiter times out, the
 		// completed work still warms the cache for the retry.
-		s.cache.Put(key, out)
+		s.cache.Put(key, res)
 		s.cacheAdmitted.Add(1)
 	})
 	wait.End() // no-op unless the task was dropped before running
@@ -755,25 +741,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Canonical: canonical,
 		K:         k,
 	}
-	debug := r.FormValue("debug") == "1"
-	trace := requestSpan(w, r)
-	finish := func(w http.ResponseWriter) {
-		if debug {
-			resp.RequestID = w.Header().Get("X-Request-ID")
-			// Snapshot before stamping ElapsedMS so the trace's stage sum
-			// can never exceed the total the client sees.
-			resp.Trace = trace.Snapshot()
-		}
-		resp.ElapsedMS = msSince(t0)
-		s.writeJSON(w, http.StatusOK, resp)
-	}
-	cp := trace.StartChild("cache_probe")
+	cp := requestSpan(w, r).StartChild("cache_probe")
 	res, hit := s.cache.Get(key)
 	cp.End()
 	if hit {
 		s.queries.Add(1)
-		resp.Positions, resp.Matches, resp.Cached = res.Positions, res.Matches, true
-		finish(w)
+		resp.Cached = true
+		s.writeQuery(w, r, &resp, res, t0)
 		return
 	}
 	// Cache misses pass the overload gates: the quarantine fast-fail,
@@ -810,12 +784,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(1)
-	resp.Positions, resp.Matches, resp.Coalesced = res.Positions, res.Matches, coalesced
-	if res.Partial {
+	resp.Coalesced = coalesced
+	if res.partial {
 		resp.Partial = true
 		s.partials.Add(1)
 	}
-	finish(w)
+	s.writeQuery(w, r, &resp, res, t0)
+}
+
+// writeQuery assembles the /query envelope around res's stored bytes and
+// writes it, inside the request's encode span. With ?debug=1 the trace
+// is snapshotted first — encode is still open then — and before
+// ElapsedMS is stamped, so the trace's stage sum never exceeds the total
+// the client sees.
+func (s *Server) writeQuery(w http.ResponseWriter, r *http.Request, resp *QueryResponse, res cachedResult, t0 time.Time) {
+	trace := requestSpan(w, r)
+	enc := trace.StartChild("encode")
+	if r.FormValue("debug") == "1" {
+		resp.RequestID = w.Header().Get("X-Request-ID")
+		resp.Trace = trace.Snapshot()
+	}
+	resp.ElapsedMS = msSince(t0)
+	bp := getBuf()
+	b := append(appendQuery(*bp, resp, res), '\n')
+	writeBody(w, http.StatusOK, b)
+	putBuf(bp, b)
+	enc.End()
 }
 
 // ExplainResponse is the /explain response body.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -112,6 +111,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	tExec := time.Now()
 	defer func() { s.adm.observe("stream", time.Since(tExec)) }()
 
+	// Lines are appended to one pooled buffer and written once per
+	// StreamChunk matches; b holds the lines not yet written.
+	bp := getBuf()
+	b := *bp
+	defer func() { putBuf(bp, b) }()
+
 	// The stream's enumeration runs on the handler goroutine (it must
 	// interleave with response writes), so the executor's panic recovery
 	// cannot cover it; this recover does. Before the header is written a
@@ -129,17 +134,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				s.writeError(w, http.StatusInternalServerError, "stream panicked: %v", rec)
 				return
 			}
-			// The NDJSON status line is long gone; end the stream with an
-			// error trailer on its own line (a partially-written match line,
-			// if any, is unparseable and skipped by NDJSON clients).
-			enc := json.NewEncoder(w)
-			_ = enc.Encode(StreamTrailer{
+			// The NDJSON status line is long gone; end the stream with the
+			// whole lines still buffered and an error trailer.
+			b = appendStreamTrailer(b, &StreamTrailer{
 				Done:      true,
 				Complete:  false,
 				Reason:    "error",
 				ElapsedMS: msSince(t0),
 				Error:     fmt.Sprintf("panic: %v", rec),
 			})
+			b = append(b, '\n')
+			_, _ = w.Write(b)
 			if flusher, ok := w.(http.Flusher); ok {
 				flusher.Flush()
 			}
@@ -165,16 +170,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	headerSent = true
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // Encode's trailing newline is the NDJSON frame
-	hdr := StreamHeader{
+	// Each line ends in the newline that is its NDJSON frame.
+	b = appendStreamHeader(b, &StreamHeader{
 		Query:     r.FormValue("q"),
 		Canonical: q.Canonical(),
-		Positions: make([]string, q.NumNodes()),
-	}
-	for i := range hdr.Positions {
-		hdr.Positions[i] = q.LabelOf(i)
-	}
-	_ = enc.Encode(hdr)
+		Positions: positionsOf(q),
+	})
+	b = append(b, '\n')
+	_, _ = w.Write(b)
+	b = b[:0]
 	if flusher != nil {
 		flusher.Flush() // the header tells the client the stream is live
 	}
@@ -189,9 +193,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			reason = "exhausted"
 			break
 		}
-		_ = enc.Encode(StreamMatch{Score: m.Score, Nodes: m.Nodes})
+		b = append(appendMatch(b, m.Score, m.Nodes), '\n')
 		count++
 		if count%s.cfg.StreamChunk == 0 {
+			_, _ = w.Write(b)
+			b = b[:0]
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -252,7 +258,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.streamMaxHits.Add(1)
 	}
 	s.streamMatches.Add(int64(count))
-	_ = enc.Encode(StreamTrailer{
+	b = appendStreamTrailer(b, &StreamTrailer{
 		Done:      true,
 		Count:     count,
 		Complete:  reason == "exhausted",
@@ -261,6 +267,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		Partial:   partial,
 		Error:     streamErr,
 	})
+	b = append(b, '\n')
+	_, _ = w.Write(b)
 	if flusher != nil {
 		flusher.Flush()
 	}
