@@ -1,9 +1,9 @@
 package ktpm
 
 // One testing.B benchmark per paper artifact (Tables 2-3, Figures 6-9)
-// plus the DESIGN.md ablations. These run on reduced datasets so
-// `go test -bench=. -benchmem` finishes in minutes; the full paper-scale
-// sweeps live in cmd/benchkit. Every benchmark reports edges/op where the
+// plus the ablations in docs/REPRODUCTION.md. These run on reduced
+// datasets so `go test -bench=. -benchmem` finishes in minutes; the full
+// paper-scale sweeps live in cmd/benchkit. Every benchmark reports edges/op where the
 // paper's argument is about retrieved edges.
 
 import (
@@ -306,13 +306,11 @@ var (
 	shardBenchErr     error
 )
 
-// setupShardBench prepares the sharding bench workload —
-// bench.TopKWorkload, shared with the benchkit topk sweep so
-// BENCH_topk.json measures exactly what these benchmarks measure: a
-// weighted power-law graph (MaxWeight spreads shortest-path scores the
-// way million-node scale does, keeping equal-score tie groups small, the
-// regime the k-way merge's canonical tie-drain is designed for) with a
-// random-walk workload and a deep k.
+// setupShardBench prepares the sharding bench workload,
+// bench.TopKWorkload: a weighted power-law graph (MaxWeight spreads
+// shortest-path scores the way million-node scale does, keeping
+// equal-score tie groups small, the regime the k-way merge's canonical
+// tie-drain is designed for) with a random-walk workload and a deep k.
 func setupShardBench(b *testing.B) {
 	b.Helper()
 	shardBenchOnce.Do(func() {

@@ -1,27 +1,23 @@
 // Command benchkit regenerates the paper's tables and figures (Section 6)
-// at laptop scale, plus the ablations listed in DESIGN.md.
+// at laptop scale, plus the ablations A2-A5; docs/REPRODUCTION.md maps
+// each experiment to the paper artifact it reproduces.
 //
 // Usage:
 //
-//	benchkit                 # everything (several minutes)
+//	benchkit                 # every paper table, figure and ablation (several minutes)
 //	benchkit -exp fig6       # one experiment: table2 table3 fig6 fig7 fig8
-//	                         # fig9 ablations topk batch startup obs dist
-//	                         # overload
-//	benchkit -exp topk,batch # comma-separated experiment list
+//	                         # fig9 ablations overload
+//	benchkit -exp fig7,fig8  # comma-separated experiment list
 //	benchkit -queries 3      # queries averaged per data point
 //	benchkit -quick          # smaller k sweep and fewer datasets
-//	benchkit -exp topk,batch -json BENCH_topk.json  # serving sweeps (make bench-json)
-//	benchkit -drift BENCH_topk.json                 # schema drift check (make bench-json-check)
+//	benchkit -exp overload -overload-target URL -overload-queries FILE
 //
-// -json writes the shard-plane, batch amortization, snapshot startup,
-// instrumentation overhead, distributed scatter-gather, and overload
-// sweeps as one document; it implies every serving-sweep experiment so
-// the written schema is always complete. -drift regenerates the same
-// sweeps and fails when the committed document's schema (key paths, row
-// names) no longer matches — CI's guard against a stale BENCH_topk.json.
+// -exp overload storms a live ktpmd (the CI overload smoke) and needs
+// both -overload-target and -overload-queries; "all" does not include
+// it. Serving performance is measured by benchmark/ (BENCHMARK.json),
+// not here.
 //
-// Output is plain text, one aligned table per paper artifact — the source
-// for EXPERIMENTS.md.
+// Output is plain text, one aligned table per paper artifact.
 package main
 
 import (
@@ -36,15 +32,12 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment, or comma-separated list: all, table2, table3, fig6, fig7, fig8, fig9, ablations, topk, batch, startup, obs, dist, overload")
-		queries   = flag.Int("queries", 5, "queries per data point")
-		quick     = flag.Bool("quick", false, "reduced sweeps for a fast pass")
-		jsonPath  = flag.String("json", "", "write the topk+batch+startup+obs sweeps as one JSON document to this path (implies all four experiments; see make bench-json)")
-		driftPath = flag.String("drift", "", "regenerate the topk+batch+startup+obs sweeps and compare their schema (key paths, row names) against this committed JSON document; exit nonzero on drift (implies all four experiments; see make bench-json-check)")
-		topkOps   = flag.Int("topk-ops", 5, "iterations per configuration of the topk and batch sweeps")
+		exp     = flag.String("exp", "all", "experiment, or comma-separated list: all (the paper's tables, figures and ablations), table2, table3, fig6, fig7, fig8, fig9, ablations, overload")
+		queries = flag.Int("queries", 5, "queries per data point")
+		quick   = flag.Bool("quick", false, "reduced sweeps for a fast pass")
 
-		overloadTarget  = flag.String("overload-target", "", "overload sweep: storm this live ktpmd base URL instead of an in-process server (see the CI overload smoke)")
-		overloadQueries = flag.String("overload-queries", "", "overload sweep: file of queries, one per line, required with -overload-target")
+		overloadTarget  = flag.String("overload-target", "", "overload sweep: base URL of the live ktpmd to storm (required with -exp overload; see the CI overload smoke)")
+		overloadQueries = flag.String("overload-queries", "", "overload sweep: file of queries, one per line (required with -exp overload)")
 		overloadStage   = flag.Duration("overload-stage", 0, "overload sweep: duration of each rate stage (0 = default 1.5s)")
 	)
 	flag.Parse()
@@ -56,7 +49,7 @@ func main() {
 		ks = []int{10, 100}
 		gdSets, gsSets = bench.GD[:3], bench.GS[:3]
 	}
-	known := []string{"all", "table2", "table3", "fig6", "fig7", "fig8", "fig9", "ablations", "topk", "batch", "startup", "obs", "dist", "overload"}
+	known := []string{"all", "table2", "table3", "fig6", "fig7", "fig8", "fig9", "ablations", "overload"}
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {
 		name = strings.TrimSpace(name)
@@ -70,15 +63,9 @@ func main() {
 		}
 		selected[name] = true
 	}
-	if *jsonPath != "" || *driftPath != "" {
-		// The JSON document carries every serving sweep; a partial write
-		// would silently drift the committed schema.
-		selected["topk"] = true
-		selected["batch"] = true
-		selected["startup"] = true
-		selected["obs"] = true
-		selected["dist"] = true
-		selected["overload"] = true
+	if selected["overload"] && (*overloadTarget == "" || *overloadQueries == "") {
+		fmt.Fprintln(os.Stderr, "benchkit: -exp overload needs -overload-target and -overload-queries")
+		os.Exit(2)
 	}
 	want := func(name string) bool { return selected["all"] || selected[name] }
 	t0 := time.Now()
@@ -138,89 +125,13 @@ func main() {
 		bench.RunAblationLazyQ(gs, ks).Fprint(os.Stdout)
 		bench.RunAblationOracle([]bench.Dataset{gdSets[0], gsSets[0]}).Fprint(os.Stdout)
 	}
-	// The obs sweep measures a ~microsecond effect, so it runs before the
-	// other serving sweeps inflate this process's heap (every extra live
-	// byte makes each GC cycle — and thus the noise floor — bigger).
-	var obsRows []*bench.ObsRow
-	if want("obs") {
-		var err error
-		obsRows, err = runObsSweep(*topkOps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchkit: obs sweep: %v\n", err)
-			os.Exit(1)
-		}
-		bench.ObsTable(obsRows).Fprint(os.Stdout)
-	}
-	var rep *bench.TopKReport
-	if want("topk") {
-		var err error
-		rep, err = bench.RunTopKSweep(*topkOps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchkit: topk sweep: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Table().Fprint(os.Stdout)
-	}
-	if want("batch") {
-		batchRows, err := runBatchSweep(*topkOps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchkit: batch sweep: %v\n", err)
-			os.Exit(1)
-		}
-		bench.BatchTable(batchRows).Fprint(os.Stdout)
-		if rep != nil {
-			rep.BatchSweep = batchRows
-		}
-	}
-	if want("startup") {
-		startupRows, err := runStartupSweep(*topkOps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchkit: startup sweep: %v\n", err)
-			os.Exit(1)
-		}
-		bench.StartupTable(startupRows).Fprint(os.Stdout)
-		if rep != nil {
-			rep.StartupSweep = startupRows
-		}
-	}
-	if want("dist") {
-		distRows, err := runDistSweep(*topkOps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchkit: dist sweep: %v\n", err)
-			os.Exit(1)
-		}
-		bench.DistTable(distRows).Fprint(os.Stdout)
-		if rep != nil {
-			rep.DistSweep = distRows
-		}
-	}
-	if want("overload") {
-		overloadRows, err := runOverloadSweep(*overloadTarget, *overloadQueries, *overloadStage)
+	if selected["overload"] {
+		rows, err := runOverloadSweep(*overloadTarget, *overloadQueries, *overloadStage)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchkit: overload sweep: %v\n", err)
 			os.Exit(1)
 		}
-		bench.OverloadTable(overloadRows).Fprint(os.Stdout)
-		if rep != nil {
-			rep.OverloadSweep = overloadRows
-		}
-	}
-	if rep != nil {
-		rep.ObsSweep = obsRows
-	}
-	if *jsonPath != "" {
-		if err := rep.WriteJSON(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchkit: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchkit: wrote %s\n", *jsonPath)
-	}
-	if *driftPath != "" {
-		if err := checkDrift(rep, *driftPath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchkit: drift: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchkit: %s schema in sync\n", *driftPath)
+		bench.OverloadTable(rows).Fprint(os.Stdout)
 	}
 	fmt.Fprintf(os.Stderr, "benchkit: done in %v\n", time.Since(t0).Round(time.Millisecond))
 }

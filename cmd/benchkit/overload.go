@@ -1,13 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"os"
 	"sort"
@@ -15,11 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"ktpm"
 	"ktpm/internal/bench"
-	"ktpm/internal/gen"
-	"ktpm/internal/graph"
-	"ktpm/internal/server"
 )
 
 // runOverloadSweep drives the overload-protection plane the way a
@@ -31,79 +25,28 @@ import (
 // hard-rejected as 503, any genuine 5xx, and the brownout detector's
 // state from /stats.
 //
-// With target empty the sweep runs against an in-process server over
-// the standard workload graph, configured small (2 workers, result
-// cache off, a tight -max-queue-wait) so saturation is reachable at
-// laptop scale. A non-empty target points the same storm at a live
-// ktpmd (the CI overload smoke), with queries read from queriesPath,
-// one per line.
+// The storm targets a live ktpmd at base URL target, with queries read
+// from queriesPath, one per line. Saturation is reachable at laptop
+// scale only when that daemon is configured small (2 workers, result
+// cache off, a tight -max-queue-wait), as the CI overload smoke does.
 func runOverloadSweep(target, queriesPath string, stageDur time.Duration) ([]*bench.OverloadRow, error) {
 	if stageDur <= 0 {
 		stageDur = 1500 * time.Millisecond
 	}
-	base := target
+	data, err := os.ReadFile(queriesPath)
+	if err != nil {
+		return nil, fmt.Errorf("overload sweep: -overload-queries: %w", err)
+	}
 	var queries []string
-	if target == "" {
-		g := bench.TopKGraph()
-		var buf bytes.Buffer
-		if err := graph.Encode(&buf, g); err != nil {
-			return nil, err
-		}
-		pg, err := ktpm.LoadGraph(&buf)
-		if err != nil {
-			return nil, err
-		}
-		db, err := ktpm.BuildDatabase(pg, ktpm.DatabaseOptions{})
-		if err != nil {
-			return nil, err
-		}
-		// A wide keyspace matters: the server coalesces concurrent
-		// identical requests into one flight, so a handful of queries
-		// would never build queue depth no matter the offered rate. 150
-		// distinct queries with a moderate zipf exponent keeps the head
-		// hot (cacheable in production) while the tail supplies the
-		// distinct work that actually queues.
-		trees, err := gen.QuerySet(g, 150, 14, true, 12345)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range trees {
-			queries = append(queries, t.String())
-		}
-		// Small on purpose: two workers make 4x saturation reachable at
-		// laptop scale, and the cache is disabled so every request is
-		// real work (with it on, the zipfian head would be served from
-		// cache and bypass every shed gate — correct in production,
-		// useless for measuring the gates). The queue is deep relative
-		// to MaxQueueWait so the predictive 429 gate engages well before
-		// the queue-full 503 backstop — the shape the sweep is meant to
-		// demonstrate.
-		srv := server.New(db, server.Config{
-			Concurrency:    2,
-			QueueDepth:     256,
-			RequestTimeout: 2 * time.Second,
-			MaxQueueWait:   25 * time.Millisecond,
-			CacheEntries:   -1,
-		})
-		defer srv.Close()
-		hs := httptest.NewServer(srv)
-		defer hs.Close()
-		base = hs.URL
-	} else {
-		data, err := os.ReadFile(queriesPath)
-		if err != nil {
-			return nil, fmt.Errorf("overload sweep: -overload-target needs -overload-queries: %w", err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line = strings.TrimSpace(line); line != "" {
-				queries = append(queries, line)
-			}
-		}
-		if len(queries) == 0 {
-			return nil, fmt.Errorf("overload sweep: no queries in %s", queriesPath)
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			queries = append(queries, line)
 		}
 	}
-	base = strings.TrimRight(base, "/")
+	if len(queries) == 0 {
+		return nil, fmt.Errorf("overload sweep: no queries in %s", queriesPath)
+	}
+	base := strings.TrimRight(target, "/")
 	// Generous connection reuse: with the default two idle conns per
 	// host, an open-loop storm dials a fresh TCP connection per request
 	// and the dial queue — not the server — dominates the measured

@@ -1,6 +1,9 @@
 package ktpm
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -39,4 +42,58 @@ func TestDocLinks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCommentDocCitations fails when a Go comment outside benchmark/
+// cites a markdown file that does not exist. A cited name resolves at the
+// repository root, under docs/, or beside the citing file.
+func TestCommentDocCitations(t *testing.T) {
+	mdRe := regexp.MustCompile(`[\w./-]*\w\.md\b`)
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "benchmark" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, name := range mdRe.FindAllString(cg.Text(), -1) {
+				if strings.HasPrefix(name, "/") {
+					continue // the path part of a URL
+				}
+				checked++
+				if !docResolves(path, name) {
+					t.Errorf("%s: comment cites %s, which resolves neither at the repository root, under docs/, nor beside the file", fset.Position(cg.Pos()), name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no markdown citations found in Go comments")
+	}
+}
+
+func docResolves(citer, name string) bool {
+	for _, p := range []string{name, filepath.Join("docs", name), filepath.Join(filepath.Dir(citer), name)} {
+		if _, err := os.Stat(p); err == nil {
+			return true
+		}
+	}
+	return false
 }

@@ -1,16 +1,17 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Section 6) at laptop scale, plus the
-// ablations listed in DESIGN.md.
+// ablations listed in docs/REPRODUCTION.md.
 //
 // Datasets follow the paper's two families, scaled roughly 100-250×
 // down so full transitive closures stay in memory (the paper streams 98 GB
-// closures from disk; see DESIGN.md "Substitutions"):
+// closures from disk; see docs/REPRODUCTION.md "Datasets and
+// substitutions"):
 //
-//	GD1..GD5 — citation-style graphs (the DBLP/real analog), 500..8000
+//	GD1..GD5 — citation-style graphs (the DBLP/real analog), 1500..6000
 //	           nodes. Their closures grow nearly quadratically, like the
 //	           paper's real datasets (Table 2).
-//	GS1..GS6 — power-law graphs (the Boost synthetic analog), 1000..32000
-//	           nodes, 200 labels, average out-degree 3.
+//	GS1..GS6 — power-law graphs (the Boost synthetic analog), 1000..5500
+//	           nodes, 150 labels, average out-degree 5.
 //
 // Query workloads T10..T100 are random-walk subtree extractions,
 // mirroring the paper's procedure, with distinct labels by default and

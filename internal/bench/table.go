@@ -9,7 +9,7 @@ import (
 
 // Table is a rendered experiment result: a title, a header row, and data
 // rows, printed in aligned plain text. The benchkit tool emits these for
-// every paper table/figure so EXPERIMENTS.md can quote them directly.
+// every paper table/figure (docs/REPRODUCTION.md maps them).
 type Table struct {
 	Title  string
 	Header []string

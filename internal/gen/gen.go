@@ -37,7 +37,7 @@ type PowerLawConfig struct {
 	// uniform random DAG). Preferential attachment alone concentrates
 	// edges on a few early hubs so hard that reachability cones collapse
 	// to a few dozen nodes at laptop scale, which would make the paper's
-	// T50-T100 workloads unextractable (see DESIGN.md); the default 0.8
+	// T50-T100 workloads unextractable (see docs/REPRODUCTION.md); the default 0.8
 	// keeps a skewed out-degree tail while preserving deep cones.
 	MixUniform float64
 	// MaxWeight, when > 1, draws edge weights uniformly from [1,

@@ -56,7 +56,7 @@ const (
 	// because it prices every edge at 1; the D tables loaded at
 	// initialization already contain the per-edge minima, so this bound
 	// is free to compute and never weaker. Results are identical; only
-	// fewer edges are loaded (ablation A5 in DESIGN.md).
+	// fewer edges are loaded (ablation A5 in docs/REPRODUCTION.md).
 	EdgeAwareBound
 )
 

@@ -12,7 +12,7 @@
 //
 // The index implements closure.DistanceOracle and can substitute the full
 // transitive closure in any component that only needs distances (ablation
-// A4 in DESIGN.md).
+// A4 in docs/REPRODUCTION.md).
 package pll
 
 import (

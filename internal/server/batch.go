@@ -88,54 +88,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	// The body cap is the smaller of -max-body-bytes and the configured
-	// batch shape, so an oversized payload fails the decode with a
-	// distinct 413 instead of buffering unbounded.
-	limit := int64(s.cfg.MaxBatchItems)*int64(s.cfg.MaxQueryLen+256) + 4096
-	if s.cfg.MaxBodyBytes > 0 && s.cfg.MaxBodyBytes < limit {
-		limit = s.cfg.MaxBodyBytes
-	}
-	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.tooLarge.Add(1)
-			s.writeError(w, http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", limit)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "bad batch body: %v", err)
+	items, firstOf, ok := s.parseBatch(w, r)
+	if !ok {
 		return
-	}
-	if len(req.Items) == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty batch: items is required and must not be empty")
-		return
-	}
-	if len(req.Items) > s.cfg.MaxBatchItems {
-		s.writeError(w, http.StatusBadRequest, "batch of %d items exceeds the maximum %d", len(req.Items), s.cfg.MaxBatchItems)
-		return
-	}
-
-	// Validate every item, grouping canonical-identical ones under the
-	// first occurrence (in-batch singleflight). Validation failures stay
-	// per-item: the batch proceeds with whatever parses.
-	items := make([]batchItem, len(req.Items))
-	firstOf := make(map[string]int, len(req.Items))
-	for i, it := range req.Items {
-		items[i].resp.Query = it.Q
-		items[i].first = i
-		canonical, k, errMsg := s.validateBatchItem(it)
-		if errMsg != "" {
-			items[i].resp.Error = errMsg
-			continue
-		}
-		items[i].resp.Canonical = canonical
-		items[i].resp.K = k
-		items[i].key = s.resultKey(canonical, k)
-		if f, ok := firstOf[items[i].key]; ok {
-			items[i].first = f
-		} else {
-			firstOf[items[i].key] = i
-		}
 	}
 
 	// One cache probe per distinct key; hits serve every group member.
@@ -268,6 +223,63 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, b)
 	putBuf(bp, b)
 	enc.End()
+}
+
+// parseBatch decodes a /batch body and validates every item under one
+// parse span, grouping canonical-identical items under the first
+// occurrence (in-batch singleflight). Validation failures stay
+// per-item: the batch proceeds with whatever parses. ok false means an
+// error response was already written.
+func (s *Server) parseBatch(w http.ResponseWriter, r *http.Request) ([]batchItem, map[string]int, bool) {
+	sp := requestSpan(w, r).StartChild("parse")
+	defer sp.End()
+	// The body cap is the smaller of -max-body-bytes and the configured
+	// batch shape, so an oversized payload fails the decode with a
+	// distinct 413 instead of buffering unbounded.
+	limit := int64(s.cfg.MaxBatchItems)*int64(s.cfg.MaxQueryLen+256) + 4096
+	if s.cfg.MaxBodyBytes > 0 && s.cfg.MaxBodyBytes < limit {
+		limit = s.cfg.MaxBodyBytes
+	}
+	var req BatchRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			s.tooLarge.Add(1)
+			s.writeError(w, http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", limit)
+			return nil, nil, false
+		}
+		s.writeError(w, http.StatusBadRequest, "bad batch body: %v", err)
+		return nil, nil, false
+	}
+	if len(req.Items) == 0 {
+		s.writeError(w, http.StatusBadRequest, "empty batch: items is required and must not be empty")
+		return nil, nil, false
+	}
+	if len(req.Items) > s.cfg.MaxBatchItems {
+		s.writeError(w, http.StatusBadRequest, "batch of %d items exceeds the maximum %d", len(req.Items), s.cfg.MaxBatchItems)
+		return nil, nil, false
+	}
+
+	items := make([]batchItem, len(req.Items))
+	firstOf := make(map[string]int, len(req.Items))
+	for i, it := range req.Items {
+		items[i].resp.Query = it.Q
+		items[i].first = i
+		canonical, k, errMsg := s.validateBatchItem(it)
+		if errMsg != "" {
+			items[i].resp.Error = errMsg
+			continue
+		}
+		items[i].resp.Canonical = canonical
+		items[i].resp.K = k
+		items[i].key = s.resultKey(canonical, k)
+		if f, ok := firstOf[items[i].key]; ok {
+			items[i].first = f
+		} else {
+			firstOf[items[i].key] = i
+		}
+	}
+	return items, firstOf, true
 }
 
 // validateBatchItem applies the /query parameter rules to one batch

@@ -49,12 +49,7 @@ func TestStatsLatencyBlock(t *testing.T) {
 			t.Fatalf("query %d: status %d", i, rec.Code)
 		}
 	}
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var st StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("bad /stats body: %v", err)
-	}
+	st := getStats(t, s)
 	if st.Latency == nil {
 		t.Fatal("/stats has no latency block")
 	}
@@ -79,6 +74,36 @@ func TestStatsLatencyBlock(t *testing.T) {
 	if st.Build.Version == "" || st.Build.Go == "" {
 		t.Fatalf("build info incomplete: %+v", st.Build)
 	}
+
+	// /batch (body decode plus per-item validation) and /stream parse
+	// too: each adds one parse observation.
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(`{"items":[{"q":"C(E,S)","k":2},{"q":"C(E)","k":1}]}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := getStats(t, s).Latency.Stages["parse"].Count; got != 4 {
+		t.Fatalf("stage parse count after /batch = %d, want 4", got)
+	}
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stream?q=C(E,S)&max=3", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stream status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := getStats(t, s).Latency.Stages["parse"].Count; got != 5 {
+		t.Fatalf("stage parse count after /stream = %d, want 5", got)
+	}
+}
+
+func getStats(t *testing.T, s *Server) StatsResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st StatsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("bad /stats body: %v", err)
+	}
+	return st
 }
 
 func TestQueryDebugTrace(t *testing.T) {

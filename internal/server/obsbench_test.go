@@ -13,7 +13,7 @@ import (
 	"ktpm/internal/graph"
 )
 
-// benchPaths builds the benchkit sweep workload — the TopK benchmark
+// benchPaths builds the serving benchmark workload — the TopK benchmark
 // graph plus its generated 4-node query set — as /query request paths.
 func benchPaths(b testing.TB) (*ktpm.Database, []string) {
 	g := bench.TopKGraph()
@@ -43,9 +43,9 @@ func benchPaths(b testing.TB) (*ktpm.Database, []string) {
 // benchWorkload drives warm-cache /query requests through the full
 // ServeHTTP stack with instrumentation on or off. Sequential go-bench
 // runs of the two variants are NOT directly comparable on a noisy
-// machine (each run sees its own GC and scheduler regime) — for the
-// honest overhead comparison use `benchkit -exp obs`, which interleaves
-// paired rounds of both configurations in one process. These benchmarks
+// machine (each run sees its own GC and scheduler regime) — the
+// overhead comparison is benchmark/'s obs.overhead_us, which replays the
+// same requests through both configurations. These benchmarks
 // exist for -benchmem alloc accounting and profiling a single variant.
 func benchWorkload(b *testing.B, disable bool) {
 	db, paths := benchPaths(b)

@@ -279,6 +279,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // and is capped by MaxStreamMatches rather than MaxK — streaming exists
 // precisely for results too large for one /query response.
 func (s *Server) parseStreamRequest(w http.ResponseWriter, r *http.Request) (q *ktpm.Query, max int, ok bool) {
+	sp := requestSpan(w, r).StartChild("parse")
+	defer sp.End()
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		w.Header().Set("Allow", "GET, POST")
 		s.writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)

@@ -799,7 +799,13 @@ type GraphEnv struct {
 	env *kgpm.Env
 }
 
-// NewGraphEnv prepares the kGPM environment for db's graph.
+// NewGraphEnv prepares the kGPM environment for db's graph. It is not
+// cheap: it mirrors the graph into an undirected view and computes that
+// view's full transitive closure, a second one beside the database's,
+// keeping a per-source hash distance index over it. In an undirected
+// view every node of a connected component reaches every other, so the
+// closure holds up to O(V²) entries, and the index is as large again.
+// Build one GraphEnv per graph and reuse it across GraphTopK calls.
 func (db *Database) NewGraphEnv() *GraphEnv {
 	return &GraphEnv{env: kgpm.NewEnv(db.g)}
 }
