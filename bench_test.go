@@ -454,7 +454,7 @@ func BenchmarkShardPlaneSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sdb.TopK(queries[i%len(queries)].t, k)
+				sdb.TopK(queries[i%len(queries)].t, k, lazy.Options{}, func([]*lazy.Match) {})
 			}
 			b.StopTimer()
 			c := sdb.Counters()

@@ -161,12 +161,6 @@ func (e *Env) Queries(size int, distinct bool) []*query.Tree {
 	return qs
 }
 
-// FreshStore returns a new store over the same closure with zeroed I/O
-// counters, so per-run loading can be measured in isolation.
-func (e *Env) FreshStore(blockSize int) *store.Store {
-	return store.New(e.Closure, blockSize)
-}
-
 // newRng is a test/seed helper kept here so harness consumers share one
 // source construction.
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -126,6 +126,7 @@ func (b *Builder) Build() (*Graph, error) {
 		g.outOff[i+1] += g.outOff[i]
 	}
 	g.buildIncoming(dedup)
+	g.buildLabelIndex()
 	return g, nil
 }
 
@@ -142,6 +143,35 @@ type Graph struct {
 	inOff   []int32
 	inFrom  []int32
 	inW     []int32
+	// The label index, a CSR over labels: the nodes with label l are
+	// lblNodes[lblOff[l]:lblOff[l+1]], ascending, and rank[v] is v's
+	// position within its label's run. It covers the labels interned when
+	// the graph was built; a label interned later carries no node.
+	lblOff   []int32
+	lblNodes []int32
+	rank     []int32
+}
+
+// buildLabelIndex fills the label CSR and the per-node ranks in two
+// passes over the node labels.
+func (g *Graph) buildLabelIndex() {
+	n := g.NumNodes()
+	g.lblOff = make([]int32, g.NumLabels()+1)
+	for _, l := range g.nodeLbl {
+		g.lblOff[l+1]++
+	}
+	for l := 1; l < len(g.lblOff); l++ {
+		g.lblOff[l] += g.lblOff[l-1]
+	}
+	g.lblNodes = make([]int32, n)
+	g.rank = make([]int32, n)
+	next := make([]int32, len(g.lblOff)-1)
+	for v, l := range g.nodeLbl {
+		r := next[l]
+		next[l]++
+		g.rank[v] = r
+		g.lblNodes[g.lblOff[l]+r] = int32(v)
+	}
 }
 
 func (g *Graph) buildIncoming(edges []Edge) {
@@ -228,16 +258,26 @@ func (g *Graph) Edges(fn func(e Edge) bool) {
 	}
 }
 
-// NodesWithLabel returns all node IDs carrying label lbl, ascending.
+// NodesWithLabel returns all node IDs carrying label lbl, ascending: a
+// read-only view of the label index, so callers must not modify it. A
+// label no node carries (the wildcard, one interned after Build) has
+// none.
 func (g *Graph) NodesWithLabel(lbl int32) []int32 {
-	var out []int32
-	for v, l := range g.nodeLbl {
-		if l == lbl {
-			out = append(out, int32(v))
-		}
+	if lbl < 0 || int(lbl) >= g.IndexedLabels() {
+		return nil
 	}
-	return out
+	lo, hi := g.lblOff[lbl], g.lblOff[lbl+1]
+	return g.lblNodes[lo:hi:hi]
 }
+
+// IndexedLabels returns how many labels the label index covers: every
+// label interned when the graph was built. Labels at or past it were
+// interned later (query-only labels) and carry no node.
+func (g *Graph) IndexedLabels() int { return len(g.lblOff) - 1 }
+
+// Rank returns v's position among the nodes sharing its label, the
+// dense index NodesWithLabel(Label(v))[Rank(v)] == v.
+func (g *Graph) Rank(v int32) int32 { return g.rank[v] }
 
 // LabelHistogram returns a map from label ID to node count.
 func (g *Graph) LabelHistogram() map[int32]int {

@@ -152,6 +152,60 @@ func TestNodesWithLabel(t *testing.T) {
 	}
 }
 
+// TestLabelIndex checks the label CSR against a scan of every node, on
+// a graph built directly and on its decoded copy, and that the views it
+// hands out cannot be appended into the index.
+func TestLabelIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := NewBuilder()
+	for i := 0; i < 300; i++ {
+		b.AddNode(string(rune('a' + rng.Intn(12))))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gr := range []*Graph{g, g2} {
+		seen := 0
+		for l := int32(0); int(l) < gr.IndexedLabels(); l++ {
+			var want []int32
+			for v := int32(0); int(v) < gr.NumNodes(); v++ {
+				if gr.Label(v) == l {
+					want = append(want, v)
+				}
+			}
+			got := gr.NodesWithLabel(l)
+			if len(got) != len(want) || cap(got) != len(got) {
+				t.Fatalf("label %d: %d nodes (cap %d), want %d", l, len(got), cap(got), len(want))
+			}
+			for r, v := range want {
+				if got[r] != v || gr.Rank(v) != int32(r) {
+					t.Fatalf("label %d rank %d: node %d (rank %d), want %d", l, r, got[r], gr.Rank(v), v)
+				}
+			}
+			seen += len(got)
+		}
+		if seen != gr.NumNodes() {
+			t.Fatalf("index covers %d of %d nodes", seen, gr.NumNodes())
+		}
+		if gr.NodesWithLabel(-1) != nil || gr.NodesWithLabel(int32(gr.IndexedLabels())) != nil {
+			t.Fatal("a label outside the index has nodes")
+		}
+	}
+	late := int32(g.Labels.Intern("interned-after-build"))
+	if g.NodesWithLabel(late) != nil {
+		t.Fatal("a label interned after Build has nodes")
+	}
+}
+
 func TestLabelHistogram(t *testing.T) {
 	g := paperFig2b(t)
 	h := g.LabelHistogram()

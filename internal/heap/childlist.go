@@ -23,12 +23,19 @@ type Entry struct {
 type ChildList struct {
 	h []Entry // sorted ascending by Key
 	l []Entry // binary min-heap by Key
+	// slab, when set, backs h and l: a side that outgrows its carve
+	// moves to a doubled carve from it instead of the allocator.
+	slab *Slab[Entry]
 	// Group is a slot the list's owner may key its own per-list state
 	// by; the list never reads or writes it. The lazy enumerator keeps
 	// the index of the parked-candidate group governed by this list here,
 	// so an Insert finds that group without a map lookup.
 	Group int32
 }
+
+// SetSlab makes an empty list carve its storage from s, so the lists of
+// one owner share one slab and a reset of the slab reclaims them all.
+func (cl *ChildList) SetSlab(s *Slab[Entry]) { cl.slab = s }
 
 // NewChildList builds a ChildList over entries in O(len(entries)). The
 // minimum element is extracted into H immediately, matching the paper's
@@ -45,16 +52,10 @@ func NewChildList(entries []Entry) *ChildList {
 	return cl
 }
 
-// NewEmptyChildList returns a ChildList with no entries, for incremental
-// construction by the lazy loader (Algorithm 2 inserts as edges arrive).
-func NewEmptyChildList() *ChildList { return &ChildList{} }
-
-// Len returns the total number of entries (extracted plus heaped).
+// Len returns the total number of entries (extracted plus heaped). The
+// zero ChildList is empty, ready for incremental construction by the
+// lazy loader (Algorithm 2 inserts as edges arrive).
 func (cl *ChildList) Len() int { return len(cl.h) + len(cl.l) }
-
-// Extracted returns how many entries have been moved into the sorted
-// prefix; useful for tests and ablation accounting.
-func (cl *ChildList) Extracted() int { return len(cl.h) }
 
 // Insert adds an entry. If the sorted prefix would be violated (the new key
 // is smaller than an already-extracted key) the prefix is repaired by
@@ -108,16 +109,6 @@ func (cl *ChildList) All(dst []Entry) []Entry {
 	return append(dst, cl.l...)
 }
 
-// MaxExtractedKey returns the largest key in the sorted prefix, or minus
-// one if nothing is extracted. The lazy loader uses it to reason about
-// which keys are already confirmed.
-func (cl *ChildList) MaxExtractedKey() int64 {
-	if len(cl.h) == 0 {
-		return -1
-	}
-	return cl.h[len(cl.h)-1].Key
-}
-
 func (cl *ChildList) extract() {
 	top := cl.l[0]
 	last := len(cl.l) - 1
@@ -126,11 +117,11 @@ func (cl *ChildList) extract() {
 	if last > 0 {
 		cl.down(0)
 	}
-	cl.h = append(cl.h, top)
+	cl.h = Append(cl.slab, cl.h, top)
 }
 
 func (cl *ChildList) pushHeap(e Entry) {
-	cl.l = append(cl.l, e)
+	cl.l = Append(cl.slab, cl.l, e)
 	i := len(cl.l) - 1
 	for i > 0 {
 		p := (i - 1) / 2

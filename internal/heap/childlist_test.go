@@ -30,8 +30,8 @@ func TestChildListKthOrder(t *testing.T) {
 
 func TestChildListMinExtractedAtBuild(t *testing.T) {
 	cl := NewChildList(entriesOf(9, 7, 8))
-	if cl.Extracted() != 1 {
-		t.Fatalf("Extracted = %d at build, want 1 (paper init)", cl.Extracted())
+	if len(cl.h) != 1 {
+		t.Fatalf("%d extracted at build, want 1 (paper init)", len(cl.h))
 	}
 	if e, _ := cl.Min(); e.Key != 7 {
 		t.Fatalf("Min = %d, want 7", e.Key)
@@ -39,15 +39,12 @@ func TestChildListMinExtractedAtBuild(t *testing.T) {
 }
 
 func TestChildListEmpty(t *testing.T) {
-	cl := NewEmptyChildList()
+	var cl ChildList
 	if cl.Len() != 0 {
 		t.Fatalf("Len = %d", cl.Len())
 	}
 	if _, ok := cl.Min(); ok {
 		t.Fatal("Min on empty reported ok")
-	}
-	if cl.MaxExtractedKey() != -1 {
-		t.Fatalf("MaxExtractedKey = %d on empty", cl.MaxExtractedKey())
 	}
 }
 
@@ -91,11 +88,17 @@ func TestChildListInsertMiddleOfPrefix(t *testing.T) {
 }
 
 // TestChildListModel compares against sorting under random interleaved
-// Insert/Kth operations.
+// Insert/Kth operations, on heap-grown lists and, every other trial, on
+// lists carved from one slab that is reset and reused between trials.
 func TestChildListModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var slab Slab[Entry]
 	for trial := 0; trial < 200; trial++ {
-		cl := NewEmptyChildList()
+		cl := new(ChildList)
+		if trial%2 == 1 {
+			slab.Reset()
+			cl.SetSlab(&slab)
+		}
 		var model []int64
 		for step := 0; step < 60; step++ {
 			if rng.Intn(2) == 0 || len(model) == 0 {
@@ -138,17 +141,6 @@ func TestChildListQuickSortedDrain(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestChildListMaxExtractedKey(t *testing.T) {
-	cl := NewChildList(entriesOf(4, 2, 6))
-	if got := cl.MaxExtractedKey(); got != 2 {
-		t.Fatalf("MaxExtractedKey = %d, want 2", got)
-	}
-	cl.Kth(1)
-	if got := cl.MaxExtractedKey(); got != 4 {
-		t.Fatalf("MaxExtractedKey = %d, want 4", got)
 	}
 }
 

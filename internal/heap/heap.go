@@ -16,6 +16,8 @@
 // linear time, pop in O(log), peek in O(1)).
 package heap
 
+import "unsafe"
+
 // Item is a keyed heap element. Payload identity is opaque to the heap.
 type Item struct {
 	Key int64
@@ -50,6 +52,15 @@ func (h *Min) Push(it Item) {
 // Peek returns the minimum item without removing it. It panics on an empty
 // heap; callers are expected to check Len.
 func (h *Min) Peek() Item { return h.a[0] }
+
+// Reset empties the heap, keeping its storage; it costs the items left.
+func (h *Min) Reset() {
+	clear(h.a)
+	h.a = h.a[:0]
+}
+
+// Bytes returns the memory the heap's storage holds.
+func (h *Min) Bytes() int { return cap(h.a) * int(unsafe.Sizeof(Item{})) }
 
 // Pop removes and returns the minimum item in O(log n).
 func (h *Min) Pop() Item {
@@ -165,16 +176,6 @@ func (h *Indexed) Update(handle int, key int64) {
 	}
 }
 
-// PushOrUpdate inserts handle, or updates its key if queued.
-func (h *Indexed) PushOrUpdate(handle int, key int64) {
-	h.grow(handle)
-	if h.pos[handle] >= 0 {
-		h.Update(handle, key)
-	} else {
-		h.Push(handle, key)
-	}
-}
-
 // PeekKey returns the minimum key without removing it. Panics when empty.
 func (h *Indexed) PeekKey() int64 { return h.a[0].key }
 
@@ -188,6 +189,20 @@ func (h *Indexed) Pop() (handle int, key int64) {
 	top := h.a[0]
 	h.swapOut(0)
 	return top.handle, top.key
+}
+
+// Reset empties the heap, keeping its storage for handles already
+// seen; it costs the elements left, not the handles.
+func (h *Indexed) Reset() {
+	for _, it := range h.a {
+		h.pos[it.handle] = -1
+	}
+	h.a = h.a[:0]
+}
+
+// Bytes returns the memory the heap's storage holds.
+func (h *Indexed) Bytes() int {
+	return cap(h.a)*int(unsafe.Sizeof(indexedItem{})) + cap(h.pos)*int(unsafe.Sizeof(int(0)))
 }
 
 // Remove deletes handle from the heap if present.

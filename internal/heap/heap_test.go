@@ -124,15 +124,42 @@ func TestIndexedRemove(t *testing.T) {
 	}
 }
 
-func TestIndexedPushOrUpdateAndGrow(t *testing.T) {
+func TestIndexedPushGrows(t *testing.T) {
 	h := NewIndexed(1)
-	h.PushOrUpdate(100, 7) // beyond initial capacity
-	h.PushOrUpdate(100, 3)
+	h.Push(100, 7) // beyond initial capacity
+	h.Update(100, 3)
 	if k := h.Key(100); k != 3 {
 		t.Fatalf("Key = %d, want 3", k)
 	}
 	if hd, k := h.Pop(); hd != 100 || k != 3 {
 		t.Fatalf("Pop = %d,%d", hd, k)
+	}
+}
+
+// TestResetKeepsNothing checks that a reset Indexed and Min hold no
+// element and accept every handle again.
+func TestResetKeepsNothing(t *testing.T) {
+	h := NewIndexed(4)
+	for i := 0; i < 10; i++ {
+		h.Push(i, int64(10-i))
+	}
+	h.Pop()
+	h.Reset()
+	if h.Len() != 0 || h.Contains(3) {
+		t.Fatalf("Len %d, Contains(3) %v after Reset", h.Len(), h.Contains(3))
+	}
+	for i := 0; i < 10; i++ {
+		h.Push(i, int64(i)) // panics if a position survived
+	}
+	if hd, _ := h.Pop(); hd != 0 {
+		t.Fatalf("Pop = %d after re-push, want 0", hd)
+	}
+	var m Min
+	m.Push(Item{Key: 2, Val: "x"})
+	m.Reset()
+	m.Push(Item{Key: 5})
+	if m.Len() != 1 || m.Pop().Key != 5 {
+		t.Fatal("Min holds an item from before Reset")
 	}
 }
 

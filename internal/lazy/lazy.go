@@ -27,6 +27,8 @@ package lazy
 
 import (
 	"math"
+	"sync"
+	"unsafe"
 
 	"ktpm/internal/graph"
 	"ktpm/internal/heap"
@@ -131,32 +133,62 @@ type laNode struct {
 	blocksAll bool
 	ev        int64
 	// lh is the node's incoming list, resolved exactly once at the first
-	// expansion (store.OpenList); every later block load reuses it instead
-	// of re-walking the carved-table maps per block.
+	// expansion; every later block load reuses it.
 	lh   store.ListHandle
 	lhOK bool
 }
 
+// slot is one entry of a query position's dense index. Both fields are
+// stored plus one, so the zero slot means "no node, no D-table row".
+type slot struct {
+	gid  int32 // the laNode of (u, v), plus one
+	dmin int32 // v's D-table minimum from the parent label, plus one
+}
+
+// qpos is the enumerator's state for one query position u.
+type qpos struct {
+	remainLB    int64 // L(u), or its edge-aware strengthening
+	minEdge     int64 // min distance of the edge (parent, u)
+	subSum      int64 // Σ minEdge over the edges inside T_u
+	posInParent int32
+	parentLabel int32
+	childOnly   bool // the edge (parent, u) is '/'
+	wild        bool // u's label is the wildcard
+	// slots is the dense index of u's data nodes, by rank within u's
+	// label (by node id for a wildcard). Its backing array outlives the
+	// query, and reset zeroes exactly the slots the query wrote: those of
+	// the nodes it created and of the D-table rows in dtab.
+	slots []slot
+	dtab  []store.DEntry // D^{parent label}_{label(u)}, a published table
+	// tab resolves the incoming lists of u's nodes from the parent label
+	// once per query edge; tabOK is false when they must be opened one by
+	// one (a wildcard side, or a carve that came up short).
+	tab   store.Table
+	tabOK bool
+}
+
 // Enumerator streams matches in non-decreasing score order while loading
 // as little of the run-time graph as the bound allows.
+//
+// All of an enumeration's state lives in the enumerator's own slabs and
+// dense indexes, and Release hands it to a package pool for the next New,
+// so a query in steady state allocates almost nothing. That makes every
+// emitted Match a view into pooled memory: it is valid until Release, and
+// a caller that keeps a match past it copies it first.
 type Enumerator struct {
 	q   *query.Tree
 	s   *store.Store
 	g   *graph.Graph
 	opt Options
 
-	nT          int32
-	remainLB    []int64
-	posInParent []int32
-	parentLabel []int32
+	nT  int32
+	pos []qpos // per query position; cap outlives the query
 
 	nodes []*laNode
-	byKey []map[int32]int32
-	dmin  []map[int32]int32
 
-	qg       *heap.Indexed
-	rootList *heap.ChildList
-	queue    *heap.Min
+	qg       heap.Indexed
+	rootList heap.ChildList
+	queue    heap.Min
 	emitted  int
 
 	// The pending pool. Every parked candidate sits in the group of its
@@ -169,107 +201,38 @@ type Enumerator struct {
 	dirty   []int32
 	pool    heap.Min
 	touched int
+	// qgOps and listOps count Qg pushes, pops and key updates, and
+	// child-list inserts and order-statistic reads: with created nodes
+	// and touched candidates, the work of Algorithm 2's rounds.
+	qgOps, listOps int
 
-	// Slab allocators for the enumeration hot path: laNodes, their child
-	// lists and initChild arrays, matches, and match node buffers are
-	// carved from chunked backing arrays so discovering a run-time-graph
-	// node or emitting a match costs O(1) allocations amortized instead
-	// of several each. Chunks are never reallocated, so pointers and
-	// subslices into them stay valid for the enumerator's lifetime.
-	nodeSlab   []laNode
-	nodeChunk  int
-	listSlab   []heap.ChildList
-	listChunk  int
-	i32Slab    []int32
-	i32Chunk   int
-	matchSlab  []Match
-	matchChunk int
-	// mi32Slab backs Match.gids/Nodes only. Match buffers escape to
-	// callers (and from there into ktpmd's result cache), so they get a
-	// slab of their own: a retained Match pins at most other match
-	// buffers from the same enumeration, never per-node scratch like
-	// initChild, which lives in i32Slab.
-	mi32Slab  []int32
-	mi32Chunk int
+	// Slabs for everything an enumeration creates. Carves never move, so
+	// pointers into them (laNode, ChildList, Match, candidate) stay valid
+	// until reset rewinds them for the next query.
+	nodeSlab  heap.Slab[laNode]
+	listSlab  heap.Slab[heap.ChildList]
+	entries   heap.Slab[heap.Entry] // every ChildList's H and L
+	i32Slab   heap.Slab[int32]      // initChild, Match.gids and Match.Nodes
+	matchSlab heap.Slab[Match]
+	candSlab  heap.Slab[candidate]
+	candPtrs  heap.Slab[*candidate] // group.cands
 	// candFree recycles candidates popped from the queue (dead after
-	// materialization); candSlab feeds misses.
+	// materialization).
 	candFree []*candidate
-	candSlab []candidate
 	// inSubtree is materialize's reusable scratch, cleared per call.
 	inSubtree []bool
 }
 
-// nextChunk doubles a slab's chunk size from start up to cap, so small
-// queries pay a small fixed overhead while large enumerations amortize
-// allocation to O(1) per element.
-func nextChunk(cur, start, max int) int {
-	if cur == 0 {
-		return start
-	}
-	if cur*2 > max {
-		return max
-	}
-	return cur * 2
-}
+// maxPooledBytes caps the memory a released enumerator may hold and still
+// be pooled: one that grew past it (a huge k, a graph-wide wildcard) is
+// left to the collector, so what the pool keeps per enumeration in
+// flight is bounded.
+const maxPooledBytes = 4 << 20
+
+var enumPool = sync.Pool{New: func() any { return new(Enumerator) }}
 
 // newNode carves one laNode from the slab.
-func (e *Enumerator) newNode() *laNode {
-	if len(e.nodeSlab) == 0 {
-		e.nodeChunk = nextChunk(e.nodeChunk, 32, 1024)
-		e.nodeSlab = make([]laNode, e.nodeChunk)
-	}
-	nd := &e.nodeSlab[0]
-	e.nodeSlab = e.nodeSlab[1:]
-	return nd
-}
-
-// carveLists carves n zero-valued (empty) ChildLists from the slab.
-func (e *Enumerator) carveLists(n int) []heap.ChildList {
-	if n == 0 {
-		return nil
-	}
-	if len(e.listSlab) < n {
-		e.listChunk = nextChunk(e.listChunk, 32, 512)
-		if n > e.listChunk {
-			e.listChunk = n
-		}
-		e.listSlab = make([]heap.ChildList, e.listChunk)
-	}
-	out := e.listSlab[:n:n]
-	e.listSlab = e.listSlab[n:]
-	return out
-}
-
-// carveI32 carves an n-element int32 buffer from the scratch slab.
-func (e *Enumerator) carveI32(n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	if len(e.i32Slab) < n {
-		e.i32Chunk = nextChunk(e.i32Chunk, 128, 4096)
-		if n > e.i32Chunk {
-			e.i32Chunk = n
-		}
-		e.i32Slab = make([]int32, e.i32Chunk)
-	}
-	out := e.i32Slab[:n:n]
-	e.i32Slab = e.i32Slab[n:]
-	return out
-}
-
-// carveMatchI32 carves an n-element int32 buffer from the match-only slab.
-func (e *Enumerator) carveMatchI32(n int) []int32 {
-	if len(e.mi32Slab) < n {
-		e.mi32Chunk = nextChunk(e.mi32Chunk, 128, 4096)
-		if n > e.mi32Chunk {
-			e.mi32Chunk = n
-		}
-		e.mi32Slab = make([]int32, e.mi32Chunk)
-	}
-	out := e.mi32Slab[:n:n]
-	e.mi32Slab = e.mi32Slab[n:]
-	return out
-}
+func (e *Enumerator) newNode() *laNode { return &e.nodeSlab.Carve(1)[0] }
 
 // newCandidate returns a zeroed candidate with the given fields, reusing
 // one retired by Next when possible. A candidate has exactly one owner at
@@ -282,120 +245,198 @@ func (e *Enumerator) newCandidate(parent *Match, pivot, excl int32) *candidate {
 		c = e.candFree[n-1]
 		e.candFree = e.candFree[:n-1]
 	} else {
-		if len(e.candSlab) == 0 {
-			e.candSlab = make([]candidate, 64)
-		}
-		c = &e.candSlab[0]
-		e.candSlab = e.candSlab[1:]
+		c = &e.candSlab.Carve(1)[0]
 	}
 	*c = candidate{parent: parent, pivot: pivot, excl: excl}
 	return c
 }
 
-// New initializes the enumerator: loads the D tables for every query edge
-// and the E tables for leaf edges (Algorithm 2, Line 1), creates the leaf
-// and leaf-parent nodes, and seeds Qg with every active node.
+// New initializes an enumerator, reusing a released one's memory when the
+// pool holds one: it loads the D tables for every query edge and the E
+// tables for leaf edges (Algorithm 2, Line 1), creates the leaf and
+// leaf-parent nodes, and seeds Qg with every active node.
 func New(s *store.Store, q *query.Tree, opt Options) *Enumerator {
+	e := enumPool.Get().(*Enumerator)
+	e.init(s, q, opt)
+	return e
+}
+
+// Release resets e and returns its memory to the pool. Every match e
+// emitted is invalid afterwards, so callers copy what they keep first; e
+// itself must not be used again. Release drops every reference the
+// enumeration held (store, query, graph, filter, trace), so a pooled
+// enumerator pins no old data. It is idempotent.
+func (e *Enumerator) Release() {
+	if e.s == nil {
+		return
+	}
+	e.reset()
+	if e.heldBytes() <= maxPooledBytes {
+		enumPool.Put(e)
+	}
+}
+
+// reset returns e to its zero state, keeping its storage. It costs what
+// the enumeration wrote — the slots of created nodes and D-table rows,
+// and the carved slab prefixes — never O(|label|) or O(V).
+func (e *Enumerator) reset() {
+	for _, nd := range e.nodes {
+		e.pos[nd.u].slots[e.idx(nd.u, nd.v)].gid = 0
+	}
+	for u := range e.pos[:e.nT] {
+		p := &e.pos[u]
+		for _, d := range p.dtab {
+			p.slots[e.idx(int32(u), d.V)].dmin = 0
+		}
+		*p = qpos{slots: p.slots[:0]}
+	}
+	clear(e.nodes)
+	clear(e.groups)
+	clear(e.candFree)
+	e.nodes, e.groups, e.candFree, e.dirty = e.nodes[:0], e.groups[:0], e.candFree[:0], e.dirty[:0]
+	e.nodeSlab.Reset()
+	e.listSlab.Reset()
+	e.entries.Reset()
+	e.i32Slab.Reset()
+	e.matchSlab.Reset()
+	e.candSlab.Reset()
+	e.candPtrs.Reset()
+	e.qg.Reset()
+	e.queue.Reset()
+	e.pool.Reset()
+	e.rootList = heap.ChildList{}
+	e.q, e.s, e.g, e.opt = nil, nil, nil, Options{}
+	e.nT, e.emitted, e.touched, e.qgOps, e.listOps = 0, 0, 0, 0, 0
+}
+
+// heldBytes is the memory e keeps across a reset, what maxPooledBytes
+// caps.
+func (e *Enumerator) heldBytes() int {
+	n := e.nodeSlab.Bytes() + e.listSlab.Bytes() + e.entries.Bytes() + e.i32Slab.Bytes() +
+		e.matchSlab.Bytes() + e.candSlab.Bytes() + e.candPtrs.Bytes() +
+		e.qg.Bytes() + e.queue.Bytes() + e.pool.Bytes()
+	for _, p := range e.pos[:cap(e.pos)] {
+		n += 8 * cap(p.slots)
+	}
+	return n + 8*(cap(e.nodes)+cap(e.candFree)) + int(unsafe.Sizeof(group{}))*cap(e.groups)
+}
+
+// init is New over a reset (or fresh) enumerator.
+func (e *Enumerator) init(s *store.Store, q *query.Tree, opt Options) {
 	if opt.Trace != nil {
 		s = s.WithTrace(opt.Trace)
 	}
 	g := s.Graph()
 	nT := int32(q.NumNodes())
-	e := &Enumerator{
-		q: q, s: s, g: g, opt: opt,
-		nT:          nT,
-		remainLB:    make([]int64, nT),
-		posInParent: make([]int32, nT),
-		parentLabel: make([]int32, nT),
-		byKey:       make([]map[int32]int32, nT),
-		dmin:        make([]map[int32]int32, nT),
-		qg:          heap.NewIndexed(64),
-		rootList:    heap.NewEmptyChildList(),
-		queue:       &heap.Min{},
-		groups:      make([]group, 1),
+	e.q, e.s, e.g, e.opt, e.nT = q, s, g, opt, nT
+	if int(nT) > cap(e.pos) {
+		grown := make([]qpos, nT)
+		copy(grown, e.pos[:cap(e.pos)])
+		e.pos = grown
 	}
-	e.inSubtree = make([]bool, nT)
+	e.pos = e.pos[:nT]
+	if int(nT) > cap(e.inSubtree) {
+		e.inSubtree = make([]bool, nT)
+	}
+	e.inSubtree = e.inSubtree[:nT]
+	e.groups = append(e.groups, group{}) // index 0 is unused
+	e.rootList.SetSlab(&e.entries)
 	for u := int32(0); u < nT; u++ {
-		e.byKey[u] = make(map[int32]int32)
-		if lb := int64(nT) - 1 - int64(q.Nodes[u].SubtreeSize); lb > 0 {
-			e.remainLB[u] = lb
+		node := &q.Nodes[u]
+		p := &e.pos[u]
+		if lb := int64(nT) - 1 - int64(node.SubtreeSize); lb > 0 {
+			p.remainLB = lb
 		}
-		for pos, c := range q.Nodes[u].Children {
-			e.posInParent[c] = int32(pos)
+		for pos, c := range node.Children {
+			e.pos[c].posInParent = int32(pos)
 		}
-		if p := q.Nodes[u].Parent; p >= 0 {
-			e.parentLabel[u] = q.Nodes[p].Label
+		if node.Parent >= 0 {
+			p.parentLabel = q.Nodes[node.Parent].Label
+			p.childOnly = node.EdgeFromParent == query.Child
 		}
+		p.wild = node.Label == label.Wildcard
+		need := g.NumNodes()
+		if !p.wild {
+			need = len(g.NodesWithLabel(node.Label))
+		}
+		if need > cap(p.slots) {
+			p.slots = make([]slot, need)
+		}
+		p.slots = p.slots[:need]
 	}
 	if nT == 1 {
 		// Degenerate single-node query: every label candidate is a root
 		// match scoring only its own node weight.
-		roots := make([]heap.Entry, 0, g.NumNodes())
-		for _, v := range e.rootCandidates() {
+		root := func(v int32) {
 			if !opt.admitsRoot(v) {
-				continue
+				return
 			}
 			nd := e.getNode(0, v)
 			nd.active, nd.popped, nd.inRoots = true, true, true
 			nd.bsBar = int64(g.NodeWeight(v))
-			roots = append(roots, heap.Entry{Key: nd.bsBar, Node: nd.gid})
+			e.listOps++
+			e.rootList.Insert(heap.Entry{Key: nd.bsBar, Node: nd.gid})
 		}
-		for _, ent := range roots {
-			e.rootList.Insert(ent)
+		if e.pos[0].wild {
+			for v := int32(0); int(v) < g.NumNodes(); v++ {
+				root(v)
+			}
+		} else {
+			for _, v := range g.NodesWithLabel(q.Nodes[0].Label) {
+				root(v)
+			}
 		}
 		e.park(e.newCandidate(nil, -1, 0))
-		return e
+		return
 	}
-	// D tables for every query edge. Leaf nodes activate after the bound
+	// D tables for every query edge, and the closure table each edge's
+	// incoming lists come from. Leaf nodes activate after the bound
 	// refinement below so their initial lb already uses the final L(u).
-	minEdge := make([]int64, nT) // per node u>0: min distance of edge (parent,u)
-	var leafInit [][2]int32      // (u, v) pairs to activate
 	for u := int32(1); u < nT; u++ {
-		childOnly := q.Nodes[u].EdgeFromParent == query.Child
-		dtab := s.LoadD(e.parentLabel[u], q.Nodes[u].Label, childOnly)
-		e.dmin[u] = make(map[int32]int32, len(dtab))
-		minEdge[u] = 1
-		for i, d := range dtab {
-			e.dmin[u][d.V] = d.Min
-			if i == 0 || int64(d.Min) < minEdge[u] {
-				minEdge[u] = int64(d.Min)
+		p := &e.pos[u]
+		p.dtab = s.LoadD(p.parentLabel, q.Nodes[u].Label, p.childOnly)
+		p.minEdge = 1
+		for i, d := range p.dtab {
+			p.slots[e.idx(u, d.V)].dmin = d.Min + 1
+			if i == 0 || int64(d.Min) < p.minEdge {
+				p.minEdge = int64(d.Min)
 			}
 		}
-		if len(q.Nodes[u].Children) == 0 {
-			for _, d := range dtab {
-				leafInit = append(leafInit, [2]int32{u, d.V})
-			}
-		}
+		p.tab, p.tabOK = s.OpenTable(p.parentLabel, q.Nodes[u].Label)
 	}
 	if opt.Bound == EdgeAwareBound {
 		// L'(u) = Σ of per-edge minima over the query edges outside
 		// T_u ∪ (parent(u), u), never weaker than the unit-priced bound.
-		subSum := make([]int64, nT) // Σ minEdge over edges inside T_u
 		for u := nT - 1; u >= 0; u-- {
 			for _, c := range q.Nodes[u].Children {
-				subSum[u] += subSum[c] + minEdge[c]
+				e.pos[u].subSum += e.pos[c].subSum + e.pos[c].minEdge
 			}
 		}
 		var total int64
 		for u := int32(1); u < nT; u++ {
-			total += minEdge[u]
+			total += e.pos[u].minEdge
 		}
 		for u := int32(0); u < nT; u++ {
-			lb := total - subSum[u] - minEdge[u]
+			p := &e.pos[u]
+			lb := total - p.subSum - p.minEdge
 			if u == 0 {
-				lb = total - subSum[0]
+				lb = total - p.subSum
 			}
-			if lb > e.remainLB[u] {
-				e.remainLB[u] = lb
-			}
+			p.remainLB = max(p.remainLB, lb)
 		}
 	}
-	for _, lv := range leafInit {
-		nd := e.getNode(lv[0], lv[1])
-		nd.active = true
-		nd.bsBar = int64(g.NodeWeight(lv[1])) // a leaf's bs is its node weight
-		nd.ev = int64(e.dmin[lv[0]][lv[1]])
-		e.qg.Push(int(nd.gid), e.lbOf(nd))
+	for u := int32(1); u < nT; u++ {
+		if len(q.Nodes[u].Children) != 0 {
+			continue
+		}
+		for _, d := range e.pos[u].dtab {
+			nd := e.getNode(u, d.V)
+			nd.active = true
+			nd.bsBar = int64(g.NodeWeight(d.V)) // a leaf's bs is its node weight
+			nd.ev = int64(d.Min)
+			e.qgOps++
+			e.qg.Push(int(nd.gid), e.lbOf(nd))
+		}
 	}
 	// E tables seed leaf-edge parents with the minimum child edge.
 	for u := int32(0); u < nT; u++ {
@@ -403,8 +444,7 @@ func New(s *store.Store, q *query.Tree, opt Options) *Enumerator {
 			if len(q.Nodes[cIdx].Children) != 0 {
 				continue
 			}
-			childOnly := q.Nodes[cIdx].EdgeFromParent == query.Child
-			etab := s.LoadE(q.Nodes[u].Label, q.Nodes[cIdx].Label, childOnly)
+			etab := s.LoadE(q.Nodes[u].Label, q.Nodes[cIdx].Label, e.pos[cIdx].childOnly)
 			for _, en := range etab {
 				childGid, ok := e.lookup(cIdx, en.To)
 				if !ok {
@@ -420,44 +460,45 @@ func New(s *store.Store, q *query.Tree, opt Options) *Enumerator {
 		}
 	}
 	e.park(e.newCandidate(nil, -1, 0))
-	return e
 }
 
-// rootCandidates lists data nodes eligible for the root position.
-func (e *Enumerator) rootCandidates() []int32 {
-	lbl := e.q.Nodes[0].Label
-	if lbl == label.Wildcard {
-		all := make([]int32, e.g.NumNodes())
-		for i := range all {
-			all[i] = int32(i)
-		}
-		return all
+// idx is v's slot in position u's dense index: its rank within u's
+// label, or its id when u is a wildcard.
+func (e *Enumerator) idx(u, v int32) int32 {
+	if e.pos[u].wild {
+		return v
 	}
-	return e.g.NodesWithLabel(lbl)
+	return e.g.Rank(v)
 }
 
 func (e *Enumerator) lookup(u, v int32) (int32, bool) {
-	gid, ok := e.byKey[u][v]
-	return gid, ok
+	gid := e.pos[u].slots[e.idx(u, v)].gid
+	return gid - 1, gid != 0
 }
 
 // getNode returns the laNode for (u, v), creating an inactive one on first
 // sight.
 func (e *Enumerator) getNode(u, v int32) *laNode {
-	if gid, ok := e.byKey[u][v]; ok {
-		return e.nodes[gid]
+	sl := &e.pos[u].slots[e.idx(u, v)]
+	if sl.gid != 0 {
+		return e.nodes[sl.gid-1]
 	}
 	nc := len(e.q.Nodes[u].Children)
 	nd := e.newNode()
 	nd.u, nd.v = u, v
 	nd.gid = int32(len(e.nodes))
-	nd.lists = e.carveLists(nc) // zero-valued ChildLists are empty lists
-	nd.initChild = e.carveI32(nc)
-	for i := range nd.initChild {
-		nd.initChild[i] = -1
+	if nc > 0 {
+		nd.lists = e.listSlab.Carve(nc) // zero-valued ChildLists are empty lists
+		for i := range nd.lists {
+			nd.lists[i].SetSlab(&e.entries)
+		}
+		nd.initChild = e.i32Slab.Carve(nc)
+		for i := range nd.initChild {
+			nd.initChild[i] = -1
+		}
 	}
 	e.nodes = append(e.nodes, nd)
-	e.byKey[u][v] = nd.gid
+	sl.gid = nd.gid + 1
 	return nd
 }
 
@@ -465,7 +506,7 @@ func (e *Enumerator) getNode(u, v int32) *laNode {
 func (e *Enumerator) lbOf(nd *laNode) int64 {
 	lb := nd.bsBar + nd.ev
 	if e.opt.Bound != LooseBound {
-		lb += e.remainLB[nd.u]
+		lb += e.pos[nd.u].remainLB
 	}
 	return lb
 }
@@ -476,6 +517,7 @@ func (e *Enumerator) insertEntry(nd *laNode, pos int, entry heap.Entry) {
 	list := &nd.lists[pos]
 	oldMin, hadMin := list.Min()
 	list.Insert(entry)
+	e.listOps += 2
 	e.listChanged(list)
 	if !hadMin {
 		nd.nonEmpty++
@@ -487,6 +529,7 @@ func (e *Enumerator) insertEntry(nd *laNode, pos int, entry heap.Entry) {
 	if nd.active && !nd.popped && entry.Key < oldMin.Key {
 		nd.bsBar += entry.Key - oldMin.Key
 		if e.qg.Contains(int(nd.gid)) {
+			e.qgOps++
 			e.qg.Update(int(nd.gid), e.lbOf(nd))
 		}
 	}
@@ -504,18 +547,20 @@ func (e *Enumerator) activate(nd *laNode) {
 		min, _ := nd.lists[i].Min()
 		nd.bsBar += min.Key
 	}
+	e.listOps += len(nd.lists)
 	if nd.u > 0 {
-		d, ok := e.dmin[nd.u][nd.v]
-		if !ok {
+		d := e.pos[nd.u].slots[e.idx(nd.u, nd.v)].dmin
+		if d == 0 {
 			return
 		}
-		nd.ev = int64(d)
+		nd.ev = int64(d - 1)
 	} else if !e.opt.admitsRoot(nd.v) {
 		// A filtered-out root binding belongs to another shard: it never
 		// enters Qg or the root list, so no match rooted here is emitted.
 		// Its subtree still loads normally on behalf of admitted roots.
 		return
 	}
+	e.qgOps++
 	e.qg.Push(int(nd.gid), e.lbOf(nd))
 }
 
@@ -524,23 +569,31 @@ func (e *Enumerator) activate(nd *laNode) {
 // re-estimated lb keeps the node at the front of Qg.
 func (e *Enumerator) expandTop() {
 	gidInt, _ := e.qg.Pop()
+	e.qgOps++
 	nd := e.nodes[gidInt]
 	nd.popped = true
 	if nd.u == 0 {
 		if !nd.inRoots {
 			nd.inRoots = true
+			e.listOps++
 			e.rootList.Insert(heap.Entry{Key: nd.bsBar, Node: nd.gid})
-			e.listChanged(e.rootList)
+			e.listChanged(&e.rootList)
 		}
 		return
 	}
-	childOnly := e.q.Nodes[nd.u].EdgeFromParent == query.Child
+	p := &e.pos[nd.u]
+	childOnly := p.childOnly
 	pu := e.q.Nodes[nd.u].Parent
-	pos := int(e.posInParent[nd.u])
+	pos := int(p.posInParent)
 	if !nd.lhOK {
-		// Resolve the incoming list exactly once per node; every block of
-		// this expansion (and any later re-expansion) reuses the handle.
-		nd.lh = e.s.OpenList(e.parentLabel[nd.u], nd.v)
+		// Resolve the incoming list exactly once per node, through the
+		// query edge's table when New resolved one; every block of this
+		// expansion (and any later re-expansion) reuses the handle.
+		if p.tabOK {
+			nd.lh = p.tab.List(nd.v)
+		} else {
+			nd.lh = e.s.OpenList(p.parentLabel, nd.v)
+		}
 		nd.lhOK = true
 	}
 	for {
@@ -575,6 +628,7 @@ func (e *Enumerator) expandTop() {
 		}
 		lbnew := e.lbOf(nd)
 		if e.qg.Len() > 0 && lbnew > e.qg.PeekKey() {
+			e.qgOps++
 			e.qg.Push(int(nd.gid), lbnew)
 			return
 		}
@@ -584,17 +638,17 @@ func (e *Enumerator) expandTop() {
 // listAt returns the child list governing query position x in match m.
 func (e *Enumerator) listAt(m *Match, x int32) *heap.ChildList {
 	if x == 0 {
-		return e.rootList
+		return &e.rootList
 	}
 	p := e.q.Nodes[x].Parent
-	return &e.nodes[m.gids[p]].lists[e.posInParent[x]]
+	return &e.nodes[m.gids[p]].lists[e.pos[x].posInParent]
 }
 
 // govList returns the child list governing candidate c — the list whose
 // Inserts are the only events that can change c's score.
 func (e *Enumerator) govList(c *candidate) *heap.ChildList {
 	if c.pivot < 0 {
-		return e.rootList
+		return &e.rootList
 	}
 	return e.listAt(c.parent, c.pivot)
 }
@@ -605,6 +659,7 @@ func (e *Enumerator) govList(c *candidate) *heap.ChildList {
 // parent score is immutable and Kth never changes what it returns for a
 // given state, so the score stays valid until the list's next Insert.
 func (e *Enumerator) candScoreList(c *candidate, list *heap.ChildList) int64 {
+	e.listOps += 2
 	if c.pivot < 0 {
 		if best, ok := list.Kth(0); ok {
 			return best.Key
@@ -630,7 +685,7 @@ func (e *Enumerator) park(c *candidate) {
 	}
 	g := &e.groups[l.Group]
 	c.group, c.slot = l.Group, int32(len(g.cands))
-	g.cands = append(g.cands, c)
+	g.cands = heap.Append(&e.candPtrs, g.cands, c)
 	c.score = e.candScoreList(c, l)
 	e.touched++
 	if c.score < infScore {
@@ -685,13 +740,8 @@ func (e *Enumerator) recheckPending() {
 // materialize recovers the full match, as in package core but over lazily
 // discovered nodes.
 func (e *Enumerator) materialize(c *candidate) *Match {
-	if len(e.matchSlab) == 0 {
-		e.matchChunk = nextChunk(e.matchChunk, 16, 512)
-		e.matchSlab = make([]Match, e.matchChunk)
-	}
-	m := &e.matchSlab[0]
-	e.matchSlab = e.matchSlab[1:]
-	buf := e.carveMatchI32(2 * int(e.nT)) // gids and Nodes share one allocation
+	m := &e.matchSlab.Carve(1)[0]
+	buf := e.i32Slab.Carve(2 * int(e.nT)) // gids and Nodes share one carve
 	*m = Match{
 		gids:  buf[:e.nT:e.nT],
 		Nodes: buf[e.nT:],
@@ -721,13 +771,15 @@ func (e *Enumerator) materialize(c *candidate) *Match {
 		inSubtree[c.pivot] = true
 		from = c.pivot + 1
 	}
+	e.listOps++
 	for y := from; y < e.nT; y++ {
 		p := e.q.Nodes[y].Parent
 		if !inSubtree[p] {
 			continue
 		}
 		inSubtree[y] = true
-		best, ok := e.nodes[m.gids[p]].lists[e.posInParent[y]].Min()
+		e.listOps++
+		best, ok := e.nodes[m.gids[p]].lists[e.pos[y].posInParent].Min()
 		if !ok {
 			panic("lazy: best completion missing below a confirmed match")
 		}
@@ -813,11 +865,17 @@ type Stats struct {
 	// governing list. Per emitted match it is the pool's share of the
 	// enumeration cost.
 	CandidatesTouched int
+	// QgOps counts Qg pushes, pops and key updates.
+	QgOps int
+	// ListOps counts child-list operations: inserts, and the
+	// order-statistic reads (Min, Kth) that score candidates, activate
+	// nodes and materialize matches.
+	ListOps int
 }
 
 // ComputeStats returns enumeration statistics.
 func (e *Enumerator) ComputeStats() Stats {
-	s := Stats{CreatedNodes: len(e.nodes), CandidatesTouched: e.touched}
+	s := Stats{CreatedNodes: len(e.nodes), CandidatesTouched: e.touched, QgOps: e.qgOps, ListOps: e.listOps}
 	for _, nd := range e.nodes {
 		if nd.active {
 			s.ActiveNodes++

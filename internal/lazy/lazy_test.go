@@ -3,6 +3,7 @@ package lazy
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -356,14 +357,23 @@ func TestStatsAndEmitted(t *testing.T) {
 	}
 }
 
-// TestPoolCostAcrossK pins the pending pool's cost on a k axis: the
-// candidates it touches (parks plus re-scores) stay within 3·n_T per
-// emitted match at k = 10², 10³ and 10⁴, where a pool rescanned on every
-// emission touches more per match the larger k grows. It also pins what
-// the pool must not move: the emitted scores equal Algorithm 1's, and the
-// canonical answer and the store reads behind it (Algorithm 2's loading)
-// equal a table recorded from the full-rescan pool.
+// TestPoolCostAcrossK pins Topk-EN's per-round cost on a k axis. The
+// candidates the pending pool touches (parks plus re-scores) stay within
+// 3·n_T per emitted match at k = 10², 10³ and 10⁴, where a pool rescanned
+// on every emission touches more per match the larger k grows; and the
+// whole round — Qg operations, child-list operations, nodes created and
+// candidates touched — stays within c·(n_T + ⌈log₂ k⌉) per match, the
+// paper's per-round bound. It also pins what neither the pool nor the
+// enumerator's reuse may move: the emitted scores equal Algorithm 1's,
+// and the canonical answer and the store reads behind it (Algorithm 2's
+// loading), enumerated by a released and reused enumerator, equal a
+// table recorded from the full-rescan pool before enumerators were
+// pooled.
 func TestPoolCostAcrossK(t *testing.T) {
+	// roundWorkC is c in the whole round's bound. The largest measured
+	// work is 2.9·(n_T + ⌈log₂ k⌉) per match, at k = 10², where loading
+	// the run-time graph is not yet amortized; at k = 10⁴ it is 0.3–0.9.
+	const roundWorkC = 4
 	g := gen.Citation(gen.CitationConfig{Nodes: 400, Venues: 12, Window: 50, Communities: 4, Seed: 13})
 	c := closure.Compute(g, closure.Options{})
 	qs, err := gen.QuerySet(g, 6, 5, true, 7)
@@ -401,10 +411,18 @@ func TestPoolCostAcrossK(t *testing.T) {
 			if n != min(k, len(ref)) {
 				t.Fatalf("q%d k=%d: %d matches, Algorithm 1 %d", qi, k, n, min(k, len(ref)))
 			}
-			if touched := e.ComputeStats().CandidatesTouched; touched > 3*nT*n {
+			st := e.ComputeStats()
+			if st.CandidatesTouched > 3*nT*n {
 				t.Errorf("q%d k=%d: %d candidates touched for %d matches, want ≤ 3·n_T = %d per match",
-					qi, k, touched, n, 3*nT)
+					qi, k, st.CandidatesTouched, n, 3*nT)
 			}
+			work := st.QgOps + st.ListOps + st.CreatedNodes + st.CandidatesTouched
+			perRound := nT + bits.Len(uint(k-1)) // n_T + ⌈log₂ k⌉
+			if work > roundWorkC*perRound*n {
+				t.Errorf("q%d k=%d: %d operations (Qg %d, lists %d, nodes %d, candidates %d) for %d matches, want ≤ %d·(n_T + ⌈log₂ k⌉) = %d per match",
+					qi, k, work, st.QgOps, st.ListOps, st.CreatedNodes, st.CandidatesTouched, n, roundWorkC, roundWorkC*perRound)
+			}
+			e.Release() // the canonical run below reuses it
 			s := store.New(c, 16)
 			h := fnv.New64a()
 			for _, m := range TopKCanonical(s, q, k, Options{}) {
@@ -425,12 +443,10 @@ func TestPoolCostAcrossK(t *testing.T) {
 func TestPoolSkipsRaisedScore(t *testing.T) {
 	g, _ := fig4(t)
 	e := &Enumerator{
-		q:           query.MustParse(g.Labels, "a(b)"),
-		posInParent: []int32{0, 0},
-		nodes:       []*laNode{{lists: make([]heap.ChildList, 1)}},
-		qg:          heap.NewIndexed(1),
-		queue:       &heap.Min{},
-		groups:      make([]group, 1),
+		q:      query.MustParse(g.Labels, "a(b)"),
+		pos:    make([]qpos, 2),
+		nodes:  []*laNode{{lists: make([]heap.ChildList, 1)}},
+		groups: make([]group, 1),
 	}
 	list := &e.nodes[0].lists[0]
 	for _, k := range []int64{0, 5, 6} {
@@ -478,5 +494,74 @@ func TestScoresNonDecreasing(t *testing.T) {
 			}
 			prev = m.Score
 		}
+	}
+}
+
+// TestResetReuse runs queries back to back on one enumerator, reset
+// between them, and requires each to answer exactly as a fresh
+// enumerator does, with the same store reads; and requires a reset
+// enumerator to hold no reference into the query it served and to leave
+// every dense-index slot zero, which is what lets reset skip the slots
+// the query never wrote.
+func TestResetReuse(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{Nodes: 300, AvgOutDegree: 4, Labels: 12, Window: 40, Communities: 4, Seed: 5})
+	c := closure.Compute(g, closure.Options{})
+	var qs []*query.Tree
+	for size := 2; size <= 8; size += 2 {
+		set, err := gen.QuerySet(g, 3, size, true, int64(size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, set...)
+	}
+	for _, s := range []string{"L000(*)", "*(L001,L002)", "L003(*(L004))", "*", "L005"} {
+		qs = append(qs, query.MustParse(g.Labels, s))
+	}
+	drain := func(e *Enumerator) (out []Match) {
+		for len(out) < 60 {
+			m, ok := e.Next()
+			if !ok {
+				break
+			}
+			out = append(out, Match{Nodes: append([]int32(nil), m.Nodes...), Score: m.Score})
+		}
+		return out
+	}
+	reused := new(Enumerator)
+	answered := 0
+	for round := 0; round < 2; round++ {
+		for qi, q := range qs {
+			for _, bound := range []Bound{TightBound, EdgeAwareBound} {
+				fresh, sFresh := new(Enumerator), store.New(c, 4)
+				fresh.init(sFresh, q, Options{Bound: bound})
+				want := drain(fresh)
+				sReused := store.New(c, 4)
+				reused.init(sReused, q, Options{Bound: bound})
+				got := drain(reused)
+				if len(got) > 0 {
+					answered++
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("round %d q%d %s: reused enumerator answered\n%v\nfresh\n%v", round, qi, q, got, want)
+				}
+				if sReused.Counters() != sFresh.Counters() {
+					t.Fatalf("round %d q%d %s: reused read %+v, fresh %+v", round, qi, q, sReused.Counters(), sFresh.Counters())
+				}
+				reused.reset()
+				if reused.s != nil || reused.q != nil || reused.g != nil || reused.opt.RootFilter != nil || reused.opt.Trace != nil {
+					t.Fatalf("q%d: reset kept a reference to the query it served", qi)
+				}
+				for u, p := range reused.pos[:cap(reused.pos)] {
+					for i, sl := range p.slots[:cap(p.slots)] {
+						if sl != (slot{}) {
+							t.Fatalf("q%d: reset left position %d slot %d = %+v", qi, u, i, sl)
+						}
+					}
+				}
+			}
+		}
+	}
+	if answered < 2*len(qs) {
+		t.Fatalf("only %d of %d runs found matches", answered, 4*len(qs))
 	}
 }

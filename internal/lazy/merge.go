@@ -1,7 +1,8 @@
 package lazy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ktpm/internal/heap"
 )
@@ -167,23 +168,22 @@ func (c *Chunks) Next() (*Match, bool) {
 // Less is the canonical total order over matches: by score, then node
 // bindings lexicographically. Two distinct matches always differ in some
 // binding.
-func Less(a, b *Match) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
+func Less(a, b *Match) bool { return compare(a, b) < 0 }
+
+// compare is Less as a three-way comparison, the form slices.SortFunc
+// takes.
+func compare(a, b *Match) int {
+	if c := cmp.Compare(a.Score, b.Score); c != 0 {
+		return c
 	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return a.Nodes[i] < b.Nodes[i]
-		}
-	}
-	return false
+	return slices.Compare(a.Nodes, b.Nodes)
 }
 
 // canonicalize sorts ms by Less and truncates to the k smallest. The
 // result stays non-decreasing by score, which TopK's threshold test
 // relies on after a compaction.
 func canonicalize(ms []*Match, k int) []*Match {
-	sort.Slice(ms, func(i, j int) bool { return Less(ms[i], ms[j]) })
+	slices.SortFunc(ms, compare)
 	if len(ms) > k {
 		ms = ms[:k]
 	}

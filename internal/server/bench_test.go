@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
+	"sync"
 	"testing"
 
 	"ktpm"
@@ -86,43 +88,78 @@ func BenchmarkServerTopK(b *testing.B) {
 	})
 }
 
-// hotPaths builds the query_hot shape in process: a power-law graph of
-// the benchmark's family, 256 distinct canonical queries of sizes T6 to
-// T14 at k=20, and a Zipf(1.1) draw sequence over them.
-func hotPaths(b *testing.B) (*ktpm.Database, []string, []string) {
-	b.Helper()
+// powerLawFamily returns, in process, a 800-node graph of the benchmark's
+// power-law family (built through the text encoding the daemon reads)
+// and up to want of its distinct canonical queries of sizes T6 to T14.
+// The database is built once per test binary and shared read-only, so
+// the benchmarks and tests over it pay for one closure.
+func powerLawFamily(tb testing.TB, want int) (*ktpm.Database, []string) {
+	tb.Helper()
+	family.once.Do(func() { family.db, family.queries, family.err = buildPowerLawFamily(256) })
+	if family.err != nil {
+		tb.Fatal(family.err)
+	}
+	return family.db, family.queries[:min(want, len(family.queries))]
+}
+
+var family struct {
+	once    sync.Once
+	db      *ktpm.Database
+	queries []string
+	err     error
+}
+
+func buildPowerLawFamily(want int) (*ktpm.Database, []string, error) {
 	g := gen.PowerLaw(gen.PowerLawConfig{Nodes: 800, AvgOutDegree: 5, Labels: 150, Window: 50, Communities: 10, Seed: 21})
 	var buf bytes.Buffer
 	if err := graph.Encode(&buf, g); err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
 	pg, err := ktpm.LoadGraph(&buf)
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
 	db, err := ktpm.BuildDatabase(pg, ktpm.DatabaseOptions{})
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
-	const nKeys = 256
 	seen := map[string]bool{}
-	var keys []string
-	for round := int64(0); round < 40 && len(keys) < nKeys; round++ {
-		for size := 6; size <= 14 && len(keys) < nKeys; size++ {
+	var queries []string
+	for round := int64(0); round < 40 && len(queries) < want; round++ {
+		for size := 6; size <= 14 && len(queries) < want; size++ {
 			trees, err := gen.QuerySet(g, 32, size, true, round*1_000_003+int64(size)*101)
 			if err != nil {
 				continue
 			}
 			for _, t := range trees {
-				if c := t.Canonical(); !seen[c] && len(keys) < nKeys {
+				if c := t.Canonical(); !seen[c] && len(queries) < want {
 					seen[c] = true
-					keys = append(keys, "/query?q="+url.QueryEscape(c)+"&k=20")
+					queries = append(queries, c)
 				}
 			}
 		}
 	}
-	if len(keys) < nKeys {
-		b.Fatalf("only %d distinct queries", len(keys))
+	return db, queries, nil
+}
+
+// queryPath is the /query request for q at k.
+func queryPath(q string, k int) string {
+	return "/query?q=" + url.QueryEscape(q) + "&k=" + strconv.Itoa(k)
+}
+
+// hotPaths builds the query_hot shape in process: 256 distinct canonical
+// queries of the power-law family at k=20, and a Zipf(1.1) draw sequence
+// over them.
+func hotPaths(b *testing.B) (*ktpm.Database, []string, []string) {
+	b.Helper()
+	const nKeys = 256
+	db, queries := powerLawFamily(b, nKeys)
+	if len(queries) < nKeys {
+		b.Fatalf("only %d distinct queries", len(queries))
+	}
+	keys := make([]string, nKeys)
+	for i, q := range queries {
+		keys[i] = queryPath(q, 20)
 	}
 	zipf := rand.NewZipf(rand.New(rand.NewSource(2)), 1.1, 1, nKeys-1)
 	draws := make([]string, 4096)
@@ -130,6 +167,41 @@ func hotPaths(b *testing.B) (*ktpm.Database, []string, []string) {
 		draws[i] = keys[zipf.Uint64()]
 	}
 	return db, keys, draws
+}
+
+// serveOK sends one GET through ServeHTTP and fails on a non-200 reply.
+func serveOK(tb testing.TB, s *Server, path string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body.String())
+	}
+	return rec
+}
+
+// BenchmarkServerMiss is the query_uncached request in process, the
+// counterpart of BenchmarkServerHit: the result cache is off, so every
+// /query runs Topk-EN through the full ServeHTTP stack. Queries are the
+// power-law family's T6–T14 at k drawn from 10..100, after one warm pass
+// at k=9 that faults in every table they touch, as the benchmark's
+// prelude does. allocs/op and B/op are the cost of one miss.
+func BenchmarkServerMiss(b *testing.B) {
+	db, queries := powerLawFamily(b, 256)
+	s := New(db, Config{CacheEntries: -1})
+	defer s.Close()
+	for _, q := range queries {
+		serveOK(b, s, queryPath(q, 9))
+	}
+	rng := rand.New(rand.NewSource(3))
+	paths := make([]string, 4096)
+	for i := range paths {
+		paths[i] = queryPath(queries[rng.Intn(len(queries))], 10+rng.Intn(91))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveOK(b, s, paths[i%len(paths)])
+	}
 }
 
 // BenchmarkServerHit is the query_hot request in process: every /query
@@ -141,22 +213,13 @@ func BenchmarkServerHit(b *testing.B) {
 	s := New(db, Config{})
 	defer s.Close()
 	for _, p := range keys {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("GET %s = %d: %s", p, rec.Code, rec.Body.String())
-		}
+		serveOK(b, s, p)
 	}
 	var bytesOut int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, draws[i%len(draws)], nil))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d", rec.Code)
-		}
-		bytesOut += int64(rec.Body.Len())
+		bytesOut += int64(serveOK(b, s, draws[i%len(draws)]).Body.Len())
 	}
 	b.ReportMetric(float64(bytesOut)/float64(b.N), "bytes/resp")
 }

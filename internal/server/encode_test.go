@@ -241,6 +241,18 @@ func TestStoredBytesServeEveryPath(t *testing.T) {
 // json.Marshal of the envelope around the stored bytes makes it 51.
 const cachedHitAllocBound = 50
 
+// uncachedMissAllocBound is the 123 allocations TestUncachedQueryAllocs
+// measured plus three. With a map per query position in place of the
+// enumerator's dense index, the same miss makes 138, two more per
+// position of its 7-node query. The
+// race detector drops a random quarter of sync.Pool puts, and each
+// dropped enumerator re-allocates its slabs on the next query: under it
+// the measured 144–149 get their own slack.
+const (
+	uncachedMissAllocBound = 126
+	uncachedMissRaceSlack  = 40
+)
+
 // TestCachedHitAllocs bounds the allocations of a cached /query through
 // ServeHTTP — request, recorder, parse, middleware and encode together —
 // so a reflective encode on the hit path fails here, not only on a
@@ -261,5 +273,62 @@ func TestCachedHitAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per cached /query", allocs)
 	if allocs > cachedHitAllocBound {
 		t.Fatalf("%.0f allocs per cached /query, bound %d", allocs, cachedHitAllocBound)
+	}
+}
+
+// TestUncachedQueryAllocs bounds the allocations of one uncached /query
+// through ServeHTTP, the miss-path companion of TestCachedHitAllocs: the
+// result cache is off, so every run enumerates with Topk-EN over a warm
+// store. The enumerator's state comes from a pool, so a per-query map,
+// slice growth or slab chunk on that path fails here, not only on a
+// stopwatch.
+func TestUncachedQueryAllocs(t *testing.T) {
+	db, queries := powerLawFamily(t, 40)
+	s := New(db, Config{CacheEntries: -1})
+	t.Cleanup(s.Close)
+	path := queryPath(queries[len(queries)-1], 50)
+	serveOK(t, s, path) // faults in the tables and fills the pool
+	allocs := testing.AllocsPerRun(200, func() {
+		if rec := serveOK(t, s, path); bytes.Contains(rec.Body.Bytes(), []byte(`"cached":true`)) {
+			t.Fatalf("a hit with the cache off: %s", rec.Body.String())
+		}
+	})
+	t.Logf("%.1f allocs per uncached /query of %s", allocs, path)
+	bound := uncachedMissAllocBound
+	if raceEnabled {
+		bound += uncachedMissRaceSlack
+	}
+	if allocs > float64(bound) {
+		t.Fatalf("%.1f allocs per uncached /query, bound %d", allocs, bound)
+	}
+}
+
+// TestCachedResultSurvivesMisses fills the result cache for one key, runs
+// 100 misses whose enumerators reuse the pool that served it, and
+// requires the cached "positions" and "matches" bytes to be unchanged:
+// a cached result must never alias an enumerator's pooled memory.
+func TestCachedResultSurvivesMisses(t *testing.T) {
+	db, queries := powerLawFamily(t, 40)
+	s := New(db, Config{})
+	t.Cleanup(s.Close)
+	key := queryPath(queries[0], 20)
+	serveOK(t, s, key)
+	answer := func() []byte {
+		body := serveOK(t, s, key).Body.Bytes()
+		lo, hi := bytes.Index(body, []byte(`"positions":`)), bytes.Index(body, []byte(`,"cached":true`))
+		if lo < 0 || hi < lo {
+			t.Fatalf("not a cached answer: %s", body)
+		}
+		return bytes.Clone(body[lo:hi])
+	}
+	before := answer()
+	for i := 0; i < 100; i++ {
+		path := queryPath(queries[i%len(queries)], 21+i)
+		if rec := serveOK(t, s, path); !bytes.Contains(rec.Body.Bytes(), []byte(`"cached":false`)) {
+			t.Fatalf("%s was not a miss: %s", path, rec.Body.String())
+		}
+	}
+	if after := answer(); !bytes.Equal(before, after) {
+		t.Fatalf("cached answer changed after 100 misses:\nbefore %s\nafter  %s", before, after)
 	}
 }

@@ -32,8 +32,12 @@ func (e *PanicError) Error() string {
 // the admission-control half of the design: under overload the service
 // sheds load immediately with ErrQueueFull instead of accumulating
 // unbounded in-flight work, and the fixed worker count keeps at most
-// Concurrency top-k enumerations resident (each one holds a run-time-graph
-// fragment, so memory is bounded too).
+// Concurrency top-k queries in flight, each holding one enumerator (one
+// per shard on a sharded backend) with its run-time-graph fragment, so
+// memory is bounded too. Between queries what stays resident is the
+// lazy package's pool of released enumerators: each keeps at most 4 MiB
+// of slabs and dense indexes, and sync.Pool lets go of any that two
+// garbage collections find unused.
 type executor struct {
 	tasks chan *task
 

@@ -154,22 +154,28 @@ func (d *DB) Counters() store.Counters {
 }
 
 // merge starts one query's scatter and returns the merge over it and the
-// function that stops it, which credits each shard's takes to Merged
-// and releases any producers still running. At one shard the enumerator
-// is the merge's only source: shard 0 owns every vertex, so there is no
-// ownership filter, no goroutine, and no run-ahead. Otherwise one
-// producer goroutine per shard runs Topk-EN over the shard's replica,
-// root-filtered to owned vertices (composed with any caller filter), and
-// hands score-ordered chunks of up to chunk matches to the merge.
+// function that stops it, which credits each shard's takes to Merged,
+// releases any producers still running and hands the shards' enumerators
+// back to their pool. The matches the merge yields live in those
+// enumerators, so callers copy what they keep before calling it. At one
+// shard the enumerator is the merge's only source: shard 0 owns every
+// vertex, so there is no ownership filter, no goroutine, and no
+// run-ahead. Otherwise one producer goroutine per shard runs Topk-EN over
+// the shard's replica, root-filtered to owned vertices (composed with any
+// caller filter), and hands score-ordered chunks of up to chunk matches
+// to the merge.
 func (d *DB) merge(t *query.Tree, base lazy.Options, chunk int) (*lazy.Merge, func()) {
 	srcs := make([]lazy.Source, d.n)
-	release := func() {}
+	var release func()
 	if d.n == 1 {
-		srcs[0] = lazy.New(d.stores[0], t, base)
+		e := lazy.New(d.stores[0], t, base)
+		srcs[0] = e
+		release = e.Release
 	} else {
 		done := make(chan struct{})
 		span := base.Trace.StartChild("shard_merge")
 		span.SetAttr("shards", d.n)
+		prods := make([]producer, d.n)
 		for i := range srcs {
 			// One buffered chunk lets a producer start its next chunk while
 			// the merge consumes the previous one.
@@ -184,10 +190,14 @@ func (d *DB) merge(t *query.Tree, base lazy.Options, chunk int) (*lazy.Merge, fu
 			opt.RootFilter = func(v int32) bool {
 				return d.assign[v] == int32(i) && (base.RootFilter == nil || base.RootFilter(v))
 			}
+			pr := &prods[i]
+			pr.refs.Store(2)
 			go func() {
 				defer close(ch)
 				defer ssp.End()
 				e := lazy.New(d.stores[i], t, opt)
+				pr.e = e
+				defer pr.drop()
 				for {
 					buf := make([]*lazy.Match, chunk)
 					n := e.NextBatch(buf)
@@ -207,6 +217,9 @@ func (d *DB) merge(t *query.Tree, base lazy.Options, chunk int) (*lazy.Merge, fu
 		release = func() {
 			close(done)
 			span.End()
+			for i := range prods {
+				prods[i].drop()
+			}
 		}
 	}
 	m := lazy.NewMerge(srcs)
@@ -218,36 +231,52 @@ func (d *DB) merge(t *query.Tree, base lazy.Options, chunk int) (*lazy.Merge, fu
 	}
 }
 
-// TopK scatter-gathers the k best matches of t across the shards: every
-// shard enumerates its slice of the match space concurrently and
-// lazy.Merge gathers them, ceasing to pull from a shard once its head —
-// the best score the shard can still produce — cannot beat the current
-// k-th result. Equal scores are ordered by node bindings, so for a fixed
-// store contents the result is byte-identical for every shard count and
-// partitioner.
-func (d *DB) TopK(t *query.Tree, k int) []*lazy.Match {
-	return d.TopKOpts(t, k, lazy.Options{})
+// producer is one shard's enumerator and its two owners: the producer
+// goroutine and the merge's stop function. Whichever lets go last
+// releases it. A producer that runs dry exits while its matches may still
+// sit in its channel or in the merge's heads, so its exit alone never
+// releases the enumerator; the stop function comes after every copy.
+type producer struct {
+	e    *lazy.Enumerator
+	refs atomic.Int32
 }
 
-// TopKOpts is TopK with caller-supplied enumeration options; a caller
-// RootFilter composes with (restricts within) shard ownership.
-func (d *DB) TopKOpts(t *query.Tree, k int, base lazy.Options) []*lazy.Match {
+func (p *producer) drop() {
+	if p.refs.Add(-1) == 0 {
+		p.e.Release()
+	}
+}
+
+// TopK scatter-gathers the k best matches of t across the shards and
+// hands them to keep: every shard enumerates its slice of the match space
+// concurrently and lazy.Merge gathers them, ceasing to pull from a shard
+// once its head — the best score the shard can still produce — cannot
+// beat the current k-th result. Equal scores are ordered by node
+// bindings, so for a fixed store contents the result is byte-identical
+// for every shard count and partitioner. A caller RootFilter in base
+// composes with (restricts within) shard ownership. The matches are valid
+// only during keep, which copies what it retains: the shards' enumerators
+// are released when TopK returns.
+func (d *DB) TopK(t *query.Tree, k int, base lazy.Options, keep func([]*lazy.Match)) {
 	if k <= 0 {
-		return nil
+		keep(nil)
+		return
 	}
 	// Chunks larger than k would only make shards compute matches the
 	// merge can never need before its first threshold check.
 	m, stop := d.merge(t, base, min(k, lazy.ChunkSize))
 	defer stop()
-	return m.TopK(k)
+	keep(m.TopK(k))
 }
 
 // Stream incrementally enumerates t's matches across the shards in the
 // same canonical order TopK returns: non-decreasing score, equal scores
 // by node bindings. Consumers that do not know k up front drain exactly
 // as far as they need; the merge buffers one tie group at a time, so
-// memory is O(largest tie group drained). Close releases the producers;
-// callers that do not drain to exhaustion must call it.
+// memory is O(largest tie group drained). A match Next returns is valid
+// until the next Next or Close, so consumers copy what they keep. Close
+// releases the producers; callers that do not drain to exhaustion must
+// call it.
 func (d *DB) Stream(t *query.Tree, base lazy.Options) *Stream {
 	m, stop := d.merge(t, base, lazy.ChunkSize)
 	return &Stream{m: m, stop: stop}
@@ -273,8 +302,10 @@ func (s *Stream) Next() (*lazy.Match, bool) {
 	return m, ok
 }
 
-// Close stops the per-shard producers and credits the stream's takes to
-// Merged. Idempotent; exhaustion closes the stream itself.
+// Close stops the per-shard producers, credits the stream's takes to
+// Merged and releases the shards' enumerators, so every match Next
+// returned is invalid afterwards. Idempotent; exhaustion closes the
+// stream itself.
 func (s *Stream) Close() {
 	if !s.closed {
 		s.closed = true

@@ -5,6 +5,7 @@ import (
 
 	"ktpm/internal/closure"
 	"ktpm/internal/graph"
+	"ktpm/internal/lazy"
 	"ktpm/internal/query"
 	"ktpm/internal/store"
 )
@@ -42,18 +43,21 @@ func TestTopKEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.TopK(tree, 0); got != nil {
-		t.Fatalf("TopK(k=0) = %v, want nil", got)
-	}
-	ms := d.TopK(tree, 10)
-	if len(ms) != 2 {
-		t.Fatalf("TopK returned %d matches, want 2", len(ms))
-	}
-	for i := 1; i < len(ms); i++ {
-		if ms[i].Score < ms[i-1].Score {
-			t.Fatalf("scores regressed: %d after %d", ms[i].Score, ms[i-1].Score)
+	d.TopK(tree, 0, lazy.Options{}, func(ms []*lazy.Match) {
+		if ms != nil {
+			t.Fatalf("TopK(k=0) = %v, want nil", ms)
 		}
-	}
+	})
+	d.TopK(tree, 10, lazy.Options{}, func(ms []*lazy.Match) {
+		if len(ms) != 2 {
+			t.Fatalf("TopK returned %d matches, want 2", len(ms))
+		}
+		for i := 1; i < len(ms); i++ {
+			if ms[i].Score < ms[i-1].Score {
+				t.Fatalf("scores regressed: %d after %d", ms[i].Score, ms[i-1].Score)
+			}
+		}
+	})
 	// With every vertex in one shard of three, two shards emit nothing;
 	// the merge must still terminate and count contributions coherently.
 	var merged int64

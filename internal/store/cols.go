@@ -2,7 +2,6 @@ package store
 
 import (
 	"slices"
-	"sort"
 
 	"ktpm/internal/closure"
 	"ktpm/internal/obs"
@@ -80,8 +79,8 @@ func (t *colTab) span(v int32) (lo, hi int32) {
 	if t == nil {
 		return 0, 0
 	}
-	i := sort.Search(len(t.targets), func(i int) bool { return t.targets[i] >= v })
-	if i == len(t.targets) || t.targets[i] != v {
+	i, ok := slices.BinarySearch(t.targets, v)
+	if !ok {
 		return 0, 0
 	}
 	return t.starts[i], t.starts[i+1]

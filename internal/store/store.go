@@ -42,7 +42,7 @@
 //
 // A Store is three layers with different sharing disciplines:
 //
-//   - layout: the closure image (carved tables, label index, graph),
+//   - layout: the closure image (carved tables over the graph's label index),
 //     shared by everyone. New materializes every table up front (what a
 //     fully-resident closure wants), while NewFromSource faults a (α, β)
 //     table in the first time any query touches it — the path lazy and
@@ -153,9 +153,6 @@ type layout struct {
 	blockSize int
 	src       closure.TableSource
 
-	// byLabel[l] lists the nodes with label l, ascending, so table scans
-	// touch only their own rows.
-	byLabel [][]int32
 	// direct[(u<<32)|v] is the weight of the direct data-graph edge u→v,
 	// consulted while carving to set the direct flags. Dropped once every
 	// table is materialized (it only serves future carves).
@@ -239,8 +236,8 @@ func New(src closure.TableSource, blockSize int) *Store {
 // NewFromSource lays out src with the given block size (0 means
 // DefaultBlockSize) without touching any table payload: a (α, β) table
 // is carved into columns the first time a query asks for one of its
-// lists. Construction cost is O(nodes + edges) — the label index and the
-// direct-edge lookup — never O(closure).
+// lists. Construction cost is O(edges) — the direct-edge lookup; the
+// label index is the graph's — never O(closure).
 func NewFromSource(src closure.TableSource, blockSize int) *Store {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
@@ -250,12 +247,7 @@ func NewFromSource(src closure.TableSource, blockSize int) *Store {
 		g:         g,
 		blockSize: blockSize,
 		src:       src,
-		byLabel:   make([][]int32, g.NumLabels()),
 		direct:    make(map[int64]int32),
-	}
-	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		l := g.Label(v)
-		lay.byLabel[l] = append(lay.byLabel[l], v)
 	}
 	g.Edges(func(e graph.Edge) bool {
 		lay.direct[key(e.From, e.To)] = e.Weight
@@ -297,7 +289,7 @@ const allLabels int32 = -1
 // listFor miss at a time would take and release the lock once per label
 // per node on a cold wildcard query.
 func (lay *layout) carveTargets(beta int32, tr *obs.Span) {
-	if beta < 0 || int(beta) >= len(lay.byLabel) {
+	if beta < 0 || int(beta) >= lay.g.IndexedLabels() {
 		return
 	}
 	k := pairKey{allLabels, beta}
@@ -319,7 +311,7 @@ func (lay *layout) carveTargets(beta int32, tr *obs.Span) {
 	defer sp.End()
 	tabs := cloneTabs(lay.tabs.Load())
 	whole := true
-	for a := range lay.byLabel {
+	for a := range lay.g.IndexedLabels() {
 		if _, ok := tabs[pairKey{int32(a), beta}]; !ok {
 			whole = lay.carve(int32(a), beta, tabs) && whole
 		}
@@ -357,16 +349,25 @@ func (lay *layout) maybeDropDirectLocked() {
 // is one atomic load, one map lookup and a binary search over the
 // table's targets.
 func (lay *layout) listFor(alpha, v int32, tr *obs.Span) EdgeCols {
-	if alpha < 0 || int(alpha) >= len(lay.byLabel) {
+	t, _ := lay.table(alpha, lay.g.Label(v), tr)
+	return t.view(v)
+}
+
+// table returns the carved (alpha, beta) table, carving it on first
+// touch; a nil table has no entries. ok is false only when the carve
+// came up short (a lazy-source fault): nothing is cached, and the next
+// touch refaults.
+func (lay *layout) table(alpha, beta int32, tr *obs.Span) (t *colTab, ok bool) {
+	if n := int32(lay.g.IndexedLabels()); alpha < 0 || alpha >= n || beta < 0 || beta >= n {
 		// A query-only label interned after the graph was built: no
 		// closure table can exist, and caching the miss would let
 		// adversarial queries grow the carved set without bound.
-		return EdgeCols{}
+		return nil, true
 	}
-	k := pairKey{alpha, lay.g.Label(v)}
+	k := pairKey{alpha, beta}
 	if m := lay.tabs.Load(); m != nil {
 		if t, ok := (*m)[k]; ok {
-			return t.view(v)
+			return t, true
 		}
 	}
 	lay.mu.Lock()
@@ -374,7 +375,7 @@ func (lay *layout) listFor(alpha, v int32, tr *obs.Span) EdgeCols {
 	if m != nil {
 		if t, ok := (*m)[k]; ok {
 			lay.mu.Unlock()
-			return t.view(v)
+			return t, true
 		}
 	}
 	sp := tr.StartChild("table_fault")
@@ -384,17 +385,14 @@ func (lay *layout) listFor(alpha, v int32, tr *obs.Span) EdgeCols {
 	tabs := cloneTabs(m)
 	// A short load (source fault) publishes nothing; the next touch
 	// refaults.
-	ok := lay.carve(k.alpha, k.beta, tabs)
+	ok = lay.carve(k.alpha, k.beta, tabs)
 	if ok {
 		lay.tabs.Store(&tabs)
 		lay.maybeDropDirectLocked()
 	}
 	lay.mu.Unlock()
 	sp.End()
-	if !ok {
-		return EdgeCols{}
-	}
-	return tabs[k].view(v)
+	return tabs[k], ok
 }
 
 // Replica returns a store sharing s's immutable closure layout AND its
@@ -524,6 +522,33 @@ type ListHandle struct {
 // OpenList resolves L^alpha_v (alpha may be the wildcard) once.
 func (s *Store) OpenList(alpha, v int32) ListHandle {
 	return ListHandle{s: s, cols: s.inList(alpha, v, s.trace)}
+}
+
+// Table is one resolved (α, β) closure table. Its lists open with a
+// binary search over the table's targets, where OpenList probes the
+// carved-table map first: the enumerator resolves one Table per query
+// edge and opens every expanded node's list through it.
+type Table struct {
+	s *Store
+	t *colTab
+}
+
+// OpenTable resolves the concrete (alpha, beta) table once, carving it if
+// cold. ok is false for a wildcard side, whose lists merge or span
+// several tables, and for a carve that came up short; callers then open
+// lists one by one with OpenList, which refaults.
+func (s *Store) OpenTable(alpha, beta int32) (Table, bool) {
+	if alpha == label.Wildcard || beta == label.Wildcard {
+		return Table{}, false
+	}
+	t, ok := s.lay.table(alpha, beta, s.trace)
+	return Table{s: s, t: t}, ok
+}
+
+// List opens the incoming list of v, a node with the table's β label:
+// the same handle OpenList(α, v) returns.
+func (t Table) List(v int32) ListHandle {
+	return ListHandle{s: t.s, cols: t.t.view(v)}
 }
 
 // Len returns the resolved list's entry count.
@@ -686,10 +711,7 @@ func (s *Store) forTargets(beta int32, fn func(v int32)) {
 		}
 		return
 	}
-	if int(beta) >= len(s.lay.byLabel) {
-		return
-	}
-	for _, v := range s.lay.byLabel[beta] {
+	for _, v := range s.lay.g.NodesWithLabel(beta) {
 		fn(v)
 	}
 }

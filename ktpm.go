@@ -494,15 +494,17 @@ func (db *Database) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("ktpm: negative k")
 	}
-	ms := lazy.TopKCanonical(db.st, q.t, k, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
-	return detach(ms, q.NumNodes()), nil
+	e := lazy.New(db.st, q.t, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
+	out := detach(lazy.NewMerge([]lazy.Source{e}).TopK(k), q.NumNodes())
+	e.Release()
+	return out, nil
 }
 
 // detach copies the bindings of ms into one array of len(ms)·nT and points
-// each Match.Nodes into it. An enumerator's Match.Nodes alias its slabs,
-// which hold every match it emitted — tie-drain overshoot and, sharded,
-// each shard's unselected matches — so a result a caller keeps (ktpmd's
-// result cache) would pin all of them.
+// each Match.Nodes into it. It is how a result leaves an enumerator: an
+// enumerator's Match.Nodes alias its slabs, which go back to a pool for
+// the next query once it is released, so nothing a caller keeps (ktpmd's
+// result cache) may point into them.
 func detach(ms []*lazy.Match, nT int) []Match {
 	out := make([]Match, len(ms))
 	buf := make([]int32, len(ms)*nT)
@@ -532,7 +534,9 @@ type MatchStream interface {
 // ordered by node bindings — for consumers that do not know k up front.
 // Drained to any k it is byte-identical to TopK(q, k).
 type Stream struct {
-	m *lazy.Merge
+	e   *lazy.Enumerator // nil once closed
+	m   *lazy.Merge
+	buf nodeBuf
 }
 
 // Stream opens an incremental enumeration of q.
@@ -548,7 +552,7 @@ func (db *Database) StreamWith(q *Query, opt Options) (*Stream, error) {
 		return nil, fmt.Errorf("ktpm: nil query")
 	}
 	e := lazy.New(db.st, q.t, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
-	return &Stream{m: lazy.NewMerge([]lazy.Source{e})}, nil
+	return &Stream{e: e, m: lazy.NewMerge([]lazy.Source{e})}, nil
 }
 
 // OpenStream is StreamWith behind the MatchStream interface, the form
@@ -559,19 +563,44 @@ func (db *Database) OpenStream(q *Query, opt Options) (MatchStream, error) {
 }
 
 // Next returns the next match in canonical order; ok is false when the
-// space is exhausted.
+// space is exhausted or the stream is closed.
 func (s *Stream) Next() (Match, bool) {
-	m, ok := s.m.Next()
-	if !ok {
+	if s.e == nil {
 		return Match{}, false
 	}
-	return Match{Nodes: m.Nodes, Score: m.Score}, true
+	m, ok := s.m.Next()
+	if !ok {
+		s.Close()
+		return Match{}, false
+	}
+	return Match{Nodes: s.buf.copy(m.Nodes), Score: m.Score}, true
 }
 
-// Close implements MatchStream. A single-database enumeration holds no
-// goroutines or external resources, so this is a no-op; it exists so
-// *Stream satisfies the interface the sharded stream needs.
-func (s *Stream) Close() {}
+// Close releases the stream's enumerator; Next reports false afterwards.
+// Exhaustion closes the stream itself. Idempotent.
+func (s *Stream) Close() {
+	if s.e != nil {
+		s.e.Release()
+		s.e, s.m = nil, nil
+	}
+}
+
+// nodeBuf hands a stream's matches their own copy of the bindings, carved
+// from chunks of lazy.ChunkSize matches that are never reused, so a match
+// a consumer keeps stays valid after its enumerator is released and pins
+// at most its chunk.
+type nodeBuf []int32
+
+func (b *nodeBuf) copy(nodes []int32) []int32 {
+	n := len(nodes)
+	if len(*b) < n {
+		*b = make([]int32, n*lazy.ChunkSize)
+	}
+	out := (*b)[:n:n]
+	*b = (*b)[n:]
+	copy(out, nodes)
+	return out
+}
 
 // BatchItem is one query of a TopKBatch call.
 type BatchItem struct {
@@ -677,6 +706,7 @@ func (db *Database) DiverseTopK(q *Query, k, maxShared, maxExamined int) ([]Matc
 		maxExamined = 100 * k
 	}
 	st := db.Stream(q)
+	defer st.Close()
 	var kept []Match
 	for examined := 0; len(kept) < k && examined < maxExamined; examined++ {
 		m, ok := st.Next()

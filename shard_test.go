@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ktpm/internal/lazy"
 	"ktpm/internal/shard"
 )
 
@@ -284,7 +285,7 @@ func TestShardedTablesReadFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.TopK(q.t, 10)
+			d.TopK(q.t, 10, lazy.Options{}, func([]*lazy.Match) {})
 		}
 		return d.Counters().TablesRead
 	}

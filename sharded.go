@@ -130,8 +130,11 @@ func (s *ShardedDatabase) TopKWith(q *Query, k int, opt Options) ([]Match, error
 	if k < 0 {
 		return nil, fmt.Errorf("ktpm: negative k")
 	}
-	ms := s.sd.TopKOpts(q.t, k, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
-	return detach(ms, q.NumNodes()), nil
+	var out []Match
+	s.sd.TopK(q.t, k, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace}, func(ms []*lazy.Match) {
+		out = detach(ms, q.NumNodes())
+	})
+	return out, nil
 }
 
 // TopKBatch answers many queries in one call; see Database.TopKBatch.
@@ -149,7 +152,8 @@ func (s *ShardedDatabase) TopKBatch(items []BatchItem) []BatchResult {
 // producer goroutines; consumers that do not drain to exhaustion must
 // call it (defer st.Close() is the idiom).
 type ShardStream struct {
-	st *shard.Stream
+	st  *shard.Stream
+	buf nodeBuf
 }
 
 // Stream opens an incremental scatter-gather enumeration of q.
@@ -179,10 +183,11 @@ func (ss *ShardStream) Next() (Match, bool) {
 	if !ok {
 		return Match{}, false
 	}
-	return Match{Nodes: m.Nodes, Score: m.Score}, true
+	return Match{Nodes: ss.buf.copy(m.Nodes), Score: m.Score}, true
 }
 
-// Close stops the per-shard producers. Idempotent.
+// Close stops the per-shard producers and releases their enumerators;
+// Next reports false afterwards. Idempotent.
 func (ss *ShardStream) Close() { ss.st.Close() }
 
 // IOStats returns the simulated-I/O counters summed over every shard
