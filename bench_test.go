@@ -16,6 +16,7 @@ import (
 	"ktpm/internal/closure"
 	"ktpm/internal/core"
 	"ktpm/internal/dp"
+	"ktpm/internal/gen"
 	"ktpm/internal/kgpm"
 	"ktpm/internal/lazy"
 	"ktpm/internal/pll"
@@ -213,7 +214,7 @@ func BenchmarkFig9_MTree(b *testing.B) {
 	setupKGPM(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := kgpm.TopK(kgpmEnv, kgpmQ, 20, kgpm.MTree); err != nil {
+		if _, err := kgpm.TopK(kgpmEnv, kgpmQ, 20, bench.MTree); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,6 +227,67 @@ func BenchmarkFig9_MTreePlus(b *testing.B) {
 		if _, err := kgpm.TopK(kgpmEnv, kgpmQ, 20, kgpm.MTreePlus); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// --- Explain beside TopK ---------------------------------------------------
+
+var (
+	explainOnce sync.Once
+	explainDB   *Database
+	explainQs   map[int][]*Query // by query size
+)
+
+func setupExplain(b *testing.B) {
+	b.Helper()
+	explainOnce.Do(func() {
+		g := gen.Citation(gen.CitationConfig{Nodes: 3000, AvgOutDegree: 3, Venues: 60, Window: 50, Communities: 8, Seed: 3})
+		db, err := BuildDatabase(&Graph{g: g}, DatabaseOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		explainDB, explainQs = db, map[int][]*Query{}
+		for _, size := range []int{3, 5, 8} {
+			trees, err := gen.QuerySet(g, 20, size, true, int64(size))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, tr := range trees {
+				q, err := db.ParseQuery(tr.Canonical())
+				if err != nil {
+					b.Fatal(err)
+				}
+				explainQs[size] = append(explainQs[size], q)
+			}
+		}
+	})
+	if explainDB == nil {
+		b.Fatal("explain benchmark workload unavailable")
+	}
+}
+
+// BenchmarkExplain prices Explain beside TopK(q, 10) on the same queries,
+// sizes T3/T5/T8 over a 3,000-node citation graph with warm tables. The
+// explain/topk ratio is the number to read: a plan from the table
+// directory should cost a small fraction of answering the query.
+func BenchmarkExplain(b *testing.B) {
+	setupExplain(b)
+	for _, size := range []int{3, 5, 8} {
+		qs := explainQs[size]
+		b.Run(fmt.Sprintf("T%d/explain", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := explainDB.Explain(qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("T%d/topk10", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := explainDB.TopK(qs[i%len(qs)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

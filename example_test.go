@@ -82,19 +82,5 @@ func ExampleDatabase_Explain() {
 	// Output:
 	// query C(S)
 	//   edge C //S: table 1 entries, 1 child candidates
-	//   run-time graph: <=1 edges raw, 2 nodes / 1 edges after pruning
-	//   total matches: 1
-}
-
-func ExampleTaxonomy() {
-	tx := ktpm.NewTaxonomy()
-	tx.AddSubsumption("publication", "article")
-	tx.AddSubsumption("publication", "book")
-	for _, l := range tx.Contains("publication") {
-		fmt.Println(l)
-	}
-	// Output:
-	// publication
-	// article
-	// book
+	//   run-time graph: <=1 edges raw
 }

@@ -50,7 +50,7 @@ func main() {
 	}
 
 	fmt.Println("\ndiverse top-5 (no shared nodes between results):")
-	diverse, err := db.DiverseTopK(q, 5, 0, 0)
+	diverse, err := diverseTopK(db, q, 5, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,4 +65,50 @@ func main() {
 			fmt.Printf("  next: score=%d\n", m.Score)
 		}
 	}
+}
+
+// diverseTopK returns up to k matches in non-decreasing score order such
+// that no two returned matches share more than maxShared data nodes. It
+// streams matches with Topk-EN and greedily keeps the first (hence
+// lowest-scoring) representative of each region; maxExamined bounds how
+// many matches are inspected (0 means 100·k).
+func diverseTopK(db *ktpm.Database, q *ktpm.Query, k, maxShared, maxExamined int) ([]ktpm.Match, error) {
+	if q == nil {
+		return nil, fmt.Errorf("diverse: nil query")
+	}
+	if maxShared < 0 || maxShared >= q.NumNodes() {
+		return nil, fmt.Errorf("diverse: maxShared must be in [0, numNodes)")
+	}
+	if maxExamined <= 0 {
+		maxExamined = 100 * k
+	}
+	st := db.Stream(q)
+	defer st.Close()
+	var kept []ktpm.Match
+	for examined := 0; len(kept) < k && examined < maxExamined; examined++ {
+		m, ok := st.Next()
+		if !ok {
+			break
+		}
+		diverse := true
+		for _, prev := range kept {
+			shared := 0
+			for i := range m.Nodes {
+				for _, pv := range prev.Nodes {
+					if m.Nodes[i] == pv {
+						shared++
+						break
+					}
+				}
+			}
+			if shared > maxShared {
+				diverse = false
+				break
+			}
+		}
+		if diverse {
+			kept = append(kept, m)
+		}
+	}
+	return kept, nil
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"ktpm/internal/core"
 	"ktpm/internal/label"
-	"ktpm/internal/rtg"
 )
 
 // EdgePlan describes one query edge in an explain plan.
@@ -23,26 +21,22 @@ type EdgePlan struct {
 	ChildCandidates int
 }
 
-// Plan is the result of Database.Explain: per-edge table statistics plus
-// run-time-graph estimates, the numbers that predict which algorithm wins
-// (Topk pays for the full m_R; Topk-EN pays for the loaded prefix).
+// Plan is the result of Database.Explain: per-edge table statistics and
+// the run-time-graph bound they add up to. Topk-EN loads a prefix of
+// that bound; a materializing enumerator would pay all of it.
 type Plan struct {
 	Query string
 	Edges []EdgePlan
 	// EstimatedRuntimeEdges is m_R before pruning (the sum of the
 	// edge-table sizes); the pruned run-time graph is at most this.
 	EstimatedRuntimeEdges int64
-	// PrunedRuntimeNodes / PrunedRuntimeEdges are exact post-pruning
-	// sizes (computed by actually building the run-time graph).
-	PrunedRuntimeNodes int
-	PrunedRuntimeEdges int64
-	// TotalMatches is the exact match count.
-	TotalMatches int64
 }
 
 // Explain analyzes q without enumerating matches: it reports the closure
-// tables each query edge touches and the exact (pruned) run-time graph
-// size — Table 3's quantities for one query.
+// tables each query edge touches and their total, the run-time graph's
+// size before pruning. It reads only the table directory, so it never
+// faults a table into a lazily opened snapshot and never builds the
+// run-time graph.
 func (db *Database) Explain(q *Query) (*Plan, error) {
 	if q == nil || q.t == nil {
 		return nil, fmt.Errorf("ktpm: nil query")
@@ -64,9 +58,7 @@ func (db *Database) Explain(q *Query) (*Plan, error) {
 			ep.ChildCandidates = len(db.g.NodesWithLabel(cl))
 		} else {
 			// A wildcard side touches every table matching the other
-			// side's label; sum them. Sizes come from the table directory,
-			// so planning a query never faults tables into a lazily
-			// opened snapshot.
+			// side's label; sum them.
 			db.c.TableLens(func(a, b int32, count int) bool {
 				if (pl == label.Wildcard || a == pl) && (cl == label.Wildcard || b == cl) {
 					ep.TableEntries += count
@@ -82,10 +74,6 @@ func (db *Database) Explain(q *Query) (*Plan, error) {
 		p.Edges = append(p.Edges, ep)
 		p.EstimatedRuntimeEdges += int64(ep.TableEntries)
 	}
-	r := rtg.Build(db.c, q.t)
-	p.PrunedRuntimeNodes = r.NumNodes()
-	p.PrunedRuntimeEdges = r.NumEdges()
-	p.TotalMatches = core.CountMatches(r)
 	return p, nil
 }
 
@@ -97,8 +85,6 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&sb, "  edge %s %s%s: table %d entries, %d child candidates\n",
 			e.ParentLabel, e.Kind, e.ChildLabel, e.TableEntries, e.ChildCandidates)
 	}
-	fmt.Fprintf(&sb, "  run-time graph: <=%d edges raw, %d nodes / %d edges after pruning\n",
-		p.EstimatedRuntimeEdges, p.PrunedRuntimeNodes, p.PrunedRuntimeEdges)
-	fmt.Fprintf(&sb, "  total matches: %d\n", p.TotalMatches)
+	fmt.Fprintf(&sb, "  run-time graph: <=%d edges raw\n", p.EstimatedRuntimeEdges)
 	return sb.String()
 }

@@ -1,6 +1,7 @@
 package ktpm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,14 +26,11 @@ func TestExplain(t *testing.T) {
 			t.Fatalf("edge kind = %q", e.Kind)
 		}
 	}
-	if p.EstimatedRuntimeEdges < p.PrunedRuntimeEdges {
-		t.Fatalf("raw estimate %d < pruned %d", p.EstimatedRuntimeEdges, p.PrunedRuntimeEdges)
-	}
-	if p.TotalMatches != db.CountMatches(q) {
-		t.Fatalf("TotalMatches = %d", p.TotalMatches)
+	if want := int64(p.Edges[0].TableEntries + p.Edges[1].TableEntries); p.EstimatedRuntimeEdges != want {
+		t.Fatalf("EstimatedRuntimeEdges = %d, want the edge tables' sum %d", p.EstimatedRuntimeEdges, want)
 	}
 	s := p.String()
-	if !strings.Contains(s, "run-time graph") || !strings.Contains(s, "total matches") {
+	if !strings.Contains(s, "run-time graph") || strings.Contains(s, "total matches") {
 		t.Fatalf("String() = %q", s)
 	}
 }
@@ -71,15 +69,22 @@ func TestExplainSlashEdge(t *testing.T) {
 	}
 }
 
-// TestExplainTotalMatchesOverQuerySet holds Explain's match count, taken
-// from the run-time graph the plan builds, to CountMatches over a
-// generated query set of several sizes.
-func TestExplainTotalMatchesOverQuerySet(t *testing.T) {
+// TestExplainPlanOverQuerySet holds Explain over a generated query set of
+// several sizes to the tables themselves: each edge's TableEntries is the
+// length of the closure table it names, EstimatedRuntimeEdges is their
+// sum, and a lazily opened snapshot plans every query identically
+// without faulting a table.
+func TestExplainPlanOverQuerySet(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{Nodes: 300, AvgOutDegree: 3, Labels: 20, Window: 30, Communities: 4, Seed: 5})
 	db, err := BuildDatabase(&Graph{g: g}, DatabaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sdb, err := OpenSnapshot(saveTestSnapshot(t, db), SnapshotOptions{Mode: SnapshotLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdb.Close()
 	n := 0
 	for _, size := range []int{2, 3, 5, 8} {
 		trees, err := gen.QuerySet(g, 6, size, true, int64(size))
@@ -95,13 +100,35 @@ func TestExplainTotalMatchesOverQuerySet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := db.CountMatches(q); p.TotalMatches != want {
-				t.Fatalf("%s: Plan.TotalMatches = %d, CountMatches = %d", q, p.TotalMatches, want)
+			var sum int64
+			for _, e := range p.Edges {
+				pl, cl := q.t.Nodes[e.Parent].Label, q.t.Nodes[e.Child].Label
+				if got := len(db.c.Table(pl, cl)); e.TableEntries != got {
+					t.Fatalf("%s: edge %s->%s TableEntries = %d, table holds %d", q, e.ParentLabel, e.ChildLabel, e.TableEntries, got)
+				}
+				sum += int64(e.TableEntries)
+			}
+			if p.EstimatedRuntimeEdges != sum {
+				t.Fatalf("%s: EstimatedRuntimeEdges = %d, edge tables sum to %d", q, p.EstimatedRuntimeEdges, sum)
+			}
+			sq, err := sdb.ParseQuery(tr.Canonical())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := sdb.Explain(sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sp, p) {
+				t.Fatalf("%s: snapshot plan %+v, in-memory plan %+v", q, sp, p)
 			}
 			n++
 		}
 	}
 	if n == 0 {
 		t.Fatal("query set is empty")
+	}
+	if st, _ := sdb.SnapshotStats(); st.TablesLoaded != 0 {
+		t.Fatalf("planning %d queries faulted %d snapshot tables", n, st.TablesLoaded)
 	}
 }

@@ -120,9 +120,17 @@ func TestRunFig9Small(t *testing.T) {
 	if len(tab.Rows) == 0 {
 		t.Fatal("Fig9Q produced no rows")
 	}
-	tabK := RunFig9K(e, []int{3})
+	tabK := RunFig9K(e, []int{3, 20})
 	if len(tabK.Rows) == 0 {
 		t.Fatal("Fig9K produced no rows")
+	}
+	// mtree and mtree+ return equal score sequences on every row.
+	for _, tb := range []*Table{tab, tabK} {
+		for _, row := range tb.Rows {
+			if agree := row[len(row)-1]; agree != "yes" && agree != "-" {
+				t.Errorf("%s: row %v: mtree and mtree+ scores disagree", tb.Title, row)
+			}
+		}
 	}
 }
 

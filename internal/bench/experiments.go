@@ -508,23 +508,18 @@ func Fig9Queries(e *Env) []*kgpm.Query {
 func RunFig9K(e *Env, ks []int) *Table {
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 9(a): kGPM vary k (Q2) on %s", e.Dataset.Name),
-		Header: []string{"k", "mtree", "mtree+"},
+		Header: []string{"k", "mtree", "mtree+", "scores agree"},
 	}
 	queries := Fig9Queries(e)
 	if len(queries) < 2 {
-		t.AddRow("-", "-", "-")
+		t.AddRow("-", "-", "-", "-")
 		return t
 	}
 	q := queries[1]
 	env := kgpm.NewEnv(e.Graph)
 	for _, k := range ks {
-		t0 := time.Now()
-		kgpm.TopK(env, q, k, kgpm.MTree)
-		base := time.Since(t0)
-		t0 = time.Now()
-		kgpm.TopK(env, q, k, kgpm.MTreePlus)
-		plus := time.Since(t0)
-		t.AddRow(fmt.Sprintf("%d", k), fmtDur(base), fmtDur(plus))
+		base, plus, agree := runFig9Pair(env, q, k)
+		t.AddRow(fmt.Sprintf("%d", k), fmtDur(base), fmtDur(plus), agree)
 	}
 	return t
 }
@@ -533,21 +528,40 @@ func RunFig9K(e *Env, ks []int) *Table {
 func RunFig9Q(e *Env) *Table {
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 9(b): kGPM vary query, k=20 on %s", e.Dataset.Name),
-		Header: []string{"Query", "nodes", "edges", "mtree", "mtree+"},
+		Header: []string{"Query", "nodes", "edges", "mtree", "mtree+", "scores agree"},
 	}
 	env := kgpm.NewEnv(e.Graph)
 	for i, q := range Fig9Queries(e) {
-		t0 := time.Now()
-		kgpm.TopK(env, q, 20, kgpm.MTree)
-		base := time.Since(t0)
-		t0 = time.Now()
-		kgpm.TopK(env, q, 20, kgpm.MTreePlus)
-		plus := time.Since(t0)
+		base, plus, agree := runFig9Pair(env, q, 20)
 		t.AddRow(fmt.Sprintf("Q%d", i+1),
 			fmt.Sprintf("%d", len(q.Labels)), fmt.Sprintf("%d", len(q.Edges)),
-			fmtDur(base), fmtDur(plus))
+			fmtDur(base), fmtDur(plus), agree)
 	}
 	return t
+}
+
+// runFig9Pair times mtree and then mtree+ on one pattern and reports
+// whether their score sequences agree: the two differ only in the tree
+// matcher, so a "no" is a bug, not a measurement.
+func runFig9Pair(env *kgpm.Env, q *kgpm.Query, k int) (base, plus time.Duration, agree string) {
+	t0 := time.Now()
+	bm, berr := kgpm.TopK(env, q, k, MTree)
+	base = time.Since(t0)
+	t0 = time.Now()
+	pm, perr := kgpm.TopK(env, q, k, kgpm.MTreePlus)
+	plus = time.Since(t0)
+	agree = "yes"
+	if berr != nil || perr != nil || len(bm) != len(pm) {
+		agree = "no"
+	} else {
+		for i := range bm {
+			if bm[i].Score != pm[i].Score {
+				agree = "no"
+				break
+			}
+		}
+	}
+	return base, plus, agree
 }
 
 // RunAblationTrigger is ablations A3 and A5: the paper's tight trigger

@@ -206,16 +206,6 @@ func (g *Graph) Label(v int32) int32 { return g.nodeLbl[v] }
 // NodeWeight returns the penalty weight of node v (zero by default).
 func (g *Graph) NodeWeight(v int32) int32 { return g.nodeW[v] }
 
-// HasNodeWeights reports whether any node carries a non-zero weight.
-func (g *Graph) HasNodeWeights() bool {
-	for _, w := range g.nodeW {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // LabelName returns the label name of node v.
 func (g *Graph) LabelName(v int32) string { return g.Labels.Name(int(g.nodeLbl[v])) }
 

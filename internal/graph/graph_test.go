@@ -368,19 +368,9 @@ func TestNodeWeights(t *testing.T) {
 	if g.NodeWeight(a) != 5 || g.NodeWeight(c) != 0 {
 		t.Fatalf("weights = %d,%d", g.NodeWeight(a), g.NodeWeight(c))
 	}
-	if !g.HasNodeWeights() {
-		t.Fatal("HasNodeWeights false")
-	}
 	u := g.Undirected()
 	if u.NodeWeight(a) != 5 {
 		t.Fatal("Undirected dropped node weights")
-	}
-	// Weightless graph reports false.
-	b2 := NewBuilder()
-	b2.AddNode("x")
-	g2, _ := b2.Build()
-	if g2.HasNodeWeights() {
-		t.Fatal("HasNodeWeights true on unweighted")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ktpm/internal/bench"
 	"ktpm/internal/closure"
 	"ktpm/internal/core"
 	"ktpm/internal/dp"
@@ -295,8 +296,11 @@ func TestKGPMRootPoliciesAgree(t *testing.T) {
 		_ = rng
 		var ref []*kgpm.Match
 		for _, policy := range []kgpm.RootPolicy{kgpm.MaxDegreeRoot, kgpm.RarestLabelRoot} {
-			for _, algo := range []kgpm.Algorithm{kgpm.MTree, kgpm.MTreePlus} {
-				ms, err := kgpm.TopKWithRoot(env, q, 8, algo, policy)
+			for _, m := range []struct {
+				name string
+				algo kgpm.Algorithm
+			}{{"mtree", bench.MTree}, {"mtree+", kgpm.MTreePlus}} {
+				ms, err := kgpm.TopKWithRoot(env, q, 8, m.algo, policy)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -305,13 +309,13 @@ func TestKGPMRootPoliciesAgree(t *testing.T) {
 					continue
 				}
 				if len(ms) != len(ref) {
-					t.Fatalf("seed %d policy %d algo %d: %d matches, ref %d",
-						seed, policy, algo, len(ms), len(ref))
+					t.Fatalf("seed %d policy %d %s: %d matches, ref %d",
+						seed, policy, m.name, len(ms), len(ref))
 				}
 				for i := range ms {
 					if ms[i].Score != ref[i].Score {
-						t.Fatalf("seed %d policy %d algo %d: top-%d %d, ref %d",
-							seed, policy, algo, i+1, ms[i].Score, ref[i].Score)
+						t.Fatalf("seed %d policy %d %s: top-%d %d, ref %d",
+							seed, policy, m.name, i+1, ms[i].Score, ref[i].Score)
 					}
 				}
 			}

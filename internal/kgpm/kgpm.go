@@ -14,9 +14,9 @@
 // every unseen candidate costs at least nextTreeScore + #nonTreeEdges
 // (each remaining distance is ≥ 1 because query labels are distinct).
 //
-// Two inner matchers are provided: MTree drives the DP-B baseline and
-// MTreePlus drives this paper's Topk-EN — the mtree / mtree+ comparison of
-// Figure 9.
+// The inner matcher is a seam, Algorithm. This package provides MTreePlus,
+// which drives this paper's Topk-EN; internal/bench supplies MTree, the
+// DP-B baseline of [7], for Figure 9's mtree / mtree+ comparison.
 package kgpm
 
 import (
@@ -24,23 +24,39 @@ import (
 	"sort"
 
 	"ktpm/internal/closure"
-	"ktpm/internal/dp"
 	"ktpm/internal/graph"
 	"ktpm/internal/lazy"
 	"ktpm/internal/query"
-	"ktpm/internal/rtg"
 	"ktpm/internal/store"
 )
 
-// Algorithm selects the inner top-k tree matcher.
-type Algorithm int
+// Algorithm is the inner top-k tree matcher: it opens the matches of a
+// query's spanning tree over env. k is the caller's k, for matchers that
+// size their work up front; the framework may pull past it.
+type Algorithm func(env *Env, tree *query.Tree, k int) TreeMatches
 
-const (
-	// MTree is the [7] baseline: DP-B enumerates the spanning tree.
-	MTree Algorithm = iota
-	// MTreePlus embeds Topk-EN (Algorithm 3) as the tree matcher.
-	MTreePlus
-)
+// TreeMatches is an open tree-match enumeration.
+type TreeMatches interface {
+	// Next returns the next tree match (data node per tree BFS index) in
+	// non-decreasing tree score.
+	Next() (nodes []int32, score int64, ok bool)
+}
+
+// MTreePlus embeds Topk-EN (Algorithm 3) as the tree matcher.
+func MTreePlus(env *Env, tree *query.Tree, _ int) TreeMatches {
+	return lazySource{lazy.New(env.Store, tree, lazy.Options{})}
+}
+
+// lazySource adapts lazy.Enumerator.
+type lazySource struct{ e *lazy.Enumerator }
+
+func (s lazySource) Next() ([]int32, int64, bool) {
+	m, ok := s.e.Next()
+	if !ok {
+		return nil, 0, false
+	}
+	return m.Nodes, m.Score, true
+}
 
 // Query is a connected undirected labeled pattern graph with distinct node
 // labels.
@@ -231,48 +247,6 @@ func decompose(env *Env, q *Query, policy RootPolicy) (*plan, error) {
 	return p, nil
 }
 
-// treeMatchSource abstracts the inner top-k tree matcher.
-type treeMatchSource interface {
-	// next returns the next tree match (data node per tree BFS index) in
-	// non-decreasing tree score.
-	next() (nodes []int32, score int64, ok bool)
-}
-
-// lazySource adapts lazy.Enumerator.
-type lazySource struct{ e *lazy.Enumerator }
-
-func (s *lazySource) next() ([]int32, int64, bool) {
-	m, ok := s.e.Next()
-	if !ok {
-		return nil, 0, false
-	}
-	return m.Nodes, m.Score, true
-}
-
-// dpSource adapts dp.TopK with geometric re-runs: DP-B memoizes at most
-// cap matches per stream, so when the framework outruns the cap the DP is
-// re-run with a doubled cap (the baseline pays for its bounded queues,
-// which is faithful to its design).
-type dpSource struct {
-	r    *rtg.Graph
-	cap  int
-	pos  int
-	msgs []*dp.Match
-}
-
-func (s *dpSource) next() ([]int32, int64, bool) {
-	for s.pos >= len(s.msgs) {
-		if len(s.msgs) < s.cap {
-			return nil, 0, false // truly exhausted
-		}
-		s.cap *= 2
-		s.msgs = dp.TopK(s.r, s.cap)
-	}
-	m := s.msgs[s.pos]
-	s.pos++
-	return m.Nodes, m.Score, true
-}
-
 // TopK returns the top-k graph pattern matches of q over env using the
 // selected inner matcher and the default root policy.
 func TopK(env *Env, q *Query, k int, algo Algorithm) ([]*Match, error) {
@@ -289,16 +263,7 @@ func TopKWithRoot(env *Env, q *Query, k int, algo Algorithm, policy RootPolicy) 
 	if err != nil {
 		return nil, err
 	}
-	var src treeMatchSource
-	switch algo {
-	case MTree:
-		r := rtg.Build(env.Closure, p.tree)
-		src = &dpSource{r: r, cap: 4 * k, msgs: dp.TopK(r, 4*k)}
-	case MTreePlus:
-		src = &lazySource{e: lazy.New(env.Store, p.tree, lazy.Options{})}
-	default:
-		return nil, fmt.Errorf("kgpm: unknown algorithm %d", algo)
-	}
+	src := algo(env, p.tree, k)
 	nonTreeFloor := int64(len(p.nonTree)) // each non-tree distance >= 1
 	var results []*Match
 	worst := func() int64 {
@@ -308,7 +273,7 @@ func TopKWithRoot(env *Env, q *Query, k int, algo Algorithm, policy RootPolicy) 
 		return results[len(results)-1].Score
 	}
 	for {
-		nodes, treeScore, ok := src.next()
+		nodes, treeScore, ok := src.Next()
 		if !ok {
 			break
 		}

@@ -79,26 +79,24 @@ func TestTriangleQuery(t *testing.T) {
 	g := triangleGraph(t)
 	env := NewEnv(g)
 	q := &Query{Labels: []string{"a", "b", "c"}, Edges: [][2]int{{0, 1}, {1, 2}, {2, 0}}}
-	for _, algo := range []Algorithm{MTree, MTreePlus} {
-		ms, err := TopK(env, q, 3, algo)
-		if err != nil {
-			t.Fatalf("algo %d: %v", algo, err)
-		}
-		if len(ms) == 0 {
-			t.Fatalf("algo %d: no matches", algo)
-		}
-		// Tight triangle (a1,b1,c1) scores 3; the loose one scores 1+2+1=4.
-		if ms[0].Score != 3 {
-			t.Fatalf("algo %d: top-1 score = %d, want 3", algo, ms[0].Score)
-		}
-		want := bruteKGPM(env, q, 3)
-		if len(ms) != len(want) {
-			t.Fatalf("algo %d: %d matches, want %d", algo, len(ms), len(want))
-		}
-		for i := range ms {
-			if ms[i].Score != want[i].Score {
-				t.Fatalf("algo %d: top-%d = %d, want %d", algo, i+1, ms[i].Score, want[i].Score)
-			}
+	ms, err := TopK(env, q, 3, MTreePlus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) == 0 {
+		t.Fatal("no matches")
+	}
+	// Tight triangle (a1,b1,c1) scores 3; the loose one scores 1+2+1=4.
+	if ms[0].Score != 3 {
+		t.Fatalf("top-1 score = %d, want 3", ms[0].Score)
+	}
+	want := bruteKGPM(env, q, 3)
+	if len(ms) != len(want) {
+		t.Fatalf("%d matches, want %d", len(ms), len(want))
+	}
+	for i := range ms {
+		if ms[i].Score != want[i].Score {
+			t.Fatalf("top-%d = %d, want %d", i+1, ms[i].Score, want[i].Score)
 		}
 	}
 }
@@ -184,19 +182,16 @@ func TestDifferentialRandom(t *testing.T) {
 		}
 		env := NewEnv(g)
 		want := bruteKGPM(env, q, 10)
-		for _, algo := range []Algorithm{MTree, MTreePlus} {
-			got, err := TopK(env, q, 10, algo)
-			if err != nil {
-				t.Fatalf("seed %d algo %d: %v", seed, algo, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d algo %d: %d matches, want %d", seed, algo, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Score != want[i].Score {
-					t.Fatalf("seed %d algo %d: top-%d = %d, want %d",
-						seed, algo, i+1, got[i].Score, want[i].Score)
-				}
+		got, err := TopK(env, q, 10, MTreePlus)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d matches, want %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Score != want[i].Score {
+				t.Fatalf("seed %d: top-%d = %d, want %d", seed, i+1, got[i].Score, want[i].Score)
 			}
 		}
 		trials++
@@ -229,7 +224,7 @@ func TestKZeroAndNoMatch(t *testing.T) {
 	g := triangleGraph(t)
 	env := NewEnv(g)
 	q := &Query{Labels: []string{"a", "b", "c"}, Edges: [][2]int{{0, 1}, {1, 2}, {2, 0}}}
-	if ms, _ := TopK(env, q, 0, MTree); ms != nil {
+	if ms, _ := TopK(env, q, 0, MTreePlus); ms != nil {
 		t.Fatalf("k=0 returned %v", ms)
 	}
 	// x is isolated from one triangle: query (x, a) still matches via the

@@ -136,14 +136,6 @@ func (c *Cache[V]) Len() int {
 	return c.order.Len()
 }
 
-// Purge drops every entry, leaving the counters intact.
-func (c *Cache[V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.items = make(map[string]*list.Element)
-}
-
 // Stats is a counter snapshot.
 type Stats struct {
 	Hits      int64 `json:"hits"`

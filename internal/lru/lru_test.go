@@ -61,23 +61,6 @@ func TestDisabledCache(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New[int](4)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len() = %d after Purge", c.Len())
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("purged entry still present")
-	}
-	c.Put("a", 5)
-	if v, ok := c.Get("a"); !ok || v != 5 {
-		t.Fatal("cache unusable after Purge")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	c := New[int](32)
 	var wg sync.WaitGroup

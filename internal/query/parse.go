@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"strings"
 
 	"ktpm/internal/label"
 )
@@ -145,19 +144,4 @@ func Star(in *label.Interner, root string, children ...string) *Tree {
 		panic(err)
 	}
 	return t
-}
-
-// Describe returns a multi-line human-readable rendering for CLI output.
-func Describe(t *Tree) string {
-	var sb strings.Builder
-	var rec func(u int32, prefix string)
-	rec = func(u int32, prefix string) {
-		for _, c := range t.Nodes[u].Children {
-			fmt.Fprintf(&sb, "%s%s%s\n", prefix, t.Nodes[c].EdgeFromParent, t.LabelName(c))
-			rec(c, prefix+"  ")
-		}
-	}
-	fmt.Fprintf(&sb, "%s\n", t.LabelName(0))
-	rec(0, "  ")
-	return sb.String()
 }

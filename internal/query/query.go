@@ -90,16 +90,6 @@ func (t *Tree) MaxDegree() int {
 // node belongs to at most one query position.
 func (t *Tree) DistinctLabels() bool { return t.distinct }
 
-// HasWildcard reports whether any node is a wildcard.
-func (t *Tree) HasWildcard() bool {
-	for i := range t.Nodes {
-		if t.Nodes[i].Label == label.Wildcard {
-			return true
-		}
-	}
-	return false
-}
-
 // LabelName returns the display name of node u's label.
 func (t *Tree) LabelName(u int32) string { return t.Labels.Name(int(t.Nodes[u].Label)) }
 

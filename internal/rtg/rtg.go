@@ -23,8 +23,6 @@
 package rtg
 
 import (
-	"sort"
-
 	"ktpm/internal/closure"
 	"ktpm/internal/graph"
 	"ktpm/internal/label"
@@ -59,23 +57,8 @@ type Graph struct {
 // (a snapshot opened lazy or mmap) the tables fault in here; wildcard
 // edges fault the full directory.
 func Build(c closure.TableSource, q *query.Tree) *Graph {
-	return BuildWithContainment(c, q, nil)
-}
-
-// BuildWithContainment is Build under label-containment semantics
-// (Section 5, third extension): a query label matches every data label in
-// contains(queryLabel), which must include the label itself when exact
-// matches are wanted. A nil contains falls back to label equality.
-// Wildcard query nodes ignore contains entirely.
-func BuildWithContainment(c closure.TableSource, q *query.Tree, contains func(queryLabel int32) []int32) *Graph {
 	g := c.Graph()
 	nq := q.NumNodes()
-	expand := func(lbl int32) []int32 {
-		if lbl == label.Wildcard || contains == nil {
-			return []int32{lbl}
-		}
-		return contains(lbl)
-	}
 
 	// 1. Raw candidate lists per query node.
 	cands := make([][]int32, nq)
@@ -88,10 +71,7 @@ func BuildWithContainment(c closure.TableSource, q *query.Tree, contains func(qu
 			}
 			cands[u] = all
 		} else {
-			for _, dl := range expand(lbl) {
-				cands[u] = append(cands[u], g.NodesWithLabel(dl)...)
-			}
-			sortInt32s(cands[u])
+			cands[u] = append([]int32(nil), g.NodesWithLabel(lbl)...)
 		}
 	}
 	index := make([]map[int32]int32, nq)
@@ -118,7 +98,7 @@ func BuildWithContainment(c closure.TableSource, q *query.Tree, contains func(qu
 		for pos, cIdx := range q.Nodes[u].Children {
 			child := q.Nodes[cIdx]
 			childOnly := child.EdgeFromParent == query.Child
-			forEachExpanded(c, expand(q.Nodes[u].Label), expand(child.Label), func(e closure.Entry) {
+			forEachClosureEntry(c, q.Nodes[u].Label, child.Label, func(e closure.Entry) {
 				if childOnly && !isDirectEdge(g, e) {
 					return
 				}
@@ -231,22 +211,6 @@ func BuildWithContainment(c closure.TableSource, q *query.Tree, contains func(qu
 
 // forEachClosureEntry iterates the closure entries for a query edge,
 // expanding wildcards to unions over label-pair tables.
-// forEachExpanded iterates closure entries over the cross product of two
-// expanded label sets (containment semantics).
-func forEachExpanded(c closure.TableSource, alphas, betas []int32, fn func(closure.Entry)) {
-	for _, a := range alphas {
-		for _, b := range betas {
-			forEachClosureEntry(c, a, b, fn)
-		}
-	}
-}
-
-// sortInt32s sorts ascending; candidate lists stay ordered for stable
-// local indexing under containment expansion.
-func sortInt32s(a []int32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
-
 func forEachClosureEntry(c closure.TableSource, alpha, beta int32, fn func(closure.Entry)) {
 	if cs, ok := c.(closure.ColumnSource); ok {
 		// Column source (a snapshot): walk the column views directly.

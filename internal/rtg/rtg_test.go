@@ -289,43 +289,6 @@ func TestMaxDegreeAndStats(t *testing.T) {
 	}
 }
 
-func TestBuildWithContainment(t *testing.T) {
-	b := graph.NewBuilder()
-	zoo := b.AddNode("zoo")
-	dog := b.AddNode("dog")
-	cat := b.AddNode("cat")
-	rock := b.AddNode("rock")
-	b.AddEdge(zoo, dog)
-	b.AddEdge(zoo, cat)
-	b.AddEdge(zoo, rock)
-	g, _ := b.Build()
-	c := closure.Compute(g, closure.Options{})
-	animal := int32(g.Labels.Intern("animal"))
-	dogID, _ := g.Labels.Lookup("dog")
-	catID, _ := g.Labels.Lookup("cat")
-	contains := func(l int32) []int32 {
-		if l == animal {
-			return []int32{animal, int32(dogID), int32(catID)}
-		}
-		return []int32{l}
-	}
-	q := query.MustParse(g.Labels, "zoo(animal)")
-	r := BuildWithContainment(c, q, contains)
-	if got := r.NumCands(1); got != 2 {
-		t.Fatalf("containment candidates = %d, want 2 (dog, cat)", got)
-	}
-	for local := int32(0); int(local) < r.NumCands(1); local++ {
-		if v := r.DataNode(1, local); v == rock {
-			t.Fatal("rock admitted under containment")
-		}
-	}
-	// Nil containment behaves exactly like Build.
-	r2 := BuildWithContainment(c, q, nil)
-	if r2.NumCands(1) != 0 {
-		t.Fatalf("nil containment found %d candidates for a data-absent label", r2.NumCands(1))
-	}
-}
-
 func TestNodeWeightFoldedIntoEdges(t *testing.T) {
 	b := graph.NewBuilder()
 	a := b.AddNode("a")

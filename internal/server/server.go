@@ -846,10 +846,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		plan    *ktpm.Plan
 		callErr error
 	)
-	// Explain builds the full run-time graph, so it goes through the same
-	// admission-controlled pool as /query. The build counts as the
-	// request's enumerate stage: it is the work a worker slot was held
-	// for.
+	// Explain plans from the closure's table directory: it reads no
+	// table and builds no run-time graph. It still runs in the same
+	// admission-controlled pool as /query, so /explain shares the
+	// daemon's concurrency limit, shedding and deadlines. Planning counts
+	// as the request's enumerate stage: it is the work a worker slot was
+	// held for.
 	trace := requestSpan(w, r)
 	err := s.execute(w, r, "explain", func() {
 		en := trace.StartChild("enumerate")

@@ -31,7 +31,8 @@
 //
 // Queries support '//' (ancestor-descendant) and '/' (parent-child) edges,
 // duplicate labels, and wildcard (*) nodes; see ParseQuery. Top-k matching
-// of general graph-shaped patterns (kGPM) is exposed via GraphTopK.
+// of general graph-shaped patterns (kGPM) is exposed via GraphTopK, which
+// runs Topk-EN inside the spanning-tree framework of Cheng et al. (mtree+).
 //
 // # Scaling out
 //
@@ -685,123 +686,11 @@ func runBatch(items []BatchItem, stats func() IOStats, run func(*Query, int, Opt
 
 // CountMatches returns the total number of matches of q — the quantity
 // that motivates top-k processing (it is frequently astronomically large).
+// Counting needs every match, so unlike every other entry point it
+// materializes the run-time graph: O(m_R) time and memory, where TopK
+// loads only a prefix.
 func (db *Database) CountMatches(q *Query) int64 {
 	return core.CountMatches(rtg.Build(db.c, q.t))
-}
-
-// DiverseTopK returns up to k matches in non-decreasing score order such
-// that no two returned matches share more than maxShared data nodes — the
-// "diverse top-k results" direction the paper's conclusion raises as
-// future work. It streams matches with Topk-EN and greedily keeps the
-// first (hence lowest-scoring) representative of each region; maxExamined
-// bounds how many matches are inspected (0 means 100·k).
-func (db *Database) DiverseTopK(q *Query, k, maxShared, maxExamined int) ([]Match, error) {
-	if q == nil || q.t == nil {
-		return nil, fmt.Errorf("ktpm: nil query")
-	}
-	if maxShared < 0 || maxShared >= q.NumNodes() {
-		return nil, fmt.Errorf("ktpm: maxShared must be in [0, numNodes)")
-	}
-	if maxExamined <= 0 {
-		maxExamined = 100 * k
-	}
-	st := db.Stream(q)
-	defer st.Close()
-	var kept []Match
-	for examined := 0; len(kept) < k && examined < maxExamined; examined++ {
-		m, ok := st.Next()
-		if !ok {
-			break
-		}
-		diverse := true
-		for _, prev := range kept {
-			shared := 0
-			for i := range m.Nodes {
-				for _, pv := range prev.Nodes {
-					if m.Nodes[i] == pv {
-						shared++
-						break
-					}
-				}
-			}
-			if shared > maxShared {
-				diverse = false
-				break
-			}
-		}
-		if diverse {
-			kept = append(kept, m)
-		}
-	}
-	return kept, nil
-}
-
-// Taxonomy is a label subsumption hierarchy for containment matching
-// (Section 5, third extension): a query node labeled with a taxonomy
-// label matches any data node whose label the taxonomy places below it.
-// Every label implicitly contains itself.
-type Taxonomy struct {
-	children map[string][]string
-}
-
-// NewTaxonomy returns an empty taxonomy.
-func NewTaxonomy() *Taxonomy {
-	return &Taxonomy{children: make(map[string][]string)}
-}
-
-// AddSubsumption declares that parent contains child (directly). Cycles
-// are tolerated; containment is the reflexive-transitive closure.
-func (tx *Taxonomy) AddSubsumption(parent, child string) {
-	tx.children[parent] = append(tx.children[parent], child)
-}
-
-// Contains returns every label name contained by name, including itself.
-func (tx *Taxonomy) Contains(name string) []string {
-	seen := map[string]bool{name: true}
-	order := []string{name}
-	for head := 0; head < len(order); head++ {
-		for _, c := range tx.children[order[head]] {
-			if !seen[c] {
-				seen[c] = true
-				order = append(order, c)
-			}
-		}
-	}
-	return order
-}
-
-// TopKContained answers q under containment semantics: each query label
-// matches the data labels tx places at or below it. Served by the
-// materializing Algorithm 1 (the run-time graph expansion happens at
-// identification time).
-func (db *Database) TopKContained(q *Query, k int, tx *Taxonomy) ([]Match, error) {
-	if q == nil || q.t == nil {
-		return nil, fmt.Errorf("ktpm: nil query")
-	}
-	var r *rtg.Graph
-	if tx == nil {
-		r = rtg.Build(db.c, q.t)
-	} else {
-		r = rtg.BuildWithContainment(db.c, q.t, func(queryLabel int32) []int32 {
-			var out []int32
-			seen := map[int32]bool{}
-			// Resolve through the query's interner: a taxonomy-only label is
-			// in the query's parse overlay, not the graph's table.
-			for _, name := range tx.Contains(q.t.Labels.Name(int(queryLabel))) {
-				if id, ok := db.g.Labels.Lookup(name); ok && !seen[int32(id)] {
-					seen[int32(id)] = true
-					out = append(out, int32(id))
-				}
-			}
-			return out
-		})
-	}
-	ms := core.TopK(r, k)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{Nodes: m.Nodes, Score: m.Score}
-	}
-	return out, nil
 }
 
 // GraphPattern is a connected undirected labeled pattern graph with
@@ -812,16 +701,6 @@ type GraphPattern struct {
 	// Edges are undirected node-index pairs.
 	Edges [][2]int
 }
-
-// GraphAlgorithm selects the inner tree matcher for GraphTopK.
-type GraphAlgorithm int
-
-const (
-	// AlgoMTreePlus embeds Topk-EN in the decomposition framework of [7].
-	AlgoMTreePlus GraphAlgorithm = iota
-	// AlgoMTree is the [7] baseline with DP-B inside.
-	AlgoMTree
-)
 
 // GraphEnv caches per-graph state for repeated GraphTopK calls (the
 // undirected closure is the expensive part).
@@ -841,14 +720,11 @@ func (db *Database) NewGraphEnv() *GraphEnv {
 }
 
 // GraphTopK returns the k best graph pattern matches. Nodes[i] of each
-// match corresponds to pattern node i.
-func (ge *GraphEnv) GraphTopK(p *GraphPattern, k int, algo GraphAlgorithm) ([]Match, error) {
+// match corresponds to pattern node i. It runs mtree+: the decomposition
+// framework of [7] with Topk-EN enumerating the spanning tree.
+func (ge *GraphEnv) GraphTopK(p *GraphPattern, k int) ([]Match, error) {
 	q := &kgpm.Query{Labels: p.Labels, Edges: p.Edges}
-	a := kgpm.MTreePlus
-	if algo == AlgoMTree {
-		a = kgpm.MTree
-	}
-	ms, err := kgpm.TopK(ge.env, q, k, a)
+	ms, err := kgpm.TopK(ge.env, q, k, kgpm.MTreePlus)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ktpm/internal/bench"
+	"ktpm/internal/kgpm"
 )
 
 // paperFig1 builds the Figure 1 patent citation example: a C node that
@@ -179,11 +182,12 @@ func TestGraphTopK(t *testing.T) {
 	db := paperFig1(t)
 	ge := db.NewGraphEnv()
 	p := &GraphPattern{Labels: []string{"C", "E", "S"}, Edges: [][2]int{{0, 1}, {1, 2}, {0, 2}}}
-	plus, err := ge.GraphTopK(p, 5, AlgoMTreePlus)
+	plus, err := ge.GraphTopK(p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ge.GraphTopK(p, 5, AlgoMTree)
+	// The DP-B baseline (Figure 9's mtree) is the oracle.
+	base, err := kgpm.TopK(kgpm.NewEnv(db.g), &kgpm.Query{Labels: p.Labels, Edges: p.Edges}, 5, bench.MTree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,6 +217,9 @@ func TestSnapshotLazyOpenDoesNoTableWork(t *testing.T) {
 		if n := sdb.IOStats().TablesLoaded; n != 0 {
 			t.Fatalf("%v: Explain faulted %d store tables", mode, n)
 		}
+		if st, _ := sdb.SnapshotStats(); st.TablesLoaded != 0 {
+			t.Fatalf("%v: Explain faulted %d snapshot tables", mode, st.TablesLoaded)
+		}
 		if _, err := sdb.TopK(q, 5); err != nil {
 			t.Fatal(err)
 		}
