@@ -113,8 +113,7 @@ func TestTopKBatchErrorIsolation(t *testing.T) {
 }
 
 // TestShardedTopKBatch checks the sharded batch: results are the
-// sharded (canonical) answers, and dedup works across the scatter-gather
-// path.
+// sharded (canonical) answers, and dedup works across the sharded path.
 func TestShardedTopKBatch(t *testing.T) {
 	db := randomDatabase(t, 90, 17)
 	sdb, err := db.Shard(3, PartitionByLabel())

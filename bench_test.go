@@ -22,7 +22,6 @@ import (
 	"ktpm/internal/pll"
 	"ktpm/internal/query"
 	"ktpm/internal/rtg"
-	"ktpm/internal/shard"
 	"ktpm/internal/store"
 )
 
@@ -359,7 +358,7 @@ func BenchmarkStoreLoadBlock(b *testing.B) {
 	}
 }
 
-// --- Sharded scatter-gather ----------------------------------------------
+// --- Sharded database ----------------------------------------------------
 
 var (
 	shardBenchOnce    sync.Once
@@ -399,43 +398,43 @@ func setupShardBench(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedTopK compares the scatter-gather path at 1/2/4/8 shards
-// against the single-database baseline at a deep k, where Lawler
-// enumeration is the dominant cost. Enumeration costs about the same per
-// match at any k, so N shards emitting ~k/N matches each do no less total
-// work than one enumerator emitting k; on one core the shards measure
-// the merge's overhead, and with idle cores what the per-shard
-// goroutines win back.
+// BenchmarkShardedTopK compares the sharded path at 1/2/4/8 shards
+// against the single-database baseline over a k axis: k = 10 and 100,
+// where the per-enumerator setup (D tables, leaf activation, E-table
+// seeding) is most of a query, and k = 1500, where Lawler enumeration
+// dominates. Run it with -cpu 1,2 to see what idle cores buy; the
+// decision rule in docs/DISTRIBUTED.md reads this table.
 func BenchmarkShardedTopK(b *testing.B) {
 	setupShardBench(b)
 	db := shardBenchDB
 	queries := shardBenchQueries
-	const k = 1500
-	b.Run("single", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.TopK(queries[i%len(queries)], k); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, n := range []int{1, 2, 4, 8} {
-		sdb, err := db.Shard(n, PartitionByLabel())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+	for _, k := range []int{10, 100, 1500} {
+		b.Run(fmt.Sprintf("k=%d/single", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sdb.TopK(queries[i%len(queries)], k); err != nil {
+				if _, err := db.TopK(queries[i%len(queries)], k); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		for _, n := range []int{1, 2, 4, 8} {
+			sdb, err := db.Shard(n, PartitionByLabel())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("k=%d/shards=%d", k, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := sdb.TopK(queries[i%len(queries)], k); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
-// BenchmarkStreamGather drains the 4-shard scatter-gather stream to k,
+// BenchmarkStreamGather drains the 4-shard stream to k,
 // the pull-based counterpart of BenchmarkShardedTopK.
 func BenchmarkStreamGather(b *testing.B) {
 	setupShardBench(b)
@@ -494,34 +493,4 @@ func BenchmarkBatchTopK(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkShardPlaneSweep is the shard-count sweep: the same workload as
-// BenchmarkShardedTopK over {1,2,4,8} shards whose replicas share the
-// base store's derived-data plane. Each sub-benchmark builds a fresh
-// store so the reported tables/op — summary tables derived from the
-// simulated disk, amortized over b.N — counts the configuration's own
-// derives: flat in the shard count.
-func BenchmarkShardPlaneSweep(b *testing.B) {
-	setupShardBench(b)
-	queries := shardBenchQueries
-	const k = 1500
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shared/shards=%d", n), func(b *testing.B) {
-			st := store.New(shardBenchDB.c, 0) // fresh derived plane
-			sdb, err := shard.New(st, n, shard.LabelBalanced{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sdb.TopK(queries[i%len(queries)].t, k, lazy.Options{}, func([]*lazy.Match) {})
-			}
-			b.StopTimer()
-			c := sdb.Counters()
-			b.ReportMetric(float64(c.TablesRead)/float64(b.N), "tables/op")
-			b.ReportMetric(float64(c.TableHits)/float64(b.N), "hits/op")
-		})
-	}
 }

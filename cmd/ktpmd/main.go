@@ -5,7 +5,8 @@
 // mmap so the daemon starts serving in O(directory) time instead of
 // re-materializing the whole closure — then answers concurrent queries
 // against the one shared database, optionally partitioned across shards
-// that scatter-gather each top-k query:
+// by root binding (each query still runs one enumeration; /stats and
+// /metrics count the answered matches each shard owns):
 //
 //	ktpmd -graph g.txt -addr :8080
 //	ktpmd -snapshot g.snap -concurrency 8 -cache 4096 -shards 4 -partition label
@@ -13,10 +14,10 @@
 //
 // Beyond the default single-process mode (-role serve), the daemon can
 // be one node of a distributed scatter-gather topology: -role worker
-// serves one shard's score-ordered match stream over NDJSON, and -role
-// coordinator merges N worker streams with the same threshold-
-// terminating k-way merge the in-process sharded backend runs, so
-// results are byte-identical to a local -shards N server:
+// serves one shard's score-ordered match stream as binary frames, and
+// -role coordinator merges N worker streams with the same threshold-
+// terminating k-way merge a single database answers through, so results
+// are byte-identical to a single node:
 //
 //	ktpmd -role worker -snapshot g.snap -worker-index 0 -worker-count 2 -addr :9101
 //	ktpmd -role worker -snapshot g.snap -worker-index 1 -worker-count 2 -addr :9102
@@ -94,7 +95,7 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060 or :6060; empty disables)")
 		blockSize   = flag.Int("block-size", 0, "store block size (0 = default)")
 		maxK        = flag.Int("max-k", 0, "largest accepted k (0 = default 1000)")
-		shards      = flag.Int("shards", 1, "partition the match space across N shards and scatter-gather top-k (1 = single database)")
+		shards      = flag.Int("shards", 1, "partition the match space across N shards by root binding; each query still runs one enumeration, and /stats and /metrics count each shard's answered matches (1 = unsharded)")
 		partition   = flag.String("partition", "hash", "shard partitioner: hash or label")
 		slowMS      = flag.Float64("slow-query-ms", 0, "log the trace span tree of requests slower than this many milliseconds, and retain only those in /debug/traces (0 = retain every request, log none)")
 		traceRing   = flag.Int("trace-ring", 0, "recent-trace ring capacity behind /debug/traces (0 = default 64, negative disables)")
@@ -161,7 +162,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *role != "serve" && *shards > 1 {
-		fmt.Fprintf(os.Stderr, "ktpmd: -shards is the single-process scatter-gather; it cannot combine with -role %s\n", *role)
+		fmt.Fprintf(os.Stderr, "ktpmd: -shards is in-process sharding; it cannot combine with -role %s\n", *role)
 		os.Exit(2)
 	}
 	if *role == "coordinator" && *cacheMin > 0 {
@@ -247,9 +248,9 @@ func main() {
 		)
 	}
 
-	// The sharded path wraps the same closure; every endpoint keeps its
+	// The sharded path wraps the same database; every endpoint keeps its
 	// contract, and /stats and /metrics additionally report per-shard
-	// counters.
+	// match counts.
 	if *shards > 1 {
 		sdb, err := db.Shard(*shards, partitioner)
 		if err != nil {

@@ -38,3 +38,6 @@ func (s *dpSource) Next() ([]int32, int64, bool) {
 	s.pos++
 	return m.Nodes, m.Score, true
 }
+
+// Close implements kgpm.TreeMatches; DP-B holds nothing pooled.
+func (s *dpSource) Close() {}

@@ -21,8 +21,8 @@ func TopKGraph() *graph.Graph {
 }
 
 // TopKWorkload is the single source of truth for the sharded top-k
-// benchmark workload, shared by BenchmarkShardedTopK and
-// BenchmarkShardPlaneSweep (bench_test.go): a weighted power-law graph
+// benchmark workload, shared by BenchmarkShardedTopK, BenchmarkStreamGather
+// and BenchmarkBatchTopK (bench_test.go): a weighted power-law graph
 // whose spread-out scores keep tie groups small, with a distinct-label
 // T4 workload and a deep k so Lawler enumeration dominates.
 func TopKWorkload() (*graph.Graph, *closure.Closure, []*query.Tree, error) {

@@ -140,7 +140,7 @@ type snapDirEnt struct {
 // in on first use (lazy, mmap) or are pre-faulted at open (eager). All
 // methods are safe for concurrent use; a faulted table is decoded (or
 // mapped and validated) exactly once and then served lock-free, so one
-// Snapshot can back every shard replica of a database. Close releases
+// Snapshot can back every query of a database. Close releases
 // the file and any mapping — only after all queries against the snapshot
 // have stopped, since mmap-mode column views point into the mapping.
 type Snapshot struct {

@@ -38,8 +38,12 @@ type Algorithm func(env *Env, tree *query.Tree, k int) TreeMatches
 // TreeMatches is an open tree-match enumeration.
 type TreeMatches interface {
 	// Next returns the next tree match (data node per tree BFS index) in
-	// non-decreasing tree score.
+	// non-decreasing tree score. nodes is valid until the next Next or
+	// Close.
 	Next() (nodes []int32, score int64, ok bool)
+	// Close releases the enumeration's resources; the framework calls
+	// it once, when it stops pulling.
+	Close()
 }
 
 // MTreePlus embeds Topk-EN (Algorithm 3) as the tree matcher.
@@ -49,6 +53,9 @@ func MTreePlus(env *Env, tree *query.Tree, _ int) TreeMatches {
 
 // lazySource adapts lazy.Enumerator.
 type lazySource struct{ e *lazy.Enumerator }
+
+// Close hands the enumerator back to its pool.
+func (s lazySource) Close() { s.e.Release() }
 
 func (s lazySource) Next() ([]int32, int64, bool) {
 	m, ok := s.e.Next()
@@ -264,6 +271,7 @@ func TopKWithRoot(env *Env, q *Query, k int, algo Algorithm, policy RootPolicy) 
 		return nil, err
 	}
 	src := algo(env, p.tree, k)
+	defer src.Close()
 	nonTreeFloor := int64(len(p.nonTree)) // each non-tree distance >= 1
 	var results []*Match
 	worst := func() int64 {

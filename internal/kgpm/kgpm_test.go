@@ -8,6 +8,7 @@ import (
 	"ktpm/internal/closure"
 	"ktpm/internal/gen"
 	"ktpm/internal/graph"
+	"ktpm/internal/query"
 )
 
 // bruteKGPM enumerates all graph-pattern matches exhaustively.
@@ -237,5 +238,51 @@ func TestKZeroAndNoMatch(t *testing.T) {
 	want := bruteKGPM(env, q2, 5)
 	if len(ms) != len(want) {
 		t.Fatalf("x-c matches %d, want %d", len(ms), len(want))
+	}
+}
+
+// countingMatches counts the Close calls of the sources countingAlgo
+// opens.
+type countingMatches struct {
+	TreeMatches
+	closed *int
+}
+
+func (c countingMatches) Close() {
+	*c.closed++
+	c.TreeMatches.Close()
+}
+
+// TestTopKClosesItsSource runs TopKWithRoot on every way it can return —
+// the threshold stop, exhaustion, a tree-only query and both root
+// policies — with a counting Algorithm around MTreePlus, and fails if a
+// call opened a source it did not close exactly once.
+func TestTopKClosesItsSource(t *testing.T) {
+	g := gen.ErdosRenyi(40, 160, 4, 3)
+	env := NewEnv(g)
+	var opened, closed int
+	countingAlgo := func(env *Env, tree *query.Tree, k int) TreeMatches {
+		opened++
+		return countingMatches{MTreePlus(env, tree, k), &closed}
+	}
+	queries := []*Query{
+		randomQueryGraph(g, 3, rand.New(rand.NewSource(5))),
+		{Labels: []string{g.LabelName(0), g.LabelName(1)}, Edges: [][2]int{{0, 1}}},
+	}
+	if queries[0] == nil || queries[1].Labels[0] == queries[1].Labels[1] {
+		t.Fatal("test graph lacks distinct labels")
+	}
+	for qi, q := range queries {
+		for _, k := range []int{1, 5, 1000} { // 1000 drains the space
+			for _, policy := range []RootPolicy{MaxDegreeRoot, RarestLabelRoot} {
+				before := opened
+				if _, err := TopKWithRoot(env, q, k, countingAlgo, policy); err != nil {
+					t.Fatal(err)
+				}
+				if opened != before+1 || closed != opened {
+					t.Fatalf("q%d k=%d policy %d: opened %d sources, closed %d", qi, k, policy, opened-before, closed-before)
+				}
+			}
+		}
 	}
 }

@@ -69,9 +69,9 @@ type Options struct {
 	// root position binds a data node the filter accepts; candidates for
 	// non-root positions are unaffected. Because every match binds the
 	// root to exactly one data node, filters over disjoint vertex sets
-	// partition the match space — the property the shard package uses to
-	// scatter-gather top-k: each shard's emission stays sorted by score
-	// and the shards' unions reconstruct the unrestricted enumeration.
+	// partition the match space — the property internal/remote's workers
+	// use to split top-k: each worker's emission stays sorted by score
+	// and their union reconstructs the unrestricted enumeration.
 	RootFilter func(v int32) bool
 	// Trace, when non-nil, parents the enumerator's trace spans: store
 	// slow paths (table carves and first derives) record "table_fault"
@@ -555,7 +555,7 @@ func (e *Enumerator) activate(nd *laNode) {
 		}
 		nd.ev = int64(d - 1)
 	} else if !e.opt.admitsRoot(nd.v) {
-		// A filtered-out root binding belongs to another shard: it never
+		// A filtered-out root binding belongs to another worker: it never
 		// enters Qg or the root list, so no match rooted here is emitted.
 		// Its subtree still loads normally on behalf of admitted roots.
 		return
@@ -829,26 +829,6 @@ func (e *Enumerator) Next() (*Match, bool) {
 	return m, true
 }
 
-// NextBatch fills dst with the next matches in non-decreasing score
-// order and returns how many it produced. A return value smaller than
-// len(dst) means the match space is exhausted — NextBatch never stops
-// early, which is what lets the shard gather treat a short chunk as an
-// end-of-stream marker. Emitting a chunk at a time amortizes the
-// per-match hand-off cost of a consumer on the other side of a channel:
-// one synchronization per len(dst) matches instead of one per match.
-func (e *Enumerator) NextBatch(dst []*Match) int {
-	n := 0
-	for n < len(dst) {
-		m, ok := e.Next()
-		if !ok {
-			break
-		}
-		dst[n] = m
-		n++
-	}
-	return n
-}
-
 // Emitted returns how many matches have been produced.
 func (e *Enumerator) Emitted() int { return e.emitted }
 
@@ -902,8 +882,8 @@ func TopK(s *store.Store, q *query.Tree, k int, opt Options) []*Match {
 
 // TopKCanonical returns up to k matches of q in the canonical order
 // (score, then node bindings) — the result is a pure function of the
-// store contents, byte-identical to what the shard scatter-gather
-// returns at any shard count. It costs draining the tie group at the
+// store contents, byte-identical to what a sharded database returns
+// at any shard count. It costs draining the tie group at the
 // k-th score beyond plain TopK.
 func TopKCanonical(s *store.Store, q *query.Tree, k int, opt Options) []*Match {
 	return NewMerge([]Source{New(s, q, opt)}).TopK(k)

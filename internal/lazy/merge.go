@@ -8,15 +8,15 @@ import (
 )
 
 // Source is a stream of matches in non-decreasing score order: an
-// Enumerator (optionally root-filtered), a shard producer's channel
-// (Chunks), or a remote worker's stream. Next reports false once the
-// source is exhausted; a Merge never calls it again after that.
+// Enumerator (optionally root-filtered) or a remote worker's stream.
+// Next reports false once the source is exhausted; a Merge never calls
+// it again after that.
 type Source interface {
 	Next() (*Match, bool)
 }
 
-// Merge is the k-way merge behind every Topk-EN answer: one enumerator,
-// the shards of one process, or the workers of a coordinator. Sources
+// Merge is the k-way merge behind every Topk-EN answer: one enumerator
+// (a Database or ShardedDatabase), or the workers of a coordinator. Sources
 // whose match spaces are disjoint (root filters over disjoint vertex
 // sets) merge into the canonical order of their union — non-decreasing
 // score, equal scores ordered by node bindings — so an answer does not
@@ -134,36 +134,11 @@ func (m *Merge) Next() (*Match, bool) {
 // that is exactly source i's matches scoring at or below the k-th score.
 func (m *Merge) Taken(i int) int { return m.taken[i] }
 
-// ChunkSize is how many matches a producer hands across a channel in one
-// operation (and a worker writes between flushes): one synchronization
-// per chunk instead of per match, while a producer runs at most one chunk
-// in flight plus one buffered past the point where its merge stopped.
-// Answers do not depend on it.
+// ChunkSize is how many matches a coordinator's shard reader hands
+// across its channel in one operation, a worker writes between flushes,
+// and a stream's node buffer holds: one synchronization or allocation per
+// chunk instead of per match. Answers do not depend on it.
 const ChunkSize = 32
-
-// Chunks is a Source over a producer's channel of score-ordered match
-// chunks; it is exhausted when the channel closes.
-type Chunks struct {
-	ch  <-chan []*Match
-	cur []*Match
-}
-
-// NewChunks reads ch.
-func NewChunks(ch <-chan []*Match) *Chunks { return &Chunks{ch: ch} }
-
-// Next implements Source.
-func (c *Chunks) Next() (*Match, bool) {
-	for len(c.cur) == 0 {
-		chunk, ok := <-c.ch
-		if !ok {
-			return nil, false
-		}
-		c.cur = chunk
-	}
-	x := c.cur[0]
-	c.cur = c.cur[1:]
-	return x, true
-}
 
 // Less is the canonical total order over matches: by score, then node
 // bindings lexicographically. Two distinct matches always differ in some

@@ -11,42 +11,42 @@ import (
 	"ktpm/internal/store"
 )
 
-// chunkSources splits q's match space n ways by root binding (v mod n),
-// enumerates each slice with a root-filtered enumerator, and hands it to
-// the merge as Chunks of the given size over a pre-filled channel, plus
-// one source that is empty from the start.
-func chunkSources(c *closure.Closure, q *query.Tree, n, size int) []Source {
+// splitSources splits q's match space n ways by root binding (v mod n),
+// drains each slice from a root-filtered enumerator, and hands it to the
+// merge as a source, plus one source that is empty from the start.
+func splitSources(c *closure.Closure, q *query.Tree, n int) []Source {
 	srcs := make([]Source, 0, n+1)
 	for i := 0; i < n; i++ {
 		e := New(store.New(c, 4), q, Options{RootFilter: func(v int32) bool { return int(v)%n == i }})
-		var chunks [][]*Match
+		src := &drained{}
 		for {
-			buf := make([]*Match, size)
-			got := e.NextBatch(buf)
-			if got > 0 {
-				chunks = append(chunks, buf[:got])
-			}
-			if got < size {
+			m, ok := e.Next()
+			if !ok {
 				break
 			}
+			*src = append(*src, m)
 		}
-		ch := make(chan []*Match, len(chunks))
-		for _, chunk := range chunks {
-			ch <- chunk
-		}
-		close(ch)
-		srcs = append(srcs, NewChunks(ch))
+		srcs = append(srcs, src)
 	}
-	empty := make(chan []*Match)
-	close(empty)
-	return append(srcs, NewChunks(empty))
+	return append(srcs, &drained{})
+}
+
+// drained is a Source over matches already in score order.
+type drained []*Match
+
+func (d *drained) Next() (*Match, bool) {
+	if len(*d) == 0 {
+		return nil, false
+	}
+	x := (*d)[0]
+	*d = (*d)[1:]
+	return x, true
 }
 
 // TestMergeMatchesOracle checks the one merge against the brute-force
 // oracle (rtg.Build → core.BruteForce → canonical order) over sources of
 // every shape the merge serves: N ∈ {1, 2, 4, 7} root-filtered
-// enumerators as Chunks of size 1, 2 and 5 — so chunk boundaries fall
-// inside tie groups — plus an empty source. The graph has unit weights,
+// enumerators plus an empty source. The graph has unit weights,
 // so tie groups dwarf k and TopK's 2k+64 compaction runs. TopK(k) and
 // Next drained to k must both be the oracle's canonical prefix, and the
 // merge must take exactly the matches scoring at or below the k-th score.
@@ -68,41 +68,39 @@ func TestMergeMatchesOracle(t *testing.T) {
 		}
 		want = canonicalize(want, len(want))
 		for _, n := range []int{1, 2, 4, 7} {
-			for _, size := range []int{1, 2, 5} {
-				for _, k := range []int{1, 7, 60, len(want) + 3} {
-					wantK := want[:min(k, len(want))]
-					m := NewMerge(chunkSources(c, q, n, size))
-					sameMatches(t, m.TopK(k), wantK, "q%d n=%d chunk=%d k=%d TopK", qi, n, size, k)
-					taken := 0
-					for i := 0; i <= n; i++ {
-						taken += m.Taken(i)
-					}
-					atOrBelow := len(want)
-					if len(wantK) > 0 {
-						atOrBelow = 0
-						for _, w := range want {
-							if w.Score <= wantK[len(wantK)-1].Score {
-								atOrBelow++
-							}
-						}
-					}
-					if taken != atOrBelow {
-						t.Fatalf("q%d n=%d chunk=%d k=%d: merge took %d matches, %d score at or below the k-th",
-							qi, n, size, k, taken, atOrBelow)
-					}
-					compacted = compacted || taken >= 2*k+64
-
-					m = NewMerge(chunkSources(c, q, n, size))
-					var streamed []*Match
-					for len(streamed) < k {
-						x, ok := m.Next()
-						if !ok {
-							break
-						}
-						streamed = append(streamed, x)
-					}
-					sameMatches(t, streamed, wantK, "q%d n=%d chunk=%d k=%d Next", qi, n, size, k)
+			for _, k := range []int{1, 7, 60, len(want) + 3} {
+				wantK := want[:min(k, len(want))]
+				m := NewMerge(splitSources(c, q, n))
+				sameMatches(t, m.TopK(k), wantK, "q%d n=%d k=%d TopK", qi, n, k)
+				taken := 0
+				for i := 0; i <= n; i++ {
+					taken += m.Taken(i)
 				}
+				atOrBelow := len(want)
+				if len(wantK) > 0 {
+					atOrBelow = 0
+					for _, w := range want {
+						if w.Score <= wantK[len(wantK)-1].Score {
+							atOrBelow++
+						}
+					}
+				}
+				if taken != atOrBelow {
+					t.Fatalf("q%d n=%d k=%d: merge took %d matches, %d score at or below the k-th",
+						qi, n, k, taken, atOrBelow)
+				}
+				compacted = compacted || taken >= 2*k+64
+
+				m = NewMerge(splitSources(c, q, n))
+				var streamed []*Match
+				for len(streamed) < k {
+					x, ok := m.Next()
+					if !ok {
+						break
+					}
+					streamed = append(streamed, x)
+				}
+				sameMatches(t, streamed, wantK, "q%d n=%d k=%d Next", qi, n, k)
 			}
 		}
 	}

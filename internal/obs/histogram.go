@@ -6,8 +6,8 @@
 // Prometheus text-exposition lint.
 //
 // The package sits below everything else in the module (it imports only
-// the standard library), so any layer — server handlers, the shard
-// scatter-gather, the store's fault path — can record into it without
+// the standard library), so any layer — server handlers, the remote
+// coordinator, the store's fault path — can record into it without
 // import cycles.
 package obs
 
@@ -93,8 +93,8 @@ type Snapshot struct {
 	Buckets [numBuckets]int64
 }
 
-// Merge adds other's observations into s, the scatter-gather form: shard
-// or worker histograms merge into one distribution without rebinning
+// Merge adds other's observations into s, the scatter-gather form:
+// per-worker histograms merge into one distribution without rebinning
 // (every histogram shares the fixed bucket layout).
 func (s *Snapshot) Merge(other *Snapshot) {
 	if other == nil {

@@ -25,7 +25,7 @@ type Trace struct {
 	// trace added with Span set (and Root nil) is materialized to Root by
 	// the first Ring.Snapshot that returns it. Finished spans are
 	// immutable, so rendering at read time sees the same tree — and a
-	// straggler child (a shard producer outliving its request) appears
+	// straggler child (a worker reader outliving its request) appears
 	// complete instead of half-written.
 	Span *Span `json:"-"`
 }

@@ -14,8 +14,8 @@ import (
 // StartChild/End unconditionally and cost nothing when tracing is off.
 //
 // A Span is safe for concurrent use: children may be attached from
-// producer goroutines (the shard scatter-gather) while the coordinator
-// reads, and End/Snapshot may race benignly — the duration is published
+// reader goroutines (a coordinator's worker streams) while the tree is
+// read, and End/Snapshot may race benignly — the duration is published
 // through one atomic, and an unfinished span snapshots with its live
 // duration.
 type Span struct {
@@ -156,9 +156,9 @@ func (s *Span) eachStage(fn func(name string, d time.Duration), onPath map[strin
 
 // EachStageMapped is EachStage through a name→stage mapping: fn runs
 // once per span whose mapped stage is non-empty and has not already
-// appeared on its ancestor path (by mapped name, so a "shard_enumerate"
-// under an outer "enumerate" is skipped while sibling shard slices each
-// count). It allocates nothing for the shallow trees the request hot
+// appeared on its ancestor path (by mapped name, so a "worker_stream"
+// under an outer "remote_merge" is skipped while sibling worker slices
+// each count). It allocates nothing for the shallow trees the request hot
 // path produces — this is how the server feeds its stage histograms
 // without rendering a SpanJSON snapshot per request.
 func (s *Span) EachStageMapped(mapName func(string) string, fn func(stage string, d time.Duration)) {

@@ -671,7 +671,7 @@ func (c *Coordinator) newGather(ctx context.Context, query string, k, positions 
 	srcs := make([]lazy.Source, len(c.eps))
 	for i := range srcs {
 		r := &shardReader{shardID: i, ch: make(chan []*lazy.Match, 1)}
-		srcs[i] = &readerSource{Chunks: lazy.NewChunks(r.ch), g: g, r: r}
+		srcs[i] = &readerSource{g: g, r: r}
 		go c.run(gctx, r, query, k, positions, span)
 	}
 	g.Merge = lazy.NewMerge(srcs)
@@ -688,22 +688,35 @@ func (g *gather) stop() {
 	}
 }
 
-// readerSource is one shard reader as a merge source. When the reader's
-// channel closes it applies the degradation policy: a clean end is
-// exhaustion; a topology mismatch or the fail policy sets the gather's
-// err; the partial policy drops the shard, marking the gather partial and
-// counting the query in /stats once, at the drop.
+// readerSource is one shard reader as a merge source: it hands out the
+// reader's chunks a match at a time. When the reader's channel closes it
+// applies the degradation policy: a clean end is exhaustion; a topology
+// mismatch or the fail policy sets the gather's err; the partial policy
+// drops the shard, marking the gather partial and counting the query in
+// /stats once, at the drop.
 type readerSource struct {
-	*lazy.Chunks
-	g *gather
-	r *shardReader
+	g   *gather
+	r   *shardReader
+	cur []*lazy.Match // the rest of the chunk being handed out
 }
 
 // Next implements lazy.Source.
 func (s *readerSource) Next() (*lazy.Match, bool) {
-	if m, ok := s.Chunks.Next(); ok {
-		return m, true
+	for len(s.cur) == 0 {
+		chunk, ok := <-s.r.ch
+		if !ok {
+			s.end()
+			return nil, false
+		}
+		s.cur = chunk
 	}
+	m := s.cur[0]
+	s.cur = s.cur[1:]
+	return m, true
+}
+
+// end applies the degradation policy once the reader's channel closes.
+func (s *readerSource) end() {
 	g := s.g
 	switch {
 	case s.r.err == nil:
@@ -715,7 +728,6 @@ func (s *readerSource) Next() (*lazy.Match, bool) {
 		g.partial = true
 		g.c.partials.Add(1)
 	}
-	return nil, false
 }
 
 // errPartialUnmarked guards against using TopKWith where the partial

@@ -75,6 +75,9 @@ type batchItem struct {
 	res   cachedResult
 	key   string // cache/dedup key; empty when the item is invalid
 	first int    // index of the first item with the same key, or own index
+	// canon is the parsed query when the item's q is already its
+	// canonical form, so a miss runs it without parsing it again.
+	canon *ktpm.Query
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -125,10 +128,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		batch := make([]ktpm.BatchItem, len(misses))
 		for i, f := range misses {
-			cq, err := s.db.ParseQuery(items[f].resp.Canonical)
-			if err != nil {
-				s.writeError(w, http.StatusInternalServerError, "canonical reparse: %v", err)
-				return
+			cq := items[f].canon
+			if cq == nil {
+				var err error
+				if cq, err = s.db.ParseQuery(items[f].resp.Canonical); err != nil {
+					s.writeError(w, http.StatusInternalServerError, "canonical reparse: %v", err)
+					return
+				}
 			}
 			batch[i] = ktpm.BatchItem{Query: cq, K: items[f].resp.K}
 		}
@@ -265,10 +271,14 @@ func (s *Server) parseBatch(w http.ResponseWriter, r *http.Request) ([]batchItem
 	for i, it := range req.Items {
 		items[i].resp.Query = it.Q
 		items[i].first = i
-		canonical, k, errMsg := s.validateBatchItem(it)
+		q, k, errMsg := s.validateBatchItem(it)
 		if errMsg != "" {
 			items[i].resp.Error = errMsg
 			continue
+		}
+		canonical := q.Canonical()
+		if it.Q == canonical {
+			items[i].canon = q
 		}
 		items[i].resp.Canonical = canonical
 		items[i].resp.K = k
@@ -283,31 +293,31 @@ func (s *Server) parseBatch(w http.ResponseWriter, r *http.Request) ([]batchItem
 }
 
 // validateBatchItem applies the /query parameter rules to one batch
-// item, returning the canonical form and resolved k, or a non-empty
-// error message mirroring parseRequest's texts.
-func (s *Server) validateBatchItem(it BatchRequestItem) (canonical string, k int, errMsg string) {
+// item, returning the parsed query and resolved k, or a non-empty error
+// message mirroring parseRequest's texts.
+func (s *Server) validateBatchItem(it BatchRequestItem) (q *ktpm.Query, k int, errMsg string) {
 	if it.Q == "" {
-		return "", 0, "missing required parameter q"
+		return nil, 0, "missing required parameter q"
 	}
 	if len(it.Q) > s.cfg.MaxQueryLen {
-		return "", 0, "query length " + strconv.Itoa(len(it.Q)) + " exceeds the maximum " + strconv.Itoa(s.cfg.MaxQueryLen)
+		return nil, 0, "query length " + strconv.Itoa(len(it.Q)) + " exceeds the maximum " + strconv.Itoa(s.cfg.MaxQueryLen)
 	}
 	k = it.K
 	if k == 0 {
 		k = s.cfg.DefaultK
 	}
 	if k < 1 {
-		return "", 0, "k must be a positive integer, got " + strconv.Itoa(it.K)
+		return nil, 0, "k must be a positive integer, got " + strconv.Itoa(it.K)
 	}
 	if k > s.cfg.MaxK {
-		return "", 0, "k=" + strconv.Itoa(k) + " exceeds the maximum " + strconv.Itoa(s.cfg.MaxK)
+		return nil, 0, "k=" + strconv.Itoa(k) + " exceeds the maximum " + strconv.Itoa(s.cfg.MaxK)
 	}
 	if it.Algo != "" {
-		return "", 0, errAlgoRemoved
+		return nil, 0, errAlgoRemoved
 	}
 	q, err := s.db.ParseQuery(it.Q)
 	if err != nil {
-		return "", 0, "bad query: " + err.Error()
+		return nil, 0, "bad query: " + err.Error()
 	}
-	return q.Canonical(), k, ""
+	return q, k, ""
 }

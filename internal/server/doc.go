@@ -14,8 +14,8 @@
 //
 //   - Concurrency: a fixed worker pool executes queries, so at most
 //     Config.Concurrency query executions are resident at once regardless
-//     of the HTTP connection count. (A sharded backend may fan one
-//     execution out to per-shard goroutines; the pool still bounds how
+//     of the HTTP connection count. (A distributed coordinator fans one
+//     execution out to per-worker readers; the pool still bounds how
 //     many requests execute simultaneously.)
 //   - Admission control: a bounded queue in front of the pool sheds
 //     overload with 503 instead of queueing unboundedly, and each request
@@ -29,5 +29,5 @@
 //
 // The Backend interface is the exact query surface these layers need;
 // serving a sharded database is transparent to every endpoint except
-// /stats and /metrics, which additionally report per-shard counters.
+// /stats and /metrics, which additionally report per-shard match counts.
 package server

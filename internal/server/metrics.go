@@ -104,7 +104,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("ktpmd_io_table_entries_read_total", "Simulated entries delivered by summary-table scans.", io.TableEntriesRead)
 	counter("ktpmd_io_tables_read_total", "Summary tables derived from the simulated disk (once per distinct table process-wide).", io.TablesRead)
 	counter("ktpmd_io_table_hits_total", "Table loads served from the shared derived plane without disk I/O.", io.TableHits)
-	counter("ktpmd_io_tables_loaded_total", "Closure tables materialized from the table source into the store layout (shared across shard replicas).", io.TablesLoaded)
+	counter("ktpmd_io_tables_loaded_total", "Closure tables materialized from the table source into the store layout.", io.TablesLoaded)
 
 	if s.obs != nil {
 		writeHistogram(&b, "ktpmd_request_duration_seconds",
@@ -172,13 +172,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for i, ps := range st.PerShard {
 			fmt.Fprintf(&b, "ktpmd_shard_vertices{shard=%q,partitioner=%q} %d\n", fmt.Sprint(i), st.Partitioner, ps.Vertices)
 		}
-		fmt.Fprintf(&b, "# HELP ktpmd_shard_merged_total Matches each shard contributed to scatter-gather merges.\n# TYPE ktpmd_shard_merged_total counter\n")
+		fmt.Fprintf(&b, "# HELP ktpmd_shard_merged_total Matches answers took (top-k: at or below the k-th score) whose root binding each shard owns.\n# TYPE ktpmd_shard_merged_total counter\n")
 		for i, ps := range st.PerShard {
 			fmt.Fprintf(&b, "ktpmd_shard_merged_total{shard=%q} %d\n", fmt.Sprint(i), ps.Merged)
-		}
-		fmt.Fprintf(&b, "# HELP ktpmd_shard_blocks_read_total Simulated block reads per shard store.\n# TYPE ktpmd_shard_blocks_read_total counter\n")
-		for i, ps := range st.PerShard {
-			fmt.Fprintf(&b, "ktpmd_shard_blocks_read_total{shard=%q} %d\n", fmt.Sprint(i), ps.IO.BlocksRead)
 		}
 	}
 

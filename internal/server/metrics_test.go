@@ -88,7 +88,6 @@ func TestMetricsAndStatsSharded(t *testing.T) {
 		"ktpmd_shards 3",
 		`ktpmd_shard_vertices{shard="0",partitioner="label"}`,
 		`ktpmd_shard_merged_total{shard="2"}`,
-		`ktpmd_shard_blocks_read_total{shard="1"}`,
 	} {
 		if !strings.Contains(mbody, w) {
 			t.Errorf("sharded metrics missing %q", w)

@@ -27,10 +27,9 @@ var endpointNames = map[string]string{
 }
 
 // stageNames is the fixed stage vocabulary: every span name the request
-// path emits maps to one of these histograms. shard_enumerate is a
-// per-shard slice of the enumerate stage and is folded into it;
-// worker_stream is a per-worker slice of the distributed remote_merge
-// stage and is folded into that.
+// path emits maps to one of these histograms. worker_stream is a
+// per-worker slice of the distributed remote_merge stage and is folded
+// into it.
 var stageNames = []string{
 	"parse", "admission_wait", "cache_probe", "enumerate", "shard_merge", "table_fault", "remote_merge", "encode",
 }
@@ -38,9 +37,6 @@ var stageNames = []string{
 // stageOf maps a span name to its stage histogram name ("" = not a
 // stage: root spans and decorative spans are not aggregated).
 func stageOf(name string) string {
-	if name == "shard_enumerate" {
-		return "enumerate"
-	}
 	if name == "worker_stream" {
 		return "remote_merge"
 	}

@@ -23,7 +23,7 @@ import (
 // execution (single, batched, and streaming), plans, and counters over
 // one immutable prepared graph. Both *ktpm.Database and
 // *ktpm.ShardedDatabase implement it, which is how ktpmd -shards routes
-// /query, /batch, /stream, and /explain through the scatter-gather path
+// /query, /batch, /stream, and /explain through the sharded database
 // without any endpoint noticing.
 type Backend interface {
 	ParseQuery(s string) (*ktpm.Query, error)
@@ -36,7 +36,7 @@ type Backend interface {
 }
 
 // shardStater is the optional Backend extension a sharded backend
-// implements; /stats and /metrics surface its per-shard counters.
+// implements; /stats and /metrics surface its per-shard match counts.
 type shardStater interface {
 	ShardStats() ktpm.ShardingStats
 }
@@ -768,11 +768,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Execute the canonical form so cached position numbering is
 	// reproducible regardless of which sibling order first filled the
-	// entry.
-	cq, err := s.db.ParseQuery(canonical)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "canonical reparse: %v", err)
-		return
+	// entry. A request already in canonical form parsed to exactly that.
+	cq := q
+	if resp.Query != canonical {
+		var err error
+		if cq, err = s.db.ParseQuery(canonical); err != nil {
+			s.writeError(w, http.StatusInternalServerError, "canonical reparse: %v", err)
+			return
+		}
 	}
 	res, coalesced, err := s.runQuery(w, r, key, cq, k)
 	if err != nil && !coalesced {
@@ -954,9 +957,8 @@ type StatsResponse struct {
 	// background compaction — when the backend is a live (writable)
 	// engine (ktpmd -wal-dir); omitted for read-only backends.
 	Ingest *ktpm.IngestStats `json:"ingest,omitempty"`
-	// Sharding reports per-shard vertex counts, merge contributions, and
-	// I/O counters when the backend is a ShardedDatabase; omitted for a
-	// single database.
+	// Sharding reports per-shard vertex and answered-match counts when
+	// the backend is a ShardedDatabase; omitted for a single database.
 	Sharding *ktpm.ShardingStats `json:"sharding,omitempty"`
 	// Workers reports the distributed coordinator's per-worker request,
 	// retry, hedge, and failure counters when the backend is a

@@ -564,3 +564,67 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		t.Errorf("errors = %v, want 0", e)
 	}
 }
+
+// parseCounter is a Backend that counts ParseQuery calls.
+type parseCounter struct {
+	Backend
+	parses int
+}
+
+func (p *parseCounter) ParseQuery(s string) (*ktpm.Query, error) {
+	p.parses++
+	return p.Backend.ParseQuery(s)
+}
+
+// TestCanonicalMissParsesOnce pins that a /query or /batch miss whose q
+// is already its canonical form runs the query it parsed, while any
+// other q is parsed again from its canonical form: one ParseQuery per
+// canonical miss, two per non-canonical miss, and the same answer
+// either way.
+func TestCanonicalMissParsesOnce(t *testing.T) {
+	pc := &parseCounter{Backend: testDatabase(t)}
+	s := New(pc, Config{CacheEntries: -1})
+	t.Cleanup(s.Close)
+	strip := func(body []byte) map[string]any {
+		var m map[string]any
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("bad body %q: %v", body, err)
+		}
+		delete(m, "query")
+		delete(m, "elapsed_ms")
+		if items, ok := m["items"].([]any); ok {
+			for _, it := range items {
+				delete(it.(map[string]any), "query")
+			}
+		}
+		return m
+	}
+	bodies := map[string]map[string]any{}
+	for _, c := range []struct{ q, endpoint string }{
+		{"C(E,S)", "query"}, {"C(S,E)", "query"},
+		{"C(E,S)", "batch"}, {"C(S,E)", "batch"},
+	} {
+		pc.parses = 0
+		var rec *httptest.ResponseRecorder
+		if c.endpoint == "query" {
+			rec, _ = getQuery(t, s, "/query?q="+url.QueryEscape(c.q)+"&k=5")
+		} else {
+			rec, _ = postBatch(t, s, `{"items":[{"q":"`+c.q+`","k":5}]}`)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", c.endpoint, c.q, rec.Code, rec.Body.String())
+		}
+		want := 1
+		if c.q != "C(E,S)" {
+			want = 2
+		}
+		if pc.parses != want {
+			t.Fatalf("%s %s: %d ParseQuery calls, want %d", c.endpoint, c.q, pc.parses, want)
+		}
+		body := strip(rec.Body.Bytes())
+		if prev, ok := bodies[c.endpoint]; ok && !reflect.DeepEqual(prev, body) {
+			t.Fatalf("%s: canonical and non-canonical q answer differently:\n%v\n%v", c.endpoint, prev, body)
+		}
+		bodies[c.endpoint] = body
+	}
+}

@@ -14,8 +14,9 @@ import (
 // line — in the order the backend's MatchStream emits them (score order;
 // canonical tie order on a sharded backend). It is the anytime face of
 // the enumerator: clients consume as many results as they want and hang
-// up, and the server computes only what was consumed (plus the bounded
-// chunk look-ahead of the scatter-gather transport). The response is
+// up, and the server computes only what was consumed (plus one tie
+// group, and on a coordinator the bounded chunk look-ahead of each
+// worker stream). The response is
 // flushed every StreamChunk matches, at which point the client's
 // liveness and the request deadline are also checked. A stream occupies
 // one worker slot (executor.Acquire) for its whole duration, so

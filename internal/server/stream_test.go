@@ -269,7 +269,7 @@ func TestStreamDeadlineMidStream(t *testing.T) {
 }
 
 // TestStreamSharded runs /stream against a sharded backend: the NDJSON
-// lines are the canonical scatter-gather stream.
+// lines are the sharded database's canonical stream.
 func TestStreamSharded(t *testing.T) {
 	db := testDatabase(t)
 	sdb, err := db.Shard(3, ktpm.PartitionByLabel())

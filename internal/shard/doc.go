@@ -1,37 +1,27 @@
 // Package shard partitions the match space of one prepared database
-// across N shards and scatter-gathers top-k queries over them.
+// across N shards and accounts each answer to them.
 //
 // # Partitioning axis
 //
 // Every tree-pattern match binds the query root to exactly one data node,
 // so assigning each data-graph vertex to one shard (the Partitioner
 // interface) induces a partition of the match space itself: shard i owns
-// precisely the matches whose root binding it owns. Restricting the lazy
-// enumerator with a root filter (lazy.Options.RootFilter) therefore makes
-// the shards' emissions disjoint, each sorted by score, and their union
-// exactly the unrestricted enumeration — the invariant the merge relies
-// on. Candidates for non-root query positions are never restricted; a
-// match rooted in shard i may bind descendants to vertices owned by any
-// shard.
+// precisely the matches whose root binding it owns. Candidates for
+// non-root query positions are never restricted; a match rooted in shard
+// i may bind descendants to vertices owned by any shard.
 //
-// # Per-shard stores
+// # One enumeration
 //
-// The transitive closure is computed once and shared read-only. Each
-// shard owns a store.Replica that shares the base store's immutable
-// layout and its derived-data plane, so D/E tables and wildcard merges
-// are derived once process-wide whatever the shard count. Only the
-// simulated-I/O counters are private, which is how /stats reports I/O
-// per shard as well as in aggregate.
-//
-// # Scatter-gather merge
-//
-// A query runs one enumerator goroutine per shard, each handing
-// score-ordered chunks into a bounded channel, and gathers them with
-// lazy.Merge — the same k-way merge that orders a single database's
-// answer and a coordinator's remote workers. The merge takes the
-// smallest head, stops pulling once no shard's head can beat the k-th
-// result, drains the k-th score's tie group, and orders equal scores by
-// node bindings, so the answer is byte-identical across shard counts and
-// partitioners. At one shard the enumerator is the merge's only source
-// and no goroutine runs.
+// The shards own no data and no work of their own. Topk-EN pays its
+// O(m_R) setup — D tables for every query edge, leaf activation, E-table
+// seeding — once per enumerator, so N root-filtered enumerators over one
+// closure pay it N times; BenchmarkShardedTopK found no (k, cores) point
+// where that bought time back (docs/DISTRIBUTED.md has the rule and the
+// table). A query therefore runs one enumerator over the shared store,
+// behind the same lazy.Merge that orders an unsharded answer, and the
+// answer is byte-identical for every shard count and partitioner. Each
+// match the merge takes — after TopK(q, k), every match at or below the
+// k-th score — is credited to the shard owning its root binding, which
+// is what Merged and /stats report. Shards that own data and run apart
+// are internal/remote's workers.
 package shard

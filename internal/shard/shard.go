@@ -12,7 +12,7 @@ import (
 )
 
 // Partitioner assigns every data-graph vertex to one of n shards, fixing
-// which shard enumerates the matches rooted at that vertex.
+// which shard owns the matches rooted at that vertex.
 type Partitioner interface {
 	// Partition returns the shard assignment: out[v] in [0, n) for every
 	// node v of g. Implementations must be deterministic — the assignment
@@ -46,8 +46,8 @@ func (Hash) Partition(g *graph.Graph, n int) []int32 {
 // LabelBalanced deals each label's vertices round-robin across shards, so
 // the root-candidate set of any query label splits near-evenly (counts
 // differ by at most one) regardless of label skew. This is the
-// label-aware strategy: the scatter-gather's critical path is the slowest
-// shard, and per-label balance bounds it for every possible root label.
+// label-aware strategy: a scatter-gather's critical path is the slowest
+// worker, and per-label balance bounds it for every possible root label.
 type LabelBalanced struct{}
 
 // Name implements Partitioner.
@@ -78,27 +78,25 @@ func Parse(name string) (Partitioner, bool) {
 	return nil, false
 }
 
-// DB is a root-partitioned view over one prepared closure: n shards, each
-// holding a private store replica and the set of vertices it owns.
+// DB is a root-partitioned view over one prepared store: n shards, each
+// owning a set of vertices and so the matches rooted at them. Every query
+// runs one enumeration over the store; the shards are its accounting.
 type DB struct {
 	n      int
 	name   string
+	st     *store.Store
 	assign []int32        // assign[v] = shard owning vertex v
 	sizes  []int          // vertices per shard
-	stores []*store.Store // per-shard replicas of the base store
-	merged []atomic.Int64 // matches each shard contributed to merges
+	merged []atomic.Int64 // matches merges took, by root owner
 }
 
-// New partitions base's graph into n shards using p. The base store is
-// left untouched (its caller may keep serving unsharded queries from it);
-// each shard receives a replica sharing the base's derived-data plane, so
-// summary tables and wildcard merges are derived once process-wide no
-// matter the shard count, while I/O counters stay per shard.
-func New(base *store.Store, n int, p Partitioner) (*DB, error) {
+// New partitions st's graph into n shards using p. st serves every query
+// unchanged, so its I/O counters are the sharded database's.
+func New(st *store.Store, n int, p Partitioner) (*DB, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count %d, want >= 1", n)
 	}
-	g := base.Graph()
+	g := st.Graph()
 	assign := p.Partition(g, n)
 	if len(assign) != g.NumNodes() {
 		return nil, fmt.Errorf("shard: partitioner %s assigned %d of %d vertices", p.Name(), len(assign), g.NumNodes())
@@ -106,9 +104,9 @@ func New(base *store.Store, n int, p Partitioner) (*DB, error) {
 	d := &DB{
 		n:      n,
 		name:   p.Name(),
+		st:     st,
 		assign: assign,
 		sizes:  make([]int, n),
-		stores: make([]*store.Store, n),
 		merged: make([]atomic.Int64, n),
 	}
 	for v, s := range assign {
@@ -116,9 +114,6 @@ func New(base *store.Store, n int, p Partitioner) (*DB, error) {
 			return nil, fmt.Errorf("shard: partitioner %s put vertex %d in shard %d of %d", p.Name(), v, s, n)
 		}
 		d.sizes[s]++
-	}
-	for i := 0; i < n; i++ {
-		d.stores[i] = base.Replica()
 	}
 	return d, nil
 }
@@ -133,156 +128,77 @@ func (d *DB) PartitionerName() string { return d.name }
 func (d *DB) ShardSize(i int) int { return d.sizes[i] }
 
 // Merged returns how many matches finished TopK calls and closed streams
-// have taken from shard i (lazy.Merge.Taken).
+// took whose root binding shard i owns: after one TopK(q, k), shard i's
+// matches scoring at or below the k-th score.
 func (d *DB) Merged(i int) int64 { return d.merged[i].Load() }
 
-// ShardCounters returns shard i's private simulated-I/O counters.
-func (d *DB) ShardCounters(i int) store.Counters { return d.stores[i].Counters() }
-
-// Counters returns the shards' I/O counters summed.
-func (d *DB) Counters() store.Counters {
-	var total store.Counters
-	for _, s := range d.stores {
-		c := s.Counters()
-		total.BlocksRead += c.BlocksRead
-		total.EntriesRead += c.EntriesRead
-		total.TableEntriesRead += c.TableEntriesRead
-		total.TablesRead += c.TablesRead
-		total.TableHits += c.TableHits
-	}
-	return total
-}
-
-// merge starts one query's scatter and returns the merge over it and the
-// function that stops it, which credits each shard's takes to Merged,
-// releases any producers still running and hands the shards' enumerators
-// back to their pool. The matches the merge yields live in those
-// enumerators, so callers copy what they keep before calling it. At one
-// shard the enumerator is the merge's only source: shard 0 owns every
-// vertex, so there is no ownership filter, no goroutine, and no
-// run-ahead. Otherwise one producer goroutine per shard runs Topk-EN over
-// the shard's replica, root-filtered to owned vertices (composed with any
-// caller filter), and hands score-ordered chunks of up to chunk matches
-// to the merge.
-func (d *DB) merge(t *query.Tree, base lazy.Options, chunk int) (*lazy.Merge, func()) {
-	srcs := make([]lazy.Source, d.n)
-	var release func()
-	if d.n == 1 {
-		e := lazy.New(d.stores[0], t, base)
-		srcs[0] = e
-		release = e.Release
-	} else {
-		done := make(chan struct{})
-		span := base.Trace.StartChild("shard_merge")
-		span.SetAttr("shards", d.n)
-		prods := make([]producer, d.n)
-		for i := range srcs {
-			// One buffered chunk lets a producer start its next chunk while
-			// the merge consumes the previous one.
-			ch := make(chan []*lazy.Match, 1)
-			srcs[i] = lazy.NewChunks(ch)
-			// The per-shard span is created here (attachment to the merge
-			// span is not goroutine-start ordered) and ended by the producer.
-			ssp := span.StartChild("shard_enumerate")
-			ssp.SetAttr("shard", i)
-			opt := base
-			opt.Trace = ssp
-			opt.RootFilter = func(v int32) bool {
-				return d.assign[v] == int32(i) && (base.RootFilter == nil || base.RootFilter(v))
-			}
-			pr := &prods[i]
-			pr.refs.Store(2)
-			go func() {
-				defer close(ch)
-				defer ssp.End()
-				e := lazy.New(d.stores[i], t, opt)
-				pr.e = e
-				defer pr.drop()
-				for {
-					buf := make([]*lazy.Match, chunk)
-					n := e.NextBatch(buf)
-					if n > 0 {
-						select {
-						case ch <- buf[:n:n]:
-						case <-done:
-							return
-						}
-					}
-					if n < chunk {
-						return // NextBatch ran dry: the shard is exhausted
-					}
-				}
-			}()
+// open starts one enumeration of t over the store: Topk-EN under opt
+// (its RootFilter passes through unchanged) behind the canonical merge,
+// inside a "shard_merge" span. The returned stop function releases the
+// enumerator and ends the span.
+func (d *DB) open(t *query.Tree, opt lazy.Options) (*lazy.Merge, func()) {
+	span := opt.Trace.StartChild("shard_merge")
+	span.SetAttr("shards", d.n)
+	opt.Trace = span
+	c := &creditor{d: d, e: lazy.New(d.st, t, opt)}
+	return lazy.NewMerge([]lazy.Source{c}), func() {
+		if c.head != nil {
+			d.merged[d.assign[c.head.Nodes[0]]].Add(-1) // pulled, never taken
 		}
-		release = func() {
-			close(done)
-			span.End()
-			for i := range prods {
-				prods[i].drop()
-			}
-		}
-	}
-	m := lazy.NewMerge(srcs)
-	return m, func() {
-		for i := range d.merged {
-			d.merged[i].Add(int64(m.Taken(i)))
-		}
-		release()
+		c.e.Release()
+		span.End()
 	}
 }
 
-// producer is one shard's enumerator and its two owners: the producer
-// goroutine and the merge's stop function. Whichever lets go last
-// releases it. A producer that runs dry exits while its matches may still
-// sit in its channel or in the merge's heads, so its exit alone never
-// releases the enumerator; the stop function comes after every copy.
-type producer struct {
+// creditor is a merge's one source: the enumerator, crediting each match
+// it hands over to the shard owning its root binding. The merge holds the
+// last match pulled as its head without taking it until the next take,
+// so stop debits that head: Merged counts exactly the matches taken.
+type creditor struct {
+	d    *DB
 	e    *lazy.Enumerator
-	refs atomic.Int32
+	head *lazy.Match // the last match pulled; nil once exhausted
 }
 
-func (p *producer) drop() {
-	if p.refs.Add(-1) == 0 {
-		p.e.Release()
+// Next implements lazy.Source.
+func (c *creditor) Next() (*lazy.Match, bool) {
+	m, ok := c.e.Next()
+	if !ok {
+		c.head = nil
+		return nil, false
 	}
+	c.d.merged[c.d.assign[m.Nodes[0]]].Add(1)
+	c.head = m
+	return m, true
 }
 
-// TopK scatter-gathers the k best matches of t across the shards and
-// hands them to keep: every shard enumerates its slice of the match space
-// concurrently and lazy.Merge gathers them, ceasing to pull from a shard
-// once its head — the best score the shard can still produce — cannot
-// beat the current k-th result. Equal scores are ordered by node
-// bindings, so for a fixed store contents the result is byte-identical
-// for every shard count and partitioner. A caller RootFilter in base
-// composes with (restricts within) shard ownership. The matches are valid
-// only during keep, which copies what it retains: the shards' enumerators
-// are released when TopK returns.
-func (d *DB) TopK(t *query.Tree, k int, base lazy.Options, keep func([]*lazy.Match)) {
+// TopK hands the k best matches of t to keep in canonical order —
+// non-decreasing score, equal scores by node bindings, the k-th score's
+// tie group drained — so the answer is byte-identical to an unsharded
+// database's for every shard count and partitioner. The matches are
+// valid only during keep, which copies what it retains: the enumerator
+// is released when TopK returns.
+func (d *DB) TopK(t *query.Tree, k int, opt lazy.Options, keep func([]*lazy.Match)) {
 	if k <= 0 {
 		keep(nil)
 		return
 	}
-	// Chunks larger than k would only make shards compute matches the
-	// merge can never need before its first threshold check.
-	m, stop := d.merge(t, base, min(k, lazy.ChunkSize))
+	m, stop := d.open(t, opt)
 	defer stop()
 	keep(m.TopK(k))
 }
 
-// Stream incrementally enumerates t's matches across the shards in the
-// same canonical order TopK returns: non-decreasing score, equal scores
-// by node bindings. Consumers that do not know k up front drain exactly
-// as far as they need; the merge buffers one tie group at a time, so
-// memory is O(largest tie group drained). A match Next returns is valid
-// until the next Next or Close, so consumers copy what they keep. Close
-// releases the producers; callers that do not drain to exhaustion must
-// call it.
-func (d *DB) Stream(t *query.Tree, base lazy.Options) *Stream {
-	m, stop := d.merge(t, base, lazy.ChunkSize)
+// Stream incrementally enumerates t's matches in the order TopK returns.
+// The merge takes one whole tie group at a time, so Merged counts every
+// tie group the stream reached. A match Next returns is valid until the
+// next Next or Close, so consumers copy what they keep. Callers that do
+// not drain to exhaustion must call Close.
+func (d *DB) Stream(t *query.Tree, opt lazy.Options) *Stream {
+	m, stop := d.open(t, opt)
 	return &Stream{m: m, stop: stop}
 }
 
-// Stream is an incremental scatter-gather enumeration; see DB.Stream.
+// Stream is an incremental enumeration; see DB.Stream.
 type Stream struct {
 	m      *lazy.Merge
 	stop   func()
@@ -302,10 +218,8 @@ func (s *Stream) Next() (*lazy.Match, bool) {
 	return m, ok
 }
 
-// Close stops the per-shard producers, credits the stream's takes to
-// Merged and releases the shards' enumerators, so every match Next
-// returned is invalid afterwards. Idempotent; exhaustion closes the
-// stream itself.
+// Close releases the enumerator, so every match Next returned is invalid
+// afterwards. Idempotent; exhaustion closes the stream itself.
 func (s *Stream) Close() {
 	if !s.closed {
 		s.closed = true

@@ -38,7 +38,7 @@
 // materialize the same lanes as []InEdge rows — a view for tests and
 // one-off readers, not a second layout.
 //
-// # Layout, plane, replica
+// # Layout, plane, counters
 //
 // A Store is three layers with different sharing disciplines:
 //
@@ -51,14 +51,12 @@
 //   - plane: the derived data — D/E summary tables and wildcard-merged
 //     incoming lists. In the paper these are materialized on disk next to
 //     the closure, so deriving one is offline work paid once; here each
-//     is derived exactly once process-wide and published through atomic
+//     is derived exactly once per store and published through atomic
 //     pointers (copy-on-write maps for the summary tables, per-node
 //     slots for wildcard merges), so reads are lock-free and the mutex
 //     is held only while a first derive publishes.
-//   - counters: simulated-I/O accounting, private to each Store value.
-//     Replica returns a Store sharing the layout and plane with fresh
-//     counters, which is how the shard package keeps per-shard /stats
-//     accounting without re-deriving any table per shard.
+//   - counters: simulated-I/O accounting, shared by every view of the
+//     store (WithTrace) and so by every query it serves.
 package store
 
 import (
@@ -114,9 +112,8 @@ type Counters struct {
 	// TableEntriesRead counts entries delivered by LoadD/LoadE only.
 	TableEntriesRead int64
 	// TablesRead counts summary tables materialized from the simulated
-	// disk: the first LoadD/LoadE for a given (α, β, childOnly) anywhere
-	// in the process derives the table and charges the calling replica;
-	// later loads are served from the shared derived plane at memory
+	// disk: the first LoadD/LoadE for a given (α, β, childOnly) derives
+	// the table; later loads are served from the derived plane at memory
 	// speed and count under TableHits instead.
 	TablesRead int64
 	// TableHits counts LoadD/LoadE calls answered by the shared derived
@@ -144,7 +141,7 @@ func (c *Counters) addTable(entries int64, derived bool) {
 // pairKey identifies one (α, β) closure table.
 type pairKey struct{ alpha, beta int32 }
 
-// layout is the closure image shared by every replica. The carved
+// layout is the closure image shared by every view. The carved
 // incoming lists grow monotonically as (α, β) tables fault in from the
 // source; reads are lock-free (one atomic load plus map lookups) and the
 // mutex is held only while a first carve publishes.
@@ -175,8 +172,7 @@ type layout struct {
 	// ones, cost nothing.
 	faults atomic.Int64
 	// tablesLoaded counts carves — closure tables materialized from the
-	// source into columns. Shared by every replica (the layout
-	// is), unlike the per-replica Counters.
+	// source into columns.
 	tablesLoaded atomic.Int64
 }
 
@@ -201,14 +197,13 @@ type plane struct {
 }
 
 // Store is a simulated disk image of one closure: an immutable layout, a
-// shared derived-data plane, and private I/O counters. A single Store
-// safely serves concurrent queries (derived reads are lock-free, counters
-// atomic); Replica adds independent accounting over the same data.
+// derived-data plane, and I/O counters. A single Store safely serves
+// concurrent queries (derived reads are lock-free, counters atomic).
 type Store struct {
 	lay *layout
 	pl  *plane
 
-	// counters is shared by every view of this replica (WithTrace returns
+	// counters is shared by every view of this store (WithTrace returns
 	// a view, not a fork), so traced requests charge the same accounting.
 	counters *Counters
 	// trace, when set, parents "table_fault" spans recorded around the
@@ -395,19 +390,10 @@ func (lay *layout) table(alpha, beta int32, tr *obs.Span) (t *colTab, ok bool) {
 	return tabs[k], ok
 }
 
-// Replica returns a store sharing s's immutable closure layout AND its
-// derived-data plane, with private I/O counters. The shard package gives
-// every shard a replica so per-shard /stats accounting stays isolated
-// while every derived table is still computed at most once process-wide;
-// the marginal memory cost of a replica is one Counters value.
-func (s *Store) Replica() *Store {
-	return &Store{lay: s.lay, pl: s.pl, counters: &Counters{}}
-}
-
 // WithTrace returns a view of s whose slow paths — table carves and first
 // derives — record "table_fault" spans under sp. The view shares s's
 // layout, plane, AND counters, so it is a per-request lens, not a fork:
-// I/O charged through it lands on the same replica accounting. A nil sp
+// I/O charged through it lands on the same accounting. A nil sp
 // returns s unchanged.
 func (s *Store) WithTrace(sp *obs.Span) *Store {
 	if sp == nil {
@@ -604,8 +590,8 @@ func (s *Store) LoadBlock(alpha, v int32, idx int) (entries []InEdge, last bool)
 // LoadD reads the D^alpha_beta table: per target node with label beta, the
 // minimum incoming distance from label alpha. childOnly restricts to
 // direct edges (the '/' variant); wildcard alpha/beta merge labels. The
-// first call anywhere in the process derives the table (TablesRead);
-// later calls on any replica read the shared plane (TableHits). The
+// first call derives the table (TablesRead); later calls read the
+// plane (TableHits). The
 // returned slice is the published table; callers must not modify it.
 func (s *Store) LoadD(alpha, beta int32, childOnly bool) []DEntry {
 	k := tableKey{alpha, beta, childOnly}
@@ -723,8 +709,7 @@ func (s *Store) forTargets(beta int32, fn func(v int32)) {
 func (s *Store) TotalEdges() int64 { return s.lay.src.NumEntries() }
 
 // TablesLoaded returns how many closure tables have been materialized
-// from the source into the layout's columns. The layout is shared,
-// so every replica reports the same number; after New (or
+// from the source into the layout's columns. After New (or
 // MaterializeAll) it is the full table count, while a store over a lazy
 // snapshot starts at 0 and grows as queries fault tables in.
 func (s *Store) TablesLoaded() int64 { return s.lay.tablesLoaded.Load() }

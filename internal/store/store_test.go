@@ -247,20 +247,16 @@ func TestBlockBoundaries(t *testing.T) {
 	}
 }
 
-// TestSharedPlaneDerivesOnce races many replicas into the same first
-// derives (run with -race, as CI does): every distinct D table, E table,
-// and wildcard merge must be derived exactly once process-wide no matter
-// how many replicas ask concurrently, with every caller seeing the same
-// published slice.
+// TestSharedPlaneDerivesOnce races many goroutines into the same first
+// derives of one store (run with -race, as CI does): every distinct D
+// table, E table, and wildcard merge must be derived exactly once no
+// matter how many callers ask concurrently, with every caller seeing the
+// same published slice.
 func TestSharedPlaneDerivesOnce(t *testing.T) {
 	g := gen.ErdosRenyi(120, 600, 6, 77)
 	c := closure.Compute(g, closure.Options{})
-	base := New(c, 8)
-	const replicas = 8
-	stores := make([]*Store, replicas)
-	for i := range stores {
-		stores[i] = base.Replica()
-	}
+	s := New(c, 8)
+	const callers = 8
 	nl := int32(g.NumLabels())
 	type load struct{ alpha, beta int32 }
 	var keys []load
@@ -270,14 +266,13 @@ func TestSharedPlaneDerivesOnce(t *testing.T) {
 		}
 	}
 	keys = append(keys, load{label.Wildcard, 0}, load{0, label.Wildcard})
-	dGot := make([][][]DEntry, replicas)
-	eGot := make([][][]EEntry, replicas)
+	dGot := make([][][]DEntry, callers)
+	eGot := make([][][]EEntry, callers)
 	var wg sync.WaitGroup
-	for i := 0; i < replicas; i++ {
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s := stores[i]
 			for _, k := range keys {
 				dGot[i] = append(dGot[i], s.LoadD(k.alpha, k.beta, false))
 				eGot[i] = append(eGot[i], s.LoadE(k.alpha, k.beta, false))
@@ -288,64 +283,20 @@ func TestSharedPlaneDerivesOnce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < replicas; i++ {
+	for i := 1; i < callers; i++ {
 		if !reflect.DeepEqual(dGot[i], dGot[0]) || !reflect.DeepEqual(eGot[i], eGot[0]) {
-			t.Fatalf("replica %d saw different derived tables than replica 0", i)
+			t.Fatalf("caller %d saw different derived tables than caller 0", i)
 		}
 	}
-	var derives, hits int64
-	for _, s := range stores {
-		cnt := s.Counters()
-		derives += cnt.TablesRead
-		hits += cnt.TableHits
-	}
+	cnt := s.Counters()
+	derives, hits := cnt.TablesRead, cnt.TableHits
 	distinct := int64(2 * len(keys)) // one D and one E table per key
 	if derives != distinct {
-		t.Fatalf("summed TablesRead = %d, want exactly %d distinct derives", derives, distinct)
+		t.Fatalf("TablesRead = %d, want exactly %d distinct derives", derives, distinct)
 	}
-	wantCalls := int64(replicas) * distinct
+	wantCalls := int64(callers) * distinct
 	if derives+hits != wantCalls {
 		t.Fatalf("derives %d + hits %d = %d, want %d total loads", derives, hits, derives+hits, wantCalls)
-	}
-	if c := base.Counters(); c.TablesRead != 0 || c.TableHits != 0 {
-		t.Fatalf("base store counters moved (%+v) though only replicas loaded", c)
-	}
-}
-
-// TestReplicaCountersIsolation proves replica accounting never bleeds:
-// I/O charged on one replica must be invisible on the base store and on
-// sibling replicas, while derived data stays shared.
-func TestReplicaCountersIsolation(t *testing.T) {
-	g, c := smallGraph(t)
-	base := New(c, 1)
-	r1, r2 := base.Replica(), base.Replica()
-
-	r1.LoadD(lbl(g, "a"), lbl(g, "d"), false) // first derive: r1 pays it
-	r1.LoadBlock(lbl(g, "a"), 4, 0)
-	c1 := r1.Counters()
-	if c1.TablesRead != 1 || c1.BlocksRead != 1 {
-		t.Fatalf("r1 counters = %+v, want 1 table derive and 1 block", c1)
-	}
-	for name, s := range map[string]*Store{"base": base, "r2": r2} {
-		if cnt := s.Counters(); cnt != (Counters{}) {
-			t.Fatalf("%s counters = %+v, want all zero after r1's I/O", name, cnt)
-		}
-	}
-
-	// The same table from r2 is a plane hit: entries delivered, no derive.
-	d2 := r2.LoadD(lbl(g, "a"), lbl(g, "d"), false)
-	c2 := r2.Counters()
-	if c2.TablesRead != 0 || c2.TableHits != 1 || c2.TableEntriesRead != int64(len(d2)) {
-		t.Fatalf("r2 counters = %+v, want a pure plane hit", c2)
-	}
-	if got := r1.Counters(); got != c1 {
-		t.Fatalf("r1 counters moved from %+v to %+v on r2's load", c1, got)
-	}
-
-	// ResetCounters on a replica must not disturb siblings.
-	r1.ResetCounters()
-	if got := r2.Counters(); got != c2 {
-		t.Fatalf("r2 counters changed by r1's reset: %+v -> %+v", c2, got)
 	}
 }
 
@@ -447,24 +398,6 @@ func TestLazySourceConcurrentFaults(t *testing.T) {
 	}
 	if n, want := lazy.TablesLoaded(), int64(c.NumTables()); n != want {
 		t.Fatalf("concurrent faults carved %d tables, want %d", n, want)
-	}
-}
-
-// TestLazyReplicaSharesCarves pins that replicas share the carved
-// layout: a table faulted through one replica is resident for all.
-func TestLazyReplicaSharesCarves(t *testing.T) {
-	g, c := smallGraph(t)
-	base := NewFromSource(c, 2)
-	r1, r2 := base.Replica(), base.Replica()
-	a := lbl(g, "a")
-	r1.LoadBlock(a, 4, 0)
-	n := base.TablesLoaded()
-	if n == 0 {
-		t.Fatal("no table carved")
-	}
-	r2.LoadBlock(a, 4, 0)
-	if base.TablesLoaded() != n || r1.TablesLoaded() != n || r2.TablesLoaded() != n {
-		t.Fatal("replicas do not share carved tables")
 	}
 }
 

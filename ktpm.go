@@ -37,9 +37,9 @@
 // # Scaling out
 //
 // Database.Shard partitions the match space across N shards by root
-// binding and scatter-gathers TopK over them with a streaming k-way
-// merge; see ShardedDatabase. A Database and every ShardedDatabase built
-// from it are safe for concurrent use.
+// binding and credits each match to its shard; see ShardedDatabase.
+// Process-level shards are internal/remote's workers. A Database and
+// every ShardedDatabase built from it are safe for concurrent use.
 //
 // # Snapshots
 //
@@ -346,9 +346,8 @@ type IOStats struct {
 	// TableEntriesRead counts entries delivered by table scans only.
 	TableEntriesRead int64
 	// TablesRead counts summary tables materialized from the simulated
-	// disk. Each distinct table is derived once process-wide and then
-	// served from the shared derived plane, so this stays flat as shard
-	// or replica counts grow.
+	// disk. Each distinct table is derived once per store and then
+	// served from its derived plane.
 	TablesRead int64
 	// TableHits counts table loads served from the shared derived plane
 	// without touching the simulated disk.
@@ -357,8 +356,7 @@ type IOStats struct {
 	// source into the store layout. A database built (or opened) eagerly
 	// reports the full table count from the start; one opened with
 	// OpenSnapshot in lazy or mmap mode starts at 0 and grows as queries
-	// fault tables in. The layout is shared, so this stays flat as shard
-	// or replica counts grow.
+	// fault tables in.
 	TablesLoaded int64
 	// SnapshotBytesMapped is the live memory-mapped snapshot size; 0
 	// unless the database was opened with SnapshotMMap.
@@ -436,13 +434,11 @@ type Options struct {
 	// position binds a data node the filter accepts; other positions are
 	// unaffected. Because every match binds the root to exactly one data
 	// node, filters over disjoint vertex sets partition the match space.
-	// On the sharded forms it composes with — restricts within — shard
-	// ownership.
 	RootFilter func(v int32) bool
 	// Trace, when non-nil, parents the call's trace spans: enumeration
 	// records "table_fault" spans around store carves and derives, and
-	// sharded execution adds a "shard_merge" span with per-shard
-	// "shard_enumerate" children. Nil disables tracing at zero cost.
+	// sharded execution nests them under a "shard_merge" span. Nil
+	// disables tracing at zero cost.
 	Trace *Span
 }
 
@@ -519,7 +515,7 @@ func detach(ms []*lazy.Match, nT int) []Match {
 
 // MatchStream is an incremental enumeration of matches in non-decreasing
 // score order, for consumers that do not know k up front. Both *Stream
-// (single database) and *ShardStream (scatter-gather) implement it; the
+// (single database) and *ShardStream (sharded database) implement it; the
 // server's NDJSON /stream endpoint is written against this interface.
 // Consumers that stop before exhaustion must call Close.
 type MatchStream interface {

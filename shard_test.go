@@ -2,8 +2,10 @@ package ktpm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -173,7 +175,7 @@ func TestShardedTopKUniformTies(t *testing.T) {
 	}
 }
 
-// TestShardedTopKAcrossAlgorithms holds the sharded scatter-gather to the
+// TestShardedTopKAcrossAlgorithms holds the sharded database to the
 // brute-force oracle match for match, and checks that the baselines over
 // the wrapped database produce the same score sequence.
 func TestShardedTopKAcrossAlgorithms(t *testing.T) {
@@ -202,8 +204,8 @@ func TestShardedTopKAcrossAlgorithms(t *testing.T) {
 }
 
 // TestShardedConcurrentQueries hammers one ShardedDatabase from many
-// goroutines (run with -race, as CI does): per-shard stores must keep
-// their caches and counters coherent while scatter-gather merges overlap.
+// goroutines (run with -race, as CI does): the shared store and the
+// per-shard counts must stay coherent while queries overlap.
 func TestShardedConcurrentQueries(t *testing.T) {
 	db := randomDatabase(t, 250, 11)
 	sdb, err := db.Shard(4, PartitionByLabel())
@@ -274,9 +276,8 @@ func TestShardedConcurrentQueries(t *testing.T) {
 }
 
 // TestShardedTablesReadFlat is the shared-plane accounting property: the
-// number of summary tables derived from the simulated disk, summed across
-// all shard replicas, must not grow with the shard count — each distinct
-// table is derived once process-wide.
+// number of summary tables derived from the simulated disk must not grow
+// with the shard count — each distinct table is derived once.
 func TestShardedTablesReadFlat(t *testing.T) {
 	queries := []string{"a(b)", "a(b,c)", "b(c(d))", "a(*,c)"}
 	run := func(d *shard.DB, db *Database) int64 {
@@ -287,7 +288,7 @@ func TestShardedTablesReadFlat(t *testing.T) {
 			}
 			d.TopK(q.t, 10, lazy.Options{}, func([]*lazy.Match) {})
 		}
-		return d.Counters().TablesRead
+		return db.IOStats().TablesRead
 	}
 	derives := make(map[int]int64)
 	for _, n := range []int{1, 2, 4, 8} {
@@ -376,6 +377,136 @@ func TestParsePartitionerCoversShardParse(t *testing.T) {
 		}
 		if ip.Name() != pp.Name() {
 			t.Fatalf("resolvers name %q differently: internal %q, public %q", name, ip.Name(), pp.Name())
+		}
+	}
+}
+
+// shardTestQueries are the warmed queries the sharded I/O and credit
+// tests run.
+var shardTestQueries = []string{"a(b)", "a(b,c)", "b(c(d))", "a(*,c)", "c(d,e)"}
+
+// TestShardedIOMatchesSingleDatabase pins that sharding does no
+// enumeration work of its own: for every shard count in {1, 2, 4, 8} and
+// both partitioners, a ShardedDatabase's TopK and drained Stream add
+// exactly the EntriesRead and BlocksRead a Database adds for the same
+// warmed query.
+func TestShardedIOMatchesSingleDatabase(t *testing.T) {
+	db := randomDatabase(t, 90, 3)
+	const k = 10
+	type cost struct{ entries, blocks int64 }
+	measure := func(io func() IOStats, run func()) cost {
+		before := io()
+		run()
+		after := io()
+		return cost{after.EntriesRead - before.EntriesRead, after.BlocksRead - before.BlocksRead}
+	}
+	type runner interface {
+		TopK(*Query, int) ([]Match, error)
+		OpenStream(*Query, Options) (MatchStream, error)
+		IOStats() IOStats
+	}
+	costs := func(b runner, q *Query) (topk, stream cost) {
+		topk = measure(b.IOStats, func() {
+			if _, err := b.TopK(q, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		stream = measure(b.IOStats, func() {
+			st, err := b.OpenStream(q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			drain(st, math.MaxInt)
+			st.Close()
+		})
+		return topk, stream
+	}
+	queries := make([]*Query, len(shardTestQueries))
+	for i, qs := range shardTestQueries {
+		q, err := db.ParseQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[i] = q
+		costs(db, q) // warm: first derives and carves
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		for _, p := range []Partitioner{PartitionByHash(), PartitionByLabel()} {
+			sdb, err := db.Shard(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range queries {
+				wantTopK, wantStream := costs(db, q)
+				if wantTopK.entries == 0 || wantStream.entries == 0 {
+					t.Fatalf("%q read no entries; the check is vacuous", shardTestQueries[i])
+				}
+				gotTopK, gotStream := costs(sdb, q)
+				if gotTopK != wantTopK || gotStream != wantStream {
+					t.Fatalf("shards=%d/%s %q: TopK read %+v, Stream %+v; a Database reads %+v and %+v",
+						n, p.Name(), shardTestQueries[i], gotTopK, gotStream, wantTopK, wantStream)
+				}
+			}
+		}
+	}
+}
+
+// TestShardMergedCreditsRootOwner pins what ShardStats.Merged counts:
+// every match a merge took, credited to the shard owning its root
+// binding. After TopK(q, k) that is every match scoring at or below the
+// k-th score, ties past k included; after a stream emitted m matches,
+// every match scoring at or below the m-th. An open ShardStream starts
+// no goroutine.
+func TestShardMergedCreditsRootOwner(t *testing.T) {
+	db := randomDatabase(t, 90, 17)
+	const k, emitted = 7, 12
+	for _, n := range []int{1, 2, 4, 8} {
+		for _, p := range []Partitioner{PartitionByHash(), PartitionByLabel()} {
+			sdb, err := db.Shard(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assign := p.Partition(db.Graph(), n)
+			want := make([]int64, n)
+			// credit adds every match of all scoring at or below the
+			// score of the first m.
+			credit := func(all []Match, m int) {
+				for _, x := range all {
+					if x.Score <= all[min(m, len(all))-1].Score {
+						want[assign[x.Nodes[0]]]++
+					}
+				}
+			}
+			for _, qs := range shardTestQueries {
+				q, err := sdb.ParseQuery(qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all, err := db.TopK(q, int(db.CountMatches(q)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sdb.TopK(q, k); err != nil {
+					t.Fatal(err)
+				}
+				credit(all, k)
+				before := runtime.NumGoroutine()
+				st, err := sdb.Stream(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				drain(st, emitted)
+				if now := runtime.NumGoroutine(); now > before {
+					t.Fatalf("shards=%d/%s %q: an open stream runs %d goroutines", n, p.Name(), qs, now-before)
+				}
+				st.Close()
+				credit(all, emitted)
+			}
+			for i, ps := range sdb.ShardStats().PerShard {
+				if ps.Merged != want[i] {
+					t.Fatalf("shards=%d/%s: shard %d Merged %d, want %d", n, p.Name(), i, ps.Merged, want[i])
+				}
+			}
 		}
 	}
 }

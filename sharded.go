@@ -10,8 +10,9 @@ import (
 )
 
 // Partitioner assigns every data-graph vertex to one of n shards of a
-// ShardedDatabase, fixing which shard enumerates the matches rooted at
-// that vertex. Implementations must be deterministic.
+// ShardedDatabase (or of a coordinator's workers), fixing which shard
+// owns the matches rooted at that vertex. Implementations must be
+// deterministic.
 type Partitioner interface {
 	// Partition returns the shard assignment: out[v] in [0, n) for every
 	// node v of g.
@@ -65,14 +66,14 @@ func (a partitionerAdapter) Partition(g *graph.Graph, n int) []int32 {
 }
 func (a partitionerAdapter) Name() string { return a.p.Name() }
 
-// ShardedDatabase partitions a Database's match space across n shards and
-// scatter-gathers TopK across them: every match binds the query root to
-// exactly one data node, so assigning each vertex to one shard splits the
-// match space disjointly; each shard enumerates its slice concurrently
-// (over a private store replica, so shards share no locks and keep their
-// own I/O counters) and a bounded streaming k-way merge gathers the
-// global top k, ceasing to pull from a shard once its best possible
-// remaining score cannot beat the current k-th result.
+// ShardedDatabase partitions a Database's match space across n shards:
+// every match binds the query root to exactly one data node, so assigning
+// each vertex to one shard splits the match space disjointly. Each TopK
+// and Stream runs one Topk-EN enumeration over the wrapped database's
+// store and credits every match its merge takes to the shard owning its
+// root binding (ShardStats). The shards own no data and run no work
+// of their own: N enumerators over one closure would pay Topk-EN's
+// setup N times (docs/DISTRIBUTED.md).
 //
 // Results are deterministic: all matches scoring strictly below the k-th
 // score are included and equal scores order by node bindings, so the
@@ -85,8 +86,8 @@ type ShardedDatabase struct {
 }
 
 // Shard partitions db's match space across n shards using p (nil means
-// PartitionByHash). The transitive closure is shared, not recomputed:
-// only per-shard store caches and counters are allocated.
+// PartitionByHash). The closure and store are db's own: only the vertex
+// assignment and the per-shard match counts are allocated.
 func (db *Database) Shard(n int, p Partitioner) (*ShardedDatabase, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("ktpm: shard count %d, want >= 1", n)
@@ -114,15 +115,12 @@ func (s *ShardedDatabase) ParseQuery(qs string) (*Query, error) { return s.db.Pa
 // The plan describes the shared closure, which sharding does not change.
 func (s *ShardedDatabase) Explain(q *Query) (*Plan, error) { return s.db.Explain(q) }
 
-// TopK returns the k best matches, scatter-gathered across the shards
-// with Topk-EN.
+// TopK returns the k best matches, enumerated by Topk-EN.
 func (s *ShardedDatabase) TopK(q *Query, k int) ([]Match, error) {
 	return s.TopKWith(q, k, Options{})
 }
 
-// TopKWith returns the k best matches under opt, scatter-gathered across
-// the shards; a RootFilter composes with (restricts within) shard
-// ownership.
+// TopKWith returns the k best matches under opt; see Database.TopKWith.
 func (s *ShardedDatabase) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
 	if q == nil || q.t == nil {
 		return nil, fmt.Errorf("ktpm: nil query")
@@ -138,31 +136,26 @@ func (s *ShardedDatabase) TopKWith(q *Query, k int, opt Options) ([]Match, error
 }
 
 // TopKBatch answers many queries in one call; see Database.TopKBatch.
-// Every item scatter-gathers across the shards and warms the shared
-// derived-data plane, so a batch derives each distinct table at most
-// once no matter how many items touch it.
 func (s *ShardedDatabase) TopKBatch(items []BatchItem) []BatchResult {
 	return runBatch(items, s.IOStats, s.TopKWith)
 }
 
-// ShardStream incrementally enumerates matches scatter-gathered across
-// the shards in the canonical order ShardedDatabase.TopK returns:
-// non-decreasing score, equal scores ordered by node bindings. Drained
-// to any k it is byte-identical to TopK(q, k). Close stops the per-shard
-// producer goroutines; consumers that do not drain to exhaustion must
-// call it (defer st.Close() is the idiom).
+// ShardStream incrementally enumerates matches in the canonical order
+// ShardedDatabase.TopK returns: non-decreasing score, equal scores
+// ordered by node bindings. Drained to any k it is byte-identical to
+// TopK(q, k). Close releases its enumerator; consumers that do not drain
+// to exhaustion must call it (defer st.Close() is the idiom).
 type ShardStream struct {
 	st  *shard.Stream
 	buf nodeBuf
 }
 
-// Stream opens an incremental scatter-gather enumeration of q.
+// Stream opens an incremental enumeration of q.
 func (s *ShardedDatabase) Stream(q *Query) (*ShardStream, error) {
 	return s.StreamWith(q, Options{})
 }
 
-// StreamWith is Stream with options: RootFilter composes with shard
-// ownership.
+// StreamWith is Stream with options.
 func (s *ShardedDatabase) StreamWith(q *Query, opt Options) (*ShardStream, error) {
 	if q == nil || q.t == nil {
 		return nil, fmt.Errorf("ktpm: nil query")
@@ -186,32 +179,16 @@ func (ss *ShardStream) Next() (Match, bool) {
 	return Match{Nodes: ss.buf.copy(m.Nodes), Score: m.Score}, true
 }
 
-// Close stops the per-shard producers and releases their enumerators;
-// Next reports false afterwards. Idempotent.
+// Close releases the stream's enumerator; Next reports false afterwards.
+// Idempotent.
 func (ss *ShardStream) Close() { ss.st.Close() }
 
-// IOStats returns the simulated-I/O counters summed over every shard
-// store, which serve all enumeration. TablesLoaded and
-// SnapshotBytesMapped come from the wrapped Database: the layout (and
-// with it the snapshot backing) is shared by every shard replica, so
-// they are properties of the database, not sums.
-func (s *ShardedDatabase) IOStats() IOStats {
-	c := s.sd.Counters()
-	base := s.db.IOStats()
-	return IOStats{
-		BlocksRead:          c.BlocksRead,
-		EntriesRead:         c.EntriesRead,
-		TableEntriesRead:    c.TableEntriesRead,
-		TablesRead:          c.TablesRead,
-		TableHits:           c.TableHits,
-		TablesLoaded:        base.TablesLoaded,
-		SnapshotBytesMapped: base.SnapshotBytesMapped,
-	}
-}
+// IOStats returns the wrapped Database's simulated-I/O counters: its
+// store serves every sharded query.
+func (s *ShardedDatabase) IOStats() IOStats { return s.db.IOStats() }
 
-// SnapshotStats reports the wrapped Database's snapshot backing (the
-// layout is shared by every shard replica, so there is exactly one); ok
-// is false when the database was not opened from a snapshot.
+// SnapshotStats reports the wrapped Database's snapshot backing; ok is
+// false when the database was not opened from a snapshot.
 func (s *ShardedDatabase) SnapshotStats() (SnapshotStats, bool) { return s.db.SnapshotStats() }
 
 // ShardStats describes one shard of a ShardedDatabase in /stats.
@@ -219,12 +196,11 @@ type ShardStats struct {
 	// Vertices is how many data-graph vertices the shard owns, i.e. how
 	// many root bindings it is responsible for.
 	Vertices int `json:"vertices"`
-	// Merged counts the matches scatter-gather merges have taken from
-	// this shard: after one TopK(q, k), its matches scoring at or below
-	// the k-th score.
+	// Merged counts the matches merges have taken whose root binding
+	// this shard owns: after one TopK(q, k), the shard's matches scoring
+	// at or below the k-th score (ties past k included); for a stream,
+	// every tie group it reached.
 	Merged int64 `json:"merged"`
-	// IO is the shard store's private simulated-I/O counters.
-	IO IOStats `json:"io"`
 }
 
 // ShardingStats summarizes a ShardedDatabase for /stats.
@@ -234,7 +210,7 @@ type ShardingStats struct {
 	PerShard    []ShardStats `json:"per_shard"`
 }
 
-// ShardStats returns the per-shard counters.
+// ShardStats returns the per-shard vertex and match counts.
 func (s *ShardedDatabase) ShardStats() ShardingStats {
 	st := ShardingStats{
 		Shards:      s.sd.NumShards(),
@@ -242,18 +218,7 @@ func (s *ShardedDatabase) ShardStats() ShardingStats {
 		PerShard:    make([]ShardStats, s.sd.NumShards()),
 	}
 	for i := range st.PerShard {
-		c := s.sd.ShardCounters(i)
-		st.PerShard[i] = ShardStats{
-			Vertices: s.sd.ShardSize(i),
-			Merged:   s.sd.Merged(i),
-			IO: IOStats{
-				BlocksRead:       c.BlocksRead,
-				EntriesRead:      c.EntriesRead,
-				TableEntriesRead: c.TableEntriesRead,
-				TablesRead:       c.TablesRead,
-				TableHits:        c.TableHits,
-			},
-		}
+		st.PerShard[i] = ShardStats{Vertices: s.sd.ShardSize(i), Merged: s.sd.Merged(i)}
 	}
 	return st
 }

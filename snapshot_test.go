@@ -243,8 +243,8 @@ func TestSnapshotLazyOpenDoesNoTableWork(t *testing.T) {
 	}
 }
 
-// TestSnapshotSharedAcrossReplicas pins that shard replicas share the
-// faulted tables: sharding a lazy snapshot database and querying it
+// TestSnapshotSharedAcrossReplicas pins that shards share the faulted
+// tables: sharding a lazy snapshot database and querying it
 // leaves TablesLoaded flat relative to the unsharded run, not multiplied
 // by the shard count.
 func TestSnapshotSharedAcrossReplicas(t *testing.T) {
