@@ -13,18 +13,17 @@
 //	ktpmd -snapshot g.snap -snapshot-mode mmap
 //
 // Beyond the default single-process mode (-role serve), the daemon can
-// be one node of a distributed scatter-gather topology: -role worker
-// serves one shard's score-ordered match stream as binary frames, and
-// -role coordinator merges N worker streams with the same threshold-
-// terminating k-way merge a single database answers through, so results
-// are byte-identical to a single node:
+// be one node of a replicated fleet: -role worker serves its database's
+// score-ordered match stream as binary frames, and -role coordinator
+// routes each request whole to one worker replica, moving it to another
+// replica if that one fails, so results are byte-identical to a single
+// node:
 //
-//	ktpmd -role worker -snapshot g.snap -worker-index 0 -worker-count 2 -addr :9101
-//	ktpmd -role worker -snapshot g.snap -worker-index 1 -worker-count 2 -addr :9102
-//	ktpmd -role coordinator -snapshot g.snap -workers localhost:9101,localhost:9102 \
-//	      -hedge-after 50ms -worker-retries 2 -degraded partial
+//	ktpmd -role worker -snapshot g.snap -addr :9101
+//	ktpmd -role worker -snapshot g.snap -addr :9102
+//	ktpmd -role coordinator -snapshot g.snap -workers localhost:9101,localhost:9102
 //
-// See docs/DISTRIBUTED.md for the topology, failure-handling, and
+// See docs/DISTRIBUTED.md for the routing, failure-handling, and
 // deployment story.
 //
 // With -wal-dir the daemon additionally accepts writes: POST /ingest
@@ -111,20 +110,20 @@ func main() {
 		maxBody      = flag.Int64("max-body-bytes", 0, "largest accepted POST body in bytes, answered 413 beyond it (0 = default 4MiB, negative disables the cap)")
 		drainTimeout = flag.Duration("drain-timeout", 0, "how long shutdown waits for in-flight requests after SIGTERM/SIGINT before exiting anyway (0 = default 10s)")
 
-		role          = flag.String("role", "serve", "process role: serve (single node), worker (serve one shard's match stream), or coordinator (merge worker streams)")
-		workerIndex   = flag.Int("worker-index", 0, "worker role: this worker's shard id in [0, worker-count)")
-		workerCount   = flag.Int("worker-count", 0, "worker role: the topology's worker count")
-		workersList   = flag.String("workers", "", "coordinator role: comma-separated worker addresses, one per shard in shard order; separate a shard's hedge replicas with '|' (e.g. 'a:9101,b:9102|c:9102')")
-		workerTimeout = flag.Duration("worker-timeout", 0, "coordinator role: per-stall timeout on a worker connection — handshake wait and every inter-frame gap (0 = default 5s)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "coordinator role: fire a hedged second open if a worker has not answered within this duration (0 disables hedging)")
-		workerRetries = flag.Int("worker-retries", 0, "coordinator role: reopen a failed shard stream up to N times, resuming where the merge left off (0 = no retries)")
-		retryBackoff  = flag.Duration("retry-backoff", 0, "coordinator role: delay before the first retry, doubling per attempt (0 = default 50ms)")
-		degraded      = flag.String("degraded", "fail", "coordinator role: policy when a shard's retries are exhausted: 'partial' drops the shard and marks responses partial, 'fail' fails the query")
+		role          = flag.String("role", "serve", "process role: serve (single node), worker (serve the match stream to a coordinator), or coordinator (route each request to one worker replica)")
+		workersList   = flag.String("workers", "", "coordinator role: comma-separated worker replica addresses; each request goes to one of them (e.g. 'a:9101,b:9101')")
+		workerTimeout = flag.Duration("worker-timeout", 0, "coordinator role: per-stall timeout on a worker connection — the open, the handshake, and every read (0 = default 5s)")
 
-		breakerFails    = flag.Int("breaker-failures", 0, "coordinator role: consecutive failures that open a worker endpoint's circuit breaker (0 = default 3)")
+		breakerFails    = flag.Int("breaker-failures", 0, "coordinator role: consecutive failures that open a worker replica's circuit breaker (0 = default 3)")
 		breakerCooldown = flag.Duration("breaker-cooldown", 0, "coordinator role: an opened breaker's first skip window, doubling per re-open up to 30s (0 = default 1s)")
-		breakerLatency  = flag.Duration("breaker-latency", 0, "coordinator role: also eject a worker endpoint whose handshake-latency EWMA exceeds this (0 disables the latency trip)")
+		breakerLatency  = flag.Duration("breaker-latency", 0, "coordinator role: also eject a worker replica whose handshake-latency EWMA exceeds this (0 disables the latency trip)")
 	)
+	// Deprecated: a worker serves the whole enumeration, so its index and
+	// count are parsed and ignored. They remain because benchmark/ still
+	// passes them; the next change to benchmark/ drops them.
+	flag.Int("worker-index", 0, "deprecated and ignored: every worker serves the whole enumeration")
+	flag.Int("worker-count", 0, "deprecated and ignored: every worker serves the whole enumeration")
+	rejectRemovedFlags(os.Args[1:])
 	flag.Parse()
 	if *showVersion {
 		bi := obs.Build()
@@ -172,9 +171,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ktpmd: -cache-min-entries cannot combine with -role coordinator: its local store reads nothing for distributed queries")
 		os.Exit(2)
 	}
-	if *degraded != "partial" && *degraded != "fail" {
-		fmt.Fprintf(os.Stderr, "ktpmd: unknown degraded policy %q (want partial or fail)\n", *degraded)
-		os.Exit(2)
+	var workerEPs []remote.Endpoint
+	if *role == "coordinator" {
+		eps, err := parseWorkerEndpoints(*workersList)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ktpmd:", err)
+			os.Exit(2)
+		}
+		workerEPs = eps
 	}
 	if *walDir != "" && (*role != "serve" || *shards > 1) {
 		fmt.Fprintln(os.Stderr, "ktpmd: -wal-dir (the write path) requires -role serve and -shards 1")
@@ -203,34 +207,22 @@ func main() {
 		fatal(logger, "load", err)
 	}
 
-	// Worker role: the process serves one shard's match stream and its own
-	// small ops surface, not the query endpoints.
+	// Worker role: the process serves its match stream and its own small
+	// ops surface, not the query endpoints.
 	if *role == "worker" {
-		runWorker(logger, db, remote.WorkerConfig{
-			Index:       *workerIndex,
-			Count:       *workerCount,
-			Partitioner: partitioner,
-			Logger:      logger,
-		}, *addr, *snapPath != "", *drainTimeout)
+		runWorker(logger, db, remote.WorkerConfig{Logger: logger}, *addr, *snapPath != "", *drainTimeout)
 		return
 	}
 
-	// Coordinator role: the backend is a remote.Coordinator merging the
-	// configured worker streams; the local database parses, plans, and
-	// serves the non-distributable paths.
+	// Coordinator role: the backend is a remote.Coordinator routing to
+	// the configured worker replicas; the local database parses, plans,
+	// and serves the non-distributable paths.
 	var coord *remote.Coordinator
 	var backend server.Backend = db
 	if *role == "coordinator" {
-		eps, err := parseWorkerEndpoints(*workersList)
-		if err != nil {
-			fatal(logger, "workers", err)
-		}
-		coord, err = remote.NewCoordinator(db, *partition, eps, remote.Config{
+		var err error
+		coord, err = remote.NewCoordinator(db, *partition, [][]remote.Endpoint{workerEPs}, remote.Config{
 			WorkerTimeout:   *workerTimeout,
-			HedgeAfter:      *hedgeAfter,
-			Retries:         *workerRetries,
-			Backoff:         *retryBackoff,
-			DegradedPartial: *degraded == "partial",
 			BreakerFailures: *breakerFails,
 			BreakerCooldown: *breakerCooldown,
 			BreakerLatency:  *breakerLatency,
@@ -239,13 +231,7 @@ func main() {
 			fatal(logger, "coordinator", err)
 		}
 		backend = coord
-		logger.Info("coordinator mode",
-			"workers", coord.NumWorkers(),
-			"partitioner", *partition,
-			"degraded", *degraded,
-			"hedge_after", hedgeAfter.String(),
-			"retries", *workerRetries,
-		)
+		logger.Info("coordinator mode", "workers", coord.NumWorkers())
 	}
 
 	// The sharded path wraps the same database; every endpoint keeps its
@@ -406,26 +392,48 @@ func main() {
 	}
 }
 
-// parseWorkerEndpoints parses the -workers flag: comma-separated shard
-// addresses in shard order, '|' separating a shard's hedge replicas.
-func parseWorkerEndpoints(list string) ([][]remote.Endpoint, error) {
+// removedFlags are the coordinator flags of the scatter-gather, which a
+// routing coordinator has no use for. Naming one is a usage error that
+// says so, not the flag package's bare "not defined".
+var removedFlags = map[string]string{
+	"hedge-after":    "a request goes to one replica at a time",
+	"worker-retries": "a failed request moves to each other replica once",
+	"retry-backoff":  "a failed request moves to the next replica at once",
+	"degraded":       "there are no partial answers: a request fails only when every replica failed",
+}
+
+// rejectRemovedFlags exits 2 if args name a removed flag. It runs before
+// flag.Parse, which would stop at the first unknown flag with a less
+// helpful message.
+func rejectRemovedFlags(args []string) {
+	for _, a := range args {
+		if a == "--" || !strings.HasPrefix(a, "-") {
+			continue
+		}
+		name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		if why, ok := removedFlags[name]; ok {
+			fmt.Fprintf(os.Stderr, "ktpmd: -%s was removed when the coordinator began routing each request to one worker replica: %s\n", name, why)
+			os.Exit(2)
+		}
+	}
+}
+
+// parseWorkerEndpoints parses the -workers flag: comma-separated worker
+// replica addresses.
+func parseWorkerEndpoints(list string) ([]remote.Endpoint, error) {
 	if strings.TrimSpace(list) == "" {
 		return nil, fmt.Errorf("-workers is required for -role coordinator")
 	}
-	var out [][]remote.Endpoint
-	for i, shard := range strings.Split(list, ",") {
-		var eps []remote.Endpoint
-		for _, addr := range strings.Split(shard, "|") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
-			eps = append(eps, remote.NewHTTPEndpoint(addr))
+	if strings.Contains(list, "|") {
+		return nil, fmt.Errorf("-workers %q: '|' grouped a shard's replicas, and there are no shards any more; list every replica with commas", list)
+	}
+	var out []remote.Endpoint
+	for i, addr := range strings.Split(list, ",") {
+		addr = strings.TrimSpace(addr)
+		if addr == "" {
+			return nil, fmt.Errorf("-workers: entry %d has no address", i)
 		}
-		if len(eps) == 0 {
-			return nil, fmt.Errorf("shard %d has no address in -workers", i)
-		}
-		out = append(out, eps)
+		out = append(out, remote.NewHTTPEndpoint(addr))
 	}
 	return out, nil
 }
@@ -437,13 +445,7 @@ func runWorker(logger *slog.Logger, db *ktpm.Database, cfg remote.WorkerConfig, 
 	if err != nil {
 		fatal(logger, "worker", err)
 	}
-	logger.Info("worker mode",
-		"shard", cfg.Index,
-		"workers", cfg.Count,
-		"partitioner", cfg.Partitioner.Name(),
-		"owned_vertices", w.OwnedVertices(),
-		"snapshot_identity", w.Hello().Snapshot,
-	)
+	logger.Info("worker mode", "snapshot_identity", w.Hello().Snapshot)
 	if drainTimeout <= 0 {
 		drainTimeout = 10 * time.Second
 	}
@@ -456,8 +458,8 @@ func runWorker(logger *slog.Logger, db *ktpm.Database, cfg remote.WorkerConfig, 
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		// SetDraining first: /readyz flips to 503 and every handshake
-		// carries draining:true, so coordinators stop hedging here and
-		// shift to replicas while Shutdown waits out in-flight streams.
+		// carries draining:true, so coordinators route to other replicas
+		// while Shutdown waits out in-flight streams.
 		logger.Info("draining", "timeout", drainTimeout.String())
 		w.SetDraining(true)
 		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)

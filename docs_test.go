@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -41,6 +42,68 @@ func TestDocLinks(t *testing.T) {
 				t.Errorf("%s links to %q, which does not resolve (%v)", f, target, err)
 			}
 		}
+	}
+}
+
+// TestDocCommandFlags fails when a ktpmd command line in a fenced block
+// of README.md or docs/*.md names a flag api/ktpmd-flags.txt does not
+// list, so a removed flag cannot linger in a copy-paste recipe. A
+// command is any word whose base name is ktpmd, with its continuation
+// lines; its flags run to the first shell separator.
+func TestDocCommandFlags(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("api", "ktpmd-flags.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := make(map[string]bool)
+	for _, name := range strings.Fields(string(raw)) {
+		known[name] = true
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagRe := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(=.*)?$`)
+	commands := 0
+	for _, f := range append([]string{"README.md"}, docs...) {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(data), "\n")
+		fenced := false
+		for i := 0; i < len(lines); i++ {
+			line, at := lines[i], i+1
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if !fenced {
+				continue
+			}
+			for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+				i++
+				line = strings.TrimSuffix(line, "\\") + " " + lines[i]
+			}
+			words := strings.Fields(line)
+			for j, w := range words {
+				if path.Base(w) != "ktpmd" {
+					continue
+				}
+				commands++
+				for _, arg := range words[j+1:] {
+					if strings.ContainsAny(arg[:1], "|&;<>") {
+						break
+					}
+					if m := flagRe.FindStringSubmatch(arg); m != nil && !known[m[1]] {
+						t.Errorf("%s:%d: a ktpmd command names -%s, which api/ktpmd-flags.txt does not list", f, at, m[1])
+					}
+				}
+			}
+		}
+	}
+	if commands == 0 {
+		t.Fatal("no ktpmd command lines found in fenced blocks")
 	}
 }
 

@@ -22,14 +22,17 @@ import (
 )
 
 // TestDistributedE2E is the process-level distributed smoke: it builds
-// the real ktpmd binary, spawns two `-role worker` processes and a
+// the real ktpmd binary, spawns two `-role worker` replicas and a
 // coordinator over one shared snapshot, plus a plain single-node server
-// over the same snapshot, and requires the coordinator's /query answers
-// and /stream lines to be byte-identical to the single node's, and each
-// worker to send no more than the k it was asked for. This is the only
-// test that exercises the actual wire — real TCP, real process
-// boundaries, real flag parsing — rather than in-process httptest
-// plumbing.
+// over the same snapshot, and requires the coordinator's /query, /batch
+// and /stream answers to be byte-identical to the single node's, each
+// query to open exactly one worker stream, and no worker to send more
+// than the k it was asked for. It then SIGKILLs one worker: the
+// coordinator must keep answering every request byte-identically from
+// the survivor, and its /stats must show the dead replica's breaker
+// open. This is the only test that exercises the actual wire — real TCP,
+// real process boundaries, real flag parsing — rather than in-process
+// httptest plumbing.
 func TestDistributedE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes; skipped in -short")
@@ -61,31 +64,28 @@ func TestDistributedE2E(t *testing.T) {
 	coordAddr := freeAddr(t)
 	soloAddr := freeAddr(t)
 
+	workers := make([]*exec.Cmd, len(workerAddrs))
 	for i, addr := range workerAddrs {
-		spawn(t, bin, "-role", "worker", "-snapshot", snapPath,
-			"-worker-index", fmt.Sprint(i), "-worker-count", "2", "-addr", addr)
+		args := []string{"-role", "worker", "-snapshot", snapPath, "-addr", addr}
+		if i == 0 {
+			// Deprecated and ignored: a worker given its old shard slot
+			// serves the same whole stream.
+			args = append(args, "-worker-index", "0", "-worker-count", "2")
+		}
+		workers[i] = spawn(t, bin, args...)
 	}
+	// A long cooldown keeps the killed replica's breaker open, not
+	// half-open, until /stats is read.
 	spawn(t, bin, "-role", "coordinator", "-snapshot", snapPath,
 		"-workers", workerAddrs[0]+","+workerAddrs[1],
-		"-worker-retries", "2", "-addr", coordAddr)
+		"-breaker-cooldown", "1m", "-addr", coordAddr)
 	spawn(t, bin, "-snapshot", snapPath, "-addr", soloAddr)
 
 	for _, addr := range append(append([]string{}, workerAddrs...), coordAddr, soloAddr) {
 		waitReady(t, addr)
 	}
 
-	type queryResp struct {
-		Canonical string   `json:"canonical"`
-		K         int      `json:"k"`
-		Positions []string `json:"positions"`
-		Matches   []struct {
-			Score int64   `json:"score"`
-			Nodes []int32 `json:"nodes"`
-		} `json:"matches"`
-		Partial bool `json:"partial"`
-	}
-	sumK := 0
-	for _, tc := range []struct {
+	queries := []struct {
 		q string
 		k int
 	}{
@@ -93,97 +93,156 @@ func TestDistributedE2E(t *testing.T) {
 		{"L000(L001,L002)", 20},
 		{"L001(L002(L003))", 7},
 		{"L004", 3},
-	} {
-		sumK += tc.k
-		u := "/query?q=" + url.QueryEscape(tc.q) + "&k=" + fmt.Sprint(tc.k)
-		var dist, solo queryResp
-		getJSON(t, coordAddr, u, &dist)
-		getJSON(t, soloAddr, u, &solo)
-		if dist.Partial {
-			t.Fatalf("%s k=%d: coordinator answered partial with all workers up", tc.q, tc.k)
+	}
+	// topK sends /query and /batch requests to both servers and requires
+	// the same answers. kOffset keeps a later round's keys out of the
+	// coordinator's result cache, so every request reaches a worker.
+	topK := func(name string, kOffset int) {
+		t.Helper()
+		for _, tc := range queries {
+			u := "/query?q=" + url.QueryEscape(tc.q) + "&k=" + fmt.Sprint(tc.k+kOffset)
+			dist, solo := getLines(t, coordAddr, u), getLines(t, soloAddr, u)
+			if len(solo) != 1 || !strings.Contains(solo[0], `"score"`) {
+				t.Fatalf("%s %s: no matches; the query must use the generator's labels: %v", name, u, solo)
+			}
+			if a, b := withoutTiming(t, dist[0]), withoutTiming(t, solo[0]); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s %s: coordinator and single node disagree\ncoordinator: %s\nsingle node: %s", name, u, dist[0], solo[0])
+			}
 		}
-		if len(solo.Matches) == 0 {
-			t.Fatalf("%s k=%d: no matches; the query must use the generator's labels", tc.q, tc.k)
-		}
-		if dist.Canonical != solo.Canonical || dist.K != solo.K ||
-			!reflect.DeepEqual(dist.Positions, solo.Positions) ||
-			!reflect.DeepEqual(dist.Matches, solo.Matches) {
-			t.Fatalf("%s k=%d: coordinator and single node disagree\ncoordinator: %+v\nsingle node: %+v",
-				tc.q, tc.k, dist, solo)
+		// Three items, two distinct: the server folds the duplicate.
+		batch := fmt.Sprintf(`{"items":[{"q":"L000(L001,L002)","k":%d},{"q":"L001(L002(L003))","k":%d},{"q":"L000(L001,L002)","k":%d}]}`,
+			11+kOffset, 13+kOffset, 11+kOffset)
+		dist, solo := postBody(t, coordAddr, "/batch", batch), postBody(t, soloAddr, "/batch", batch)
+		if a, b := withoutTiming(t, dist), withoutTiming(t, solo); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s /batch: coordinator and single node disagree\ncoordinator: %s\nsingle node: %s", name, dist, solo)
 		}
 	}
+	// stream runs unbounded (k = 0) worker streams: the coordinator must
+	// send the single node's lines, the trailer's timing aside.
+	stream := func(name string) {
+		t.Helper()
+		for _, tc := range []struct {
+			q   string
+			max int
+		}{
+			{"L000(L001,L002)", 60},
+			{"L001(L002(L003))", 100000},
+		} {
+			u := "/stream?q=" + url.QueryEscape(tc.q) + "&max=" + fmt.Sprint(tc.max)
+			dist, solo := getLines(t, coordAddr, u), getLines(t, soloAddr, u)
+			if len(dist) != len(solo) || len(dist) < 3 {
+				t.Fatalf("%s %s: coordinator streamed %d lines, single node %d", name, u, len(dist), len(solo))
+			}
+			last := len(dist) - 1
+			for i := 0; i < last; i++ {
+				if dist[i] != solo[i] {
+					t.Fatalf("%s %s line %d:\ncoordinator: %s\nsingle node: %s", name, u, i, dist[i], solo[i])
+				}
+			}
+			if a, b := withoutTiming(t, dist[last]), withoutTiming(t, solo[last]); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s %s: trailers differ:\ncoordinator: %s\nsingle node: %s", name, u, dist[last], solo[last])
+			}
+		}
+	}
+	// workerTotals sums the workers' stream and match counters.
+	workerTotals := func() (streams, matches int64) {
+		t.Helper()
+		for i, addr := range workerAddrs {
+			var ws struct {
+				Streams int64 `json:"streams"`
+				Matches int64 `json:"matches"`
+			}
+			getJSON(t, addr, "/stats", &ws)
+			if ws.Streams == 0 {
+				t.Fatalf("worker %d served no stream; the coordinator must rotate across replicas", i)
+			}
+			streams += ws.Streams
+			matches += ws.Matches
+		}
+		return streams, matches
+	}
 
-	// The coordinator's /stats must carry the per-worker block.
+	// Four queries and two distinct batch items: six worker streams, one
+	// per enumeration, each carrying at most its k matches.
+	topK("healthy", 0)
+	sumK := 11 + 13
+	for _, tc := range queries {
+		sumK += tc.k
+	}
+	if streams, matches := workerTotals(); streams != 6 || matches > int64(sumK) {
+		t.Fatalf("6 top-k requests opened %d worker streams carrying %d matches; want 6 streams and at most %d matches",
+			streams, matches, sumK)
+	}
+	stream("healthy")
+	if streams, _ := workerTotals(); streams != 8 {
+		t.Fatalf("8 requests opened %d worker streams, want one each", streams)
+	}
+
+	// Kill one replica outright: no drain, no goodbye.
+	if err := workers[1].Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	_ = workers[1].Wait()
+	for round := 1; round <= 2; round++ {
+		name := fmt.Sprintf("after SIGKILL, round %d", round)
+		topK(name, 100*round)
+		stream(name)
+	}
+
 	var stats struct {
 		Workers *struct {
 			Workers []struct {
-				Requests int64 `json:"requests"`
+				Addr     string `json:"addr"`
+				Requests int64  `json:"requests"`
+				Failures int64  `json:"failures"`
+				Breaker  struct {
+					State string `json:"state"`
+				} `json:"breaker"`
 			} `json:"per_worker"`
 			Snapshot string `json:"snapshot"`
 		} `json:"workers"`
-		Partials int64 `json:"partials"`
 	}
 	getJSON(t, coordAddr, "/stats", &stats)
-	if stats.Workers == nil {
-		t.Fatal("coordinator /stats has no workers block")
+	if stats.Workers == nil || len(stats.Workers.Workers) != 2 || stats.Workers.Snapshot == "" {
+		t.Fatalf("coordinator /stats workers block: %+v", stats.Workers)
 	}
-	if n := len(stats.Workers.Workers); n != 2 {
-		t.Fatalf("coordinator /stats reports %d workers, want 2", n)
+	live, dead := stats.Workers.Workers[0], stats.Workers.Workers[1]
+	if !strings.HasSuffix(dead.Addr, workerAddrs[1]) || dead.Failures == 0 || dead.Breaker.State != "open" {
+		t.Fatalf("killed replica in /stats: %+v; want its failures counted and its breaker open", dead)
 	}
-	if stats.Workers.Snapshot == "" {
-		t.Fatal("coordinator /stats workers block has empty snapshot identity")
+	if live.Failures != 0 || live.Breaker.State != "closed" {
+		t.Fatalf("surviving replica in /stats: %+v; want no failures and a closed breaker", live)
 	}
-	for i, w := range stats.Workers.Workers {
-		if w.Requests == 0 {
-			t.Fatalf("worker %d served no requests despite %d queries", i, 4)
-		}
-	}
-	if stats.Partials != 0 {
-		t.Fatalf("partials = %d with a healthy fleet", stats.Partials)
-	}
+}
 
-	// A top-k stream carries at most k matches, so across the queries
-	// above no worker can have sent more than their k's summed.
-	for i, addr := range workerAddrs {
-		var ws struct {
-			Matches int64 `json:"matches"`
-		}
-		getJSON(t, addr, "/stats", &ws)
-		if ws.Matches > int64(sumK) {
-			t.Fatalf("worker %d sent %d matches for queries whose k sum to %d", i, ws.Matches, sumK)
-		}
+// withoutTiming decodes a JSON response line and drops its elapsed_ms,
+// the one field two servers answering the same request may differ in.
+func withoutTiming(t *testing.T, line string) map[string]any {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal([]byte(line), &m); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, line)
 	}
+	delete(m, "elapsed_ms")
+	return m
+}
 
-	// /stream runs the unbounded (k = 0) worker streams: the coordinator
-	// must send the single node's lines, the trailer's timing aside.
-	for _, tc := range []struct {
-		q   string
-		max int
-	}{
-		{"L000(L001,L002)", 60},
-		{"L001(L002(L003))", 100000},
-	} {
-		u := "/stream?q=" + url.QueryEscape(tc.q) + "&max=" + fmt.Sprint(tc.max)
-		dist, solo := getLines(t, coordAddr, u), getLines(t, soloAddr, u)
-		if len(dist) != len(solo) || len(dist) < 3 {
-			t.Fatalf("%s: coordinator streamed %d lines, single node %d", u, len(dist), len(solo))
-		}
-		last := len(dist) - 1
-		for i := 0; i < last; i++ {
-			if dist[i] != solo[i] {
-				t.Fatalf("%s line %d:\ncoordinator: %s\nsingle node: %s", u, i, dist[i], solo[i])
-			}
-		}
-		var dt, st map[string]any
-		if json.Unmarshal([]byte(dist[last]), &dt) != nil || json.Unmarshal([]byte(solo[last]), &st) != nil {
-			t.Fatalf("%s: trailers are not JSON:\n%s\n%s", u, dist[last], solo[last])
-		}
-		delete(dt, "elapsed_ms")
-		delete(st, "elapsed_ms")
-		if !reflect.DeepEqual(dt, st) {
-			t.Fatalf("%s: trailers differ:\ncoordinator: %s\nsingle node: %s", u, dist[last], solo[last])
-		}
+// postBody POSTs body as JSON to path and returns the response body.
+func postBody(t *testing.T, addr, path, body string) string {
+	t.Helper()
+	resp, err := http.Post("http://"+addr+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s%s: %v", addr, path, err)
 	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s%s: %d %s", addr, path, resp.StatusCode, out)
+	}
+	return string(out)
 }
 
 // TestCoordinatorRejectsCacheMinEntries: a coordinator prices a result
@@ -225,6 +284,46 @@ func TestCoordinatorRejectsCacheMinEntries(t *testing.T) {
 	}
 }
 
+// TestRemovedCoordinatorFlags: the scatter-gather's failure flags and a
+// '|'-grouped -workers list are usage errors (exit 2) whose message
+// names what changed, not flags a routing coordinator silently ignores.
+func TestRemovedCoordinatorFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs ktpmd; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "ktpmd")
+	if out, err := exec.Command("go", "build", "-o", bin, "ktpm/cmd/ktpmd").CombinedOutput(); err != nil {
+		t.Fatalf("go build ktpmd: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-hedge-after", "1s"}, []string{"-hedge-after was removed", "one worker replica"}},
+		{[]string{"-worker-retries=2"}, []string{"-worker-retries was removed"}},
+		{[]string{"--retry-backoff", "50ms"}, []string{"-retry-backoff was removed"}},
+		{[]string{"-degraded", "partial"}, []string{"-degraded was removed", "no partial answers"}},
+		{[]string{"-workers", "a:1|b:1,c:1"}, []string{"'|'", "replica"}},
+	} {
+		args := append([]string{"-role", "coordinator", "-snapshot", "absent.snap", "-addr", freeAddr(t)}, tc.args...)
+		if tc.args[0] != "-workers" {
+			args = append(args, "-workers", freeAddr(t))
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("ktpmd %v: want exit 2, got %v:\n%s", tc.args, err, out)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(string(out), w) {
+				t.Fatalf("ktpmd %v: message does not say %q:\n%s", tc.args, w, out)
+			}
+		}
+	}
+}
+
 // getLines fetches path and splits the body into lines.
 func getLines(t *testing.T, addr, path string) []string {
 	t.Helper()
@@ -258,7 +357,7 @@ func freeAddr(t *testing.T) string {
 }
 
 // spawn starts a ktpmd process and guarantees it dies with the test.
-func spawn(t *testing.T, bin string, args ...string) {
+func spawn(t *testing.T, bin string, args ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	out, err := cmd.StderrPipe()
@@ -279,6 +378,7 @@ func spawn(t *testing.T, bin string, args ...string) {
 		cmd.Process.Kill()
 		cmd.Wait()
 	})
+	return cmd
 }
 
 // waitReady polls /readyz until the process accepts traffic. The

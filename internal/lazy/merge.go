@@ -8,7 +8,7 @@ import (
 )
 
 // Source is a stream of matches in non-decreasing score order: an
-// Enumerator (optionally root-filtered) or a remote worker's stream.
+// Enumerator, optionally root-filtered.
 // Next reports false once the source is exhausted; a Merge never calls
 // it again after that.
 type Source interface {
@@ -16,7 +16,7 @@ type Source interface {
 }
 
 // Merge is the k-way merge behind every Topk-EN answer: one enumerator
-// (a Database or ShardedDatabase), or the workers of a coordinator. Sources
+// (a Database or ShardedDatabase), or several root-filtered ones. Sources
 // whose match spaces are disjoint (root filters over disjoint vertex
 // sets) merge into the canonical order of their union — non-decreasing
 // score, equal scores ordered by node bindings — so an answer does not
@@ -134,10 +134,10 @@ func (m *Merge) Next() (*Match, bool) {
 // that is exactly source i's matches scoring at or below the k-th score.
 func (m *Merge) Taken(i int) int { return m.taken[i] }
 
-// ChunkSize is how many matches a coordinator's shard reader hands
-// across its channel in one operation, a worker writes between flushes,
-// and a stream's node buffer holds: one synchronization or allocation per
-// chunk instead of per match. Answers do not depend on it.
+// ChunkSize is how many matches a remote worker writes between flushes,
+// a worker stream's decoder carves bindings for, and a stream's node
+// buffer holds: one write or allocation per chunk instead of per match.
+// Answers do not depend on it.
 const ChunkSize = 32
 
 // Less is the canonical total order over matches: by score, then node

@@ -156,9 +156,9 @@ func (s *Span) eachStage(fn func(name string, d time.Duration), onPath map[strin
 
 // EachStageMapped is EachStage through a name→stage mapping: fn runs
 // once per span whose mapped stage is non-empty and has not already
-// appeared on its ancestor path (by mapped name, so a "worker_stream"
-// under an outer "remote_merge" is skipped while sibling worker slices
-// each count). It allocates nothing for the shallow trees the request hot
+// appeared on its ancestor path (by mapped name, so a stage span nested
+// under a span of the same stage is skipped while siblings each count).
+// It allocates nothing for the shallow trees the request hot
 // path produces — this is how the server feeds its stage histograms
 // without rendering a SpanJSON snapshot per request.
 func (s *Span) EachStageMapped(mapName func(string) string, fn func(stage string, d time.Duration)) {

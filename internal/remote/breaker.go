@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// breaker is a per-endpoint circuit breaker. The coordinator keeps one
-// per worker endpoint and consults it when picking where to open a
-// shard stream, so a flapping worker is ejected from rotation and its
-// load shifts to the shard's replicas instead of burning a retry (and
-// its backoff) on every query.
+// breaker is a per-replica circuit breaker. The coordinator keeps one
+// per worker replica and consults it when picking where to route a
+// request, so a flapping worker is ejected from rotation and its load
+// shifts to the other replicas instead of failing over on every request
+// routed to it.
 //
 // States:
 //
@@ -24,14 +24,13 @@ import (
 //
 // A success also feeds a latency EWMA; when a trip latency is
 // configured, an endpoint whose EWMA exceeds it is ejected exactly like
-// a failing one — a worker answering at 10x the fleet's latency drags
-// every merge it participates in, since the gather cannot finish before
-// its slowest shard.
+// a failing one — a worker answering at 10x the fleet's latency slows
+// every request routed to it.
 //
-// The breaker never blocks progress: when every endpoint of a shard is
-// open, the coordinator force-dials the one whose cooldown expires
-// soonest (correctness needs all shards, so refusal is not an option),
-// and that dial's outcome updates the breaker like any probe.
+// The breaker never blocks progress: when every replica a request has
+// not yet tried is open, the coordinator force-dials the one whose
+// cooldown expires soonest (refusal would fail the request), and that
+// dial's outcome updates the breaker like any probe.
 type breaker struct {
 	mu  sync.Mutex
 	now func() time.Time // injectable for tests
@@ -146,17 +145,16 @@ func (b *breaker) open() {
 }
 
 // expiry returns when the open state ends (zero when closed), for the
-// force-allow pick when every endpoint of a shard is open.
+// force-allow pick when every untried replica is open.
 func (b *breaker) expiry() time.Time {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.until
 }
 
-// BreakerStat is one endpoint's breaker snapshot, surfaced per worker
-// in /stats.
+// BreakerStat is one replica's breaker snapshot, surfaced per worker in
+// /stats.
 type BreakerStat struct {
-	Addr  string `json:"addr"`
 	State string `json:"state"`
 	// Opens counts transitions into the open state (including latency
 	// ejections and re-opens after failed probes).
@@ -165,18 +163,13 @@ type BreakerStat struct {
 	ConsecFailures int `json:"consec_failures"`
 	// LatencyEWMAMS is the success-latency EWMA in milliseconds.
 	LatencyEWMAMS float64 `json:"latency_ewma_ms"`
-	// Draining mirrors the endpoint's last handshake: the worker asked
-	// to be excluded from new work (rolling restart in progress).
-	Draining bool `json:"draining,omitempty"`
 }
 
-// snapshot returns the stats view; draining is filled by the caller
-// (it lives on the endpoint state, not the breaker).
-func (b *breaker) snapshot(addr string) BreakerStat {
+// snapshot returns the stats view.
+func (b *breaker) snapshot() BreakerStat {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BreakerStat{
-		Addr:           addr,
 		State:          b.state(),
 		Opens:          b.opens,
 		ConsecFailures: b.consec,

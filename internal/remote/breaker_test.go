@@ -15,7 +15,7 @@ func TestBreakerTransitions(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	b.now = func() time.Time { return clock }
 
-	if st := b.snapshot("w").State; st != breakerClosed {
+	if st := b.snapshot().State; st != breakerClosed {
 		t.Fatalf("initial state %q, want closed", st)
 	}
 	b.Failure()
@@ -24,7 +24,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatal("closed breaker under threshold refused a request")
 	}
 	b.Failure() // third consecutive: trip
-	if st := b.snapshot("w").State; st != breakerOpen {
+	if st := b.snapshot().State; st != breakerOpen {
 		t.Fatalf("state after %d failures = %q, want open", 3, st)
 	}
 	if b.Allow() {
@@ -32,7 +32,7 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 
 	clock = clock.Add(1100 * time.Millisecond)
-	if st := b.snapshot("w").State; st != breakerHalfOpen {
+	if st := b.snapshot().State; st != breakerHalfOpen {
 		t.Fatalf("state past cooldown = %q, want half-open", st)
 	}
 	if !b.Allow() {
@@ -42,7 +42,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatal("half-open breaker granted a second concurrent probe")
 	}
 	b.Success(5 * time.Millisecond)
-	if st := b.snapshot("w").State; st != breakerClosed {
+	if st := b.snapshot().State; st != breakerClosed {
 		t.Fatalf("state after successful probe = %q, want closed", st)
 	}
 	if !b.Allow() {
@@ -59,13 +59,13 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatal("half-open breaker refused the probe after re-trip")
 	}
 	b.Failure() // failed probe: re-open at doubled cooldown
-	if st := b.snapshot("w").State; st != breakerOpen {
+	if st := b.snapshot().State; st != breakerOpen {
 		t.Fatalf("state after failed probe = %q, want open", st)
 	}
 	if want := clock.Add(2 * time.Second); !b.expiry().Equal(want) {
 		t.Fatalf("doubled cooldown expiry %v, want %v", b.expiry(), want)
 	}
-	if got := b.snapshot("w").Opens; got != 3 {
+	if got := b.snapshot().Opens; got != 3 {
 		t.Fatalf("opens = %d, want 3", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestBreakerLatencyTrip(t *testing.T) {
 	// The first observation seeds the EWMA directly: a chronically slow
 	// endpoint is ejected exactly like a failing one.
 	b.Success(100 * time.Millisecond)
-	if st := b.snapshot("w").State; st != breakerOpen {
+	if st := b.snapshot().State; st != breakerOpen {
 		t.Fatalf("state after slow success = %q, want open (latency trip)", st)
 	}
 	fast := newBreaker(3, time.Second, 30*time.Second, 10*time.Millisecond)
@@ -102,16 +102,18 @@ func TestBreakerLatencyTrip(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		fast.Success(time.Millisecond)
 	}
-	if st := fast.snapshot("w").State; st != breakerClosed {
+	if st := fast.snapshot().State; st != breakerClosed {
 		t.Fatalf("fast endpoint state = %q, want closed", st)
 	}
 }
 
 // TestBreakerOpensAndRecovers drives the breaker through the
-// fault-injection harness: shard 0 refuses its first open, which trips
-// a threshold-1 breaker; the retry is force-allowed (sole endpoint for
-// the shard — breakers select among replicas, never strand a shard),
-// succeeds, and the result stays byte-identical to the local database.
+// fault-injection harness: a lone replica refuses its first open, which
+// fails that request and trips a threshold-1 breaker. The next request
+// finds every replica open and force-dials the one that expires soonest
+// (breakers choose among replicas, never strand a request); the dial
+// succeeds, re-closes the breaker, and the answer is byte-identical to
+// the local database.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	db := testDB(t, 80, 3)
 	q, err := db.ParseQuery("a(b)")
@@ -122,41 +124,34 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, _ := flakyFleet(t, db, 3, Config{Retries: 2, BreakerFailures: 1},
+	coord, _ := flakyFleet(t, db, 1, 1, Config{BreakerFailures: 1},
 		func(f *flakyEndpoint) { f.failOpens = 1 })
-	got, partial, err := coord.TopKPartial(q, 10, ktpm.Options{})
-	if err != nil || partial {
-		t.Fatalf("err=%v partial=%v", err, partial)
+	if _, err := coord.TopKWith(q, 10, ktpm.Options{}); err == nil {
+		t.Fatal("the refused open did not fail the request of a lone replica")
+	}
+	bs := coord.CoordinatorStats().Workers[0].Breaker
+	if bs.State != breakerOpen || bs.Opens != 1 {
+		t.Fatalf("after the refused open: breaker %s with %d opens, want open once", bs.State, bs.Opens)
+	}
+	got, err := coord.TopKWith(q, 10, ktpm.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("result diverged after breaker recovery (got %d, want %d matches)", len(got), len(want))
 	}
-	stats := coord.CoordinatorStats()
-	var opens int64
-	for _, ws := range stats.Workers {
-		for _, bs := range ws.Breakers {
-			opens += bs.Opens
-		}
-	}
-	if opens == 0 {
-		t.Fatal("refused open never tripped the breaker")
-	}
-	// The successful force-allowed retry re-closed it: recovery, not a
-	// stuck-open shard.
-	for _, bs := range stats.Workers[0].Breakers {
-		if bs.State != breakerClosed {
-			t.Fatalf("breaker %s still %s after a successful retry", bs.Addr, bs.State)
-		}
+	if bs := coord.CoordinatorStats().Workers[0].Breaker; bs.State != breakerClosed {
+		t.Fatalf("breaker still %s after a successful forced dial", bs.State)
 	}
 }
 
 // TestBreakerClosedFleetIdentity pins the default-on guarantee: with
-// healthy workers and breakers enabled (the default), results are
-// byte-identical to the local sharded database and every breaker stays
-// closed with zero opens.
+// healthy replicas and breakers enabled (the default), results are
+// byte-identical to the local database and every breaker stays closed
+// with zero opens.
 func TestBreakerClosedFleetIdentity(t *testing.T) {
 	db := testDB(t, 80, 3)
-	c := newTestCoordinator(t, db, 3, ktpm.PartitionByHash(), Config{})
+	c := newTestCoordinator(t, db, 3, Config{})
 	q, err := db.ParseQuery("a(b,c)")
 	if err != nil {
 		t.Fatal(err)
@@ -165,31 +160,30 @@ func TestBreakerClosedFleetIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, partial, err := c.TopKPartial(q, 25, ktpm.Options{})
-	if err != nil || partial {
-		t.Fatalf("err=%v partial=%v", err, partial)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("healthy fleet diverged from the local sharded database")
+	for i := 0; i < 3; i++ {
+		got, err := c.TopKWith(q, 25, ktpm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: healthy fleet diverged from the local database", i)
+		}
 	}
 	for _, ws := range c.CoordinatorStats().Workers {
-		for _, bs := range ws.Breakers {
-			if bs.State != breakerClosed || bs.Opens != 0 {
-				t.Fatalf("healthy fleet breaker %s: state=%s opens=%d", bs.Addr, bs.State, bs.Opens)
-			}
+		if bs := ws.Breaker; bs.State != breakerClosed || bs.Opens != 0 {
+			t.Fatalf("healthy fleet breaker %s: state=%s opens=%d", ws.Addr, bs.State, bs.Opens)
 		}
 	}
 }
 
-// TestCoordinatorAvoidsDrainingReplica gives shard 0 two replicas, one
-// draining: every stream must land on the healthy replica, the draining
-// worker keeps its shard correctness promise (it would still serve if
-// it were the only one), and the results stay identical.
+// TestCoordinatorAvoidsDrainingReplica gives the coordinator two
+// replicas, one draining: every request must land on the healthy one,
+// the draining worker keeps serving (it would answer if it were the only
+// replica), and the results stay identical.
 func TestCoordinatorAvoidsDrainingReplica(t *testing.T) {
 	db := testDB(t, 80, 3)
-	p := ktpm.PartitionByHash()
 	mkWorker := func() *Worker {
-		w, err := NewWorker(db, WorkerConfig{Index: 0, Count: 1, Partitioner: p})
+		w, err := NewWorker(db, WorkerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +214,9 @@ func TestCoordinatorAvoidsDrainingReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		got, partial, err := c.TopKPartial(q, 10, ktpm.Options{})
-		if err != nil || partial {
-			t.Fatalf("query %d: err=%v partial=%v", i, err, partial)
+		got, err := c.TopKWith(q, 10, ktpm.Options{})
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d diverged", i)
@@ -231,16 +225,10 @@ func TestCoordinatorAvoidsDrainingReplica(t *testing.T) {
 	if n := wDrain.Stats().Streams; n != 0 {
 		t.Fatalf("draining replica served %d streams, want 0 while a healthy replica exists", n)
 	}
-	if n := wLive.Stats().Streams; n == 0 {
-		t.Fatal("healthy replica served nothing")
+	if n := wLive.Stats().Streams; n != 4 {
+		t.Fatalf("healthy replica served %d streams, want 4", n)
 	}
-	found := false
-	for _, ws := range c.CoordinatorStats().Workers {
-		for _, bs := range ws.Breakers {
-			found = found || bs.Draining
-		}
-	}
-	if !found {
-		t.Fatal("no endpoint snapshot reports draining")
+	if ws := c.CoordinatorStats().Workers; !ws[0].Draining || ws[1].Draining {
+		t.Fatalf("draining markers in stats: %v, %v; want true, false", ws[0].Draining, ws[1].Draining)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,20 +15,20 @@ import (
 )
 
 // flakyEndpoint is the fault-injection harness: it wraps a healthy
-// Endpoint and rewrites its behavior — refused or delayed opens, a
-// mid-stream hangup (the body simply stops delivering bytes, the
-// network failure TCP cannot surface), a corrupted frame, a stale
-// snapshot identity in the handshake, or permanent death. It decodes
-// the worker's stream and re-encodes it frame by frame; faults that take
-// a count are frame indexes (frame 0 is the hello), -1 disables.
-// once-flagged faults fire only on the first successful open, so retry
-// paths can observe recovery.
+// Endpoint and rewrites its behavior — refused opens, a mid-stream
+// hangup (the body stops delivering bytes, the network failure TCP
+// cannot surface, until the attempt is canceled), a connection reset, a
+// corrupted frame, a stale snapshot identity in the handshake, or
+// permanent death. It decodes the worker's stream and re-encodes it
+// frame by frame; faults that take a count are frame indexes (frame 0 is
+// the hello), -1 disables. Once-flagged faults fire only on the first
+// successful open.
 type flakyEndpoint struct {
 	inner       Endpoint
-	helloDelay  time.Duration // sleep before the open is forwarded
-	failOpens   int32         // first N opens are refused outright
-	hangAt      int           // stop delivering at this frame; -1 disables
+	failOpens   int32 // first N opens are refused outright
+	hangAt      int   // stop delivering at this frame; -1 disables
 	hangOnce    bool
+	resetAt     int // fail the connection at this frame; -1 disables
 	corruptAt   int // replace this frame with a malformed one; -1 disables
 	corruptOnce bool
 	staleHello  bool // rewrite the handshake's snapshot identity
@@ -39,7 +38,7 @@ type flakyEndpoint struct {
 }
 
 func newFlaky(inner Endpoint) *flakyEndpoint {
-	return &flakyEndpoint{inner: inner, hangAt: -1, corruptAt: -1}
+	return &flakyEndpoint{inner: inner, hangAt: -1, resetAt: -1, corruptAt: -1}
 }
 
 func (f *flakyEndpoint) Addr() string { return "flaky(" + f.inner.Addr() + ")" }
@@ -63,15 +62,6 @@ func (f *flakyEndpoint) OpenStream(ctx context.Context, query string, k int) (io
 	if n <= f.failOpens {
 		return nil, fmt.Errorf("flaky: open %d refused", n)
 	}
-	if f.helloDelay > 0 {
-		t := time.NewTimer(f.helloDelay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 	inner, err := f.inner.OpenStream(ctx, query, k)
 	if err != nil {
 		return nil, err
@@ -88,9 +78,14 @@ func (f *flakyEndpoint) OpenStream(ctx context.Context, query string, k int) (io
 				return
 			}
 			if f.hangAt >= 0 && frame >= f.hangAt && (!f.hangOnce || firstGoodOpen) {
-				// Neither write nor close: the consumer blocks until its
-				// stall watchdog severs the body, which unblocks any
-				// pending pipe operation with ErrClosedPipe.
+				// Silence until the consumer's watchdog cancels the attempt,
+				// which is when a real connection's read would fail.
+				<-ctx.Done()
+				pw.CloseWithError(ctx.Err())
+				return
+			}
+			if frame == f.resetAt {
+				pw.CloseWithError(fmt.Errorf("flaky: connection reset at frame %d", frame))
 				return
 			}
 			if f.staleHello && fr.Kind == KindHello {
@@ -101,7 +96,7 @@ func (f *flakyEndpoint) OpenStream(ctx context.Context, query string, k int) (io
 				out = corruptMatch
 			}
 			if _, err := pw.Write(out); err != nil {
-				return // consumer gone (watchdog or Close)
+				return // consumer gone
 			}
 		}
 	}()
@@ -112,319 +107,252 @@ func (f *flakyEndpoint) OpenStream(ctx context.Context, query string, k int) (io
 // binding past MaxInt32.
 var corruptMatch = []byte{KindMatch, 7, 0x02, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00}
 
-// flakyFleet builds a coordinator whose shard 0 endpoint is wrapped by a
-// flakyEndpoint configured by mutate; the remaining shards stay healthy.
-func flakyFleet(t *testing.T, db *ktpm.Database, count int, cfg Config, mutate func(*flakyEndpoint)) (*Coordinator, *flakyEndpoint) {
+// flakyFleet builds a coordinator over replicas healthy workers whose
+// first flaky endpoints are wrapped by flakyEndpoints configured by
+// mutate. A fresh coordinator routes its first request to replica 0.
+func flakyFleet(t *testing.T, db *ktpm.Database, replicas, flaky int, cfg Config, mutate func(*flakyEndpoint)) (*Coordinator, []*flakyEndpoint) {
 	t.Helper()
-	p := ktpm.PartitionByHash()
-	eps := startWorkers(t, db, count, p)
-	fl := newFlaky(eps[0][0])
-	mutate(fl)
-	eps[0] = []Endpoint{fl}
-	c, err := NewCoordinator(db, "hash", eps, cfg)
+	eps := startWorkers(t, db, replicas)
+	fls := make([]*flakyEndpoint, flaky)
+	for i := range fls {
+		fls[i] = newFlaky(eps[i])
+		mutate(fls[i])
+		eps[i] = fls[i]
+	}
+	c, err := NewCoordinator(db, "hash", [][]Endpoint{eps}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, fl
-}
-
-// survivorTopK computes the expected degraded answer when deadShard is
-// dropped: every surviving shard's matches in canonical order, prefix k.
-func survivorTopK(t *testing.T, db *ktpm.Database, q *ktpm.Query, k, count, deadShard int) []ktpm.Match {
-	t.Helper()
-	assign := ktpm.PartitionByHash().Partition(db.Graph(), count)
-	st, err := db.StreamWith(q, ktpm.Options{RootFilter: func(v int32) bool { return assign[v] != int32(deadShard) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var out []ktpm.Match
-	for {
-		m, ok := st.Next()
-		if !ok {
-			break
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
-		}
-		a, b := out[i].Nodes, out[j].Nodes
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return c, fls
 }
 
 // TestCoordinatorFaultInjection is the table-driven fault suite: each
-// case wires a specific failure into shard 0 and states exactly what the
-// coordinator must do — recover byte-identically, degrade to an explicit
-// partial, or fail without panicking.
+// case wires a specific failure into the first replicas and states
+// exactly what the coordinator must do — answer byte-identically from
+// another replica, or fail naming the cause without panicking.
 func TestCoordinatorFaultInjection(t *testing.T) {
 	db := testDB(t, 80, 3)
-	const count = 3
 	q, err := db.ParseQuery("a(b)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 8
-	sdb, err := db.Shard(count, ktpm.PartitionByHash())
+	want, err := db.TopK(q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sdb.TopK(q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPartial := survivorTopK(t, db, q, k, count, 0)
 
 	cases := []struct {
-		name    string
-		cfg     Config
-		mutate  func(*flakyEndpoint)
-		want    []ktpm.Match // nil = expect an error
-		partial bool
-		errLike string
+		name     string
+		replicas int
+		flaky    int
+		cfg      Config
+		mutate   func(*flakyEndpoint)
+		errLike  []string // empty: expect want
 	}{
 		{
-			name:   "transient open failures recover via retry",
-			cfg:    Config{Retries: 2, Backoff: time.Millisecond},
-			mutate: func(f *flakyEndpoint) { f.failOpens = 2 },
-			want:   want,
+			name:     "dead replica: the next one answers",
+			replicas: 3, flaky: 1,
+			mutate: func(f *flakyEndpoint) { f.dead = true },
 		},
 		{
-			name: "mid-stream hangup severed by the watchdog, resumed by skip",
-			cfg:  Config{Retries: 2, Backoff: time.Millisecond, WorkerTimeout: 100 * time.Millisecond},
+			name:     "transient open failures recover via retry",
+			replicas: 3, flaky: 1,
+			mutate: func(f *flakyEndpoint) { f.failOpens = 2 },
+		},
+		{
+			name:     "mid-stream hangup severed by the watchdog, resumed by skip",
+			replicas: 3, flaky: 1,
+			cfg: Config{WorkerTimeout: 100 * time.Millisecond},
 			mutate: func(f *flakyEndpoint) {
 				f.hangAt = 3 // hello + two matches, then silence
 				f.hangOnce = true
 			},
-			want: want,
 		},
 		{
-			name: "corrupt frame on the first attempt only",
-			cfg:  Config{Retries: 2, Backoff: time.Millisecond},
+			name:     "mid-stream connection reset, resumed by skip",
+			replicas: 2, flaky: 1,
+			mutate: func(f *flakyEndpoint) { f.resetAt = 5 },
+		},
+		{
+			name:     "corrupt frame on the first attempt only",
+			replicas: 3, flaky: 1,
 			mutate: func(f *flakyEndpoint) {
 				f.corruptAt = 2
 				f.corruptOnce = true
 			},
-			want: want,
 		},
 		{
-			name:    "corrupt frame with no retries fails cleanly",
-			cfg:     Config{},
+			// A lone replica has nowhere to retry.
+			name:     "corrupt frame with no retries fails cleanly",
+			replicas: 1, flaky: 1,
 			mutate:  func(f *flakyEndpoint) { f.corruptAt = 2 },
-			errLike: "bad frame",
+			errLike: []string{"bad frame"},
 		},
 		{
-			name:    "dead worker under the partial policy degrades explicitly",
-			cfg:     Config{Retries: 1, Backoff: time.Millisecond, DegradedPartial: true},
+			name:     "every replica dead fails the query",
+			replicas: 3, flaky: 3,
 			mutate:  func(f *flakyEndpoint) { f.dead = true },
-			want:    wantPartial,
-			partial: true,
+			errLike: []string{"all 3 replicas failed", "dead worker"},
 		},
 		{
-			name:    "dead worker under the fail policy fails the query",
-			cfg:     Config{Retries: 1, Backoff: time.Millisecond},
-			mutate:  func(f *flakyEndpoint) { f.dead = true },
-			errLike: "dead worker",
-		},
-		{
-			name:    "stale snapshot identity is fatal even under the partial policy",
-			cfg:     Config{Retries: 2, Backoff: time.Millisecond, DegradedPartial: true},
+			name:     "stale snapshot identity is fatal on every replica",
+			replicas: 3, flaky: 3,
 			mutate:  func(f *flakyEndpoint) { f.staleHello = true },
-			errLike: "snapshot identity",
+			errLike: []string{"snapshot identity"},
+		},
+		{
+			// A fleet serving two snapshots must fail loudly, not answer
+			// from whichever replica happens to agree.
+			name:     "stale identity on one replica is not failed over",
+			replicas: 3, flaky: 1,
+			mutate:  func(f *flakyEndpoint) { f.staleHello = true },
+			errLike: []string{"snapshot identity"},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			coord, _ := flakyFleet(t, db, count, tc.cfg, tc.mutate)
-			got, partial, err := coord.TopKPartial(q, k, ktpm.Options{})
-			if tc.errLike != "" {
+			coord, _ := flakyFleet(t, db, tc.replicas, tc.flaky, tc.cfg, tc.mutate)
+			got, err := coord.TopKWith(q, k, ktpm.Options{})
+			if len(tc.errLike) > 0 {
 				if err == nil {
-					t.Fatalf("got %d matches (partial=%v), want an error matching %q", len(got), partial, tc.errLike)
+					t.Fatalf("got %d matches, want an error matching %q", len(got), tc.errLike)
 				}
-				if !strings.Contains(err.Error(), tc.errLike) {
-					t.Fatalf("error %q does not mention %q", err, tc.errLike)
+				for _, like := range tc.errLike {
+					if !strings.Contains(err.Error(), like) {
+						t.Fatalf("error %q does not mention %q", err, like)
+					}
 				}
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if partial != tc.partial {
-				t.Fatalf("partial = %v, want %v", partial, tc.partial)
-			}
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("result diverged (got %d matches, want %d)", len(got), len(tc.want))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("result diverged (got %d matches, want %d)", len(got), len(want))
 			}
 		})
 	}
 }
 
-// TestCoordinatorStreamFaults drives the same failures through the
-// unbounded /stream merge: the partial policy keeps streaming the
-// surviving shards and reports Partial; the fail policy ends the stream
-// with Err set — never mid-tie-group garbage.
+// TestCoordinatorStreamFaults drives failures through the unbounded
+// /stream reader: a replica that dies after n emitted matches hands the
+// rest of the stream to another replica with no match missing or
+// repeated, and a fleet with every replica dead ends the stream with an
+// error that names the cause.
 func TestCoordinatorStreamFaults(t *testing.T) {
 	db := testDB(t, 80, 3)
-	const count = 3
-	q, err := db.ParseQuery("a(b)")
+	q, err := db.ParseQuery("a(b,c)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPartial := survivorTopK(t, db, q, 1<<30, count, 0)
+	full, err := db.OpenStream(q, ktpm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drain(full)
+	const n = 40
+	if len(want) < 2*n {
+		t.Fatalf("%d matches; the graph is too small to die after %d", len(want), n)
+	}
 
-	coord, _ := flakyFleet(t, db, count, Config{Retries: 0, DegradedPartial: true},
-		func(f *flakyEndpoint) { f.dead = true })
+	// Frame 0 is the hello, so the reset replaces the (n+1)-th match.
+	coord, fls := flakyFleet(t, db, 3, 1, Config{}, func(f *flakyEndpoint) { f.resetAt = n + 1 })
 	st, err := coord.OpenStream(q, ktpm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []ktpm.Match
-	for {
-		m, ok := st.Next()
-		if !ok {
-			break
-		}
-		got = append(got, m)
+	got := drain(st)
+	if err := st.(*routedStream).Err(); err != nil {
+		t.Fatalf("stream with a surviving replica ended with %v", err)
 	}
-	st.Close()
-	cs := st.(*coordStream)
-	if !cs.Partial() || cs.Err() != nil {
-		t.Fatalf("partial-policy stream: Partial=%v Err=%v", cs.Partial(), cs.Err())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed stream diverged from the database's (got %d matches, want %d)", len(got), len(want))
 	}
-	if !reflect.DeepEqual(got, wantPartial) {
-		t.Fatalf("degraded stream diverged from the survivors' canonical order (got %d, want %d)", len(got), len(wantPartial))
+	stats := coord.CoordinatorStats().Workers
+	if fls[0].opens.Load() != 1 || stats[0].Failures != 1 || stats[0].Matches != n {
+		t.Fatalf("dying replica: %d opens, %d failures, %d matches handed on; want 1, 1, %d",
+			fls[0].opens.Load(), stats[0].Failures, stats[0].Matches, n)
+	}
+	if stats[1].Requests != 1 || stats[1].Matches != int64(len(want)-n) {
+		t.Fatalf("next replica: %d requests, %d matches; want 1 and %d", stats[1].Requests, stats[1].Matches, len(want)-n)
 	}
 
-	coord, _ = flakyFleet(t, db, count, Config{Retries: 0},
-		func(f *flakyEndpoint) { f.dead = true })
+	coord, _ = flakyFleet(t, db, 2, 2, Config{}, func(f *flakyEndpoint) { f.dead = true })
 	st, err = coord.OpenStream(q, ktpm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, ok := st.Next(); !ok {
-			break
+	if got := drain(st); len(got) != 0 {
+		t.Fatalf("a dead fleet streamed %d matches", len(got))
+	}
+	if err := st.(*routedStream).Err(); err == nil || !strings.Contains(err.Error(), "dead worker") {
+		t.Fatalf("dead-fleet stream: Err = %v, want the workers' error", err)
+	}
+}
+
+// TestCoordinatorEjectsFailingReplica pins the breaker's part in
+// routing: after BreakerFailures consecutive failures a replica gets no
+// traffic, every request still answering from its peer, until its
+// cooldown ends and one probe request tries it again.
+func TestCoordinatorEjectsFailingReplica(t *testing.T) {
+	db := testDB(t, 80, 3)
+	q, err := db.ParseQuery("a(b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.TopK(q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, fls := flakyFleet(t, db, 2, 1, Config{BreakerFailures: 2, BreakerCooldown: time.Minute},
+		func(f *flakyEndpoint) { f.dead = true })
+	clock := time.Unix(1000, 0)
+	for _, r := range coord.reps {
+		r.brk.now = func() time.Time { return clock }
+	}
+	query := func() {
+		t.Helper()
+		got, err := coord.TopKWith(q, 10, ktpm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("answer diverged while a replica was failing")
 		}
 	}
-	st.Close()
-	cs = st.(*coordStream)
-	if cs.Err() == nil {
-		t.Fatal("fail-policy stream ended without an error")
+	// The rotation starts requests 0 and 2 at the dead replica.
+	for i := 0; i < 3; i++ {
+		query()
+	}
+	if n := fls[0].opens.Load(); n != 2 {
+		t.Fatalf("dead replica dialed %d times by 3 requests, want 2", n)
+	}
+	if bs := coord.CoordinatorStats().Workers[0].Breaker; bs.State != breakerOpen {
+		t.Fatalf("breaker %s after 2 consecutive failures, want open", bs.State)
+	}
+	for i := 0; i < 20; i++ {
+		query()
+	}
+	if n := fls[0].opens.Load(); n != 2 {
+		t.Fatalf("ejected replica dialed %d times during its cooldown, want 2", n)
+	}
+	clock = clock.Add(time.Minute + time.Second)
+	for i := 0; i < 4; i++ {
+		query()
+	}
+	if n := fls[0].opens.Load(); n != 3 {
+		t.Fatalf("replica dialed %d times after its cooldown, want one probe (3)", n)
 	}
 }
 
-// TestPartialCountedAtDrop pins /stats partials to the drop itself: a
-// one-worker fleet whose only worker is dead leaves a partial-policy
-// stream no tie group to emit, and the query must still count once —
-// and a top-k query once more, not twice.
-func TestPartialCountedAtDrop(t *testing.T) {
-	db := testDB(t, 40, 3)
-	q, err := db.ParseQuery("a(b)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, _ := flakyFleet(t, db, 1, Config{DegradedPartial: true},
-		func(f *flakyEndpoint) { f.dead = true })
-	st, err := coord.OpenStream(q, ktpm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Next(); ok {
-		t.Fatal("a dead fleet streamed a match")
-	}
-	st.Close()
-	if cs := st.(*coordStream); !cs.Partial() || cs.Err() != nil {
-		t.Fatalf("stream: Partial=%v Err=%v, want partial without error", cs.Partial(), cs.Err())
-	}
-	if n := coord.CoordinatorStats().Partials; n != 1 {
-		t.Fatalf("partials after one degraded stream = %d, want 1", n)
-	}
-	if _, partial, err := coord.TopKPartial(q, 5, ktpm.Options{}); err != nil || !partial {
-		t.Fatalf("top-k on a dead fleet: partial=%v err=%v", partial, err)
-	}
-	if n := coord.CoordinatorStats().Partials; n != 2 {
-		t.Fatalf("partials after a degraded stream and query = %d, want 2", n)
-	}
-}
-
-// TestCoordinatorHedging pins the hedge path: shard 0's first replica
-// answers slowly, its second replica is healthy, and a short HedgeAfter
-// must fire the hedge, adopt the fast replica's stream, and still return
-// byte-identical results. The hedge counters must record the win.
-func TestCoordinatorHedging(t *testing.T) {
-	db := testDB(t, 80, 5)
-	const count = 2
-	p := ktpm.PartitionByHash()
-	eps := startWorkers(t, db, count, p)
-	slow := newFlaky(eps[0][0])
-	slow.helloDelay = 2 * time.Second
-	eps[0] = []Endpoint{slow, eps[0][0]} // replica 0 slow, replica 1 healthy
-	coord, err := NewCoordinator(db, "hash", eps, Config{HedgeAfter: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdb, err := db.Shard(count, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := db.ParseQuery("a(b)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sdb.TopK(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, partial, err := coord.TopKPartial(q, 10, ktpm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if partial {
-		t.Fatal("hedged query reported partial")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("hedged result diverged from the sharded database")
-	}
-	st := coord.CoordinatorStats()
-	ws := st.Workers[0]
-	if ws.Hedges < 1 || ws.HedgeWins < 1 {
-		t.Fatalf("hedge counters: hedges=%d wins=%d, want >= 1 each", ws.Hedges, ws.HedgeWins)
-	}
-}
-
-// TestCoordinatorConcurrentHedgedQueries hammers one coordinator with
-// concurrent queries while every first replica is slow enough to fire
-// hedges (run under -race, as CI does): results must stay byte-identical
-// to the golden answers, with no data races across the hedge/reap paths.
-func TestCoordinatorConcurrentHedgedQueries(t *testing.T) {
+// TestCoordinatorConcurrentQueries hammers one coordinator from several
+// goroutines while one of three replicas corrupts every stream (run
+// under -race, as CI does): answers must stay byte-identical to the
+// database's, whichever replica a request lands on or fails over to.
+func TestCoordinatorConcurrentQueries(t *testing.T) {
 	db := testDB(t, 90, 11)
-	const count = 2
-	p := ktpm.PartitionByHash()
-	eps := startWorkers(t, db, count, p)
-	for i := range eps {
-		slow := newFlaky(eps[i][0])
-		slow.helloDelay = 5 * time.Millisecond
-		eps[i] = []Endpoint{slow, eps[i][0]}
-	}
-	coord, err := NewCoordinator(db, "hash", eps, Config{
-		HedgeAfter: time.Millisecond,
-		Retries:    1,
-		Backoff:    time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, _ := flakyFleet(t, db, 3, 1, Config{}, func(f *flakyEndpoint) { f.corruptAt = 3 })
 	queries := []string{"a(b)", "a(b,c)", "b(c(d))", "c(d,e)"}
 	const k = 8
 	golden := make(map[string][]ktpm.Match)
@@ -433,35 +361,29 @@ func TestCoordinatorConcurrentHedgedQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, _, err := coord.TopKPartial(q, k, ktpm.Options{})
-		if err != nil {
+		if golden[qs], err = db.TopK(q, k); err != nil {
 			t.Fatal(err)
 		}
-		golden[qs] = ms
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 4; i++ {
+			for i := 0; i < 8; i++ {
 				qs := queries[(w+i)%len(queries)]
 				q, err := db.ParseQuery(qs)
 				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
+					t.Errorf("goroutine %d: %v", w, err)
 					return
 				}
-				ms, partial, err := coord.TopKPartial(q, k, ktpm.Options{})
+				ms, err := coord.TopKWith(q, k, ktpm.Options{})
 				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-				if partial {
-					t.Errorf("worker %d: healthy fleet reported partial", w)
+					t.Errorf("goroutine %d: %v", w, err)
 					return
 				}
 				if !reflect.DeepEqual(ms, golden[qs]) {
-					t.Errorf("worker %d: %q diverged under concurrent hedging", w, qs)
+					t.Errorf("goroutine %d: %q diverged", w, qs)
 					return
 				}
 			}

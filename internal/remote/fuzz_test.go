@@ -32,8 +32,7 @@ func decodeAll(b []byte) ([]Frame, error) {
 func FuzzDecodeFrame(f *testing.F) {
 	hello := func(positions int) []byte {
 		return appendFrame(nil, Frame{Kind: KindHello, Hello: Hello{
-			Proto: ProtoVersion, Shard: 0, Workers: 4, Partitioner: "hash",
-			Snapshot: "00deadbeef", Order: OrderVersion, Positions: positions,
+			Proto: ProtoVersion, Snapshot: "00deadbeef", Order: OrderVersion, Positions: positions,
 		}})
 	}
 	frame := func(kind byte, payload ...byte) []byte {

@@ -1,27 +1,25 @@
-// Package remote promotes the shard scatter-gather merge contract over
-// the network: a worker serves its shard's canonical match stream as
-// binary frames, and a coordinator runs the same k-way merge the
-// in-process shard.DB runs over channels — so a topology of N workers
-// answers top-k queries byte-identically to a local ShardedDatabase with
-// N shards.
+// Package remote serves top-k queries from worker processes: a worker
+// streams its database's canonical match enumeration as binary frames,
+// and a coordinator routes each request whole to one worker replica and
+// hands that replica's matches on — so a fleet of replicas over one
+// snapshot answers byte-identically to a single Database.
 //
 // Every frame is one kind byte, a uvarint payload length (at most
 // MaxFrameBytes), then the payload:
 //
 //	'h'  the JSON Hello object, the bytes /shard/hello serves:
-//	     {"f":"hello","proto":2,"shard":0,"workers":4,"partitioner":"hash",
-//	      "snapshot":"<identity>","order":"topk-en-canonical/1","positions":3}
+//	     {"f":"hello","proto":3,"snapshot":"<identity>",
+//	      "order":"topk-en-canonical/1","positions":3}
 //	'm'  a zigzag-varint score, then exactly positions uvarint bindings
 //	'e'  a uvarint match count, then a complete byte (0 or 1)
 //	'x'  a UTF-8 error message
 //
-// The hello frame is the handshake: shard id and worker count pin the
-// worker's place in the topology, the snapshot identity and canonical
-// order version pin what it serves, and positions fixes the width of
-// every later match frame. Mismatched topologies fail fast at the first
-// frame instead of merging wrong answers. The /shard/hello probe stays
-// JSON, so a peer speaking another protocol version fails the topology
-// check at startup with both versions named.
+// The hello frame is the handshake: the snapshot identity and canonical
+// order version pin what the worker serves, and positions fixes the
+// width of every later match frame. A replica serving another snapshot
+// fails at the first frame instead of answering from another graph. The
+// /shard/hello probe stays JSON, so a peer speaking another protocol
+// version fails the topology check at startup with both versions named.
 //
 // The decoder is the untrusted half: the coordinator feeds it bytes from
 // the network, so it validates structurally (frame kind, length cap,
@@ -46,13 +44,16 @@ import (
 
 const (
 	// ProtoVersion is the wire protocol version carried in the handshake;
-	// coordinator and worker must agree exactly.
-	ProtoVersion = 2
+	// coordinator and worker must agree exactly. Version 3 dropped the
+	// shard, worker-count and partitioner fields: a worker serves the
+	// whole enumeration.
+	ProtoVersion = 3
 
 	// OrderVersion names the canonical result order both sides promise:
-	// non-decreasing score, equal scores ordered by node bindings. A
-	// worker emitting any other order would silently corrupt the merge,
-	// so the version is part of the handshake.
+	// non-decreasing score, equal scores ordered by node bindings. The
+	// coordinator's failover resumes a stream on another replica by
+	// position, which is sound only if every replica emits this one
+	// order, so the version is part of the handshake.
 	OrderVersion = "topk-en-canonical/1"
 
 	// MaxFrameBytes caps one frame's payload. A match frame is bounded by
@@ -82,21 +83,18 @@ const helloTag = "hello"
 // Hello is the handshake, the payload of the first frame of every
 // worker stream and the /shard/hello response body (minus Positions).
 type Hello struct {
-	F           string `json:"f"`
-	Proto       int    `json:"proto"`
-	Shard       int    `json:"shard"`
-	Workers     int    `json:"workers"`
-	Partitioner string `json:"partitioner"`
-	Snapshot    string `json:"snapshot"`
-	Order       string `json:"order"`
+	F        string `json:"f"`
+	Proto    int    `json:"proto"`
+	Snapshot string `json:"snapshot"`
+	Order    string `json:"order"`
 	// Positions is the node count of the parsed query: every match frame
 	// of the stream must carry exactly this many bindings. Zero in the
 	// /shard/hello probe response, which has no query.
 	Positions int `json:"positions,omitempty"`
 	// Draining marks a worker that has begun a graceful shutdown: it
-	// still answers (in-flight merges need it) but asks the coordinator
-	// to prefer replicas and stop hedging against it. Absent on the wire
-	// when false; the field is advisory and never validated.
+	// still answers (in-flight streams need it) but asks the coordinator
+	// to route to other replicas. Absent on the wire when false; the
+	// field is advisory and never validated.
 	Draining bool `json:"draining,omitempty"`
 }
 
@@ -127,8 +125,8 @@ func decodeHello(p []byte) (Hello, error) {
 	switch {
 	case h.F != helloTag:
 		return Hello{}, badFrame("hello tagged %q", h.F)
-	case h.Proto <= 0 || h.Workers < 1 || h.Shard < 0 || h.Shard >= h.Workers:
-		return Hello{}, badFrame("hello with proto %d, shard %d of %d", h.Proto, h.Shard, h.Workers)
+	case h.Proto <= 0:
+		return Hello{}, badFrame("hello with proto %d", h.Proto)
 	case h.Positions < 0 || h.Positions > MaxPositions:
 		return Hello{}, badFrame("hello with %d positions", h.Positions)
 	}
@@ -285,9 +283,8 @@ func appendFrame(b []byte, f Frame) []byte {
 
 // Identity fingerprints what a database serves: the full data graph (text
 // encoding) plus the closure's entry/table counts and size. Workers and
-// coordinator exchange it in the handshake so a topology mixing snapshot
-// generations fails fast instead of merging streams from different
-// worlds. O(nodes+edges) once at startup.
+// coordinator exchange it in the handshake so a fleet mixing snapshot
+// generations fails fast instead of answering from different worlds. O(nodes+edges) once at startup.
 func Identity(db *ktpm.Database) string {
 	h := fnv.New64a()
 	_ = ktpm.SaveGraph(h, db.Graph())

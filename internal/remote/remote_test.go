@@ -2,14 +2,15 @@ package remote
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,50 +46,75 @@ func testDB(t testing.TB, n int, seed int64) *ktpm.Database {
 	return db
 }
 
-// startWorkers spins up count workers over db behind httptest servers
-// (real HTTP, real frames) and returns one endpoint list per shard.
-func startWorkers(t testing.TB, db *ktpm.Database, count int, p ktpm.Partitioner) [][]Endpoint {
+// startWorkers spins up n worker replicas over db behind httptest
+// servers (real HTTP, real frames) and returns their endpoints.
+func startWorkers(t testing.TB, db *ktpm.Database, n int) []Endpoint {
 	t.Helper()
-	eps := make([][]Endpoint, count)
-	for i := 0; i < count; i++ {
-		w, err := NewWorker(db, WorkerConfig{Index: i, Count: count, Partitioner: p})
+	eps := make([]Endpoint, n)
+	for i := range eps {
+		w, err := NewWorker(db, WorkerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(w.Handler())
 		t.Cleanup(ts.Close)
-		eps[i] = []Endpoint{NewHTTPEndpoint(ts.URL)}
+		eps[i] = NewHTTPEndpoint(ts.URL)
 	}
 	return eps
 }
 
-func newTestCoordinator(t testing.TB, db *ktpm.Database, count int, p ktpm.Partitioner, cfg Config) *Coordinator {
+func newTestCoordinator(t testing.TB, db *ktpm.Database, n int, cfg Config) *Coordinator {
 	t.Helper()
-	c, err := NewCoordinator(db, p.Name(), startWorkers(t, db, count, p), cfg)
+	c, err := NewCoordinator(db, "hash", [][]Endpoint{startWorkers(t, db, n)}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// TestCoordinatorMatchesShardedDatabase is the distributed result-identity
-// property test pinning the tentpole: at worker counts {1,2,4} and both
-// partitioners, the coordinator's top-k — run over real worker HTTP
-// streams — must be byte-identical to a local ShardedDatabase with the
-// same shard count and partitioner, for full enumerations and every
-// tested prefix k, and its explain plans must match too.
+// drain reads st to its end and closes it.
+func drain(st ktpm.MatchStream) []ktpm.Match {
+	defer st.Close()
+	var out []ktpm.Match
+	for {
+		m, ok := st.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, m)
+	}
+}
+
+// TestCoordinatorMatchesShardedDatabase is the result-identity property
+// test: at 1–4 replicas, declared the way the scatter topology was (one
+// endpoint list per shard, workers given an index, a count and a
+// partitioner, all of which are now ignored), the coordinator's top-k
+// over real worker HTTP streams must be byte-identical to the plain
+// Database for full enumerations, every tested prefix k and a batch
+// with a duplicate item, with every replica taking its turn, and its
+// explain plans must match too.
 func TestCoordinatorMatchesShardedDatabase(t *testing.T) {
 	queries := []string{"a(b)", "a(b,c)", "b(c(d))", "a(*,c)", "c(d,e)", "e"}
 	db := testDB(t, 90, 3)
-	for _, count := range []int{1, 2, 4} {
+	for _, count := range []int{1, 2, 3, 4} {
 		for _, p := range []ktpm.Partitioner{ktpm.PartitionByHash(), ktpm.PartitionByLabel()} {
 			name := fmt.Sprintf("workers=%d/%s", count, p.Name())
 			t.Run(name, func(t *testing.T) {
-				sdb, err := db.Shard(count, p)
+				shards := make([][]Endpoint, count)
+				workers := make([]*Worker, count)
+				for i := range shards {
+					w, err := NewWorker(db, WorkerConfig{Index: i, Count: count, Partitioner: p})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ts := httptest.NewServer(w.Handler())
+					t.Cleanup(ts.Close)
+					shards[i], workers[i] = []Endpoint{NewHTTPEndpoint(ts.URL)}, w
+				}
+				coord, err := NewCoordinator(db, p.Name(), shards, Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				coord := newTestCoordinator(t, db, count, p, Config{})
 				if err := coord.CheckTopology(context.Background()); err != nil {
 					t.Fatalf("topology: %v", err)
 				}
@@ -99,34 +125,48 @@ func TestCoordinatorMatchesShardedDatabase(t *testing.T) {
 					}
 					total := int(db.CountMatches(q))
 					for _, k := range []int{1, 5, total/2 + 1, total + 3} {
-						if k <= 0 {
-							continue
-						}
-						want, err := sdb.TopK(q, k)
+						want, err := db.TopK(q, k)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, partial, err := coord.TopKPartial(q, k, ktpm.Options{})
+						got, err := coord.TopKWith(q, k, ktpm.Options{})
 						if err != nil {
 							t.Fatalf("%q k=%d: %v", qs, k, err)
 						}
-						if partial {
-							t.Fatalf("%q k=%d: healthy topology reported partial", qs, k)
-						}
 						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%q k=%d: coordinator differs from sharded database", qs, k)
+							t.Fatalf("%q k=%d: coordinator differs from the database", qs, k)
 						}
 					}
 					cp, err := coord.Explain(q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sp, err := sdb.Explain(q)
+					sp, err := db.Explain(q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(cp, sp) {
 						t.Fatalf("%q: explain plans differ", qs)
+					}
+				}
+				var items []ktpm.BatchItem
+				for i, qs := range append(queries, queries[0]) {
+					q, err := db.ParseQuery(qs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					items = append(items, ktpm.BatchItem{Query: q, K: 3 + i%4})
+				}
+				items[len(items)-1].K = items[0].K
+				want, got := db.TopKBatch(items), coord.TopKBatch(items)
+				for i := range want {
+					if got[i].Err != nil || !reflect.DeepEqual(got[i].Matches, want[i].Matches) || got[i].Shared != want[i].Shared {
+						t.Fatalf("batch item %d: coordinator differs from the database (err %v)", i, got[i].Err)
+					}
+				}
+				for i, w := range workers {
+					if w.Stats().Streams == 0 {
+						t.Fatalf("replica %d of %d served no stream", i, count)
 					}
 				}
 			})
@@ -135,34 +175,19 @@ func TestCoordinatorMatchesShardedDatabase(t *testing.T) {
 }
 
 // TestCoordinatorStreamMatchesShardedStream checks the unbounded path:
-// the coordinator's /stream merge must emit the same canonical sequence
-// as the local sharded stream, and report complete exhaustion.
+// the coordinator's /stream reader must emit the same canonical sequence
+// as the plain database's stream, at 1–3 replicas, and end without an
+// error.
 func TestCoordinatorStreamMatchesShardedStream(t *testing.T) {
 	db := testDB(t, 70, 17)
-	p := ktpm.PartitionByHash()
-	for _, count := range []int{1, 2, 4} {
-		sdb, err := db.Shard(count, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coord := newTestCoordinator(t, db, count, p, Config{})
+	for _, count := range []int{1, 2, 3} {
+		coord := newTestCoordinator(t, db, count, Config{})
 		for _, qs := range []string{"a(b)", "a(b,c)", "b(c(d))"} {
 			q, err := db.ParseQuery(qs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			drain := func(st ktpm.MatchStream) []ktpm.Match {
-				defer st.Close()
-				var out []ktpm.Match
-				for {
-					m, ok := st.Next()
-					if !ok {
-						return out
-					}
-					out = append(out, m)
-				}
-			}
-			ws, err := sdb.OpenStream(q, ktpm.Options{})
+			ws, err := db.OpenStream(q, ktpm.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,11 +198,10 @@ func TestCoordinatorStreamMatchesShardedStream(t *testing.T) {
 			}
 			got := drain(gs)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d %q: stream order differs (got %d matches, want %d)", count, qs, len(got), len(want))
+				t.Fatalf("replicas=%d %q: stream order differs (got %d matches, want %d)", count, qs, len(got), len(want))
 			}
-			cs := gs.(*coordStream)
-			if cs.Partial() || cs.Err() != nil {
-				t.Fatalf("workers=%d %q: healthy stream reported partial=%v err=%v", count, qs, cs.Partial(), cs.Err())
+			if err := gs.(*routedStream).Err(); err != nil {
+				t.Fatalf("replicas=%d %q: healthy stream reported %v", count, qs, err)
 			}
 		}
 	}
@@ -185,9 +209,9 @@ func TestCoordinatorStreamMatchesShardedStream(t *testing.T) {
 
 // TestCoordinatorUniformTies drives the tie-heavy path end to end: a
 // star graph where every match of "a(b)" scores identically, so the
-// k-th tie group is the whole match space and the merge must compact,
-// cut the group at k on the worker side (k-hint contract), and still
-// return the canonical prefix at every worker count.
+// k-th tie group is the whole match space and the worker must cut it at
+// k (the k-hint contract) and still return the canonical prefix at
+// every replica count.
 func TestCoordinatorUniformTies(t *testing.T) {
 	gb := ktpm.NewGraphBuilder()
 	a := gb.AddNode("a")
@@ -207,77 +231,19 @@ func TestCoordinatorUniformTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ktpm.PartitionByHash()
 	for _, count := range []int{1, 2, 4} {
-		sdb, err := db.Shard(count, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coord := newTestCoordinator(t, db, count, p, Config{})
+		coord := newTestCoordinator(t, db, count, Config{})
 		for _, k := range []int{1, 4, fanout / 2, fanout} {
-			want, err := sdb.TopK(q, k)
+			want, err := db.TopK(q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, partial, err := coord.TopKPartial(q, k, ktpm.Options{})
+			got, err := coord.TopKWith(q, k, ktpm.Options{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if partial {
-				t.Fatalf("workers=%d k=%d: healthy topology reported partial", count, k)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d k=%d: not the canonical prefix of the tie group", count, k)
-			}
-		}
-	}
-}
-
-// TestMergedCountsAgree pins one meaning of "merged": for the same
-// query, partitioner and worker count, the ShardedDatabase's per-shard
-// Merged is the shard's number of matches scoring at or below the k-th
-// score, and the coordinator's per-worker Matches is the same count cut
-// at k, because a worker sends at most k.
-func TestMergedCountsAgree(t *testing.T) {
-	db := testDB(t, 80, 5)
-	q, err := db.ParseQuery("a(b,c)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := db.TopK(q, int(db.CountMatches(q)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 9
-	if len(all) <= k {
-		t.Fatalf("%d matches; the graph is too small for k=%d", len(all), k)
-	}
-	for _, count := range []int{1, 3} {
-		for _, p := range []ktpm.Partitioner{ktpm.PartitionByHash(), ktpm.PartitionByLabel()} {
-			assign := p.Partition(db.Graph(), count)
-			want := make([]int64, count)
-			for _, m := range all {
-				if m.Score <= all[k-1].Score {
-					want[assign[m.Nodes[0]]]++
-				}
-			}
-			sdb, err := db.Shard(count, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sdb.TopK(q, k); err != nil {
-				t.Fatal(err)
-			}
-			coord := newTestCoordinator(t, db, count, p, Config{})
-			if _, _, err := coord.TopKPartial(q, k, ktpm.Options{}); err != nil {
-				t.Fatal(err)
-			}
-			local, remote := sdb.ShardStats().PerShard, coord.CoordinatorStats().Workers
-			for i := 0; i < count; i++ {
-				if local[i].Merged != want[i] || remote[i].Matches != min(want[i], k) {
-					t.Fatalf("workers=%d/%s shard %d: sharded Merged %d, coordinator Matches %d, want %d and %d",
-						count, p.Name(), i, local[i].Merged, remote[i].Matches, want[i], min(want[i], k))
-				}
+				t.Fatalf("replicas=%d k=%d: not the canonical prefix of the tie group", count, k)
 			}
 		}
 	}
@@ -289,7 +255,7 @@ func TestMergedCountsAgree(t *testing.T) {
 // flagged complete — even when the tie group at the k-th score runs on.
 func TestWorkerKHintTruncation(t *testing.T) {
 	db := testDB(t, 60, 7)
-	w, err := NewWorker(db, WorkerConfig{Index: 0, Count: 1})
+	w, err := NewWorker(db, WorkerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +353,7 @@ func TestWorkerCountsAbandonedStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorker(db, WorkerConfig{Index: 0, Count: 1})
+	w, err := NewWorker(db, WorkerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,52 +387,28 @@ func TestWorkerCountsAbandonedStreams(t *testing.T) {
 }
 
 // TestCheckTopologyRejectsMismatches wires deliberately wrong fleets and
-// checks the probe fails fast: wrong worker count, wrong partitioner,
-// a worker serving a different graph, and a worker speaking an older
-// protocol.
+// checks the probe fails fast: a replica serving a different graph
+// beside a healthy one, and a worker speaking the previous protocol.
 func TestCheckTopologyRejectsMismatches(t *testing.T) {
 	db := testDB(t, 50, 3)
 	other := testDB(t, 50, 4)
-	hash := ktpm.PartitionByHash()
 
-	// Worker believes in a 3-worker topology; coordinator expects 2.
-	eps := startWorkers(t, db, 3, hash)
-	c, err := NewCoordinator(db, "hash", eps[:2], Config{})
+	// One replica serves a different graph: snapshot identities diverge.
+	eps := append(startWorkers(t, db, 1), startWorkers(t, other, 1)...)
+	c, err := NewCoordinator(db, "hash", [][]Endpoint{eps}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CheckTopology(context.Background()); err == nil {
-		t.Fatal("worker-count mismatch passed the topology check")
+	if err := c.CheckTopology(context.Background()); err == nil || !strings.Contains(err.Error(), "snapshot identity") {
+		t.Fatalf("snapshot-identity mismatch: CheckTopology = %v", err)
 	}
 
-	// Partitioner disagreement.
-	c, err = NewCoordinator(db, "label", startWorkers(t, db, 2, hash), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckTopology(context.Background()); err == nil {
-		t.Fatal("partitioner mismatch passed the topology check")
-	}
-
-	// Different graph: snapshot identities diverge.
-	c, err = NewCoordinator(other, "hash", startWorkers(t, db, 2, hash), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckTopology(context.Background()); err == nil {
-		t.Fatal("snapshot-identity mismatch passed the topology check")
-	}
-
-	// A worker of the previous protocol: its JSON probe still decodes,
-	// and the check names both versions.
-	w, err := NewWorker(db, WorkerConfig{Index: 0, Count: 1, Partitioner: hash})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A worker of the previous protocol: its JSON probe still decodes
+	// (the fields it carried beyond this version's are ignored), and the
+	// check names both versions.
 	old := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-		h := w.Hello()
-		h.Proto = 1
-		_ = json.NewEncoder(rw).Encode(h)
+		fmt.Fprintf(rw, `{"f":"hello","proto":2,"shard":0,"workers":1,"partitioner":"hash","snapshot":%q,"order":%q}`,
+			Identity(db), OrderVersion)
 	}))
 	defer old.Close()
 	c, err = NewCoordinator(db, "hash", [][]Endpoint{{NewHTTPEndpoint(old.URL)}}, Config{})
@@ -474,42 +416,102 @@ func TestCheckTopologyRejectsMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = c.CheckTopology(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "protocol version 1, want 2") {
-		t.Fatalf("protocol-1 worker: CheckTopology = %v, want a version mismatch", err)
+	if err == nil || !strings.Contains(err.Error(), "protocol version 2, want 3") {
+		t.Fatalf("protocol-2 worker: CheckTopology = %v, want a version mismatch", err)
 	}
 }
 
-// TestCoordinatorStats sanity-checks the counters a healthy run leaves
-// behind: one request per worker, no retries/hedges/failures, and the
-// per-shard matches summing to at least the result size.
+// TestCoordinatorStats pins routing on a healthy fleet: each query opens
+// exactly one worker stream, the rotation spreads 100 queries across two
+// replicas (each takes at least 40), nothing fails, and the matches the
+// replicas handed on add up to the answers.
 func TestCoordinatorStats(t *testing.T) {
 	db := testDB(t, 60, 9)
-	p := ktpm.PartitionByHash()
-	coord := newTestCoordinator(t, db, 2, p, Config{})
-	q, err := db.ParseQuery("a(b)")
+	workers := make([]*Worker, 2)
+	eps := make([]Endpoint, 2)
+	for i := range workers {
+		w, err := NewWorker(db, WorkerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(w.Handler())
+		t.Cleanup(ts.Close)
+		workers[i], eps[i] = w, NewHTTPEndpoint(ts.URL)
+	}
+	coord, err := NewCoordinator(db, "hash", [][]Endpoint{eps}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := coord.TopKPartial(q, 5, ktpm.Options{})
-	if err != nil {
-		t.Fatal(err)
+	var returned int64
+	for i := 0; i < 100; i++ {
+		q, err := db.ParseQuery([]string{"a(b)", "b(c,d)", "c(d)"}[i%3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := coord.TopKWith(q, 5, ktpm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		returned += int64(len(got))
 	}
 	st := coord.CoordinatorStats()
-	if len(st.Workers) != 2 || st.Policy != "fail" || st.Snapshot == "" {
+	if len(st.Workers) != 2 || st.Snapshot == "" {
 		t.Fatalf("stats shape: %+v", st)
 	}
-	var requests, merged int64
-	for _, ws := range st.Workers {
-		requests += ws.Requests
-		merged += ws.Matches
-		if ws.Retries != 0 || ws.Hedges != 0 || ws.Failures != 0 {
+	var streams, requests, matches int64
+	for i, ws := range st.Workers {
+		n := workers[i].Stats().Streams
+		if n < 40 {
+			t.Fatalf("replica %d served %d of 100 queries, want at least 40", i, n)
+		}
+		if ws.Failures != 0 || ws.Breaker.State != breakerClosed {
 			t.Fatalf("healthy run recorded failures: %+v", ws)
 		}
+		streams += n
+		requests += ws.Requests
+		matches += ws.Matches
 	}
-	if requests != 2 {
-		t.Fatalf("requests = %d, want 2 (one per worker)", requests)
+	if streams != 100 || requests != 100 {
+		t.Fatalf("100 queries opened %d worker streams (%d requests), want one each", streams, requests)
 	}
-	if merged < int64(len(got)) {
-		t.Fatalf("merged %d matches across workers, result has %d", merged, len(got))
+	if matches != returned {
+		t.Fatalf("replicas handed on %d matches, the answers hold %d", matches, returned)
+	}
+}
+
+// TestCoordinatorReusesConnections pins that sequential routed requests
+// share one keep-alive connection to their replica: the reader consumes
+// each response to its EOF, so closing it never takes the connection
+// down with it.
+func TestCoordinatorReusesConnections(t *testing.T) {
+	db := testDB(t, 200, 3)
+	w, err := NewWorker(db, WorkerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(w.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	coord, err := NewCoordinator(db, "hash", [][]Endpoint{{NewHTTPEndpoint(ts.URL)}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.ParseQuery("a(b,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := coord.TopKWith(q, 5+i%2*95, ktpm.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("100 sequential requests opened %d connections, want 1", n)
 	}
 }

@@ -12,15 +12,21 @@ import (
 	"ktpm/internal/lazy"
 )
 
-// WorkerConfig configures one worker's place in a topology.
+// WorkerConfig configures a worker.
 type WorkerConfig struct {
-	// Index is this worker's shard id in [0, Count).
+	// Index was this worker's shard id.
+	//
+	// Deprecated: a worker serves the whole enumeration, so Index is
+	// ignored. It remains because benchmark/ still sets it; the next
+	// change to benchmark/ drops it.
 	Index int
-	// Count is the topology's worker count.
+	// Count was the topology's worker count.
+	//
+	// Deprecated: ignored, like Index, and dropped with it.
 	Count int
-	// Partitioner fixes vertex ownership; nil means ktpm.PartitionByHash.
-	// Every worker and the coordinator must use the same partitioner —
-	// its name travels in the handshake.
+	// Partitioner fixed vertex ownership.
+	//
+	// Deprecated: ignored, like Index, and dropped with it.
 	Partitioner ktpm.Partitioner
 	// MaxQueryLen rejects longer q strings, mirroring the serving
 	// default; 0 means 4096.
@@ -29,18 +35,16 @@ type WorkerConfig struct {
 	Logger *slog.Logger
 }
 
-// Worker serves one shard's slice of the match space over HTTP. It owns
-// the vertices its partitioner assigns to its index and answers
-// /shard/stream with the canonical score-ordered enumeration of those
+// Worker serves a database's match stream over HTTP: /shard/stream
+// answers with the canonical score-ordered enumeration of a query's
 // matches, truncated by the coordinator's k hint. The underlying
 // Database is typically opened from the same KTPMSNAP2 snapshot every
-// other worker maps, so the page cache is shared across the fleet.
+// other replica maps, so the page cache is shared across the fleet.
 type Worker struct {
-	db     *ktpm.Database
-	cfg    WorkerConfig
-	hello  Hello // handshake template; Positions filled per stream
-	assign []int32
-	mux    *http.ServeMux
+	db    *ktpm.Database
+	cfg   WorkerConfig
+	hello Hello // handshake template; Positions filled per stream
+	mux   *http.ServeMux
 
 	streams  atomic.Int64 // /shard/stream requests accepted
 	matches  atomic.Int64 // match frames written, abandoned streams included
@@ -48,37 +52,22 @@ type Worker struct {
 	draining atomic.Bool  // graceful shutdown begun; see SetDraining
 }
 
-// NewWorker validates the topology slot and precomputes the vertex
-// assignment (the same O(nodes) partition every peer computes, so
-// ownership is consistent without coordination).
+// NewWorker builds a worker over db.
 func NewWorker(db *ktpm.Database, cfg WorkerConfig) (*Worker, error) {
 	if db == nil {
 		return nil, fmt.Errorf("remote: nil database")
-	}
-	if cfg.Count < 1 {
-		return nil, fmt.Errorf("remote: worker count %d, want >= 1", cfg.Count)
-	}
-	if cfg.Index < 0 || cfg.Index >= cfg.Count {
-		return nil, fmt.Errorf("remote: worker index %d of %d", cfg.Index, cfg.Count)
-	}
-	if cfg.Partitioner == nil {
-		cfg.Partitioner = ktpm.PartitionByHash()
 	}
 	if cfg.MaxQueryLen < 1 {
 		cfg.MaxQueryLen = 4096
 	}
 	w := &Worker{
-		db:     db,
-		cfg:    cfg,
-		assign: cfg.Partitioner.Partition(db.Graph(), cfg.Count),
+		db:  db,
+		cfg: cfg,
 		hello: Hello{
-			F:           helloTag,
-			Proto:       ProtoVersion,
-			Shard:       cfg.Index,
-			Workers:     cfg.Count,
-			Partitioner: cfg.Partitioner.Name(),
-			Snapshot:    Identity(db),
-			Order:       OrderVersion,
+			F:        helloTag,
+			Proto:    ProtoVersion,
+			Snapshot: Identity(db),
+			Order:    OrderVersion,
 		},
 	}
 	mux := http.NewServeMux()
@@ -97,8 +86,8 @@ func NewWorker(db *ktpm.Database, cfg WorkerConfig) (*Worker, error) {
 			fmt.Fprintln(rw, "draining")
 			return
 		}
-		// A constructed worker is ready: the partition is computed and the
-		// database is open (lazy snapshots fault tables on demand).
+		// A constructed worker is ready: the database is open (lazy
+		// snapshots fault tables on demand).
 		fmt.Fprintln(rw, "ready")
 	})
 	mux.HandleFunc("/stats", w.handleStats)
@@ -117,26 +106,13 @@ func (w *Worker) Hello() Hello { return w.hello }
 
 // SetDraining flips the worker's drain marker. While draining, /readyz
 // answers 503, and every handshake carries draining:true so
-// coordinators prefer replicas and stop hedging against this worker.
-// /shard/stream keeps serving — in-flight merges need the shard until
-// the process actually exits, and a coordinator with no replica for
-// this shard must still be answerable.
+// coordinators route to other replicas. /shard/stream keeps serving —
+// in-flight streams need it until the process actually exits, and a
+// coordinator with no other replica must still be answerable.
 func (w *Worker) SetDraining(v bool) { w.draining.Store(v) }
 
 // Draining reports whether SetDraining(true) has been called.
 func (w *Worker) Draining() bool { return w.draining.Load() }
-
-// OwnedVertices returns how many data-graph vertices this worker's shard
-// owns.
-func (w *Worker) OwnedVertices() int {
-	n := 0
-	for _, s := range w.assign {
-		if s == int32(w.cfg.Index) {
-			n++
-		}
-	}
-	return n
-}
 
 func (w *Worker) handleHello(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -150,13 +126,10 @@ func (w *Worker) handleHello(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream serves GET /shard/stream?q=<query>&k=<hint>: the hello
-// frame, then this shard's matches in canonical order, then an end
+// frame, then the query's matches in canonical order, then an end
 // frame, flushing every lazy.ChunkSize matches. A positive k sends
-// exactly the shard's first k matches and stops without enumerating
-// another: the global top-k is the k smallest matches under the
-// canonical total order, so the shard's share of it is a prefix of its
-// stream no longer than k, and any later match is beaten by k of the
-// shard's own. k=0 streams until exhaustion or client disconnect (the
+// exactly the first k matches (the top-k) and stops without enumerating
+// another; k=0 streams until exhaustion or client disconnect (the
 // coordinator's /stream path). Errors before the first byte are HTTP
 // errors; after it, an err frame.
 func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
@@ -187,10 +160,7 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 		w.reject(rw, http.StatusBadRequest, err.Error())
 		return
 	}
-	shard := int32(w.cfg.Index)
-	st, err := w.db.StreamWith(q, ktpm.Options{
-		RootFilter: func(v int32) bool { return w.assign[v] == shard },
-	})
+	st, err := w.db.StreamWith(q, ktpm.Options{})
 	if err != nil {
 		w.reject(rw, http.StatusInternalServerError, err.Error())
 		return
@@ -266,7 +236,7 @@ func (w *Worker) logStream(r *http.Request, matches int64, note string) {
 	if w.cfg.Logger == nil {
 		return
 	}
-	attrs := []any{"shard", w.cfg.Index, "q", r.URL.Query().Get("q"), "matches", matches}
+	attrs := []any{"q", r.URL.Query().Get("q"), "matches", matches}
 	if note != "" {
 		attrs = append(attrs, "note", note)
 	}
@@ -275,12 +245,11 @@ func (w *Worker) logStream(r *http.Request, matches int64, note string) {
 
 // WorkerStats is the worker process's /stats document.
 type WorkerStats struct {
-	Hello    Hello `json:"hello"`
-	Vertices int   `json:"vertices"`
-	Streams  int64 `json:"streams"`
-	// Matches counts match frames written across all shard streams,
-	// including streams the coordinator closed early; a top-k stream
-	// writes at most k.
+	Hello   Hello `json:"hello"`
+	Streams int64 `json:"streams"`
+	// Matches counts match frames written across all streams, including
+	// streams the coordinator closed early; a top-k stream writes at
+	// most k.
 	Matches  int64        `json:"matches"`
 	Errors   int64        `json:"errors"`
 	Draining bool         `json:"draining"`
@@ -291,7 +260,6 @@ type WorkerStats struct {
 func (w *Worker) Stats() WorkerStats {
 	return WorkerStats{
 		Hello:    w.hello,
-		Vertices: w.OwnedVertices(),
 		Streams:  w.streams.Load(),
 		Matches:  w.matches.Load(),
 		Errors:   w.errs.Load(),
@@ -314,11 +282,9 @@ func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	write := func(name, help, typ string, v int64) {
 		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
 	}
-	write("ktpmd_worker_shard", "This worker's shard index.", "gauge", int64(w.cfg.Index))
-	write("ktpmd_worker_vertices", "Data-graph vertices this worker's shard owns.", "gauge", int64(st.Vertices))
-	write("ktpmd_worker_streams_total", "Shard streams served.", "counter", st.Streams)
-	write("ktpmd_worker_streamed_matches_total", "Match frames emitted across all shard streams.", "counter", st.Matches)
-	write("ktpmd_worker_stream_errors_total", "Shard streams rejected or ended by an error frame.", "counter", st.Errors)
+	write("ktpmd_worker_streams_total", "Match streams served.", "counter", st.Streams)
+	write("ktpmd_worker_streamed_matches_total", "Match frames emitted across all streams.", "counter", st.Matches)
+	write("ktpmd_worker_stream_errors_total", "Match streams rejected or ended by an error frame.", "counter", st.Errors)
 	draining := int64(0)
 	if st.Draining {
 		draining = 1

@@ -50,9 +50,6 @@ type BatchItemResponse struct {
 	// Deduped marks an item that shared an earlier identical item's
 	// enumeration instead of running its own.
 	Deduped bool `json:"deduped,omitempty"`
-	// Partial marks an item degraded by a distributed backend: a dead
-	// worker shard was dropped under the coordinator's partial policy.
-	Partial bool `json:"partial,omitempty"`
 	// Error is the item's failure; other items are unaffected.
 	Error string `json:"error,omitempty"`
 }
@@ -164,14 +161,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				it.resp.Error = res.Err.Error()
 				continue
 			}
-			it.res = encodeResult(positionsOf(batch[i].Query), res.Matches, res.Partial)
-			if res.Partial {
-				// Degraded items are returned marked but never cached — the
-				// next request should retry the dead shard.
-				it.resp.Partial = true
-				s.partials.Add(1)
-				continue
-			}
+			it.res = encodeResult(positionsOf(batch[i].Query), res.Matches)
 			// The same cost-aware admission as /query, priced per item by
 			// TopKBatch's I/O deltas; memory stage 2+ bypasses the fill.
 			if s.cfg.CacheEntries > 0 {
@@ -197,7 +187,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if it.first != i {
 			leader := &items[it.first]
 			it.res = leader.res
-			it.resp.Partial = leader.resp.Partial
 			it.resp.Error = leader.resp.Error
 			if it.resp.Error == "" {
 				if leader.resp.Cached {

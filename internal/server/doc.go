@@ -14,9 +14,9 @@
 //
 //   - Concurrency: a fixed worker pool executes queries, so at most
 //     Config.Concurrency query executions are resident at once regardless
-//     of the HTTP connection count. (A distributed coordinator fans one
-//     execution out to per-worker readers; the pool still bounds how
-//     many requests execute simultaneously.)
+//     of the HTTP connection count. (On a distributed coordinator an
+//     execution is one worker round trip; the pool still bounds how many
+//     requests execute simultaneously.)
 //   - Admission control: a bounded queue in front of the pool sheds
 //     overload with 503 instead of queueing unboundedly, and each request
 //     carries a deadline (504 on expiry; a request that times out while

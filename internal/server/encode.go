@@ -24,18 +24,15 @@ import (
 // cachedResult is the request-independent part of a /query response,
 // encoded once when it is computed: positions and matches are complete
 // JSON arrays sliced from one exact-size allocation. Only these bytes are
-// retained by the result cache, never the structured matches. partial is
-// always false for entries that actually reach the cache: degraded
-// results bypass the fill.
+// retained by the result cache, never the structured matches.
 type cachedResult struct {
 	positions []byte // JSON array of the canonical positions' labels
 	matches   []byte // JSON array of MatchJSON objects, "[]" when empty
-	partial   bool
 }
 
 // encodeResult encodes a computed top-k. An empty ms encodes as [], the
 // form QueryResponse.Matches has always rendered.
-func encodeResult(positions []string, ms []ktpm.Match, partial bool) cachedResult {
+func encodeResult(positions []string, ms []ktpm.Match) cachedResult {
 	bp := getBuf()
 	b := appendStrings(*bp, positions)
 	n := len(b)
@@ -50,7 +47,7 @@ func encodeResult(positions []string, ms []ktpm.Match, partial bool) cachedResul
 	own := make([]byte, len(b))
 	copy(own, b)
 	putBuf(bp, b)
-	return cachedResult{positions: own[:n:n], matches: own[n:], partial: partial}
+	return cachedResult{positions: own[:n:n], matches: own[n:]}
 }
 
 // positionsOf returns the label of each position of q, in the order
@@ -110,9 +107,6 @@ func appendQuery(b []byte, r *QueryResponse, res cachedResult) []byte {
 	b = append(b, res.matches...)
 	b = append(b, `,"cached":`...)
 	b = strconv.AppendBool(b, r.Cached)
-	if r.Partial {
-		b = append(b, `,"partial":true`...)
-	}
 	if r.Coalesced {
 		b = append(b, `,"coalesced":true`...)
 	}
@@ -186,9 +180,6 @@ func appendBatchItem(b []byte, it *BatchItemResponse, res cachedResult) []byte {
 	if it.Deduped {
 		b = append(b, `,"deduped":true`...)
 	}
-	if it.Partial {
-		b = append(b, `,"partial":true`...)
-	}
 	if it.Error != "" {
 		b = append(b, `,"error":`...)
 		b = appendString(b, it.Error)
@@ -242,9 +233,6 @@ func appendStreamTrailer(b []byte, t *StreamTrailer) []byte {
 	b = appendString(b, t.Reason)
 	b = append(b, `,"elapsed_ms":`...)
 	b = appendFloat(b, t.ElapsedMS)
-	if t.Partial {
-		b = append(b, `,"partial":true`...)
-	}
 	if t.Error != "" {
 		b = append(b, `,"error":`...)
 		b = appendString(b, t.Error)

@@ -46,7 +46,7 @@ func checkEncoding(t *testing.T, c encodeCase) {
 		mj[i] = MatchJSON{Score: ms[i].Score, Nodes: nodes}
 	}
 	flag := func(bit uint) bool { return c.flags&(1<<bit) != 0 }
-	res := encodeResult(positions, ms, flag(1))
+	res := encodeResult(positions, ms)
 	same := func(what string, got []byte, v any) {
 		t.Helper()
 		want, err := json.Marshal(v)
@@ -60,7 +60,7 @@ func checkEncoding(t *testing.T, c encodeCase) {
 
 	qr := QueryResponse{
 		Query: c.query, Canonical: c.label, K: c.k,
-		Cached: flag(0), Partial: flag(1), Coalesced: flag(2), ElapsedMS: c.elapsed,
+		Cached: flag(0), Coalesced: flag(2), ElapsedMS: c.elapsed,
 	}
 	if flag(3) {
 		qr.RequestID = c.msg
@@ -76,10 +76,10 @@ func checkEncoding(t *testing.T, c encodeCase) {
 	// deduped copy of it.
 	br := BatchResponse{
 		Items: []BatchItemResponse{
-			{Query: c.query, Canonical: c.label, K: c.k, Partial: flag(1)},
+			{Query: c.query, Canonical: c.label, K: c.k},
 			{Query: c.label, Error: c.msg},
 			{Query: c.msg, Canonical: c.label, K: c.k, Cached: true},
-			{Query: c.query, Canonical: c.label, K: c.k, Deduped: flag(2), Partial: flag(1)},
+			{Query: c.query, Canonical: c.label, K: c.k, Deduped: flag(2)},
 		},
 		Computed: c.k, CacheHits: c.nMatches, Deduped: int(c.flags), ElapsedMS: c.elapsed,
 	}
@@ -96,7 +96,7 @@ func checkEncoding(t *testing.T, c encodeCase) {
 	}
 	tr := StreamTrailer{
 		Done: flag(0), Count: c.nMatches, Complete: flag(2), Reason: c.label,
-		ElapsedMS: c.elapsed, Partial: flag(1), Error: c.msg,
+		ElapsedMS: c.elapsed, Error: c.msg,
 	}
 	same("StreamTrailer", appendStreamTrailer(nil, &tr), tr)
 }
@@ -120,7 +120,7 @@ func TestResponseEncoding(t *testing.T) {
 	for _, c := range encodeCases {
 		checkEncoding(t, c)
 	}
-	if got := string(encodeResult([]string{"a"}, nil, false).matches); got != "[]" {
+	if got := string(encodeResult([]string{"a"}, nil).matches); got != "[]" {
 		t.Fatalf("no matches encode as %s, want []", got)
 	}
 }

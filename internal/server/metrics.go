@@ -53,8 +53,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("ktpmd_stream_truncated_deadline_total", "Streams truncated by the request deadline.", s.streamDeadlineHits.Load())
 	counter("ktpmd_stream_disconnects_total", "Streams stopped by a mid-stream client disconnect.", s.streamDisconnects.Load())
 
-	counter("ktpmd_partial_responses_total", "Degraded responses across /query, /batch, and /stream: a dead worker shard was dropped under the coordinator's partial policy.", s.partials.Load())
-
 	fmt.Fprintf(&b, "# HELP ktpmd_shed_total Requests shed by the overload-protection layer, by reason.\n# TYPE ktpmd_shed_total counter\n")
 	fmt.Fprintf(&b, "ktpmd_shed_total{reason=%q} %d\n", shedReasonDeadline, s.shedDeadline.Load())
 	fmt.Fprintf(&b, "ktpmd_shed_total{reason=%q} %d\n", shedReasonBrownout, s.shedBrownout.Load())
@@ -180,36 +178,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	if cs, ok := s.db.(coordinatorStater); ok {
 		st := cs.CoordinatorStats()
-		gauge("ktpmd_workers", "Worker shard count of the distributed coordinator.", float64(len(st.Workers)))
+		gauge("ktpmd_workers", "Worker replicas the distributed coordinator routes across.", float64(len(st.Workers)))
 		perWorker := func(name, help, typ string, v func(remote.WorkerStat) int64) {
 			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-			for _, ws := range st.Workers {
-				fmt.Fprintf(&b, "%s{shard=%q} %d\n", name, fmt.Sprint(ws.Shard), v(ws))
+			for i, ws := range st.Workers {
+				fmt.Fprintf(&b, "%s{worker=%q} %d\n", name, fmt.Sprint(i), v(ws))
 			}
 		}
-		perWorker("ktpmd_worker_requests_total", "Stream opens attempted against each worker shard (including hedges and retries).", "counter",
+		perWorker("ktpmd_worker_requests_total", "Stream opens attempted against each worker replica, failovers included.", "counter",
 			func(ws remote.WorkerStat) int64 { return ws.Requests })
-		perWorker("ktpmd_worker_retries_total", "Stream attempts that were retries after a failure.", "counter",
-			func(ws remote.WorkerStat) int64 { return ws.Retries })
-		perWorker("ktpmd_worker_hedges_total", "Hedged second attempts launched after the hedge delay.", "counter",
-			func(ws remote.WorkerStat) int64 { return ws.Hedges })
-		perWorker("ktpmd_worker_hedge_wins_total", "Streams won by the hedged attempt rather than the first.", "counter",
-			func(ws remote.WorkerStat) int64 { return ws.HedgeWins })
 		perWorker("ktpmd_worker_failures_total", "Stream attempts that failed (connect, handshake, or mid-stream).", "counter",
 			func(ws remote.WorkerStat) int64 { return ws.Failures })
-		perWorker("ktpmd_worker_streamed_matches_total", "Matches merged from each worker shard.", "counter",
+		perWorker("ktpmd_worker_streamed_matches_total", "Matches handed on from each worker replica.", "counter",
 			func(ws remote.WorkerStat) int64 { return ws.Matches })
-		perWorker("ktpmd_worker_breaker_opens_total", "Circuit-breaker open transitions across each worker shard's endpoints.", "counter",
-			func(ws remote.WorkerStat) int64 { return ws.BreakerOpens() })
-		perWorker("ktpmd_worker_breaker_tripped", "1 while any endpoint breaker of the worker shard is open or half-open.", "gauge",
-			func(ws remote.WorkerStat) int64 {
-				if ws.BreakerTripped() {
-					return 1
-				}
-				return 0
-			})
-		perWorker("ktpmd_worker_draining_endpoints", "Endpoints of the worker shard whose last handshake carried the drain marker.", "gauge",
-			func(ws remote.WorkerStat) int64 { return ws.DrainingEndpoints() })
+		perWorker("ktpmd_worker_breaker_opens_total", "Circuit-breaker open transitions of each worker replica.", "counter",
+			func(ws remote.WorkerStat) int64 { return ws.Breaker.Opens })
+		perWorker("ktpmd_worker_breaker_tripped", "1 while the worker replica's breaker is open or half-open.", "gauge",
+			func(ws remote.WorkerStat) int64 { return int64(boolGauge(ws.Breaker.State != "closed")) })
+		perWorker("ktpmd_worker_draining_endpoints", "1 while the worker replica's last handshake carried the drain marker.", "gauge",
+			func(ws remote.WorkerStat) int64 { return int64(boolGauge(ws.Draining)) })
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

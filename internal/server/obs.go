@@ -27,9 +27,8 @@ var endpointNames = map[string]string{
 }
 
 // stageNames is the fixed stage vocabulary: every span name the request
-// path emits maps to one of these histograms. worker_stream is a
-// per-worker slice of the distributed remote_merge stage and is folded
-// into it.
+// path emits maps to one of these histograms. remote_merge is a
+// coordinator's round trip to the worker replica that answers.
 var stageNames = []string{
 	"parse", "admission_wait", "cache_probe", "enumerate", "shard_merge", "table_fault", "remote_merge", "encode",
 }
@@ -37,9 +36,6 @@ var stageNames = []string{
 // stageOf maps a span name to its stage histogram name ("" = not a
 // stage: root spans and decorative spans are not aggregated).
 func stageOf(name string) string {
-	if name == "worker_stream" {
-		return "remote_merge"
-	}
 	for _, s := range stageNames {
 		if name == s {
 			return s

@@ -48,19 +48,9 @@ type snapshotStater interface {
 	SnapshotStats() (ktpm.SnapshotStats, bool)
 }
 
-// partialBackend is the optional Backend extension a distributed
-// coordinator implements: top-k with an explicit partial marker, set
-// when a dead worker shard was dropped under the degradation policy.
-// Partial results are surfaced to the client (QueryResponse.Partial)
-// and never cached — a degraded answer must not outlive the outage
-// that produced it.
-type partialBackend interface {
-	TopKPartial(q *ktpm.Query, k int, opt ktpm.Options) ([]ktpm.Match, bool, error)
-}
-
 // coordinatorStater is the optional Backend extension the distributed
 // coordinator implements; /stats ("workers" block) and the
-// ktpmd_worker_* metrics surface its per-worker counters.
+// ktpmd_worker_* metrics surface its per-replica counters.
 type coordinatorStater interface {
 	CoordinatorStats() remote.CoordinatorStats
 }
@@ -222,10 +212,6 @@ type QueryResponse struct {
 	Positions []string    `json:"positions"`
 	Matches   []MatchJSON `json:"matches"`
 	Cached    bool        `json:"cached"`
-	// Partial marks a degraded response from a distributed backend: a
-	// dead worker shard was dropped under the coordinator's partial
-	// policy, so Matches covers only the surviving shards.
-	Partial bool `json:"partial,omitempty"`
 	// Coalesced marks a response served by another concurrent request's
 	// in-flight computation rather than a worker of its own.
 	Coalesced bool    `json:"coalesced,omitempty"`
@@ -283,8 +269,6 @@ type Server struct {
 	batchDeduped   atomic.Int64 // items served by an identical item in the same batch
 	batchCacheHits atomic.Int64 // items served from the result cache
 	batchItemErrs  atomic.Int64 // items that failed inside an otherwise-successful batch
-
-	partials atomic.Int64 // degraded (partial) responses across /query, /batch, /stream
 
 	streams            atomic.Int64 // /stream responses started
 	streamMatches      atomic.Int64 // NDJSON match lines written
@@ -647,16 +631,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq
 		// Table faults and shard merges the call triggers nest under the
 		// enumerate span.
 		en := trace.StartChild("enumerate")
-		var (
-			ms      []ktpm.Match
-			partial bool
-			err     error
-		)
-		if pb, ok := s.db.(partialBackend); ok {
-			ms, partial, err = pb.TopKPartial(cq, k, ktpm.Options{Trace: en})
-		} else {
-			ms, err = s.db.TopKWith(cq, k, ktpm.Options{Trace: en})
-		}
+		ms, err := s.db.TopKWith(cq, k, ktpm.Options{Trace: en})
 		en.End()
 		if err != nil {
 			callErr = err
@@ -665,14 +640,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq
 		// Encoded once here: this response, its coalesced followers and
 		// later hits all splice the same bytes.
 		enc := trace.StartChild("encode")
-		res = encodeResult(positionsOf(cq), ms, partial)
+		res = encodeResult(positionsOf(cq), ms)
 		enc.End()
-		if partial {
-			// Degraded results are handed to their waiters but never
-			// cached: the next request should retry the dead shard, not be
-			// served yesterday's outage.
-			return
-		}
 		if s.cfg.CacheEntries <= 0 {
 			return // cache disabled: admission would be bookkeeping fiction
 		}
@@ -788,10 +757,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.queries.Add(1)
 	resp.Coalesced = coalesced
-	if res.partial {
-		resp.Partial = true
-		s.partials.Add(1)
-	}
 	s.writeQuery(w, r, &resp, res, t0)
 }
 
@@ -960,14 +925,10 @@ type StatsResponse struct {
 	// Sharding reports per-shard vertex and answered-match counts when
 	// the backend is a ShardedDatabase; omitted for a single database.
 	Sharding *ktpm.ShardingStats `json:"sharding,omitempty"`
-	// Workers reports the distributed coordinator's per-worker request,
-	// retry, hedge, and failure counters when the backend is a
+	// Workers reports the distributed coordinator's per-replica request,
+	// failure, match and breaker counters when the backend is a
 	// remote.Coordinator; omitted otherwise.
 	Workers *remote.CoordinatorStats `json:"workers,omitempty"`
-	// Partials counts degraded responses served across /query, /batch,
-	// and /stream: a dead worker shard was dropped under the
-	// coordinator's partial policy. Always zero for local backends.
-	Partials int64 `json:"partials"`
 	// Overload reports the resilience layer: drain state, predictive
 	// admission estimates, brownout stage, shed counters by reason, and
 	// the memory watcher when -mem-soft-limit is set.
@@ -1118,7 +1079,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := cs.CoordinatorStats()
 		resp.Workers = &st
 	}
-	resp.Partials = s.partials.Load()
 	resp.Overload = s.overloadStats()
 	resp.Quarantine = QuarantineStats{
 		Capacity: s.cfg.QuarantineCap,

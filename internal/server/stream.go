@@ -15,8 +15,8 @@ import (
 // canonical tie order on a sharded backend). It is the anytime face of
 // the enumerator: clients consume as many results as they want and hang
 // up, and the server computes only what was consumed (plus one tie
-// group, and on a coordinator the bounded chunk look-ahead of each
-// worker stream). The response is
+// group, and on a coordinator what the worker sent ahead of the reads).
+// The response is
 // flushed every StreamChunk matches, at which point the client's
 // liveness and the request deadline are also checked. A stream occupies
 // one worker slot (executor.Acquire) for its whole duration, so
@@ -56,14 +56,10 @@ type StreamTrailer struct {
 	// or a backend error.
 	Complete bool `json:"complete"`
 	// Reason is "exhausted", "max", "deadline", "disconnect", or
-	// "error" (a distributed backend lost a worker mid-merge under the
-	// fail policy; Error carries the cause).
+	// "error" (a distributed backend lost every worker replica; Error
+	// carries the cause).
 	Reason    string  `json:"reason"`
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// Partial marks a stream that kept going after a dead worker shard
-	// was dropped under a distributed coordinator's partial policy: the
-	// lines above cover only the surviving shards.
-	Partial bool `json:"partial,omitempty"`
 	// Error is the backend failure that ended the stream when Reason is
 	// "error".
 	Error string `json:"error,omitempty"`
@@ -230,9 +226,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			reason = "exhausted"
 		}
 	}
-	// A distributed stream can end early because a worker died under the
-	// fail policy, or keep going degraded under the partial policy. Both
-	// are optional MatchStream extensions; local streams report neither.
+	// A distributed stream ends early when every worker replica failed;
+	// Err is an optional MatchStream extension local streams lack.
 	var streamErr string
 	if reason == "exhausted" {
 		if se, ok := st.(interface{ Err() error }); ok {
@@ -241,11 +236,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				streamErr = err.Error()
 			}
 		}
-	}
-	partial := false
-	if pr, ok := st.(interface{ Partial() bool }); ok && pr.Partial() {
-		partial = true
-		s.partials.Add(1)
 	}
 	switch reason {
 	case "disconnect":
@@ -265,7 +255,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		Complete:  reason == "exhausted",
 		Reason:    reason,
 		ElapsedMS: msSince(t0),
-		Partial:   partial,
 		Error:     streamErr,
 	})
 	b = append(b, '\n')

@@ -46,8 +46,8 @@ func (Hash) Partition(g *graph.Graph, n int) []int32 {
 // LabelBalanced deals each label's vertices round-robin across shards, so
 // the root-candidate set of any query label splits near-evenly (counts
 // differ by at most one) regardless of label skew. This is the
-// label-aware strategy: a scatter-gather's critical path is the slowest
-// worker, and per-label balance bounds it for every possible root label.
+// label-aware strategy: every shard owns a near-equal share of the root
+// candidates of every possible root label.
 type LabelBalanced struct{}
 
 // Name implements Partitioner.

@@ -621,11 +621,6 @@ type BatchResult struct {
 	// cost of the enumeration they reused. Under concurrent traffic the
 	// delta may include other queries' reads, an overestimate only.
 	Cost int64
-	// Partial marks a result degraded by a distributed backend: a dead
-	// worker shard was dropped under the coordinator's partial policy, so
-	// Matches covers only the surviving shards. Always false for local
-	// execution.
-	Partial bool
 	// Err is the item's failure; other items are unaffected.
 	Err error
 }
