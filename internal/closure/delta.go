@@ -1,66 +1,132 @@
 package closure
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
-	"sort"
+	"slices"
 
 	"ktpm/internal/graph"
 )
 
-// Delta is the in-memory overlay the ingest path accumulates between
-// compactions: for every (from, to) pair whose shortest distance a new
-// edge may have created or improved, the overlay holds the candidate
-// distance. Merging a Delta with the immutable base closure via
-// NewMergedSource (or, epoch by epoch, MergedSource.Advance) yields
+// Delta is the write path's change log. AddEdges appends, for every
+// (from, to) pair whose shortest distance a new edge may have created or
+// improved, the candidate distance to one flat log of (α, β, to, dist,
+// from) records; MergedSource.Advance sorts that log once, splices it
+// into the previous epoch's tables and empties it, so the log holds the
+// batches since the last publish and nothing older. A chain of Advances
+// from NewMergedSource over the base closure yields, epoch by epoch,
 // exactly the closure of the updated graph (see AddEdges for the
 // correctness argument), without recomputing the base.
 //
 // A Delta is not safe for concurrent mutation; the ingest path
-// serializes AddEdges calls and publishes immutable MergedSources.
+// serializes AddEdges and Advance calls and publishes immutable
+// MergedSources.
 type Delta struct {
-	tables  map[pairKey]map[fromTo]int32 // (alpha, beta) -> (from, to) -> min candidate dist
-	dirty   map[pairKey]struct{}         // tables added to or lowered since the last Advance
+	log     []candidate // candidates logged since the last Advance
 	entries int
+	tables  int
 	edges   int
+
+	// Scratch reused across calls: AddEdges' four distance arrays, the
+	// sort's second buffer, and the splice's per-node marks, winning
+	// candidates, changed groups and index updates.
+	dist   [4][]int32
+	mark   []int32
+	win    []Entry
+	groups []spliceGroup
+	ups    []indexUpdate
+	spare  []candidate
+}
+
+// candidate is one logged distance: pair is (α, β) = (l(from), l(to))
+// and key is (to, dist), high word first, so that comparing pair, key
+// and from in turn orders the log by (α, β, to, dist, from).
+type candidate struct {
+	pair, key uint64
+	from      int32
+}
+
+func newCandidate(a, b, to, dist, from int32) candidate {
+	return candidate{uint64(a)<<32 | uint64(uint32(b)), uint64(to)<<32 | uint64(uint32(dist)), from}
+}
+
+func (c candidate) labels() (a, b int32) { return int32(c.pair >> 32), int32(uint32(c.pair)) }
+func (c candidate) to() int32            { return int32(c.key >> 32) }
+func (c candidate) dist() int32          { return int32(uint32(c.key)) }
+
+// sortLog sorts the log into (α, β, to, dist, from) order. A least-
+// significant-digit radix sort on the label pair, one counting pass per
+// byte in which the pairs differ, groups the log by table; each table's
+// few candidates are then sorted in place.
+func (d *Delta) sortLog() {
+	log := d.log
+	if len(log) < 2 {
+		return
+	}
+	var diff uint64
+	for i := range log {
+		diff |= log[i].pair ^ log[0].pair
+	}
+	if cap(d.spare) < len(log) {
+		d.spare = make([]candidate, cap(log))
+	}
+	src, dst := log, d.spare[:len(log)]
+	for shift := uint(0); shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int
+		for i := range src {
+			at[uint8(src[i].pair>>shift)]++
+		}
+		sum := 0
+		for k, n := range at {
+			at[k] = sum
+			sum += n
+		}
+		for i := range src {
+			k := uint8(src[i].pair >> shift)
+			dst[at[k]] = src[i]
+			at[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &log[0] {
+		copy(log, src)
+	}
+	for i := 0; i < len(log); {
+		j := i + 1
+		for j < len(log) && log[j].pair == log[i].pair {
+			j++
+		}
+		slices.SortFunc(log[i:j], func(x, y candidate) int {
+			return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.from, y.from))
+		})
+		i = j
+	}
 }
 
 type fromTo struct{ from, to int32 }
 
-// NewDelta returns an empty overlay.
-func NewDelta() *Delta {
-	return &Delta{tables: make(map[pairKey]map[fromTo]int32), dirty: make(map[pairKey]struct{})}
-}
+// NewDelta returns an empty change log.
+func NewDelta() *Delta { return &Delta{} }
 
-// Entries is the number of (from, to) pairs in the overlay.
+// Entries is the number of distinct (from, to) pairs the Advances fed
+// by d have spliced candidates for, summed over Advances: a small
+// superset of the pairs whose distance each batch changed, in which a
+// pair two batches log counts twice.
 func (d *Delta) Entries() int { return d.entries }
 
-// TablesTouched is the number of label-pair tables the overlay affects.
-func (d *Delta) TablesTouched() int { return len(d.tables) }
+// TablesTouched is the number of label-pair tables the Advances fed by
+// d have materialized: those that differ from the base.
+func (d *Delta) TablesTouched() int { return d.tables }
 
 // EdgesApplied is the number of edges folded in via AddEdges.
 func (d *Delta) EdgesApplied() int { return d.edges }
 
-func (d *Delta) add(key pairKey, ft fromTo, dist int32) {
-	tab := d.tables[key]
-	if tab == nil {
-		tab = make(map[fromTo]int32)
-		d.tables[key] = tab
-	}
-	if old, ok := tab[ft]; ok {
-		if dist >= old {
-			return
-		}
-	} else {
-		d.entries++
-	}
-	tab[ft] = dist
-	d.dirty[key] = struct{}{}
-}
-
-// AddEdges folds the incremental closure of newly-added edges into the
-// overlay. g must be the combined graph that already contains the
-// edges (plus every edge from earlier AddEdges calls on this Delta).
+// AddEdges logs the incremental closure of newly-added edges. g must be
+// the combined graph that already contains the edges (plus every edge
+// from earlier AddEdges calls since the last Advance).
 //
 // The edges are applied one at a time, each against the graph as it was
 // before it: g minus the batch edges not yet applied. (g is simple —
@@ -70,7 +136,7 @@ func (d *Delta) add(key pairKey, ft fromTo, dist int32) {
 // before: starting from a subgraph of the true pre-batch graph can only
 // enlarge what is recorded below.) For an edge (u, v, w) four searches
 // over that pre-edge graph give d(x,u) and d(x,v) for every x, d(v,y)
-// and d(u,y) for every y, and the overlay records the candidate
+// and d(u,y) for every y, and the log records the candidate
 // d(x,u) + w + d(v,y) only for
 //
 //	x in S = {x : d(x,u) + w < d(x,v)}  and  y in T = {y : w + d(v,y) < d(u,y)}.
@@ -83,10 +149,11 @@ func (d *Delta) add(key pairKey, ft fromTo, dist int32) {
 // new distance, and an edge that shortens nothing (d(u,v) ≤ w, hence S
 // empty) records nothing. Every candidate is the length of a real path
 // in g, so none undershoots the final distance; and a pair whose
-// distance differs between the base and g was last changed by some
-// edge, whose candidate is that final distance. Min-merging the overlay
-// over the base closure therefore reproduces Compute(g) exactly. This
-// holds across AddEdges calls on the same Delta as long as g grows
+// distance differs between the closure merged last and g was last
+// changed by some edge, whose candidate is that final distance.
+// Min-merging the log into that closure (the previous epoch's, or the
+// base for NewMergedSource) therefore reproduces Compute(g) exactly.
+// This holds across AddEdges calls between two merges as long as g grows
 // monotonically: stale (larger) candidates from earlier edges are still
 // real path lengths and lose the min to the exact ones.
 //
@@ -104,12 +171,15 @@ func (d *Delta) AddEdges(g *graph.Graph, edges []graph.Edge) {
 			return to != e.To
 		})
 	}
-	n := g.NumNodes()
-	var dist [4][]int32 // to u, to v, from v, from u
-	for i := range dist {
-		dist[i] = make([]int32, n)
-		for j := range dist[i] {
-			dist[i][j] = -1
+	// Every search resets what it reached to -1 afterwards, so the
+	// arrays are all -1 between calls.
+	dist := &d.dist // to u, to v, from v, from u
+	if n := g.NumNodes(); len(dist[0]) < n {
+		for i := range dist {
+			dist[i] = make([]int32, n)
+			for j := range dist[i] {
+				dist[i][j] = -1
+			}
 		}
 	}
 	toU, toV, fromV, fromU := dist[0], dist[1], dist[2], dist[3]
@@ -137,11 +207,12 @@ func (d *Delta) AddEdges(g *graph.Graph, edges []graph.Edge) {
 				}
 			}
 		}
+		d.log = slices.Grow(d.log, len(srcs)*len(dsts))
 		for _, x := range srcs {
 			dx, lx := toU[x]+e.Weight, g.Label(x)
 			for _, y := range dsts {
 				if x != y { // the closure stores no self-pairs
-					d.add(pairKey{lx, g.Label(y)}, fromTo{x, y}, dx+fromV[y])
+					d.log = append(d.log, newCandidate(lx, g.Label(y), y, dx+fromV[y], x))
 				}
 			}
 		}
@@ -231,16 +302,17 @@ func deltaSearch(g *graph.Graph, src int32, dist []int32, rev bool, absent map[f
 	return reached
 }
 
-// MergedSource is a TableSource presenting base ∪ delta: label-pair
-// tables in which an overlay candidate beats the base are materialized
-// (min-merged and re-sorted into the canonical (To, Dist, From) order);
-// every other table passes through to the base unchanged, preserving
-// its lazy/mmap faulting. A MergedSource is immutable — neither
-// mutating the Delta afterwards nor calling Advance changes it.
+// MergedSource is a TableSource presenting the base closure with the
+// logged candidates spliced in: label-pair tables in which a candidate
+// beat what the previous epoch held are materialized, in the canonical
+// (To, Dist, From) order; every other table passes through to the base
+// unchanged, preserving its lazy/mmap faulting. A MergedSource is
+// immutable — neither mutating the Delta afterwards nor calling Advance
+// changes it.
 type MergedSource struct {
 	g          *graph.Graph
 	base       TableSource
-	merged     map[pairKey][]Entry // tables that differ from the base
+	merged     tableIndex // tables that differ from the base
 	numEntries int64
 	numTables  int
 	remerged   int
@@ -248,42 +320,32 @@ type MergedSource struct {
 
 var _ TableSource = (*MergedSource)(nil)
 
-// NewMergedSource materializes all of delta over base. g is the
-// combined graph the merged closure describes (base graph + delta
-// edges); it becomes the source's Graph(). Touched base tables are
-// faulted here, once, rather than at query time.
+// NewMergedSource splices d's log into base. g is the combined graph
+// the merged closure describes (base graph + logged edges); it becomes
+// the source's Graph(). Touched base tables are faulted here, once,
+// rather than at query time. It leaves d as it was, so it can be called
+// again after more AddEdges; Advance is what feeds a chain of epochs.
 func NewMergedSource(g *graph.Graph, base TableSource, d *Delta) *MergedSource {
 	m := &MergedSource{
-		g:          g,
 		base:       base,
-		merged:     make(map[pairKey][]Entry, len(d.tables)),
+		merged:     newTableIndex(g.NumLabels()),
 		numEntries: base.NumEntries(),
 		numTables:  base.NumTables(),
 	}
-	for key, overlay := range d.tables {
-		m.remerge(key, overlay)
-	}
-	return m
+	next, _, _ := m.spliced(g, d)
+	return next
 }
 
-// Advance returns the source for the next epoch: the tables d dirtied
-// since the previous Advance are re-merged from the base and d's
-// overlay, every other table is shared with m, and g becomes the
-// Graph(). It clears d's dirty set, so one Delta feeds one chain of
-// sources; each source in the chain equals NewMergedSource over the
-// Delta as it stood at that Advance.
+// Advance returns the source for the next epoch: d's log, sorted once,
+// is spliced into the tables it touches as m holds them, every other
+// table and most of the merged-table index are shared with m, and g
+// becomes the Graph(). It empties the log and adds to d's Entries and
+// TablesTouched, so one Delta feeds one chain of sources.
 func (m *MergedSource) Advance(g *graph.Graph, d *Delta) *MergedSource {
-	next := &MergedSource{
-		g:          g,
-		base:       m.base,
-		merged:     maps.Clone(m.merged),
-		numEntries: m.numEntries,
-		numTables:  m.numTables,
-	}
-	for key := range d.dirty {
-		next.remerge(key, d.tables[key])
-	}
-	clear(d.dirty)
+	next, pairs, fresh := m.spliced(g, d)
+	d.log = d.log[:0]
+	d.entries += pairs
+	d.tables += fresh
 	return next
 }
 
@@ -291,53 +353,155 @@ func (m *MergedSource) Advance(g *graph.Graph, d *Delta) *MergedSource {
 // NewMergedSource) that built m materialized.
 func (m *MergedSource) TablesRemerged() int { return m.remerged }
 
-// remerge rebuilds one table from the base and its overlay. A table in
-// which no candidate beats the base keeps sharing the base's slice.
-func (m *MergedSource) remerge(key pairKey, overlay map[fromTo]int32) {
-	baseTab := m.base.Table(key.a, key.b)
-	inBase, improves := 0, false
-	for _, e := range baseTab {
-		if dd, ok := overlay[fromTo{e.From, e.To}]; ok {
-			inBase++
-			improves = improves || dd < e.Dist
+// spliced is m with d's log merged in; pairs counts the distinct pairs
+// logged, fresh the tables materialized for the first time.
+func (m *MergedSource) spliced(g *graph.Graph, d *Delta) (next *MergedSource, pairs, fresh int) {
+	next = &MergedSource{
+		g:          g,
+		base:       m.base,
+		merged:     m.merged,
+		numEntries: m.numEntries,
+		numTables:  m.numTables,
+	}
+	log := d.log
+	if len(log) == 0 {
+		return next, 0, 0
+	}
+	d.sortLog()
+	if n := g.NumNodes(); len(d.mark) < n {
+		d.mark = make([]int32, n)
+	}
+	ups := d.ups[:0]
+	for i := 0; i < len(log); {
+		a, b := log[i].labels()
+		j := i + 1
+		for j < len(log) && log[j].pair == log[i].pair {
+			j++
 		}
-	}
-	if !improves && inBase == len(overlay) {
-		return
-	}
-	out := make([]Entry, 0, len(baseTab)+len(overlay)-inBase)
-	pending := maps.Clone(overlay)
-	for _, e := range baseTab {
-		if dd, ok := pending[fromTo{e.From, e.To}]; ok {
-			if dd < e.Dist {
-				e.Dist = dd
+		prev := m.merged.get(a, b)
+		first := prev == nil
+		if first {
+			prev = m.base.Table(a, b)
+		}
+		out, logged, added := d.splice(prev, log[i:j])
+		pairs += logged
+		if out != nil {
+			if len(prev) == 0 {
+				next.numTables++
 			}
-			delete(pending, fromTo{e.From, e.To})
+			if first {
+				fresh++
+			}
+			ups = append(ups, indexUpdate{a, b, out})
+			next.numEntries += int64(added)
 		}
-		out = append(out, e)
+		i = j
 	}
-	for ft, dd := range pending {
-		out = append(out, Entry{From: ft.from, To: ft.to, Dist: dd})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].To != out[j].To {
-			return out[i].To < out[j].To
+	next.merged = m.merged.with(ups)
+	next.remerged = len(ups)
+	clear(ups) // drop the scratch's references to the tables
+	d.ups = ups[:0]
+	return next, pairs, fresh
+}
+
+// spliceGroup is one To group a splice changes: prev[lo:hi] is its old
+// form, win[w0:w1] the candidates that beat it.
+type spliceGroup struct{ lo, hi, w0, w1 int }
+
+// splice merges one table's candidates, sorted by (To, Dist, From), into
+// prev, the table's previous form in the same order. It returns the new
+// table — each To group holding a winning candidate rebuilt, prev's runs
+// between them copied as they are — or nil when no candidate beats
+// prev; logged counts the distinct pairs among cands, added the entries
+// inserted. d.mark must cover every node and is all zero between calls.
+func (d *Delta) splice(prev []Entry, cands []candidate) (out []Entry, logged, added int) {
+	mark, win, groups := d.mark, d.win[:0], d.groups[:0]
+	pos := 0
+	for i := 0; i < len(cands); {
+		to := cands[i].to()
+		j := i + 1
+		for j < len(cands) && cands[j].to() == to {
+			j++
 		}
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
+		lo, hi := pos, len(prev) // binary search for the group's start
+		for lo < hi {
+			if h := int(uint(lo+hi) >> 1); prev[h].To < to {
+				lo = h + 1
+			} else {
+				hi = h
+			}
 		}
-		return out[i].From < out[j].From
-	})
-	old, ok := m.merged[key]
-	if !ok {
-		old = baseTab
+		for hi < len(prev) && prev[hi].To == to {
+			hi++
+		}
+		pos = hi
+		// A From's first candidate is its least; mark holds 1 + its dist
+		// until prev shows it no better (-1).
+		w0 := len(win)
+		for _, c := range cands[i:j] {
+			if mark[c.from] == 0 {
+				mark[c.from] = c.dist() + 1
+				win = append(win, Entry{From: c.from, To: to, Dist: c.dist()})
+			}
+		}
+		lowered := 0
+		for _, e := range prev[lo:hi] {
+			if mk := mark[e.From]; mk > 0 {
+				if mk-1 < e.Dist {
+					lowered++
+				} else {
+					mark[e.From] = -1
+				}
+			}
+		}
+		w1 := w0
+		for _, w := range win[w0:] {
+			if mark[w.From] > 0 {
+				win[w1] = w
+				w1++
+			}
+			mark[w.From] = 0
+		}
+		logged += len(win) - w0
+		win = win[:w1]
+		if w1 > w0 {
+			groups = append(groups, spliceGroup{lo, hi, w0, w1})
+			added += w1 - w0 - lowered
+		}
+		i = j
 	}
-	m.numEntries += int64(len(out) - len(old))
-	if len(old) == 0 {
-		m.numTables++
+	d.win, d.groups = win, groups
+	if len(groups) == 0 {
+		return nil, logged, 0
 	}
-	m.merged[key] = out
-	m.remerged++
+	out = make([]Entry, 0, len(prev)+added)
+	copied := 0
+	for _, gr := range groups {
+		out = append(out, prev[copied:gr.lo]...)
+		old, ws := prev[gr.lo:gr.hi], win[gr.w0:gr.w1]
+		for _, w := range ws {
+			mark[w.From] = 1
+		}
+		// Both runs are in (Dist, From) order; an old entry whose From
+		// has a winner is the one it lowers.
+		for a, b := 0, 0; a < len(old) || b < len(ws); {
+			switch {
+			case a < len(old) && mark[old[a].From] != 0:
+				a++
+			case b == len(ws) || a < len(old) && (old[a].Dist < ws[b].Dist || old[a].Dist == ws[b].Dist && old[a].From < ws[b].From):
+				out = append(out, old[a])
+				a++
+			default:
+				out = append(out, ws[b])
+				b++
+			}
+		}
+		for _, w := range ws {
+			mark[w.From] = 0
+		}
+		copied = gr.hi
+	}
+	return append(out, prev[copied:]...), logged, added
 }
 
 // Graph returns the combined graph.
@@ -352,7 +516,7 @@ func (m *MergedSource) NumTables() int { return m.numTables }
 // TableLen returns the merged length of L^α_β without faulting
 // untouched base tables.
 func (m *MergedSource) TableLen(alpha, beta int32) int {
-	if tab, ok := m.merged[pairKey{alpha, beta}]; ok {
+	if tab := m.merged.get(alpha, beta); tab != nil {
 		return len(tab)
 	}
 	return m.base.TableLen(alpha, beta)
@@ -360,18 +524,18 @@ func (m *MergedSource) TableLen(alpha, beta int32) int {
 
 // Table returns the merged L^α_β, canonical (To, Dist, From) order.
 func (m *MergedSource) Table(alpha, beta int32) []Entry {
-	if tab, ok := m.merged[pairKey{alpha, beta}]; ok {
+	if tab := m.merged.get(alpha, beta); tab != nil {
 		return tab
 	}
 	return m.base.Table(alpha, beta)
 }
 
-// TableLens iterates merged table sizes: base tables (with overlaid
-// counts where touched) first, then overlay-only tables.
+// TableLens iterates merged table sizes: base tables (with merged
+// counts where touched) first, then tables the base lacks.
 func (m *MergedSource) TableLens(fn func(alpha, beta int32, count int) bool) {
 	stop := false
 	m.base.TableLens(func(alpha, beta int32, count int) bool {
-		if tab, ok := m.merged[pairKey{alpha, beta}]; ok {
+		if tab := m.merged.get(alpha, beta); tab != nil {
 			count = len(tab)
 		}
 		if !fn(alpha, beta, count) {
@@ -383,22 +547,18 @@ func (m *MergedSource) TableLens(fn func(alpha, beta int32, count int) bool) {
 	if stop {
 		return
 	}
-	for key, tab := range m.merged {
-		if m.base.TableLen(key.a, key.b) > 0 {
-			continue // already reported through the base pass
-		}
-		if !fn(key.a, key.b, len(tab)) {
-			return
-		}
-	}
+	m.merged.each(func(alpha, beta int32, tab []Entry) bool {
+		// Tables the base has were reported through the base pass.
+		return m.base.TableLen(alpha, beta) > 0 || fn(alpha, beta, len(tab))
+	})
 }
 
 // Tables iterates every merged table; untouched base tables fault here.
 func (m *MergedSource) Tables(fn func(alpha, beta int32, entries []Entry) bool) {
 	stop := false
 	m.base.TableLens(func(alpha, beta int32, _ int) bool {
-		tab, ok := m.merged[pairKey{alpha, beta}]
-		if !ok {
+		tab := m.merged.get(alpha, beta)
+		if tab == nil {
 			tab = m.base.Table(alpha, beta)
 		}
 		if !fn(alpha, beta, tab) {
@@ -410,14 +570,9 @@ func (m *MergedSource) Tables(fn func(alpha, beta int32, entries []Entry) bool) 
 	if stop {
 		return
 	}
-	for key, tab := range m.merged {
-		if m.base.TableLen(key.a, key.b) > 0 {
-			continue
-		}
-		if !fn(key.a, key.b, tab) {
-			return
-		}
-	}
+	m.merged.each(func(alpha, beta int32, tab []Entry) bool {
+		return m.base.TableLen(alpha, beta) > 0 || fn(alpha, beta, tab)
+	})
 }
 
 // ComputeStats summarizes the merged closure.

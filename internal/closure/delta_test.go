@@ -1,10 +1,13 @@
 package closure
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ktpm/internal/gen"
 	"ktpm/internal/graph"
@@ -185,7 +188,7 @@ func TestDeltaInteractingEdges(t *testing.T) {
 		labels  string
 		base    [][3]int32
 		batches [][]graph.Edge
-		// noop: the last batch must leave Entries() where it was.
+		// noop: the last batch must log no candidate.
 		noop bool
 	}{
 		{
@@ -236,11 +239,11 @@ func TestDeltaInteractingEdges(t *testing.T) {
 					t.Fatal(err)
 				}
 				cur = g2
-				before := d.Entries()
+				before := len(d.log)
 				d.AddEdges(cur, edges)
 				assertSameSource(t, NewMergedSource(cur, baseClosure, d), Compute(cur, Options{}))
-				if tc.noop && i == len(tc.batches)-1 && d.Entries() != before {
-					t.Fatalf("edges that shorten nothing grew the overlay %d -> %d", before, d.Entries())
+				if tc.noop && i == len(tc.batches)-1 && len(d.log) != before {
+					t.Fatalf("edges that shorten nothing grew the log %d -> %d", before, len(d.log))
 				}
 			}
 		})
@@ -259,11 +262,21 @@ func pairDists(src TableSource) map[fromTo]int32 {
 	return out
 }
 
-// TestDeltaTightness bounds the overlay by what a batch really changed:
-// on a seeded power-law graph, the entries a batch adds stay within 32×
+// loggedPairs counts the distinct (from, to) pairs in d's log.
+func loggedPairs(d *Delta) int {
+	seen := map[fromTo]bool{}
+	for _, c := range d.log {
+		seen[fromTo{c.from, c.to()}] = true
+	}
+	return len(seen)
+}
+
+// TestDeltaTightness bounds the log by what a batch really changed: on
+// a seeded power-law graph, the candidates a batch logs stay within 32×
 // the pairs whose distance differs between the closures before and
-// after it. (The cross product of everything reaching u with everything
-// v reaches, which AddEdges used to record, is ~300× here.)
+// after it, and the Advance that splices them adds their distinct pairs
+// to Entries. (The cross product of everything reaching u with
+// everything v reaches, which AddEdges used to record, is ~300× here.)
 func TestDeltaTightness(t *testing.T) {
 	full := gen.PowerLaw(gen.PowerLawConfig{Nodes: 400, AvgOutDegree: 5, Labels: 60, Window: 50, Communities: 6, Seed: 5})
 	var edges []graph.Edge
@@ -285,70 +298,142 @@ func TestDeltaTightness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := pairDists(Compute(cur, Options{}))
+	prev := Compute(cur, Options{})
+	before := pairDists(prev)
 	for i := 0; i+4 <= len(held); i += 4 {
 		batch := held[i : i+4]
 		g2, err := CombineGraph(cur, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur = g2
 		d := NewDelta()
-		d.AddEdges(cur, batch)
-		after := pairDists(Compute(cur, Options{}))
+		d.AddEdges(g2, batch)
+		logged, pairs := len(d.log), loggedPairs(d)
+		next := NewMergedSource(cur, prev, NewDelta()).Advance(g2, d)
+		cur, prev = g2, Compute(g2, Options{})
+		assertSameSource(t, next, prev)
+		after := pairDists(prev)
 		changed := 0
 		for ft, dist := range after {
 			if old, ok := before[ft]; !ok || old != dist {
 				changed++
 			}
 		}
-		if d.Entries() > 32*changed {
-			t.Fatalf("batch %d: %d overlay entries for %d changed pairs (> 32x)", i/4, d.Entries(), changed)
+		if logged > 32*changed {
+			t.Fatalf("batch %d: %d candidates logged for %d changed pairs (> 32x)", i/4, logged, changed)
 		}
-		t.Logf("batch %d: %d overlay entries, %d changed pairs", i/4, d.Entries(), changed)
+		if d.Entries() != pairs || pairs < changed {
+			t.Fatalf("batch %d: Entries = %d for %d logged pairs, %d changed", i/4, d.Entries(), pairs, changed)
+		}
+		t.Logf("batch %d: %d candidates logged, %d changed pairs", i/4, logged, changed)
 		before = after
 	}
 }
 
-// TestMergedSourceAdvance is the incremental-merge property: a chain of
-// sources advanced batch by batch equals, at every step, both a
-// one-shot NewMergedSource over the accumulated delta and Compute over
-// the combined graph; an Advance materializes no more tables than the
-// batch dirtied and shares the rest with its predecessor; and a source
-// is bit-for-bit what it was once later epochs have been built on it.
+// advanceBatch draws one batch for TestMergedSourceAdvance over the
+// nodes [0, n): random edges, plus by turns a pair repeated within the
+// batch, an edge that shortens nothing (weight at least the pair's
+// current distance) and an equal-weight parallel of an edge g has.
+func advanceBatch(rng *rand.Rand, g *graph.Graph, c *Closure, n, epoch int) []graph.Edge {
+	edges := randomNewEdges(rng, n, 1+rng.Intn(3), 4)
+	switch epoch % 4 {
+	case 1:
+		e := edges[0]
+		edges = append(edges, graph.Edge{From: e.From, To: e.To, Weight: 1 + rng.Int31n(4)}, e)
+	case 2:
+		for tries := 0; tries < 100; tries++ {
+			u := int32(rng.Intn(n))
+			tab := c.Table(g.Label(u), g.Label(int32(rng.Intn(n))))
+			if len(tab) == 0 {
+				continue
+			}
+			e := tab[rng.Intn(len(tab))]
+			edges = append(edges, graph.Edge{From: e.From, To: e.To, Weight: e.Dist + rng.Int31n(2)})
+			break
+		}
+	case 3:
+		var all []graph.Edge
+		g.Edges(func(e graph.Edge) bool {
+			if e.From < int32(n) && e.To < int32(n) {
+				all = append(all, e)
+			}
+			return true
+		})
+		edges = append(edges, all[rng.Intn(len(all))])
+	}
+	return edges
+}
+
+// TestMergedSourceAdvance is the incremental-merge property, over 48
+// epochs of batches that include pairs repeated within a batch, edges
+// that shorten nothing and equal-weight parallels, rebased midway onto
+// a fresh snapshot of the closure as a compaction does: every epoch
+// equals Compute over its graph, and equals a one-shot NewMergedSource
+// over a Delta that logged every batch since the rebase; an Advance
+// materializes only tables its batch logged candidates in and shares
+// the rest with its predecessor; Entries grows by the distinct pairs
+// the batch logged, never fewer than it changed; and a source is
+// bit-for-bit what it was once later epochs have been built on it.
 func TestMergedSourceAdvance(t *testing.T) {
+	const n = 60
 	rng := rand.New(rand.NewSource(23))
-	base := randomGraph(t, rng, 60, 150, 8, 4)
-	baseClosure := Compute(base, Options{})
+	base := randomGraph(t, rng, n, 150, 8, 4)
+	var baseClosure TableSource = Compute(base, Options{})
 
 	type epoch struct {
 		src  *MergedSource
 		want *Closure
 	}
 	var chain []epoch
-	d, cur := NewDelta(), base
+	d, all, cur := NewDelta(), NewDelta(), base
 	m := NewMergedSource(base, baseClosure, d)
-	for batch := 0; batch < 10; batch++ {
-		edges := randomNewEdges(rng, 60, 1+rng.Intn(4), 4)
+	prev := Compute(base, Options{})
+	for batch := 0; batch < 48; batch++ {
+		if batch == 24 {
+			// Rebase as compaction does: the epoch written out and
+			// reopened is the new base, and a fresh Delta starts.
+			path := t.TempDir() + "/gen.snap"
+			if err := writeSnapshotFile(path, m); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := OpenSnapshotFile(path, SnapLazy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			baseClosure, d, all = snap, NewDelta(), NewDelta()
+			m = NewMergedSource(snap.Graph(), snap, d)
+			cur = snap.Graph()
+			assertSameSource(t, m, prev)
+		}
+		edges := advanceBatch(rng, cur, prev, n, batch)
 		g2, err := CombineGraph(cur, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cur = g2
 		d.AddEdges(cur, edges)
-		dirty := len(d.dirty)
-		next := m.Advance(cur, d)
-		if len(d.dirty) != 0 {
-			t.Fatalf("batch %d: Advance left %d tables dirty", batch, len(d.dirty))
+		all.AddEdges(cur, edges)
+		logged := map[pairKey]bool{}
+		for _, c := range d.log {
+			a, b := c.labels()
+			logged[pairKey{a, b}] = true
 		}
-		if next.TablesRemerged() > dirty {
-			t.Fatalf("batch %d: re-materialized %d tables, batch dirtied %d", batch, next.TablesRemerged(), dirty)
+		entries, pairs := d.Entries(), loggedPairs(d)
+		next := m.Advance(cur, d)
+		if len(d.log) != 0 {
+			t.Fatalf("batch %d: Advance left %d candidates logged", batch, len(d.log))
+		}
+		if next.TablesRemerged() > len(logged) {
+			t.Fatalf("batch %d: re-materialized %d tables, batch logged candidates in %d", batch, next.TablesRemerged(), len(logged))
 		}
 		// Every table Advance did not re-merge is the predecessor's slice.
 		shared := 0
 		next.Tables(func(alpha, beta int32, entries []Entry) bool {
 			if prev := m.Table(alpha, beta); len(prev) > 0 && len(entries) > 0 && &prev[0] == &entries[0] {
 				shared++
+			} else if !logged[pairKey{alpha, beta}] {
+				t.Fatalf("batch %d: table (%d,%d) changed without a candidate", batch, alpha, beta)
 			}
 			return true
 		})
@@ -357,14 +442,112 @@ func TestMergedSourceAdvance(t *testing.T) {
 		}
 		want := Compute(cur, Options{})
 		assertSameSource(t, next, want)
-		assertSameSource(t, next, NewMergedSource(cur, baseClosure, d))
+		assertSameSource(t, NewMergedSource(cur, baseClosure, all), want)
+		changed := 0
+		old := pairDists(prev)
+		for ft, dist := range pairDists(want) {
+			if o, ok := old[ft]; !ok || o != dist {
+				changed++
+			}
+		}
+		if got := d.Entries() - entries; got != pairs || got < changed {
+			t.Fatalf("batch %d: Entries grew by %d for %d logged pairs, %d changed", batch, got, pairs, changed)
+		}
 		chain = append(chain, epoch{next, want})
-		m = next
+		m, prev = next, want
 	}
 	for i, ep := range chain {
 		if ep.src.Graph().NumEdges() != ep.want.Graph().NumEdges() {
 			t.Fatalf("epoch %d: graph changed under a published source", i)
 		}
 		assertSameSource(t, ep.src, ep.want)
+	}
+}
+
+// TestAdvanceCostGuard is the count-based (no wall clock) guard on what
+// one epoch costs: after 30 epochs have merged hundreds of tables, an
+// Advance whose batch dirties one table allocates what that table and
+// one path of the merged-table index take, no more than the same
+// Advance over a fresh chain with nothing merged. An epoch that
+// rebuilt each touched table from the base, or cloned the index of
+// merged tables, would fail it.
+func TestAdvanceCostGuard(t *testing.T) {
+	const n, labels = 300, 30
+	rng := rand.New(rand.NewSource(31))
+	// Nodes p and q stay isolated until the last batch adds p → q, whose
+	// only candidate is (p, q) itself.
+	p, q := int32(n-2), int32(n-1)
+	strip := func(edges []graph.Edge) []graph.Edge {
+		out := edges[:0]
+		for _, e := range edges {
+			if e.From != p && e.From != q && e.To != p && e.To != q {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	b := graph.NewBuilder()
+	for v := 0; v < n; v++ {
+		b.AddNode(fmt.Sprintf("L%d", v%labels))
+	}
+	for _, e := range strip(randomNewEdges(rng, n, 900, 3)) {
+		b.AddWeightedEdge(e.From, e.To, e.Weight)
+	}
+	base, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseClosure := Compute(base, Options{})
+
+	d, cur := NewDelta(), base
+	m := NewMergedSource(base, baseClosure, d)
+	for epoch := 0; epoch < 30; epoch++ {
+		edges := strip(randomNewEdges(rng, n, 6, 3))
+		if cur, err = CombineGraph(cur, edges); err != nil {
+			t.Fatal(err)
+		}
+		d.AddEdges(cur, edges)
+		m = m.Advance(cur, d)
+	}
+	merged := 0
+	m.Tables(func(alpha, beta int32, entries []Entry) bool {
+		if len(entries) > 0 && (baseClosure.TableLen(alpha, beta) == 0 || &entries[0] != &baseClosure.Table(alpha, beta)[0]) {
+			merged++
+		}
+		return true
+	})
+	if merged < 300 {
+		t.Fatalf("30 epochs merged only %d tables; the guard needs many", merged)
+	}
+
+	last := []graph.Edge{{From: p, To: q, Weight: 1}}
+	final, err := CombineGraph(cur, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := pairKey{final.Label(p), final.Label(q)}
+	advanceBytes := func(m *MergedSource, d *Delta) (uint64, *MergedSource) {
+		d.AddEdges(final, last)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		next := m.Advance(final, d)
+		runtime.ReadMemStats(&after)
+		if got := next.TablesRemerged(); got != 1 {
+			t.Fatalf("the last batch re-merged %d tables, want 1", got)
+		}
+		return after.TotalAlloc - before.TotalAlloc, next
+	}
+	chained, next := advanceBytes(m, d)
+	fresh, _ := advanceBytes(NewMergedSource(cur, Compute(cur, Options{}), NewDelta()), NewDelta())
+	table := uint64(len(next.Table(key.a, key.b))) * uint64(unsafe.Sizeof(Entry{}))
+	// The new table, the index path (three nodes at 30 labels) and the
+	// source itself.
+	limit := table + 3*uint64(unsafe.Sizeof(indexNode{})) + 1024
+	t.Logf("one-table Advance after %d merged tables: %d B (fresh chain %d B, table %d B)", merged, chained, fresh, table)
+	if chained > limit {
+		t.Fatalf("one-table Advance after %d merged tables allocated %d B, want <= %d (table %d B)", merged, chained, limit, table)
+	}
+	if chained > fresh+512 {
+		t.Fatalf("one-table Advance allocated %d B after %d merged tables, %d B with none", chained, merged, fresh)
 	}
 }

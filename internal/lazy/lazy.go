@@ -886,5 +886,5 @@ func TopK(s *store.Store, q *query.Tree, k int, opt Options) []*Match {
 // at any shard count. It costs draining the tie group at the
 // k-th score beyond plain TopK.
 func TopKCanonical(s *store.Store, q *query.Tree, k int, opt Options) []*Match {
-	return NewMerge([]Source{New(s, q, opt)}).TopK(k)
+	return NewMerge(New(s, q, opt)).TopK(k)
 }

@@ -3,8 +3,6 @@ package lazy
 import (
 	"cmp"
 	"slices"
-
-	"ktpm/internal/heap"
 )
 
 // Source is a stream of matches in non-decreasing score order: an
@@ -15,70 +13,59 @@ type Source interface {
 	Next() (*Match, bool)
 }
 
-// Merge is the k-way merge behind every Topk-EN answer: one enumerator
-// (a Database or ShardedDatabase), or several root-filtered ones. Sources
-// whose match spaces are disjoint (root filters over disjoint vertex
-// sets) merge into the canonical order of their union — non-decreasing
-// score, equal scores ordered by node bindings — so an answer does not
-// depend on how the match space was split.
+// Merge puts one source's matches into the canonical order behind every
+// Topk-EN answer — non-decreasing score, equal scores ordered by node
+// bindings — so an answer does not depend on the order in which the
+// enumerator emits a tie group.
 //
-// Source heads sit in an indexed min-heap keyed by head score, so each
-// take costs O(log sources). Because every source is sorted, a source's
-// head is the best score it can still produce: that is the threshold
-// TopK stops on, the paper's early-termination argument lifted from block
-// loading to source gathering. A merge is used once, through TopK or
+// Because the source is sorted, its head is the best score it can still
+// produce: that is the threshold TopK stops on, the paper's
+// early-termination argument. A merge is used once, through TopK or
 // through Next, and is not safe for concurrent use.
 type Merge struct {
-	srcs   []Source
-	heads  []*Match // heads[i] = source i's next match, nil once exhausted
-	taken  []int
-	hq     *heap.Indexed // source index keyed by head score; nil until the first pull
-	tie    []*Match      // Next's current equal-score group, canonically sorted
-	tiePos int
+	src     Source
+	head    *Match // the source's next match; nil once exhausted
+	started bool
+	taken   int
+	tie     []*Match // Next's current equal-score group, canonically sorted
+	tiePos  int
 }
 
-// NewMerge merges srcs. Nothing is pulled until the first TopK or Next,
-// so constructing a merge never blocks on a source.
-func NewMerge(srcs []Source) *Merge {
-	return &Merge{srcs: srcs, heads: make([]*Match, len(srcs)), taken: make([]int, len(srcs))}
-}
+// NewMerge orders src. Nothing is pulled until the first TopK or Next,
+// so constructing a merge never blocks on the source.
+func NewMerge(src Source) *Merge { return &Merge{src: src} }
 
-// start pulls every source's first match and seeds the head heap.
+// start pulls the source's first match.
 func (m *Merge) start() {
-	if m.hq != nil {
-		return
-	}
-	m.hq = heap.NewIndexed(len(m.srcs))
-	for i, s := range m.srcs {
-		if h, ok := s.Next(); ok {
-			m.heads[i] = h
-			m.hq.Push(i, h.Score)
-		}
+	if !m.started {
+		m.started = true
+		m.pull()
 	}
 }
 
-// take consumes source i's head and pulls its next one.
-func (m *Merge) take(i int) *Match {
-	x := m.heads[i]
-	m.taken[i]++
-	if h, ok := m.srcs[i].Next(); ok {
-		m.heads[i] = h
-		m.hq.Update(i, h.Score)
-	} else {
-		m.heads[i] = nil
-		m.hq.Remove(i)
-	}
+// take consumes the head and pulls the next one.
+func (m *Merge) take() *Match {
+	x := m.head
+	m.taken++
+	m.pull()
 	return x
 }
 
-// TopK returns the k best matches in canonical order. It takes heads in
-// global score order until k are gathered and no head can beat the k-th
-// score, so the tie group at the k-th score is drained in full: any tie
-// left behind could order before a gathered one. Gathered matches are
-// compacted to the canonical k smallest every 2k+64 takes, so a huge
-// tie group (uniform weights tie astronomically many matches) costs O(k)
-// memory; a compacted-away match is beaten by k others and no later take
-// can resurrect it.
+func (m *Merge) pull() {
+	m.head = nil
+	if h, ok := m.src.Next(); ok {
+		m.head = h
+	}
+}
+
+// TopK returns the k best matches in canonical order. It takes matches
+// until k are gathered and the head cannot beat the k-th score, so the
+// tie group at the k-th score is drained in full: any tie left behind
+// could order before a gathered one. Gathered matches are compacted to
+// the canonical k smallest every 2k+64 takes, so a huge tie group
+// (uniform weights tie astronomically many matches) costs O(k) memory; a
+// compacted-away match is beaten by k others and no later take can
+// resurrect it.
 func (m *Merge) TopK(k int) []*Match {
 	if k <= 0 {
 		return nil
@@ -86,12 +73,11 @@ func (m *Merge) TopK(k int) []*Match {
 	m.start()
 	var out []*Match
 	compactAt := 2*k + 64
-	for m.hq.Len() > 0 {
-		i, score := m.hq.Peek()
-		if len(out) >= k && score > out[k-1].Score {
-			break // threshold: no source can still beat the k-th result
+	for m.head != nil {
+		if len(out) >= k && m.head.Score > out[k-1].Score {
+			break // threshold: the source cannot still beat the k-th result
 		}
-		out = append(out, m.take(i))
+		out = append(out, m.take())
 		if len(out) >= compactAt {
 			out = canonicalize(out, k)
 		}
@@ -99,13 +85,11 @@ func (m *Merge) TopK(k int) []*Match {
 	return canonicalize(out, k)
 }
 
-// Next returns the next match in canonical order; ok is false once every
-// source is exhausted. Emission order within a source's tie group is
-// arbitrary and another source may hold a smaller tie, so Next drains one
-// whole equal-score group (every head at the current minimum score) and
-// sorts it before emitting any of it: memory is O(largest tie group), and
-// run-ahead past what the caller asked for is that group's tail plus one
-// head per source.
+// Next returns the next match in canonical order; ok is false once the
+// source is exhausted. Emission order within a tie group is arbitrary,
+// so Next drains one whole equal-score group and sorts it before
+// emitting any of it: memory is O(largest tie group), and run-ahead
+// past what the caller asked for is that group's tail plus the head.
 func (m *Merge) Next() (*Match, bool) {
 	if m.tiePos < len(m.tie) {
 		x := m.tie[m.tiePos]
@@ -113,26 +97,23 @@ func (m *Merge) Next() (*Match, bool) {
 		return x, true
 	}
 	m.start()
-	if m.hq.Len() == 0 {
+	if m.head == nil {
 		return nil, false
 	}
-	_, score := m.hq.Peek()
+	score := m.head.Score
 	group := m.tie[:0]
-	for m.hq.Len() > 0 {
-		i, sc := m.hq.Peek()
-		if sc != score {
-			break
-		}
-		group = append(group, m.take(i))
+	for m.head != nil && m.head.Score == score {
+		group = append(group, m.take())
 	}
 	m.tie, m.tiePos = canonicalize(group, len(group)), 1
 	return m.tie[0], true
 }
 
-// Taken returns how many matches the merge has taken from source i: the
-// matches it gathered or emitted, not the heads it holds. After TopK(k)
-// that is exactly source i's matches scoring at or below the k-th score.
-func (m *Merge) Taken(i int) int { return m.taken[i] }
+// Taken returns how many matches the merge has taken from the source:
+// the matches it gathered or emitted, not the head it holds. After
+// TopK(k) that is exactly the matches scoring at or below the k-th
+// score.
+func (m *Merge) Taken() int { return m.taken }
 
 // ChunkSize is how many matches a remote worker writes between flushes,
 // a worker stream's decoder carves bindings for, and a stream's node

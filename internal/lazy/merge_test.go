@@ -1,6 +1,7 @@
 package lazy
 
 import (
+	"slices"
 	"testing"
 
 	"ktpm/internal/closure"
@@ -11,24 +12,28 @@ import (
 	"ktpm/internal/store"
 )
 
-// splitSources splits q's match space n ways by root binding (v mod n),
-// drains each slice from a root-filtered enumerator, and hands it to the
-// merge as a source, plus one source that is empty from the start.
-func splitSources(c *closure.Closure, q *query.Tree, n int) []Source {
-	srcs := make([]Source, 0, n+1)
-	for i := 0; i < n; i++ {
-		e := New(store.New(c, 4), q, Options{RootFilter: func(v int32) bool { return int(v)%n == i }})
-		src := &drained{}
-		for {
-			m, ok := e.Next()
-			if !ok {
-				break
-			}
-			*src = append(*src, m)
+// shuffledTies is a Source over matches in score order whose equal-
+// score groups are each reversed, so the merge, not the source, must
+// put ties into canonical order.
+func shuffledTies(c *closure.Closure, q *query.Tree) Source {
+	e := New(store.New(c, 4), q, Options{})
+	var all drained
+	for {
+		m, ok := e.Next()
+		if !ok {
+			break
 		}
-		srcs = append(srcs, src)
+		all = append(all, m)
 	}
-	return append(srcs, &drained{})
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && all[j].Score == all[i].Score {
+			j++
+		}
+		slices.Reverse(all[i:j])
+		i = j
+	}
+	return &all
 }
 
 // drained is a Source over matches already in score order.
@@ -43,13 +48,13 @@ func (d *drained) Next() (*Match, bool) {
 	return x, true
 }
 
-// TestMergeMatchesOracle checks the one merge against the brute-force
-// oracle (rtg.Build → core.BruteForce → canonical order) over sources of
-// every shape the merge serves: N ∈ {1, 2, 4, 7} root-filtered
-// enumerators plus an empty source. The graph has unit weights,
-// so tie groups dwarf k and TopK's 2k+64 compaction runs. TopK(k) and
-// Next drained to k must both be the oracle's canonical prefix, and the
-// merge must take exactly the matches scoring at or below the k-th score.
+// TestMergeMatchesOracle checks the merge against the brute-force oracle
+// (rtg.Build → core.BruteForce → canonical order) over both sources it
+// serves — an enumerator as it stands, and one whose tie groups arrive
+// reversed — and over an empty source. The graph has unit weights, so
+// tie groups dwarf k and TopK's 2k+64 compaction runs. TopK(k) and Next
+// drained to k must both be the oracle's canonical prefix, and the merge
+// must take exactly the matches scoring at or below the k-th score.
 func TestMergeMatchesOracle(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{
 		Nodes: 120, AvgOutDegree: 3, Labels: 5,
@@ -60,6 +65,19 @@ func TestMergeMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sources := map[string]func(q *query.Tree) Source{
+		"enumerator": func(q *query.Tree) Source { return New(store.New(c, 4), q, Options{}) },
+		"reversed":   func(q *query.Tree) Source { return shuffledTies(c, q) },
+	}
+	for _, k := range []int{0, 1, 5} {
+		m := NewMerge(&drained{})
+		if got := m.TopK(k); len(got) != 0 {
+			t.Fatalf("empty source, k=%d: TopK gave %d matches", k, len(got))
+		}
+		if _, ok := NewMerge(&drained{}).Next(); ok {
+			t.Fatal("empty source: Next gave a match")
+		}
+	}
 	compacted := false
 	for qi, q := range qs {
 		var want []*Match
@@ -67,15 +85,11 @@ func TestMergeMatchesOracle(t *testing.T) {
 			want = append(want, &Match{Nodes: m.Nodes, Score: m.Score})
 		}
 		want = canonicalize(want, len(want))
-		for _, n := range []int{1, 2, 4, 7} {
+		for name, open := range sources {
 			for _, k := range []int{1, 7, 60, len(want) + 3} {
 				wantK := want[:min(k, len(want))]
-				m := NewMerge(splitSources(c, q, n))
-				sameMatches(t, m.TopK(k), wantK, "q%d n=%d k=%d TopK", qi, n, k)
-				taken := 0
-				for i := 0; i <= n; i++ {
-					taken += m.Taken(i)
-				}
+				m := NewMerge(open(q))
+				sameMatches(t, m.TopK(k), wantK, "q%d %s k=%d TopK", qi, name, k)
 				atOrBelow := len(want)
 				if len(wantK) > 0 {
 					atOrBelow = 0
@@ -85,13 +99,13 @@ func TestMergeMatchesOracle(t *testing.T) {
 						}
 					}
 				}
-				if taken != atOrBelow {
-					t.Fatalf("q%d n=%d k=%d: merge took %d matches, %d score at or below the k-th",
-						qi, n, k, taken, atOrBelow)
+				if m.Taken() != atOrBelow {
+					t.Fatalf("q%d %s k=%d: merge took %d matches, %d score at or below the k-th",
+						qi, name, k, m.Taken(), atOrBelow)
 				}
-				compacted = compacted || taken >= 2*k+64
+				compacted = compacted || m.Taken() >= 2*k+64
 
-				m = NewMerge(splitSources(c, q, n))
+				m = NewMerge(open(q))
 				var streamed []*Match
 				for len(streamed) < k {
 					x, ok := m.Next()
@@ -100,7 +114,7 @@ func TestMergeMatchesOracle(t *testing.T) {
 					}
 					streamed = append(streamed, x)
 				}
-				sameMatches(t, streamed, wantK, "q%d n=%d k=%d Next", qi, n, k)
+				sameMatches(t, streamed, wantK, "q%d %s k=%d Next", qi, name, k)
 			}
 		}
 	}

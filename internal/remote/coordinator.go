@@ -271,6 +271,7 @@ func (w *workerConn) close() {
 	w.wd.Stop()
 	w.body.Close()
 	w.cancel()
+	w.dec.release()
 }
 
 // dial opens a stream on one replica and reads its handshake. The stall

@@ -36,6 +36,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"sync"
 	"unicode/utf8"
 
 	"ktpm"
@@ -141,8 +142,23 @@ type decoder struct {
 	slab      []int32 // where the next match's bindings are carved
 }
 
+// readers pools the decoders' 32 KiB read buffers across streams. Only
+// the buffer is pooled: matches handed on point into the binding slab,
+// which stays with its decoder.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 32<<10) }}
+
 func newDecoder(r io.Reader) *decoder {
-	return &decoder{r: bufio.NewReaderSize(r, 32<<10)}
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(r)
+	return &decoder{r: br}
+}
+
+// release returns the read buffer to the pool; d must not be read
+// again.
+func (d *decoder) release() {
+	d.r.Reset(nil)
+	readers.Put(d.r)
+	d.r = nil
 }
 
 // next decodes the next frame. The end of input at a frame boundary is

@@ -217,10 +217,13 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if send(appendFrame(buf, Frame{Kind: KindEnd, Count: count, Complete: true})) == nil {
-		written = count
+	if err := send(appendFrame(buf, Frame{Kind: KindEnd, Count: count, Complete: true})); err != nil {
+		w.logStream(r, written, "write: "+err.Error())
+		return
 	}
-	w.logStream(r, written, "")
+	// A normal end logs nothing: it is on every routed request's path,
+	// and /stats and /metrics count streams already.
+	written = count
 }
 
 // reject writes a pre-stream failure as a plain HTTP error with a JSON
@@ -232,15 +235,13 @@ func (w *Worker) reject(rw http.ResponseWriter, status int, msg string) {
 	_ = json.NewEncoder(rw).Encode(map[string]string{"error": msg})
 }
 
+// logStream records a stream that ended early: a failed write or a
+// client that went away.
 func (w *Worker) logStream(r *http.Request, matches int64, note string) {
 	if w.cfg.Logger == nil {
 		return
 	}
-	attrs := []any{"q", r.URL.Query().Get("q"), "matches", matches}
-	if note != "" {
-		attrs = append(attrs, "note", note)
-	}
-	w.cfg.Logger.Info("shard_stream", attrs...)
+	w.cfg.Logger.Info("shard_stream", "q", r.URL.Query().Get("q"), "matches", matches, "note", note)
 }
 
 // WorkerStats is the worker process's /stats document.

@@ -150,8 +150,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("ktpmd_wal_recovered_records", "Records replayed from the log at the last open.", float64(st.WAL.RecoveredRecords))
 		gauge("ktpmd_wal_torn_bytes_truncated", "Trailing bytes of a torn record cut from the final segment at the last open.", float64(st.WAL.TornBytesTruncated))
 
-		gauge("ktpmd_overlay_entries", "Closure pairs held by the in-memory epoch overlay awaiting compaction.", float64(st.Overlay.Entries))
-		gauge("ktpmd_overlay_tables", "Label-pair tables the overlay touches.", float64(st.Overlay.Tables))
+		gauge("ktpmd_overlay_entries", "Closure pairs the batches since the last compaction logged, summed per batch; compared against -compact-threshold.", float64(st.Overlay.Entries))
+		gauge("ktpmd_overlay_tables", "Label-pair tables that differ from the base generation.", float64(st.Overlay.Tables))
 		gauge("ktpmd_overlay_edges_applied", "Edges folded into the overlay since the last compaction.", float64(st.Overlay.EdgesApplied))
 		gauge("ktpmd_overlay_pending_batches", "Acked batches not yet drained into a compacted generation.", float64(st.Overlay.PendingBatches))
 		gauge("ktpmd_overlay_watermark", "Last LSN captured by the current base generation.", float64(st.Overlay.Watermark))

@@ -141,7 +141,7 @@ func (d *DB) open(t *query.Tree, opt lazy.Options) (*lazy.Merge, func()) {
 	span.SetAttr("shards", d.n)
 	opt.Trace = span
 	c := &creditor{d: d, e: lazy.New(d.st, t, opt)}
-	return lazy.NewMerge([]lazy.Source{c}), func() {
+	return lazy.NewMerge(c), func() {
 		if c.head != nil {
 			d.merged[d.assign[c.head.Nodes[0]]].Add(-1) // pulled, never taken
 		}

@@ -182,10 +182,10 @@ func TestCarveMatchesSourceRows(t *testing.T) {
 	}
 	delta := closure.NewDelta()
 	delta.AddEdges(combined, held)
-	if delta.Entries() == 0 {
-		t.Fatal("overlay is empty; the merged source would be the base")
-	}
 	merged := closure.NewMergedSource(combined, closureOf(t, base), delta)
+	if merged.TablesRemerged() == 0 {
+		t.Fatal("no table merged; the merged source would be the base")
+	}
 
 	sources := map[string]closure.TableSource{"closure": c, "merged": merged}
 	path := filepath.Join(t.TempDir(), "c.snap")

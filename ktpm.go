@@ -492,7 +492,7 @@ func (db *Database) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
 		return nil, fmt.Errorf("ktpm: negative k")
 	}
 	e := lazy.New(db.st, q.t, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
-	out := detach(lazy.NewMerge([]lazy.Source{e}).TopK(k), q.NumNodes())
+	out := detach(lazy.NewMerge(e).TopK(k), q.NumNodes())
 	e.Release()
 	return out, nil
 }
@@ -549,7 +549,7 @@ func (db *Database) StreamWith(q *Query, opt Options) (*Stream, error) {
 		return nil, fmt.Errorf("ktpm: nil query")
 	}
 	e := lazy.New(db.st, q.t, lazy.Options{RootFilter: opt.RootFilter, Trace: opt.Trace})
-	return &Stream{e: e, m: lazy.NewMerge([]lazy.Source{e})}, nil
+	return &Stream{e: e, m: lazy.NewMerge(e)}, nil
 }
 
 // OpenStream is StreamWith behind the MatchStream interface, the form

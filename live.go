@@ -44,12 +44,14 @@ type WALStats = wal.Stats
 // OverlayStats describes the in-memory epoch delta overlay awaiting
 // compaction.
 type OverlayStats struct {
-	// Entries is the number of (from, to) closure pairs the overlay
-	// holds: a small superset of the pairs whose distance the acked edges
-	// changed since the last compaction (an edge that shortens nothing
-	// adds none). Compaction triggers when it crosses the threshold.
+	// Entries is the number of closure entries the batches acked since
+	// the last compaction inserted or lowered, summed over batches: a
+	// pair two batches shorten counts twice, and an edge that shortens
+	// nothing adds none. Compaction triggers when it crosses the
+	// threshold.
 	Entries int `json:"entries"`
-	// Tables is the number of label-pair tables the overlay touches.
+	// Tables is the number of label-pair tables that differ from the
+	// base generation.
 	Tables int `json:"tables"`
 	// EdgesApplied counts edges folded into the overlay since the last
 	// compaction (including edges replayed from the WAL at startup).
@@ -90,9 +92,11 @@ type IngestStageNanos struct {
 	// WALAppend is writing and (per the fsync policy) syncing the batch's
 	// log record: the durability floor of an ack.
 	WALAppend int64 `json:"wal_append"`
-	// ClosureDelta is the per-edge searches and their overlay inserts.
+	// ClosureDelta is the per-edge searches and logging the candidates
+	// they find.
 	ClosureDelta int64 `json:"closure_delta"`
-	// Merge is re-merging the tables the batch dirtied.
+	// Merge is sorting the batch's candidates and splicing them into the
+	// tables they change.
 	Merge int64 `json:"merge"`
 	// Publish is building the epoch's Database and swapping it in.
 	Publish int64 `json:"publish"`
@@ -335,9 +339,9 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 	}
 
 	// Replay every record past the generation watermark into the
-	// overlay — these are acked writes the last compaction had not yet
-	// absorbed when the process stopped. The publish below merges what
-	// they dirtied, by the same call an acked batch goes through.
+	// delta's log — these are acked writes the last compaction had not
+	// yet absorbed when the process stopped. The publish below splices
+	// them in, by the same call an acked batch goes through.
 	l.merged = closure.NewMergedSource(l.combined, l.baseClosure, l.delta)
 	replayed := 0
 	err = l.wal.Replay(l.watermark+1, func(lsn uint64, payload []byte) error {
@@ -362,6 +366,7 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 		}
 		return nil, fmt.Errorf("ktpm: OpenLive: wal replay: %w", err)
 	}
+	l.publishLocked()
 	ws := l.wal.Stats()
 	logger.Info("wal recovered",
 		"records_replayed", replayed,
@@ -370,8 +375,6 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 		"torn_bytes_truncated", ws.TornBytesTruncated,
 		"fsync", ws.FsyncPolicy,
 	)
-
-	l.publishLocked()
 	l.wg.Add(1)
 	go l.compactLoop()
 	l.maybeCompact()
@@ -420,8 +423,9 @@ func (l *Live) publishLocked() {
 	t0 := time.Now()
 	src := l.baseClosure
 	if l.delta.EdgesApplied() > 0 {
-		// Re-merges the tables dirtied since the last publish and shares
-		// the rest with the outgoing epoch, which readers still on it keep.
+		// Splices the candidates logged since the last publish into the
+		// tables they change and shares the rest with the outgoing epoch,
+		// which readers still on it keep.
 		l.merged = l.merged.Advance(l.combined, l.delta)
 		src = l.merged
 	}
@@ -460,14 +464,17 @@ func (l *Live) publishLocked() {
 // serially in LSN order; queries are never blocked.
 //
 // Cost: a batch pays for what it changes. Each edge runs four
-// shortest-path searches over the combined graph and adds the affected
-// sources × affected targets it finds to the overlay (nothing, for an
-// edge that shortens no path); the publish then re-merges only the
-// label-pair tables those candidates dirtied and shares the rest with
-// the previous epoch. The one term independent of the batch is
-// CombineGraph's O(V + E) copy, well under a millisecond at the sizes
-// measured. Small batches are therefore fine: the floor of an ack is the
-// WAL fsync. See the write-path section of docs/ARCHITECTURE.md.
+// shortest-path searches over the combined graph and logs a candidate
+// for each affected source × affected target it finds (nothing, for an
+// edge that shortens no path); the publish sorts that log once and
+// splices it into the previous epoch's tables, copying only the tables
+// — and the index paths to them — that a candidate changes, and shares
+// the rest. On the benchmark's 800-node graph a 4-edge batch costs about
+// 1.1 ms of searches, 1.9 ms of sort and splice and 0.4 ms of publish;
+// the one term independent of the batch is CombineGraph's O(V + E)
+// copy, 0.45 ms there. Small batches are therefore fine: the floor of an
+// ack is the WAL fsync. See the write-path section of
+// docs/ARCHITECTURE.md.
 func (l *Live) Ingest(edges []IngestEdge) (lsn uint64, err error) {
 	if len(edges) == 0 {
 		l.rejected.Add(1)
@@ -622,8 +629,9 @@ func (l *Live) compact() error {
 		l.mu.Unlock()
 	}
 	// Rebuild the overlay from batches acked while the generation was
-	// being written: replaying them over the generation's graph yields
-	// exactly the post-watermark delta, which the publish below merges.
+	// being written: replaying them over the generation's graph logs
+	// exactly the post-watermark candidates, which the publish below
+	// splices into the generation.
 	delta := closure.NewDelta()
 	combined := snap.Graph()
 	merged := closure.NewMergedSource(combined, snap, delta)
