@@ -104,7 +104,7 @@ func main() {
 
 		walDir       = flag.String("wal-dir", "", "enable the crash-safe write path (/ingest): directory for the write-ahead log, compacted generation snapshots, and the CURRENT pointer (empty = read-only; requires -role serve and -shards 1)")
 		fsyncPolicy  = flag.String("fsync", "always", "WAL durability policy with -wal-dir: always (fsync before every ack), interval (fsync every 100ms; a crash may lose the acked tail), or never (fsync only on rotation and shutdown)")
-		compactThr   = flag.Int("compact-threshold", 0, "with -wal-dir, drain the in-memory overlay into a new snapshot generation once it holds this many closure entries (0 = default 100000, negative disables background compaction)")
+		compactThr   = flag.Int("compact-threshold", 0, "with -wal-dir, checkpoint the serving state into a new snapshot generation once the batches since the last one logged this many closure entries (0 = default 100000, negative disables background compaction)")
 		maxQueueWait = flag.Duration("max-queue-wait", 2*time.Second, "shed a request with 429 when its estimated admission-queue wait exceeds this (0 disables predictive shedding)")
 		memSoft      = flag.String("mem-soft-limit", "", "heap soft limit with an optional KiB/MiB/GiB suffix (e.g. 512MiB): approaching it progressively shrinks the result cache, stops cache admission, then sheds uncached requests with 429; also sets the Go runtime's soft memory limit (empty disables)")
 		maxBody      = flag.Int64("max-body-bytes", 0, "largest accepted POST body in bytes, answered 413 beyond it (0 = default 4MiB, negative disables the cap)")

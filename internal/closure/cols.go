@@ -62,15 +62,34 @@ type ColumnSource interface {
 	TableCols(alpha, beta int32) Cols
 }
 
-// TableColsOf serves src's L^α_β table as columns: a ColumnSource's own
-// views (shared is true: they alias the source's storage, a mapping
-// under mmap, and must not be modified or outlive it), otherwise a fresh
+// storedTable serves src's L^α_β table in the form src holds it: a
+// ColumnSource's column views, or rows. A MergedSource answers with its
+// spliced rows for a table it changed and asks its base for every other,
+// so an untouched snapshot table stays columns and never fills the
+// snapshot's row cache.
+func storedTable(src TableSource, alpha, beta int32) (cols Cols, rows []Entry) {
+	switch s := src.(type) {
+	case *MergedSource:
+		if tab := s.merged.get(alpha, beta); tab != nil {
+			return Cols{}, tab
+		}
+		return storedTable(s.base, alpha, beta)
+	case ColumnSource:
+		return s.TableCols(alpha, beta), nil
+	}
+	return Cols{}, src.Table(alpha, beta)
+}
+
+// TableColsOf serves src's L^α_β table as columns: stored column views
+// (shared is true: they alias the source's storage, a mapping under
+// mmap, and must not be modified or outlive it), otherwise a fresh
 // transpose of the row-major table that the caller owns. The transpose
 // allocates per call and is not retained, so callers carve once and keep
 // the result (the store layout does).
 func TableColsOf(src TableSource, alpha, beta int32) (cols Cols, shared bool) {
-	if cs, ok := src.(ColumnSource); ok {
-		return cs.TableCols(alpha, beta), true
+	cols, rows := storedTable(src, alpha, beta)
+	if rows != nil {
+		return EntriesToCols(rows), false
 	}
-	return EntriesToCols(src.Table(alpha, beta)), false
+	return cols, true
 }

@@ -1,6 +1,7 @@
 package closure
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -161,6 +162,73 @@ func TestMergedSourceOverSnapshot(t *testing.T) {
 		d.AddEdges(g2, edges)
 		merged := NewMergedSource(g2, snap, d)
 		assertSameSource(t, merged, want)
+		snap.Close()
+	}
+}
+
+// TestCheckpointStreamsColumns pins what a Live's compaction writes: a
+// MergedSource over a lazy or mmap snapshot checkpoints byte-identically
+// to the from-scratch closure of the combined graph, and the write
+// streams every table the splice left alone from the snapshot's columns,
+// so the snapshot's row cache holds only tables the splice read (the
+// ones its log named) and the write adds none to it.
+func TestCheckpointStreamsColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	base := gen.ErdosRenyi(300, 270, 30, 41)
+	path := t.TempDir() + "/base.snap"
+	if err := writeSnapshotFile(path, Compute(base, Options{})); err != nil {
+		t.Fatal(err)
+	}
+	edges := randomNewEdges(rng, 300, 2, 1)
+	g2, err := CombineGraph(base, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := WriteSnapshot(&want, Compute(g2, Options{})); err != nil {
+		t.Fatal(err)
+	}
+	rowCached := func(s *Snapshot) (n int) {
+		for i := range s.tabs {
+			if s.tabs[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for _, mode := range []SnapMode{SnapLazy, SnapMMap} {
+		snap, err := OpenSnapshotFile(path, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDelta()
+		d.AddEdges(g2, edges)
+		named := map[[2]int32]bool{}
+		for _, c := range d.log {
+			a, b := c.labels()
+			named[[2]int32{a, b}] = true
+		}
+		m := NewMergedSource(base, snap, NewDelta()).Advance(g2, d)
+		spliced := rowCached(snap)
+		var got bytes.Buffer
+		if err := WriteSnapshot(&got, m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%v: checkpoint of the merged source differs from the snapshot of Compute(g)", mode)
+		}
+		if n := rowCached(snap); n != spliced {
+			t.Fatalf("%v: the write cached %d more tables as rows", mode, n-spliced)
+		}
+		for i := range snap.dir {
+			if k := [2]int32{snap.dir[i].alpha, snap.dir[i].beta}; snap.tabs[i].Load() != nil && !named[k] {
+				t.Fatalf("%v: table %v is cached as rows, but the splice never read it", mode, k)
+			}
+		}
+		if int(snap.TablesLoaded()) != snap.NumTables() {
+			t.Fatalf("%v: the write faulted %d of %d tables", mode, snap.TablesLoaded(), snap.NumTables())
+		}
+		t.Logf("%v: %d of %d tables cached as rows, %d named by the log", mode, spliced, snap.NumTables(), len(named))
 		snap.Close()
 	}
 }

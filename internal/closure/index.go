@@ -4,7 +4,7 @@ package closure
 // materialized. It is persistent: with returns a new index that shares
 // every node off the root-to-leaf paths it rewrites, so an epoch pays
 // for the tables it changes and not for every table merged since the
-// last compaction.
+// chain started.
 //
 // Pair (a, b) is slot a·labels + b of a radix trie with indexFan-way
 // nodes, deep enough for labels² slots. labels is fixed when the chain

@@ -175,8 +175,9 @@ var _ ColumnSource = (*Snapshot)(nil)
 
 // WriteSnapshot writes src — graph and closure — as a KTPMSNAP2 snapshot.
 // Any TableSource serves, so an existing database (in-memory or itself
-// snapshot-backed) converts without recomputing the closure; on a lazy
-// source this faults every table. The directory is sorted by (alpha,
+// snapshot-backed) converts without recomputing the closure. Each table
+// streams from the form src stores it in (storedTable), so a snapshot's
+// columns are never copied into rows. The directory is sorted by (alpha,
 // beta), making the output deterministic for a given closure.
 func WriteSnapshot(w io.Writer, src TableSource) error {
 	g := src.Graph()
@@ -266,29 +267,35 @@ func WriteSnapshot(w io.Writer, src TableSource) error {
 		if err := pad(d.off); err != nil {
 			return err
 		}
-		entries := src.Table(d.alpha, d.beta)
-		if int64(len(entries)) != d.count {
-			return fmt.Errorf("closure: table (%d,%d) has %d entries, directory says %d (changed or failed to load during snapshot write)", d.alpha, d.beta, len(entries), d.count)
+		cols, rows := storedTable(src, d.alpha, d.beta)
+		if n := int64(cols.Len() + len(rows)); n != d.count {
+			return fmt.Errorf("closure: table (%d,%d) has %d entries, directory says %d (changed or failed to load during snapshot write)", d.alpha, d.beta, n, d.count)
 		}
 		// The table's whole payload span — inter-column padding included —
-		// feeds its trailer CRC. Columns are streamed straight from the
-		// row-major entries so the writer never materializes a second
-		// copy of the table.
+		// feeds its trailer CRC. Columns stream straight from the stored
+		// form, so the writer never materializes a second copy of the
+		// table.
 		cw.begin()
 		distRel, fromRel, _ := colsSpan(d.count)
 		for _, c := range []struct {
 			rel int64
+			col []int32
 			sel func(Entry) int32
 		}{
-			{0, func(e Entry) int32 { return e.To }},
-			{distRel, func(e Entry) int32 { return e.Dist }},
-			{fromRel, func(e Entry) int32 { return e.From }},
+			{0, cols.To, func(e Entry) int32 { return e.To }},
+			{distRel, cols.Dist, func(e Entry) int32 { return e.Dist }},
+			{fromRel, cols.From, func(e Entry) int32 { return e.From }},
 		} {
 			if err := pad(d.off + c.rel); err != nil {
 				return err
 			}
 			var err error
-			if buf, err = writeCol(cw, entries, c.sel, buf); err != nil {
+			if rows != nil {
+				buf, err = writeCol(cw, rows, c.sel, buf)
+			} else {
+				buf, err = writeCol(cw, c.col, func(v int32) int32 { return v }, buf)
+			}
+			if err != nil {
 				return err
 			}
 			pos += d.count * 4
@@ -305,24 +312,25 @@ var zeroPage [snapPageSize]byte
 
 func alignUp(n, align int64) int64 { return (n + align - 1) / align * align }
 
-// writeCol streams one int32 field of entries — selected by sel — as a
+// writeCol streams one int32 field of lanes — selected by sel — as a
 // contiguous little-endian column through buf (grown to at most colChunk
 // lanes), returning the possibly-grown buffer. The writer uses it to
-// transpose on the fly without holding a second copy of the table.
-func writeCol(w io.Writer, entries []Entry, sel func(Entry) int32, buf []byte) ([]byte, error) {
-	for len(entries) > 0 {
-		n := min(len(entries), colChunk)
+// transpose row-major entries, or copy a stored column, on the fly
+// without holding a second copy of the table.
+func writeCol[T any](w io.Writer, lanes []T, sel func(T) int32, buf []byte) ([]byte, error) {
+	for len(lanes) > 0 {
+		n := min(len(lanes), colChunk)
 		if cap(buf) < n*4 {
 			buf = make([]byte, n*4)
 		}
 		buf = buf[:n*4]
-		for i, e := range entries[:n] {
+		for i, e := range lanes[:n] {
 			binary.LittleEndian.PutUint32(buf[i*4:], uint32(sel(e)))
 		}
 		if _, err := w.Write(buf); err != nil {
 			return buf, err
 		}
-		entries = entries[n:]
+		lanes = lanes[n:]
 	}
 	return buf, nil
 }

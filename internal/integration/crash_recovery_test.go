@@ -22,11 +22,11 @@ import (
 // write path: a real ktpmd with -wal-dir takes serial /ingest batches
 // while the test SIGKILLs it at randomized moments — including rounds
 // with an aggressive compaction threshold, so kills land around the
-// generation swap — then restarts it over the same directory and
-// requires (1) every acknowledged write to survive, (2) the recovered
-// top-k answers to be identical to a never-crashed replica fed the
-// same durable prefix, and (3) a clean -verify-snapshot pass over any
-// compacted generation left behind.
+// switch of CURRENT to a new generation — then restarts it over the
+// same directory and requires (1) every acknowledged write to survive,
+// (2) the recovered top-k answers to be identical to a never-crashed
+// replica fed the same durable prefix, and (3) a clean -verify-snapshot
+// pass over any compacted generation left behind.
 func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills processes; skipped in -short")
@@ -184,7 +184,7 @@ func TestCrashRecovery(t *testing.T) {
 		}()
 		var compacted uint64
 		if threshold != "-1" {
-			// The kill must land among generation swaps, so the clock starts
+			// The kill must land among compactions, so the clock starts
 			// at the round's first completed compaction.
 			for deadline := time.Now().Add(10 * time.Second); compacted == 0; compacted = compactions(addr) {
 				if time.Now().After(deadline) {

@@ -127,17 +127,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("ktpmd_ingest_batches_total", "Ingest batches acknowledged (WAL-durable and published).", int64(st.AckedBatches))
 		counter("ktpmd_ingest_edges_total", "Edges across acknowledged ingest batches.", int64(st.AckedEdges))
 		counter("ktpmd_ingest_rejected_total", "Ingest batches refused by validation.", int64(st.RejectedBatches))
-		gauge("ktpmd_ingest_epoch", "Serving-state publishes: one per acked batch plus one per compaction swap.", float64(st.Epoch))
+		gauge("ktpmd_ingest_epoch", "Serving-state publishes: one at open plus one per acked batch.", float64(st.Epoch))
 		gauge("ktpmd_ingest_last_lsn", "Newest acknowledged log sequence number.", float64(st.LastLSN))
-		fmt.Fprintf(&b, "# HELP ktpmd_ingest_stage_seconds_total Wall time the write path has spent per stage: wal_append, closure_delta, merge, publish per acked batch; compact_write, compact_reopen, compact_swap per compaction.\n# TYPE ktpmd_ingest_stage_seconds_total counter\n")
+		fmt.Fprintf(&b, "# HELP ktpmd_ingest_stage_seconds_total Wall time the write path has spent per stage: wal_append, closure_delta, merge, publish per acked batch; compact_write (generation and CURRENT) and compact_swap (ingest mutex held) per compaction.\n# TYPE ktpmd_ingest_stage_seconds_total counter\n")
 		for _, sg := range []struct {
 			name string
 			ns   int64
 		}{
 			{"wal_append", st.StageNS.WALAppend}, {"closure_delta", st.StageNS.ClosureDelta},
 			{"merge", st.StageNS.Merge}, {"publish", st.StageNS.Publish},
-			{"compact_write", st.StageNS.CompactWrite}, {"compact_reopen", st.StageNS.CompactReopen},
-			{"compact_swap", st.StageNS.CompactSwap},
+			{"compact_write", st.StageNS.CompactWrite}, {"compact_swap", st.StageNS.CompactSwap},
 		} {
 			fmt.Fprintf(&b, "ktpmd_ingest_stage_seconds_total{stage=%q} %g\n", sg.name, float64(sg.ns)/1e9)
 		}
@@ -151,13 +150,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("ktpmd_wal_torn_bytes_truncated", "Trailing bytes of a torn record cut from the final segment at the last open.", float64(st.WAL.TornBytesTruncated))
 
 		gauge("ktpmd_overlay_entries", "Closure pairs the batches since the last compaction logged, summed per batch; compared against -compact-threshold.", float64(st.Overlay.Entries))
-		gauge("ktpmd_overlay_tables", "Label-pair tables that differ from the base generation.", float64(st.Overlay.Tables))
-		gauge("ktpmd_overlay_edges_applied", "Edges folded into the overlay since the last compaction.", float64(st.Overlay.EdgesApplied))
-		gauge("ktpmd_overlay_pending_batches", "Acked batches not yet drained into a compacted generation.", float64(st.Overlay.PendingBatches))
-		gauge("ktpmd_overlay_watermark", "Last LSN captured by the current base generation.", float64(st.Overlay.Watermark))
+		gauge("ktpmd_overlay_tables", "Label-pair tables that differ from the base the daemon booted on.", float64(st.Overlay.Tables))
+		gauge("ktpmd_overlay_edges_applied", "Edges of the batches acked since the last compaction.", float64(st.Overlay.EdgesApplied))
+		gauge("ktpmd_overlay_pending_batches", "Acked batches no compacted generation covers yet.", float64(st.Overlay.PendingBatches))
+		gauge("ktpmd_overlay_watermark", "Last LSN the newest generation covers.", float64(st.Overlay.Watermark))
 
 		counter("ktpmd_compaction_total", "Completed snapshot compactions this process.", int64(st.Compaction.Count))
-		gauge("ktpmd_compaction_generation", "Current base snapshot generation (0 is the boot base).", float64(st.Compaction.Generation))
+		gauge("ktpmd_compaction_generation", "Newest snapshot generation written (0 before the first compaction).", float64(st.Compaction.Generation))
 		gauge("ktpmd_compaction_threshold", "Overlay entry count that triggers a compaction (0 or negative disables).", float64(st.Compaction.Threshold))
 		gauge("ktpmd_compaction_in_progress", "1 while a compaction is running.", boolGauge(st.Compaction.InProgress))
 		gauge("ktpmd_compaction_last_seconds", "Wall time of the last completed compaction.", st.Compaction.LastMS/1e3)

@@ -680,8 +680,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key string, cq
 // resultKey is the result-cache and dedup identity of a query execution.
 // /query and /batch share cache entries, so every probe and fill site
 // must build keys through this one method. On a live (writable) backend
-// the key carries the serving epoch: every acked ingest and every
-// compaction swap bump the epoch, so results cached against an older
+// the key carries the serving epoch: every acked ingest bumps the
+// epoch (a compaction publishes nothing), so results cached against an older
 // graph are simply never probed again — they age out of the LRU instead
 // of being served stale, and in-flight coalesced computations keyed
 // under the old epoch stay correct for the requests that joined them.

@@ -98,7 +98,8 @@ func (t *colTab) view(v int32) EdgeCols {
 // carve faults the (alpha, beta) table from the source as columns,
 // takes from/dist as the layout's own (copying them when they are a v2
 // snapshot's shared views, adopting the transpose otherwise), computes
-// the direct flags, and indexes target runs into a CSR span table — one pass over
+// the direct flags from each target's incoming edges in the graph, and
+// indexes target runs into a CSR span table — one pass over
 // the contiguous to[] column, which the closure's canonical (To, Dist,
 // From) order delivers already grouped and block-ordered. Callers hold
 // lay.mu and publish tabs afterwards. It reports whether the table
@@ -120,6 +121,12 @@ func (lay *layout) carve(alpha, beta int32, tabs map[pairKey]*colTab) bool {
 			t.from, t.dist = slices.Clone(cols.From), slices.Clone(cols.Dist)
 		}
 		t.direct = make([]bool, n)
+		if lay.inW == nil {
+			lay.inW = make([]int32, lay.g.NumNodes())
+		}
+		inW := lay.inW
+		setIn := func(from, w int32) bool { inW[from] = w; return true }
+		clearIn := func(from, _ int32) bool { inW[from] = 0; return true }
 		for i := 0; i < n; {
 			to := cols.To[i]
 			j := i + 1
@@ -128,10 +135,14 @@ func (lay *layout) carve(alpha, beta int32, tabs map[pairKey]*colTab) bool {
 			}
 			t.targets = append(t.targets, to)
 			t.starts = append(t.starts, int32(i))
+			// The graph is simple, so In lists one edge per source: the
+			// lightest of any parallels. Weights are positive, so a zero
+			// marks a source with no edge to this target.
+			lay.g.In(to, setIn)
 			for lane := i; lane < j; lane++ {
-				w, ok := lay.direct[key(cols.From[lane], to)]
-				t.direct[lane] = ok && w == cols.Dist[lane]
+				t.direct[lane] = inW[cols.From[lane]] == cols.Dist[lane]
 			}
+			lay.g.In(to, clearIn)
 			i = j
 		}
 		t.starts = append(t.starts, int32(n))

@@ -28,10 +28,11 @@
 //   - a snapshot serves its on-disk columns (zero-copy views over the
 //     mapping under mmap, one decoded read under lazy), so the carve is
 //     two column copies plus the direct-flag pass;
-//   - an in-memory Closure and a MergedSource overlay hold row-major
-//     entries, which closure.TableColsOf transposes once per carve: the
-//     transpose's from/dist become the store's columns and nothing else
-//     is retained.
+//   - an in-memory Closure and the tables a MergedSource overlay has
+//     spliced hold row-major entries, which closure.TableColsOf
+//     transposes once per carve: the transpose's from/dist become the
+//     store's columns and nothing else is retained. A MergedSource's
+//     untouched tables come from its base in the base's own form.
 //
 // Lists are served as EdgeCols column views (ListHandle.BlockCols, what
 // the enumerator's block kernels read); ListHandle.Block and LoadBlock
@@ -150,12 +151,11 @@ type layout struct {
 	blockSize int
 	src       closure.TableSource
 
-	// direct[(u<<32)|v] is the weight of the direct data-graph edge u→v,
-	// consulted while carving to set the direct flags. Dropped once every
-	// table is materialized (it only serves future carves).
-	direct map[int64]int32
-
 	mu sync.Mutex // serializes carves; readers never take it
+	// inW is the carve's scratch, guarded by mu: inW[u] holds the weight
+	// of the edge u→v while the carve sets the direct flags of target v's
+	// lanes, and is zero otherwise. Allocated at the first carve.
+	inW []int32
 	// tabs maps a carved (α, β) pair to its colTab; an empty colTab is a
 	// carved pair with no entries (negative caching), and the sentinel key
 	// {allLabels, β} (nil value) marks "every (α, β) pair is carved" so
@@ -217,8 +217,6 @@ type tableKey struct {
 	childOnly   bool
 }
 
-func key(alpha, v int32) int64 { return int64(alpha)<<32 | int64(uint32(v)) }
-
 // New lays out the closure source with the given block size (0 means
 // DefaultBlockSize), materializing every table up front — the behavior
 // an in-memory closure wants, since its entries are resident anyway.
@@ -231,30 +229,21 @@ func New(src closure.TableSource, blockSize int) *Store {
 // NewFromSource lays out src with the given block size (0 means
 // DefaultBlockSize) without touching any table payload: a (α, β) table
 // is carved into columns the first time a query asks for one of its
-// lists. Construction cost is O(edges) — the direct-edge lookup; the
-// label index is the graph's — never O(closure).
+// lists. Construction cost is O(nodes) — the wildcard-merge slots; the
+// label index and the edges the direct flags read are the graph's —
+// never O(closure).
 func NewFromSource(src closure.TableSource, blockSize int) *Store {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
 	g := src.Graph()
-	lay := &layout{
-		g:         g,
-		blockSize: blockSize,
-		src:       src,
-		direct:    make(map[int64]int32),
-	}
-	g.Edges(func(e graph.Edge) bool {
-		lay.direct[key(e.From, e.To)] = e.Weight
-		return true
-	})
+	lay := &layout{g: g, blockSize: blockSize, src: src}
 	pl := &plane{merged: make([]atomic.Pointer[EdgeCols], g.NumNodes())}
 	return &Store{lay: lay, pl: pl, counters: &Counters{}}
 }
 
 // MaterializeAll carves every table of the source in one publish, the
-// eager mode. The direct-edge lookup is dropped afterwards: with no
-// carves left to serve it would only hold memory.
+// eager mode.
 func (s *Store) MaterializeAll() {
 	lay := s.lay
 	lay.mu.Lock()
@@ -270,7 +259,6 @@ func (s *Store) MaterializeAll() {
 	// the first wildcard merge per target label batch-carves them (one
 	// map clone) in carveTargets.
 	lay.tabs.Store(&tabs)
-	lay.maybeDropDirectLocked()
 }
 
 // allLabels is the sentinel alpha marking "every (α, beta) pair is
@@ -317,7 +305,6 @@ func (lay *layout) carveTargets(beta int32, tr *obs.Span) {
 		tabs[k] = nil
 	}
 	lay.tabs.Store(&tabs)
-	lay.maybeDropDirectLocked()
 }
 
 // cloneTabs copies the carved-table map (nil-safe). colTabs are immutable
@@ -328,15 +315,6 @@ func cloneTabs(p *map[pairKey]*colTab) map[pairKey]*colTab {
 		return make(map[pairKey]*colTab, 16)
 	}
 	return maps.Clone(*p)
-}
-
-// maybeDropDirectLocked frees the direct-edge lookup once every real
-// table has carved in: it only serves future carves, so past that point
-// it is O(edges) of dead memory. Callers hold lay.mu.
-func (lay *layout) maybeDropDirectLocked() {
-	if lay.direct != nil && lay.tablesLoaded.Load() >= int64(lay.src.NumTables()) {
-		lay.direct = nil
-	}
 }
 
 // listFor returns the incoming list of v from the concrete label alpha,
@@ -383,7 +361,6 @@ func (lay *layout) table(alpha, beta int32, tr *obs.Span) (t *colTab, ok bool) {
 	ok = lay.carve(k.alpha, k.beta, tabs)
 	if ok {
 		lay.tabs.Store(&tabs)
-		lay.maybeDropDirectLocked()
 	}
 	lay.mu.Unlock()
 	sp.End()

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,25 +42,25 @@ type IngestEdge struct {
 // IngestStats (and ktpmd's /stats "ingest" block).
 type WALStats = wal.Stats
 
-// OverlayStats describes the in-memory epoch delta overlay awaiting
-// compaction.
+// OverlayStats describes the acked batches no generation covers yet,
+// and how far the serving epoch has moved from the base the Live booted
+// on.
 type OverlayStats struct {
-	// Entries is the number of closure entries the batches acked since
-	// the last compaction inserted or lowered, summed over batches: a
-	// pair two batches shorten counts twice, and an edge that shortens
-	// nothing adds none. Compaction triggers when it crosses the
-	// threshold.
+	// Entries is the number of closure pairs the batches acked since
+	// the last compaction logged, summed over batches: a pair two
+	// batches log counts twice, and an edge that shortens nothing adds
+	// none. Compaction triggers when it crosses the threshold.
 	Entries int `json:"entries"`
 	// Tables is the number of label-pair tables that differ from the
-	// base generation.
+	// boot base: the tables the Live holds a second form of.
 	Tables int `json:"tables"`
-	// EdgesApplied counts edges folded into the overlay since the last
-	// compaction (including edges replayed from the WAL at startup).
+	// EdgesApplied counts the edges of the batches acked since the last
+	// compaction (including batches replayed from the WAL at startup).
 	EdgesApplied int `json:"edges_applied"`
 	// PendingBatches is the number of acked batches not yet compacted.
 	PendingBatches int `json:"pending_batches"`
-	// Watermark is the last LSN captured by the current base
-	// generation; every overlay entry comes from a later LSN.
+	// Watermark is the last LSN the newest generation covers; every
+	// pending batch has a later LSN.
 	Watermark uint64 `json:"watermark"`
 }
 
@@ -67,10 +68,11 @@ type OverlayStats struct {
 type CompactionStats struct {
 	// Count is the number of completed compactions this process.
 	Count uint64 `json:"count"`
-	// Generation numbers the current base snapshot; 0 is the boot base.
+	// Generation numbers the newest generation written (or restored at
+	// open); 0 before the first compaction.
 	Generation int `json:"generation"`
-	// GenerationFile is the current generation's file name; empty while
-	// serving from the boot base.
+	// GenerationFile is the newest generation's file name, the one
+	// CURRENT names; empty before the first compaction.
 	GenerationFile string `json:"generation_file,omitempty"`
 	// Threshold is the overlay entry count that triggers compaction.
 	Threshold int `json:"threshold"`
@@ -79,14 +81,14 @@ type CompactionStats struct {
 	// LastMS is the wall time of the last completed compaction.
 	LastMS float64 `json:"last_ms"`
 	// LastErr is the last compaction failure; empty when healthy. A
-	// failed compaction degrades nothing — the overlay keeps serving
-	// and the WAL keeps every acked record.
+	// failed compaction degrades nothing — the epoch keeps serving and
+	// the WAL keeps every acked record.
 	LastErr string `json:"last_err,omitempty"`
 }
 
 // IngestStageNanos is the cumulative wall time, in nanoseconds, the
 // write path has spent per stage this process: the four stages of an
-// acked batch, in order and under the ingest mutex, then the three of a
+// acked batch, in order and under the ingest mutex, then the two of a
 // compaction.
 type IngestStageNanos struct {
 	// WALAppend is writing and (per the fsync policy) syncing the batch's
@@ -100,21 +102,21 @@ type IngestStageNanos struct {
 	Merge int64 `json:"merge"`
 	// Publish is building the epoch's Database and swapping it in.
 	Publish int64 `json:"publish"`
-	// CompactWrite is writing and fsyncing generation files.
+	// CompactWrite is writing and fsyncing the generation file and
+	// CURRENT.
 	CompactWrite int64 `json:"compact_write"`
-	// CompactReopen is opening the written generation for serving.
-	CompactReopen int64 `json:"compact_reopen"`
-	// CompactSwap is the time a compaction holds the ingest mutex:
-	// replaying batches acked meanwhile, CURRENT, and its publish (which
-	// Merge and Publish count too).
+	// CompactSwap is the time a compaction holds the ingest mutex after
+	// CURRENT is durable: dropping the batches the generation covers and
+	// moving the generation bookkeeping.
 	CompactSwap int64 `json:"compact_swap"`
 }
 
 // IngestStats is the write path's health snapshot.
 type IngestStats struct {
-	// Epoch counts atomic publishes of a new serving state (one per
-	// acked batch plus one per compaction swap); it prefixes result-
-	// cache keys so stale answers can never be served across a write.
+	// Epoch counts atomic publishes of a new serving state (one at open
+	// plus one per acked batch; a compaction publishes nothing); it
+	// prefixes result-cache keys so stale answers can never be served
+	// across a write.
 	Epoch uint64 `json:"epoch"`
 	// AckedBatches counts Ingest calls acknowledged (WAL-durable and
 	// published).
@@ -154,8 +156,9 @@ type LiveConfig struct {
 	//
 	// Deprecated: leave it unset. The field will be removed.
 	SnapshotFormat SnapshotFormat
-	// SnapshotMode is how compacted generations are opened for serving;
-	// the zero value is SnapshotEager.
+	// SnapshotMode is how OpenLive opens the generation CURRENT names,
+	// the base a restarted Live serves from; the zero value is
+	// SnapshotEager. A running Live never reopens what it writes.
 	SnapshotMode SnapshotMode
 	// Logger receives recovery and compaction events; nil discards.
 	Logger *slog.Logger
@@ -166,12 +169,12 @@ type LiveConfig struct {
 // and bounds how long one batch holds the ingest mutex.
 const maxIngestBatch = 65536
 
-// pendingBatch is one acked batch retained until a compaction's
-// generation covers its LSN; the compactor replays retained batches
-// over the fresh generation to rebuild the post-watermark overlay.
+// pendingBatch is one acked batch no generation covers yet: its LSN,
+// its edge count and the closure pairs its publish logged, which the
+// compaction threshold sums.
 type pendingBatch struct {
-	lsn   uint64
-	edges []graph.Edge
+	lsn            uint64
+	edges, entries int
 }
 
 // Live wraps a Database with a crash-safe write path: Ingest appends
@@ -179,11 +182,17 @@ type pendingBatch struct {
 // an in-memory closure overlay and atomically publishing a new serving
 // state; queries always see a consistent epoch, with the canonical
 // tie-order contract intact because the merged overlay reproduces the
-// from-scratch closure entry for entry. A background compactor drains
-// the overlay into a new snapshot generation written crash-atomically,
-// swaps it in, and truncates the WAL. On restart, OpenLive reopens the
-// newest generation and replays the WAL tail, so no acknowledged write
-// is ever lost.
+// from-scratch closure entry for entry. A background compactor
+// checkpoints the current epoch into a new snapshot generation written
+// crash-atomically, points CURRENT at it, truncates the WAL and deletes
+// the previous generation; the epoch it wrote keeps serving as it is.
+// On restart, OpenLive opens the newest generation as its base and
+// replays the WAL tail, so no acknowledged write is ever lost.
+//
+// Memory: a Live holds the base it booted on plus the newest form of
+// every table an acked batch changed since boot — at most one more copy
+// of the closure, and on a snapshot base a row copy of each such table's
+// boot form, which the splice reads — and one generation file on disk.
 //
 // Live implements the same query surface as *Database (it is a valid
 // ktpmd serving backend); queries and Ingest may run concurrently.
@@ -199,7 +208,7 @@ type Live struct {
 
 	mu          sync.Mutex
 	baseClosure closure.TableSource
-	baseSnap    *closure.Snapshot // non-nil once a generation is serving
+	baseSnap    *closure.Snapshot // non-nil when the boot base is a snapshot
 	combined    *graph.Graph
 	delta       *closure.Delta
 	merged      *closure.MergedSource // base ∪ delta as of the last publish
@@ -208,7 +217,6 @@ type Live struct {
 	watermark   uint64
 	gen         int
 	genFile     string
-	retired     []*closure.Snapshot // superseded generations; closed at Close
 	closedFlag  bool
 
 	epoch       atomic.Uint64
@@ -343,7 +351,6 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 	// yet absorbed when the process stopped. The publish below splices
 	// them in, by the same call an acked batch goes through.
 	l.merged = closure.NewMergedSource(l.combined, l.baseClosure, l.delta)
-	replayed := 0
 	err = l.wal.Replay(l.watermark+1, func(lsn uint64, payload []byte) error {
 		edges, err := decodeIngestRecord(payload)
 		if err != nil {
@@ -355,8 +362,7 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 		}
 		l.combined = g2
 		l.delta.AddEdges(g2, edges)
-		l.pending = append(l.pending, pendingBatch{lsn: lsn, edges: edges})
-		replayed++
+		l.pending = append(l.pending, pendingBatch{lsn: lsn, edges: len(edges)})
 		return nil
 	})
 	if err != nil {
@@ -366,10 +372,15 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 		}
 		return nil, fmt.Errorf("ktpm: OpenLive: wal replay: %w", err)
 	}
-	l.publishLocked()
+	// One publish splices every replayed batch; the pairs it logged are
+	// charged to the last of them, which no compaction can separate from
+	// the others.
+	if logged := l.publishLocked(); len(l.pending) > 0 {
+		l.pending[len(l.pending)-1].entries = logged
+	}
 	ws := l.wal.Stats()
 	logger.Info("wal recovered",
-		"records_replayed", replayed,
+		"records_replayed", len(l.pending),
 		"overlay_entries", l.delta.Entries(),
 		"last_lsn", ws.LastLSN,
 		"torn_bytes_truncated", ws.TornBytesTruncated,
@@ -417,10 +428,12 @@ func decodeIngestRecord(p []byte) ([]graph.Edge, error) {
 }
 
 // publishLocked builds and atomically publishes the serving state for
-// the current base + overlay. Callers hold l.mu (or are in OpenLive
+// the current base + overlay, returning the closure pairs the batches
+// since the last publish logged. Callers hold l.mu (or are in OpenLive
 // before the Live escapes).
-func (l *Live) publishLocked() {
+func (l *Live) publishLocked() (logged int) {
 	t0 := time.Now()
+	before := l.delta.Entries()
 	src := l.baseClosure
 	if l.delta.EdgesApplied() > 0 {
 		// Splices the candidates logged since the last publish into the
@@ -454,6 +467,17 @@ func (l *Live) publishLocked() {
 	l.epoch.Add(1)
 	l.stages.Merge += int64(t1.Sub(t0))
 	l.stages.Publish += int64(time.Since(t1))
+	return l.delta.Entries() - before
+}
+
+// pendingLocked sums the closure pairs and the edges of the batches no
+// generation covers yet. Callers hold l.mu.
+func (l *Live) pendingLocked() (entries, edges int) {
+	for _, pb := range l.pending {
+		entries += pb.entries
+		edges += pb.edges
+	}
+	return entries, edges
 }
 
 // Ingest validates, journals, applies, and publishes one batch of new
@@ -528,8 +552,7 @@ func (l *Live) Ingest(edges []IngestEdge) (lsn uint64, err error) {
 	l.combined = g2
 	l.delta.AddEdges(g2, ge)
 	l.stages.ClosureDelta += int64(time.Since(t1))
-	l.pending = append(l.pending, pendingBatch{lsn: lsn, edges: ge})
-	l.publishLocked()
+	l.pending = append(l.pending, pendingBatch{lsn: lsn, edges: len(ge), entries: l.publishLocked()})
 	l.acked.Add(1)
 	l.ackedEdges.Add(uint64(len(ge)))
 	l.maybeCompact()
@@ -540,7 +563,10 @@ func (l *Live) Ingest(edges []IngestEdge) (lsn uint64, err error) {
 // threshold. Non-blocking; a signal during a running compaction is
 // retained (the channel holds one) and re-checked when it finishes.
 func (l *Live) maybeCompact() {
-	if l.threshold < 0 || l.delta.Entries() < l.threshold {
+	if l.threshold < 0 {
+		return
+	}
+	if entries, _ := l.pendingLocked(); entries < l.threshold {
 		return
 	}
 	select {
@@ -567,20 +593,25 @@ func (l *Live) compactLoop() {
 	}
 }
 
-// compact drains the overlay into a new snapshot generation:
+// compact checkpoints the current epoch into a new snapshot
+// generation:
 //
-//  1. capture the current merged source and its covered LSN W,
+//  1. capture the epoch's source and the LSN W it covers, under the
+//     ingest lock,
 //  2. write gen-N+1 crash-atomically (temp + fsync + rename + dir
-//     fsync) with the checksum trailer, outside the ingest lock,
-//  3. open it, rebuild the overlay from batches acked after W,
-//  4. atomically publish the new base, write CURRENT durably,
-//  5. only then truncate the WAL below W+1 and delete the old
-//     generation.
+//     fsync) with the checksum trailer, outside the lock,
+//  3. write CURRENT durably, naming gen-N+1 and W,
+//  4. only then drop the pending batches up to W and move the
+//     generation bookkeeping, under the lock,
+//  5. truncate the WAL below W+1 and delete gen-N.
 //
-// A crash between any two steps recovers to an acked-write-preserving
-// state: until CURRENT is durable the old generation plus the full WAL
-// reconstruct everything, and after it the new generation plus the
-// post-W tail do.
+// The serving epoch, its overlay and its Delta stay as they are: the
+// generation is an image of state the epoch already holds, read only by
+// the next OpenLive. A crash between any two steps recovers to an
+// acked-write-preserving state: until CURRENT is durable the old
+// generation plus the full WAL reconstruct everything, and after it the
+// new generation plus the post-W tail do. A failed write removes the new
+// file and leaves the bookkeeping, the WAL and the old generation alone.
 func (l *Live) compact() error {
 	if !l.compacting.CompareAndSwap(false, true) {
 		return nil
@@ -589,14 +620,14 @@ func (l *Live) compact() error {
 	t0 := time.Now()
 
 	l.mu.Lock()
-	if l.closedFlag || l.delta.EdgesApplied() == 0 {
+	if l.closedFlag || len(l.pending) == 0 {
 		l.mu.Unlock()
 		return nil
 	}
 	src := l.cur.Load().c
 	w := l.wal.NextLSN() - 1
 	gen := l.gen + 1
-	entries := l.delta.Entries()
+	entries, _ := l.pendingLocked()
 	l.mu.Unlock()
 
 	name := liveGenName(gen)
@@ -607,81 +638,41 @@ func (l *Live) compact() error {
 	if err != nil {
 		return fmt.Errorf("writing %s: %w", name, err)
 	}
-	t1 := time.Now()
-	snap, err := closure.OpenSnapshotFile(path, closure.SnapMode(l.mode))
-	if err != nil {
-		os.Remove(path)
-		return fmt.Errorf("reopening %s: %w", name, err)
-	}
-	t2 := time.Now()
-
-	l.mu.Lock()
-	if l.closedFlag {
-		l.mu.Unlock()
-		snap.Close()
-		return nil
-	}
-	t3 := time.Now()
-	l.stages.CompactWrite += int64(t1.Sub(t0))
-	l.stages.CompactReopen += int64(t2.Sub(t1))
-	unlock := func() {
-		l.stages.CompactSwap += int64(time.Since(t3))
-		l.mu.Unlock()
-	}
-	// Rebuild the overlay from batches acked while the generation was
-	// being written: replaying them over the generation's graph logs
-	// exactly the post-watermark candidates, which the publish below
-	// splices into the generation.
-	delta := closure.NewDelta()
-	combined := snap.Graph()
-	merged := closure.NewMergedSource(combined, snap, delta)
-	var kept []pendingBatch
-	for _, pb := range l.pending {
-		if pb.lsn <= w {
-			continue
-		}
-		g2, err := closure.CombineGraph(combined, pb.edges)
-		if err != nil {
-			// Impossible for batches that passed Ingest validation; bail
-			// without swapping anything.
-			unlock()
-			snap.Close()
-			return fmt.Errorf("replaying pending batch lsn %d: %w", pb.lsn, err)
-		}
-		combined = g2
-		delta.AddEdges(g2, pb.edges)
-		kept = append(kept, pb)
-	}
-	oldSnap, oldGenFile := l.baseSnap, l.genFile
-	l.baseClosure, l.baseSnap = snap, snap
-	l.combined, l.delta, l.merged, l.pending = combined, delta, merged, kept
-	l.gen, l.genFile, l.watermark = gen, name, w
-
 	// CURRENT must be durable before the WAL below the watermark can
 	// go: a crash with new CURRENT + old WAL is fine (replay skips
 	// ≤ watermark), a crash with old CURRENT + truncated WAL would lose
 	// acked writes.
-	if err := fsio.WriteFileAtomic(filepath.Join(l.dir, liveCurrentFile), func(out io.Writer) error {
+	current := filepath.Join(l.dir, liveCurrentFile)
+	if err := fsio.WriteFileAtomic(current, func(out io.Writer) error {
 		_, err := fmt.Fprintf(out, "%s %d\n", name, w)
 		return err
 	}); err != nil {
-		// The in-memory swap stands (it serves the same data); recovery
-		// just pays a longer WAL replay from the old generation. Keep
-		// the WAL intact.
-		l.publishLocked()
-		if oldSnap != nil {
-			l.retired = append(l.retired, oldSnap)
+		// A failed directory fsync comes after the rename, so CURRENT
+		// may name the new file already; then the file must stay.
+		if raw, rerr := os.ReadFile(current); rerr != nil || !strings.HasPrefix(string(raw), name+" ") {
+			os.Remove(path)
 		}
-		unlock()
 		return fmt.Errorf("writing CURRENT: %w", err)
 	}
-	l.publishLocked()
-	if oldSnap != nil {
-		// In-flight queries may still hold zero-copy views into the old
-		// generation; it is closed at Live.Close, not here.
-		l.retired = append(l.retired, oldSnap)
+
+	l.mu.Lock()
+	t1 := time.Now()
+	l.stages.CompactWrite += int64(t1.Sub(t0))
+	if l.closedFlag {
+		// CURRENT already names the new generation, which the next open
+		// serves; it deletes the old file then.
+		l.mu.Unlock()
+		return nil
 	}
-	unlock()
+	covered := 0
+	for covered < len(l.pending) && l.pending[covered].lsn <= w {
+		covered++
+	}
+	l.pending = slices.Delete(l.pending, 0, covered)
+	oldGenFile := l.genFile
+	l.gen, l.genFile, l.watermark = gen, name, w
+	l.stages.CompactSwap += int64(time.Since(t1))
+	l.mu.Unlock()
 
 	if err := l.wal.TruncateBefore(w + 1); err != nil {
 		return fmt.Errorf("truncating wal below %d: %w", w+1, err)
@@ -698,13 +689,13 @@ func (l *Live) compact() error {
 		"entries_absorbed", entries,
 		"elapsed", elapsed.Round(time.Millisecond).String(),
 	)
-	l.maybeCompactPostSwap()
+	l.maybeCompactAgain()
 	return nil
 }
 
-// maybeCompactPostSwap re-checks the threshold after a compaction, for
+// maybeCompactAgain re-checks the threshold after a compaction, for
 // ingest bursts that outran the drain.
-func (l *Live) maybeCompactPostSwap() {
+func (l *Live) maybeCompactAgain() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.closedFlag {
@@ -713,7 +704,7 @@ func (l *Live) maybeCompactPostSwap() {
 }
 
 // Compact forces a synchronous compaction, regardless of threshold.
-// A no-op (nil) when no edge has been acked since the current
+// A no-op (nil) when no batch has been acked since the newest
 // generation or a background compaction is already running.
 func (l *Live) Compact() error { return l.compact() }
 
@@ -730,6 +721,7 @@ func (l *Live) Epoch() uint64 { return l.epoch.Load() }
 // IngestStats returns the write path's health snapshot.
 func (l *Live) IngestStats() IngestStats {
 	l.mu.Lock()
+	entries, edges := l.pendingLocked()
 	st := IngestStats{
 		Epoch:           l.epoch.Load(),
 		AckedBatches:    l.acked.Load(),
@@ -738,9 +730,9 @@ func (l *Live) IngestStats() IngestStats {
 		StageNS:         l.stages,
 		WAL:             l.wal.Stats(),
 		Overlay: OverlayStats{
-			Entries:        l.delta.Entries(),
+			Entries:        entries,
 			Tables:         l.delta.TablesTouched(),
-			EdgesApplied:   l.delta.EdgesApplied(),
+			EdgesApplied:   edges,
 			PendingBatches: len(l.pending),
 			Watermark:      l.watermark,
 		},
@@ -762,9 +754,9 @@ func (l *Live) IngestStats() IngestStats {
 }
 
 // Close stops the compactor, syncs and closes the WAL, and releases
-// every generation snapshot (current and retired). Call it only after
-// queries have stopped — mmap-backed epochs hold views into the
-// generation files. Idempotent.
+// the base snapshot, if the Live serves from one. Call it only after
+// queries have stopped — mmap-backed epochs hold views into the base
+// file. Idempotent.
 func (l *Live) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
@@ -772,15 +764,10 @@ func (l *Live) Close() error {
 		l.wg.Wait()
 		l.mu.Lock()
 		l.closedFlag = true
-		snaps := append([]*closure.Snapshot(nil), l.retired...)
-		if l.baseSnap != nil {
-			snaps = append(snaps, l.baseSnap)
-		}
-		l.retired = nil
 		l.mu.Unlock()
 		err = l.wal.Close()
-		for _, s := range snaps {
-			s.Close()
+		if l.baseSnap != nil {
+			l.baseSnap.Close()
 		}
 	})
 	return err
@@ -832,12 +819,11 @@ func (l *Live) IOStats() IOStats {
 	return out
 }
 
-// SnapshotStats reports the current generation's snapshot backing;
-// ok=false while still serving from a non-snapshot boot base.
+// SnapshotStats reports the backing of the snapshot the Live booted on
+// (the generation CURRENT named at open, or the -snapshot base);
+// ok=false for a base built in memory.
 func (l *Live) SnapshotStats() (SnapshotStats, bool) {
-	l.mu.Lock()
 	snap := l.baseSnap
-	l.mu.Unlock()
 	if snap == nil {
 		return SnapshotStats{}, false
 	}

@@ -1,10 +1,15 @@
 package ktpm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -69,7 +74,12 @@ var liveQueries = []string{"a(b)", "a(b,c(d))", "a(*,c)", "a(/b)", "c(d,e)", "e"
 // combined edge set — unsharded and at shard counts {1, 2, 4}.
 func assertLiveMatchesReference(t *testing.T, tag string, live *Live, ref *Database) {
 	t.Helper()
-	cur := live.Current()
+	assertServesReference(t, tag, live.Current(), ref)
+}
+
+// assertServesReference is assertLiveMatchesReference for one database.
+func assertServesReference(t *testing.T, tag string, cur, ref *Database) {
+	t.Helper()
 	sharded := make(map[int]*ShardedDatabase)
 	for _, n := range []int{1, 2, 4} {
 		sh, err := cur.Shard(n, PartitionByLabel())
@@ -83,7 +93,7 @@ func assertLiveMatchesReference(t *testing.T, tag string, live *Live, ref *Datab
 		if err != nil {
 			t.Fatal(err)
 		}
-		lq, err := live.ParseQuery(qs)
+		lq, err := cur.ParseQuery(qs)
 		if err != nil {
 			t.Fatalf("%s: live parse %q: %v", tag, qs, err)
 		}
@@ -92,7 +102,7 @@ func assertLiveMatchesReference(t *testing.T, tag string, live *Live, ref *Datab
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := live.TopKWith(lq, k, Options{})
+			got, err := cur.TopKWith(lq, k, Options{})
 			if err != nil {
 				t.Fatalf("%s: live %q k=%d: %v", tag, qs, k, err)
 			}
@@ -117,18 +127,20 @@ func assertLiveMatchesReference(t *testing.T, tag string, live *Live, ref *Datab
 // overlay-merged serving state must answer byte-identically to a
 // from-scratch BuildDatabase over base+delta edges — across generation
 // backing modes and shard counts {1, 2, 4}. The epochs it walks are built
-// over every kind of source (boot closure, merged overlay, reopened
-// generation, overlay on a generation), all served by the store's one
-// layout: nothing about an epoch's reader path depends on which side of
-// an ack or a generation swap it falls.
+// over the boot closure and the merged overlay, all served by the store's
+// one layout. A compaction is a checkpoint: the epoch it wrote keeps
+// serving as it was, and the generation file — byte-identical to the
+// reference's snapshot — answers like the reference when opened in each
+// mode, which is what a restart serves.
 func TestLiveMatchesRebuild(t *testing.T) {
 	for _, mode := range allSnapshotModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(91))
 			labels, baseEdges := liveBase(rng, 60)
 			boot := buildLiveDB(t, labels, baseEdges)
+			dir := t.TempDir()
 			live, err := OpenLive(boot, LiveConfig{
-				Dir:              t.TempDir(),
+				Dir:              dir,
 				Fsync:            "never", // durability is exercised elsewhere; keep the property loop fast
 				CompactThreshold: -1,      // compaction is driven explicitly below
 				SnapshotMode:     mode,
@@ -166,22 +178,46 @@ func TestLiveMatchesRebuild(t *testing.T) {
 				assertLiveMatchesReference(t, fmt.Sprintf("batch %d (pre-compaction)", batch), live, ref)
 			}
 
+			before := live.Current()
 			if err := live.Compact(); err != nil {
 				t.Fatalf("compact: %v", err)
 			}
 			st := live.IngestStats()
-			if st.Compaction.Count != 1 || st.Overlay.Entries != 0 || st.Compaction.Generation != 1 {
+			if st.Compaction.Count != 1 || st.Overlay.Entries != 0 || st.Overlay.EdgesApplied != 0 ||
+				st.Overlay.PendingBatches != 0 || st.Compaction.Generation != 1 {
 				t.Fatalf("post-compaction stats: %+v", st)
 			}
 			if st.Overlay.Watermark != st.LastLSN {
 				t.Fatalf("watermark %d != last lsn %d after compaction", st.Overlay.Watermark, st.LastLSN)
 			}
+			if live.Current() != before || live.Epoch() != epoch {
+				t.Fatal("compaction published a new epoch; a checkpoint must leave the serving one as it is")
+			}
 			ref := buildLiveDB(t, labels, all)
-			sourceIs("post-compaction", (*closure.Snapshot)(nil))
+			sourceIs("post-compaction", (*closure.MergedSource)(nil))
 			assertLiveMatchesReference(t, "post-compaction", live, ref)
 
-			// Ingest on top of the compacted generation: the merged
-			// source now overlays a reopened snapshot base.
+			genPath := filepath.Join(dir, st.Compaction.GenerationFile)
+			got, err := os.ReadFile(genPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := SaveSnapshot(&want, ref); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatal("the generation compaction wrote differs from the reference's snapshot")
+			}
+			gdb, err := OpenSnapshot(genPath, SnapshotOptions{Mode: mode, BlockSize: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertServesReference(t, "reopened generation", gdb, ref)
+			gdb.Close()
+
+			// Ingest on top of the checkpointed epoch: the merged source
+			// keeps splicing over the boot closure.
 			edges := liveNewEdges(rng, 60, 8)
 			if _, err := live.Ingest(edges); err != nil {
 				t.Fatal(err)
@@ -192,6 +228,161 @@ func TestLiveMatchesRebuild(t *testing.T) {
 			assertLiveMatchesReference(t, "post-compaction ingest", live, ref)
 		})
 	}
+}
+
+// genFiles lists the generation files in dir.
+func genFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "gen-*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range names {
+		names[i] = filepath.Base(n)
+	}
+	return names
+}
+
+// TestLiveHoldsOneGeneration runs 20 ingest + Compact rounds on a Live
+// configured for mmap generations: a compaction writes a generation and
+// deletes the previous one, and never maps, decodes or keeps what it
+// wrote. So exactly one generation file is on disk after every round, no
+// mapping of a deleted generation is left in the process, and the heap
+// in use after a GC does not grow with the number of generations
+// written. Every node of the base graph reaches node 0 and node 0
+// reaches every node, so the closure holds every pair from the start
+// and ingest only lowers distances: the closure's size stays put, and
+// with five labels every table has differed from the boot base long
+// before round 5.
+func TestLiveHoldsOneGeneration(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	labels, baseEdges := liveBase(rng, 300)
+	for v := int32(1); v < 300; v++ {
+		baseEdges = append(baseEdges, IngestEdge{From: v, To: 0, Weight: 3})
+	}
+	dir := t.TempDir()
+	live, err := OpenLive(buildLiveDB(t, labels, baseEdges), LiveConfig{
+		Dir: dir, Fsync: "never", CompactThreshold: -1, SnapshotMode: SnapshotMMap,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	all := append([]IngestEdge(nil), baseEdges...)
+	var heap5 uint64
+	for round := 1; round <= 20; round++ {
+		edges := liveNewEdges(rng, 300, 3)
+		if _, err := live.Ingest(edges); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, edges...)
+		if err := live.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := genFiles(t, dir), []string{liveGenName(round)}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: generation files %v, want %v", round, got, want)
+		}
+		if maps, err := os.ReadFile("/proc/self/maps"); err == nil {
+			for _, line := range strings.Split(string(maps), "\n") {
+				if strings.Contains(line, dir) && strings.HasSuffix(line, "(deleted)") {
+					t.Fatalf("round %d: the process maps a deleted generation: %s", round, line)
+				}
+			}
+		}
+		if round == 5 || round == 20 {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			if round == 5 {
+				heap5 = ms.HeapInuse
+			} else if slack := uint64(4 << 20); ms.HeapInuse > heap5+slack {
+				t.Fatalf("heap in use grew from %d B at round 5 to %d B at round 20 (slack %d B)", heap5, ms.HeapInuse, slack)
+			} else {
+				t.Logf("heap in use: %d B at round 5, %d B at round 20", heap5, ms.HeapInuse)
+			}
+		}
+	}
+	assertLiveMatchesReference(t, "after 20 checkpoints", live, buildLiveDB(t, labels, all))
+}
+
+// TestLiveCompactCurrentFailure makes the CURRENT rename fail (a
+// non-empty directory sits at its name): the compaction errs, removes
+// the generation it wrote, and changes no bookkeeping — the older
+// generation stays the only one on disk, the WAL keeps every record —
+// and once the obstacle is gone a compaction and a reopen serve the
+// reference.
+func TestLiveCompactCurrentFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	labels, baseEdges := liveBase(rng, 50)
+	dir := t.TempDir()
+	cfg := LiveConfig{Dir: dir, Fsync: "always", CompactThreshold: -1, SnapshotMode: SnapshotLazy}
+	live, err := OpenLive(buildLiveDB(t, labels, baseEdges), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := append([]IngestEdge(nil), baseEdges...)
+	ingest := func() {
+		t.Helper()
+		edges := liveNewEdges(rng, 50, 4)
+		if _, err := live.Ingest(edges); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, edges...)
+	}
+	ingest()
+	if err := live.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	ingest()
+	ingest()
+
+	current := filepath.Join(dir, liveCurrentFile)
+	if err := os.Remove(current); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(current, "obstacle"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := live.IngestStats()
+	if err := live.Compact(); err == nil {
+		t.Fatal("Compact succeeded with a directory at CURRENT")
+	}
+	after := live.IngestStats()
+	if after.Overlay != before.Overlay || after.Compaction.Count != before.Compaction.Count ||
+		after.Compaction.Generation != before.Compaction.Generation ||
+		after.Compaction.GenerationFile != before.Compaction.GenerationFile || after.WAL.Segments != before.WAL.Segments {
+		t.Fatalf("a failed CURRENT write changed the bookkeeping:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if got, want := genFiles(t, dir), []string{liveGenName(1)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("generation files after the failure %v, want %v", got, want)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+	ref := buildLiveDB(t, labels, all)
+	assertLiveMatchesReference(t, "after the failed compaction", live, ref)
+
+	if err := os.RemoveAll(current); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := genFiles(t, dir), []string{liveGenName(2)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("generation files after the retry %v, want %v", got, want)
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live, err = OpenLive(buildLiveDB(t, labels, baseEdges), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if st := live.IngestStats(); st.Compaction.Generation != 2 || st.Overlay.PendingBatches != 0 {
+		t.Fatalf("reopen stats: %+v", st)
+	}
+	assertLiveMatchesReference(t, "reopened after the retry", live, ref)
 }
 
 // TestLiveRecovery closes and reopens the write path at every stage:
@@ -339,8 +530,8 @@ func TestLiveIngestValidation(t *testing.T) {
 }
 
 // TestLiveConcurrentQueryIngest runs queries against the live backend
-// while batches land and a compaction swaps the base underneath them —
-// the atomic-publish invariant under -race.
+// while batches land and compactions checkpoint them — the
+// atomic-publish invariant under -race.
 func TestLiveConcurrentQueryIngest(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	labels, baseEdges := liveBase(rng, 60)
